@@ -1,0 +1,379 @@
+"""Behavioral model of a non-ideal pipelined ADC.
+
+The converter is a cascade of low-resolution quantizing stages followed by a
+flash stage. Stage i digitizes its input to one of p_i codes, reconstructs the
+code with a (possibly mismatched) DAC, and passes the amplified difference --
+the residue -- to the next stage. The digital back end recombines the stage
+codes with the *ideal* gains, so gain mismatch (zeta_i) and per-code DAC
+errors (e_da) show up as static nonlinearity in the output.
+
+All voltages are normalized to v_ref = 1, full scale is [-1, +1].
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+__all__ = [
+    "StageSpec",
+    "MismatchSet",
+    "MismatchConfig",
+    "AdcInstance",
+    "ConversionRecord",
+    "ConversionBatch",
+    "lsb_size",
+    "quantize_stage",
+    "convert",
+    "convert_many",
+    "reference_output",
+    "build_adc",
+    "pipeline_stage_specs",
+    "flash_stage_spec",
+    "default_stage_specs",
+]
+
+
+def lsb_size(resolution_bits: int) -> float:
+    """One LSB of the composite converter: full scale 2.0 over 2**bits."""
+    return 2.0 / (2 ** resolution_bits)
+
+
+class AdcModelError(ValueError):
+    """Invalid stage geometry or mismatch configuration."""
+
+
+class RecordMismatchError(RuntimeError):
+    """A conversion record is inconsistent with the instance that allegedly produced it."""
+
+
+@dataclass(frozen=True)
+class StageSpec:
+    """Static description of one quantizing stage.
+
+    codes       -- p code values [V], strictly increasing
+    thresholds  -- p-1 comparator thresholds [V], strictly increasing
+    gain        -- ideal inter-stage gain G_i (used by the digital recombination)
+    """
+
+    codes: tuple[float, ...]
+    thresholds: tuple[float, ...]
+    gain: float = 1.0
+
+    def __post_init__(self) -> None:
+        if len(self.codes) < 2:
+            raise AdcModelError("a stage needs at least 2 codes")
+        if len(self.thresholds) != len(self.codes) - 1:
+            raise AdcModelError("need exactly len(codes)-1 thresholds")
+        if not all(a < b for a, b in zip(self.thresholds, self.thresholds[1:])):
+            raise AdcModelError("thresholds must be strictly increasing")
+        if not all(a < b for a, b in zip(self.codes, self.codes[1:])):
+            raise AdcModelError("codes must be strictly increasing")
+
+    @property
+    def levels(self) -> int:
+        return len(self.codes)
+
+    def max_digitization_error(self, v_min: float = -1.0, v_max: float = 1.0) -> float:
+        """Largest |input - selected code| over [v_min, v_max].
+
+        The extremes occur at the interval edges and at the thresholds, where
+        the selected code flips.
+        """
+        probes = [v_min, v_max]
+        for j, t in enumerate(self.thresholds):
+            probes.append(t)            # code j still selected (x <= t)
+            probes.append(math.nextafter(t, math.inf))  # code j+1 takes over
+        worst = 0.0
+        for x in probes:
+            j, code = quantize_stage(self, x)
+            worst = max(worst, abs(x - code))
+        return worst
+
+
+@dataclass(frozen=True)
+class MismatchSet:
+    """Drawn analog errors, one entry per quantizing (non-flash) stage.
+
+    gain_mismatch -- relative gain error zeta_i, true gain = G_i * (1 + zeta_i)
+    dac_errors    -- per-code reconstruction error [V], length p_i each
+    """
+
+    gain_mismatch: tuple[float, ...]
+    dac_errors: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self) -> None:
+        if len(self.gain_mismatch) != len(self.dac_errors):
+            raise AdcModelError("need one gain mismatch and one DAC error vector per stage")
+
+
+@dataclass(frozen=True)
+class MismatchConfig:
+    """Bounds for the uniform mismatch draws, expressed in composite LSB.
+
+    The gain bound converts into a bound on the relative mismatch as
+    |zeta_i| <= gain_bound_lsb * lsb / e_ref. The reference magnitude e_ref
+    fixes the unit semantics: 1.0 reads the bound as a plain dimensionless
+    value in LSB units; half the code pitch (0.125 for the default stage)
+    bounds the worst-case in-range output contribution zeta_i * e_q instead;
+    None uses the stage's true maximum |e_q| including the overload edges.
+    """
+
+    gain_bound_lsb: float = 25.0
+    dac_bound_lsb: float = 15.0
+    gain_error_reference: float | None = 1.0
+
+    def __post_init__(self) -> None:
+        if self.gain_bound_lsb < 0 or self.dac_bound_lsb < 0:
+            raise AdcModelError("mismatch bounds must be non-negative")
+
+
+@dataclass(frozen=True)
+class AdcInstance:
+    """One fully drawn converter: stage geometry plus its analog errors.
+
+    Immutable; safe to share across parallel workers. `flash=None` replaces
+    the final stage by an exact sampler (zero digitization error), which is
+    useful as an analysis back end for oracle tests.
+    """
+
+    stages: tuple[StageSpec, ...]
+    flash: StageSpec | None
+    mismatches: MismatchSet
+    resolution_bits: int
+    v_ref: float = 1.0
+
+    def __post_init__(self) -> None:
+        if len(self.mismatches.gain_mismatch) != len(self.stages):
+            raise AdcModelError("mismatch set size must match the number of quantizing stages")
+        for spec, eda in zip(self.stages, self.mismatches.dac_errors):
+            if len(eda) != spec.levels:
+                raise AdcModelError("one DAC error per stage code required")
+
+    @property
+    def n_stages(self) -> int:
+        return len(self.stages)
+
+    @property
+    def lsb(self) -> float:
+        return lsb_size(self.resolution_bits)
+
+    @property
+    def total_gain(self) -> float:
+        """Composite scaling factor of the input term: prod(1 + zeta_i)."""
+        beta = 1.0
+        for z in self.mismatches.gain_mismatch:
+            beta *= 1.0 + z
+        return beta
+
+    def recombination_weights(self) -> np.ndarray:
+        """Digital weights 1/prod(G_j, j<i) per stage, last entry for the back end."""
+        w = np.empty(self.n_stages + 1)
+        acc = 1.0
+        for i, st in enumerate(self.stages):
+            w[i] = acc
+            acc /= st.gain
+        w[self.n_stages] = acc
+        return w
+
+
+@dataclass(frozen=True)
+class ConversionRecord:
+    """Everything one conversion exposes: output plus per-stage selections.
+
+    Index 1..p_i per stage (1-based, matching the comparator bank); the final
+    entry is the back-end stage (index 0 when the exact sampler is used).
+    `x_in` is simulation-side truth and never visible to calibrators.
+    """
+
+    output: float
+    stage_index: tuple[int, ...]
+    stage_value: tuple[float, ...]
+    x_in: float
+
+
+class ConversionBatch:
+    """Column-oriented store for many conversions of one instance."""
+
+    def __init__(self, y: np.ndarray, index: np.ndarray, value: np.ndarray, x_in: np.ndarray):
+        self.y = y
+        self.index = index          # (N, n_stages+1), 1-based codes, 0 = exact back end
+        self.value = value          # (N, n_stages+1) selected code values / residue
+        self.x_in = x_in
+
+    def __len__(self) -> int:
+        return self.y.shape[0]
+
+    def record(self, k: int) -> ConversionRecord:
+        return ConversionRecord(
+            output=float(self.y[k]),
+            stage_index=tuple(int(j) for j in self.index[k]),
+            stage_value=tuple(float(v) for v in self.value[k]),
+            x_in=float(self.x_in[k]),
+        )
+
+
+def quantize_stage(stage: StageSpec, residue_in: float) -> tuple[int, float]:
+    """Select the stage code for one input value.
+
+    Total function: j=1 for x <= v_1, the unique j with v_{j-1} < x <= v_j in
+    between, j=p for x > v_{p-1}. Out-of-range inputs therefore clip to the
+    outermost codes.
+    """
+    j = int(np.searchsorted(stage.thresholds, residue_in, side="left")) + 1
+    return j, stage.codes[j - 1]
+
+
+def _quantize_many(stage: StageSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    j = np.searchsorted(np.asarray(stage.thresholds), x, side="left") + 1
+    return j, np.asarray(stage.codes)[j - 1]
+
+
+def convert_many(adc: AdcInstance, x_in: np.ndarray) -> ConversionBatch:
+    """Run the pipeline recursion for a whole input vector at once."""
+    x = np.asarray(x_in, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("ADC input must be finite")
+    n = adc.n_stages
+    n_cols = n + 1
+    index = np.zeros((x.size, n_cols), dtype=np.int64)
+    value = np.zeros((x.size, n_cols), dtype=float)
+
+    residue = x.copy()
+    for i, stage in enumerate(adc.stages):
+        j, code = _quantize_many(stage, residue)
+        index[:, i] = j
+        value[:, i] = code
+        eda = np.asarray(adc.mismatches.dac_errors[i])[j - 1]
+        true_gain = stage.gain * (1.0 + adc.mismatches.gain_mismatch[i])
+        residue = true_gain * (residue - code - eda)
+
+    if adc.flash is None:
+        value[:, n] = residue       # exact back end, zero digitization error
+    else:
+        j, code = _quantize_many(adc.flash, residue)
+        index[:, n] = j
+        value[:, n] = code
+
+    y = value @ adc.recombination_weights()
+    return ConversionBatch(y=y, index=index, value=value, x_in=x)
+
+
+def convert(adc: AdcInstance, x_in: float) -> ConversionRecord:
+    """Convert a single sample; see `convert_many` for the batch form."""
+    return convert_many(adc, np.array([float(x_in)])).record(0)
+
+
+def reference_output(adc: AdcInstance, x_in: float, record: ConversionRecord,
+                     tolerance: float = 1e-9) -> float:
+    """Closed-form cross-check of `convert`.
+
+    Evaluates y = beta*x_in - sum_i w_i^T phi_0,i + q_x, where beta folds all
+    gain mismatches, phi_0,i collects each stage's code- and DAC-error terms,
+    and q_x is the weighted back-end digitization error. Raises if the record
+    disagrees with the closed form beyond `tolerance` [V].
+    """
+    n = adc.n_stages
+    zetas = adc.mismatches.gain_mismatch
+    weights = adc.recombination_weights()
+
+    # tail products T_i = prod_{l=i..n} (1 + zeta_l)
+    tails = [1.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        tails[i] = tails[i + 1] * (1.0 + zetas[i])
+    beta = tails[0]
+
+    nonideal = 0.0
+    for i in range(n):
+        j = record.stage_index[i] - 1
+        d = adc.stages[i].codes[j]
+        eda = adc.mismatches.dac_errors[i][j]
+        nonideal += weights[i] * ((tails[i] - 1.0) * d + tails[i] * eda)
+
+    # back-end digitization error from the recorded selections
+    residue = record.x_in
+    for i, stage in enumerate(adc.stages):
+        j = record.stage_index[i] - 1
+        true_gain = stage.gain * (1.0 + zetas[i])
+        residue = true_gain * (residue - stage.codes[j] - adc.mismatches.dac_errors[i][j])
+    q_x = -(residue - record.stage_value[n]) * weights[n]
+
+    y_ref = beta * record.x_in - nonideal + q_x
+    if abs(y_ref - record.output) > tolerance:
+        raise RecordMismatchError(
+            f"record output {record.output!r} deviates from closed form {y_ref!r}"
+        )
+    return y_ref
+
+
+def pipeline_stage_specs(levels: int = 7, gain: float = 4.0, v_ref: float = 1.0) -> StageSpec:
+    """Canonical sub-radix quantizing stage: p uniformly spaced codes with
+    thresholds at the midpoints (2.5-bit MDAC for levels=7, gain=4)."""
+    pitch = 2.0 * v_ref / (levels + 1)
+    codes = tuple((j - (levels - 1) / 2.0) * pitch for j in range(levels))
+    thresholds = tuple((codes[j] + codes[j + 1]) / 2.0 for j in range(levels - 1))
+    return StageSpec(codes=codes, thresholds=thresholds, gain=gain)
+
+
+def flash_stage_spec(bits: int = 3, v_ref: float = 1.0) -> StageSpec:
+    """Mid-rise flash: 2**bits uniform levels over the residue range."""
+    p = 2 ** bits
+    step = 2.0 * v_ref / p
+    codes = tuple(-v_ref + (j + 0.5) * step for j in range(p))
+    thresholds = tuple(-v_ref + (j + 1.0) * step for j in range(p - 1))
+    return StageSpec(codes=codes, thresholds=thresholds, gain=1.0)
+
+
+def default_stage_specs(n_pipeline: int = 5, stage_levels: int = 7,
+                        stage_gain: float = 4.0, flash_bits: int = 3) -> tuple[list[StageSpec], StageSpec]:
+    """Stage list of the default 13-bit converter (5 x 2.5 bit + 3-bit flash)."""
+    stages = [pipeline_stage_specs(stage_levels, stage_gain) for _ in range(n_pipeline)]
+    return stages, flash_stage_spec(flash_bits)
+
+
+def build_adc(stages: list[StageSpec], flash: StageSpec | None,
+              mismatch: MismatchConfig, seed, resolution_bits: int = 13,
+              ideal_stages: int = 0) -> AdcInstance:
+    """Draw one converter instance.
+
+    `seed` is anything `numpy.random.default_rng` accepts; identical seeds
+    give bit-identical instances (fixed draw order: per stage, zeta first,
+    then the p DAC errors). `ideal_stages` forces the first k quantizing
+    stages to zero mismatch without consuming different amounts of the
+    stream, so populations stay comparable across that switch.
+    """
+    rng = np.random.default_rng(seed)
+    lsb = lsb_size(resolution_bits)
+
+    dac_bound = mismatch.dac_bound_lsb * lsb
+    zetas = []
+    dac_errors = []
+    for i, stage in enumerate(stages):
+        e_ref = mismatch.gain_error_reference
+        if e_ref is None:
+            e_ref = stage.max_digitization_error()
+        zeta_bound = mismatch.gain_bound_lsb * lsb / e_ref
+        if zeta_bound >= 1.0:
+            raise AdcModelError("gain mismatch bound allows non-positive stage gain")
+        min_pitch = min(b - a for a, b in zip(stage.codes, stage.codes[1:]))
+        if 2.0 * dac_bound >= min_pitch:
+            raise AdcModelError("DAC error bound can reorder the stage code levels")
+
+        z = float(rng.uniform(-zeta_bound, zeta_bound))
+        e = rng.uniform(-dac_bound, dac_bound, size=stage.levels)
+        # a common shift of all DAC levels is stage offset, not nonlinearity
+        e -= e.mean()
+        if i < ideal_stages:
+            z = 0.0
+            e = np.zeros(stage.levels)
+        zetas.append(z)
+        dac_errors.append(tuple(float(v) for v in e))
+
+    return AdcInstance(
+        stages=tuple(stages),
+        flash=flash,
+        mismatches=MismatchSet(gain_mismatch=tuple(zetas), dac_errors=tuple(dac_errors)),
+        resolution_bits=resolution_bits,
+    )

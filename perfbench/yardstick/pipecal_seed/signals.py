@@ -1,0 +1,208 @@
+"""Test-signal generation and the two-conversion sample pairing.
+
+Calibration feeds each held sample into the converter twice: once as-is and
+once scaled by the analog factor alpha_a. Both conversions see independent
+additive white Gaussian input noise; the deterministic part alone is scaled.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .adc import AdcInstance, ConversionBatch, ConversionRecord, convert_many
+
+__all__ = [
+    "ToneSpec",
+    "PathConfig",
+    "SamplePair",
+    "PairBatch",
+    "gen_tones",
+    "gen_impure_two_tone",
+    "make_pairs",
+    "snap_to_odd_bin",
+]
+
+
+@dataclass(frozen=True)
+class ToneSpec:
+    """One sinusoid: normalized angular frequency [rad/sample], amplitude, phase."""
+
+    omega: float
+    amplitude: float = 1.0
+    phase: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.omega < math.pi:
+            raise ValueError(f"omega must be in (0, pi), got {self.omega}")
+        if not 0.0 <= self.amplitude <= 1.0:
+            raise ValueError("tone amplitude must be in [0, 1]")
+
+
+@dataclass(frozen=True)
+class PathConfig:
+    """Analog/digital scaling pair and the input-noise level.
+
+    delta = alpha_a - alpha_d is the scaling factor mismatch the calibrator
+    may have to estimate. snr_db=None (or +inf) means noiseless; otherwise
+    the noise variance is signal_power / 10**(snr_db/10).
+
+    noise_mode selects where the noise enters relative to the analog scaler:
+    "held" models noise captured by the sample-and-hold, so the scaled
+    conversion digitizes alpha_a * (x_d + n); "independent" models
+    converter-referred noise, drawn fresh for each of the two conversions.
+    """
+
+    alpha_a: float
+    alpha_d: float
+    snr_db: float | None = None
+    noise_mode: str = "held"
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.alpha_a < 1.0:
+            raise ValueError("analog scaling factor must be in (0, 1)")
+        if self.noise_mode not in ("held", "independent"):
+            raise ValueError(f"unknown noise mode {self.noise_mode!r}")
+
+    @property
+    def delta(self) -> float:
+        return self.alpha_a - self.alpha_d
+
+    @property
+    def noiseless(self) -> bool:
+        return self.snr_db is None or math.isinf(self.snr_db)
+
+
+@dataclass(frozen=True)
+class SamplePair:
+    """Matched conversions of one held deterministic sample."""
+
+    unscaled: ConversionRecord
+    scaled: ConversionRecord
+    index: int
+
+
+class PairBatch:
+    """All sample pairs of a calibration run, column-oriented."""
+
+    def __init__(self, unscaled: ConversionBatch, scaled: ConversionBatch):
+        if len(unscaled) != len(scaled):
+            raise ValueError("pair batches must have equal length")
+        self.unscaled = unscaled
+        self.scaled = scaled
+
+    def __len__(self) -> int:
+        return len(self.unscaled)
+
+    def pair(self, k: int) -> SamplePair:
+        return SamplePair(unscaled=self.unscaled.record(k), scaled=self.scaled.record(k), index=k)
+
+    def __iter__(self):
+        for k in range(len(self)):
+            yield self.pair(k)
+
+    def head(self, n: int) -> "PairBatch":
+        sl = slice(0, n)
+        u, s = self.unscaled, self.scaled
+        return PairBatch(
+            ConversionBatch(u.y[sl], u.index[sl], u.value[sl], u.x_in[sl]),
+            ConversionBatch(s.y[sl], s.index[sl], s.value[sl], s.x_in[sl]),
+        )
+
+
+def gen_tones(tones: list[ToneSpec], n: int) -> np.ndarray:
+    """Sum of sinusoids x[k] = sum a*sin(omega*k + phase), k = 0..n-1."""
+    if n < 1:
+        raise ValueError("need at least one sample")
+    k = np.arange(n)
+    x = np.zeros(n)
+    for tone in tones:
+        x += tone.amplitude * np.sin(tone.omega * k + tone.phase)
+    return x
+
+
+def snap_to_odd_bin(omega: float, n_fft: int) -> float:
+    """Nearest odd-bin coherent frequency: omega' = 2*pi*m/n_fft, m odd."""
+    m = omega * n_fft / (2.0 * math.pi)
+    m_odd = 2 * round((m - 1.0) / 2.0) + 1
+    m_odd = min(max(m_odd, 1), n_fft // 2 - 1)
+    return 2.0 * math.pi * m_odd / n_fft
+
+
+def _fold(omega: float) -> float:
+    """Alias a frequency into [0, pi]."""
+    w = math.fmod(omega, 2.0 * math.pi)
+    if w < 0:
+        w += 2.0 * math.pi
+    return 2.0 * math.pi - w if w > math.pi else w
+
+
+def gen_impure_two_tone(tones: list[ToneSpec], harmonic_levels_dbc: dict[int, float] | None,
+                        quantizer_bits: int | None, n: int) -> np.ndarray:
+    """Two-tone signal with intermodulation products and generator quantization.
+
+    A qualitative stand-in for a low-resolution on-chip signal source:
+    harmonic_levels_dbc maps product order (2, 3, 5) to a level relative to
+    the strongest tone; quantizer_bits re-quantizes the waveform to a uniform
+    grid over [-1, 1]. With no levels and no quantizer this reduces exactly
+    to `gen_tones`.
+    """
+    if len(tones) != 2:
+        raise ValueError("expected exactly two tones")
+    f1, f2 = tones[0].omega, tones[1].omega
+    carrier = max(t.amplitude for t in tones)
+
+    product_freqs = {
+        2: [2 * f1, 2 * f2, f1 + f2, abs(f2 - f1)],
+        3: [2 * f1 - f2, 2 * f2 - f1, 3 * f1, 3 * f2],
+        5: [3 * f1 - 2 * f2, 3 * f2 - 2 * f1],
+    }
+
+    extra = []
+    for order, level_dbc in (harmonic_levels_dbc or {}).items():
+        if order not in product_freqs:
+            raise ValueError(f"unsupported product order {order}")
+        if level_dbc is None or math.isinf(level_dbc):
+            continue
+        amp = carrier * 10.0 ** (level_dbc / 20.0)
+        for f in product_freqs[order]:
+            w = _fold(f)
+            if 0.0 < w < math.pi:
+                extra.append(ToneSpec(omega=w, amplitude=min(amp, 1.0), phase=0.0))
+
+    x = gen_tones(list(tones), n)
+    if extra:
+        x = x + gen_tones(extra, n)
+
+    if quantizer_bits is not None:
+        step = 2.0 / (2 ** quantizer_bits)
+        x = np.clip(np.round(x / step) * step, -1.0, 1.0)
+    return x
+
+
+def make_pairs(adc: AdcInstance, x_d: np.ndarray, path: PathConfig, seed) -> PairBatch:
+    """Convert every held sample twice: plain and analog-scaled.
+
+    In "held" mode one noise draw rides on the held sample and passes through
+    the scaler; in "independent" mode each conversion gets its own draw after
+    the scaler. Draw order is fixed (unscaled first), so a seed fully
+    determines the batch.
+    """
+    x_d = np.asarray(x_d, dtype=float)
+    if path.noiseless:
+        unscaled_in = x_d
+        scaled_in = path.alpha_a * x_d
+    else:
+        rng = np.random.default_rng(seed)
+        sigma = math.sqrt(float(np.mean(x_d ** 2)) / 10.0 ** (path.snr_db / 10.0))
+        n_x = rng.normal(0.0, sigma, x_d.size)
+        unscaled_in = x_d + n_x
+        if path.noise_mode == "held":
+            scaled_in = path.alpha_a * (x_d + n_x)
+        else:
+            scaled_in = path.alpha_a * x_d + rng.normal(0.0, sigma, x_d.size)
+
+    return PairBatch(unscaled=convert_many(adc, unscaled_in),
+                     scaled=convert_many(adc, scaled_in))
