@@ -61,67 +61,89 @@ class NumericalError(RuntimeError):
 
 @dataclass
 class PairStatistics:
-    """Second-order sample statistics of a pair batch, with raw buffers.
+    """Second-order sample statistics of a pair batch.
 
-    The raw regressor matrices are retained so that every statistic that
-    depends on theta_alpha or theta_nl can be re-evaluated exactly instead of
-    being tracked incrementally.
+    With A = [y_ax, h_ax] and B = [y_x, h_x] (N x (D+1) each), every
+    statistic the estimators need is a quadratic form of the Gram matrix
+    G = C^T C / n of C = [A, B], built once:
+
+        M(c) = (A - cB)^T (A - cB) / n = S_AA - c (S_AB + S_BA) + c^2 S_BB
+
+    holds R_hh(c) and r_hy(c) as blocks, and with u = [1, theta_nl] the
+    output powers and the MSE are u^T S_BB u, u^T S_AB u and u^T M(c) u, so
+    an estimator iteration costs O(D^2) whatever N is. The dense buffers stay
+    available, as column views of C, for per-sample quantities.
     """
 
-    h_x: np.ndarray        # (N, D) dense regressors, unscaled conversions
-    h_ax: np.ndarray       # (N, D) dense regressors, scaled conversions
-    y_x: np.ndarray
-    y_ax: np.ndarray
+    columns: np.ndarray    # (N, 2(D+1)) column-major C = [y_ax, h_ax, y_x, h_x]
     alpha_d: float
     layout: CorrectionLayout
+    # column views of C; h_ax and h_x are the (N, D) dense regressors
+    y_ax: np.ndarray = field(init=False, repr=False)
+    h_ax: np.ndarray = field(init=False, repr=False)
+    y_x: np.ndarray = field(init=False, repr=False)
+    h_x: np.ndarray = field(init=False, repr=False)
+    # (D+1) x (D+1) blocks of G, and S_AB + S_BA
+    s_aa: np.ndarray = field(init=False, repr=False)
+    s_ab: np.ndarray = field(init=False, repr=False)
+    s_bb: np.ndarray = field(init=False, repr=False)
+    s_cross: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        k, c = self.dim + 1, self.columns
+        self.y_ax, self.h_ax, self.y_x, self.h_x = c[:, 0], c[:, 1:k], c[:, k], c[:, k + 1:]
+        gram = c.T @ c / self.n
+        self.s_aa, self.s_ab, self.s_bb = gram[:k, :k], gram[:k, k:], gram[k:, k:]
+        self.s_cross = self.s_ab + self.s_ab.T
 
     @property
     def n(self) -> int:
-        return self.y_x.size
+        return self.columns.shape[0]
 
     @property
     def dim(self) -> int:
         return self.layout.dim
 
     def delta_h(self, theta_alpha: float = 0.0) -> np.ndarray:
-        c = self.alpha_d + theta_alpha
-        return self.h_ax - c * self.h_x
+        return self.h_ax - (self.alpha_d + theta_alpha) * self.h_x
 
-    def delta_y(self, theta_alpha: float = 0.0) -> np.ndarray:
+    def homogeneity_gram(self, theta_alpha: float = 0.0) -> np.ndarray:
+        """M(c) at c = alpha_d + theta_alpha: the Gram matrix of [dy, dh]."""
         c = self.alpha_d + theta_alpha
-        return self.y_ax - c * self.y_x
+        return self.s_aa - c * self.s_cross + (c * c) * self.s_bb
 
     def r_hh(self, theta_alpha: float = 0.0) -> np.ndarray:
-        dh = self.delta_h(theta_alpha)
-        return dh.T @ dh / self.n
+        return self.homogeneity_gram(theta_alpha)[1:, 1:]
 
     def r_hy(self, theta_alpha: float = 0.0) -> np.ndarray:
-        dh = self.delta_h(theta_alpha)
-        return dh.T @ self.delta_y(theta_alpha) / self.n
-
-    def corrected_outputs(self, theta_nl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.y_x + self.h_x @ theta_nl, self.y_ax + self.h_ax @ theta_nl
+        return self.homogeneity_gram(theta_alpha)[1:, 0]
 
     def r_yy(self, theta_nl: np.ndarray) -> float:
-        yx, _ = self.corrected_outputs(theta_nl)
-        return float(np.mean(yx ** 2))
+        u = _augment(theta_nl)
+        return float(u @ self.s_bb @ u)
 
     def r_yya(self, theta_nl: np.ndarray) -> float:
-        yx, yax = self.corrected_outputs(theta_nl)
-        return float(np.mean(yx * yax))
-
-    def errors(self, theta_alpha: float, theta_nl: np.ndarray) -> np.ndarray:
-        """Per-sample homogeneity errors at the given parameters."""
-        yx, yax = self.corrected_outputs(theta_nl)
-        return yax - (self.alpha_d + theta_alpha) * yx
+        u = _augment(theta_nl)
+        return float(u @ self.s_ab @ u)
 
     def mse(self, theta_alpha: float, theta_nl: np.ndarray) -> float:
-        return float(np.mean(self.errors(theta_alpha, theta_nl) ** 2))
+        u = _augment(theta_nl)
+        return float(u @ self.homogeneity_gram(theta_alpha) @ u)
+
+    def errors(self, theta_alpha: float, theta_nl: np.ndarray) -> np.ndarray:
+        """Per-sample homogeneity errors at the given parameters (one pass over C)."""
+        u = _augment(theta_nl)
+        return self.columns @ np.concatenate((u, -(self.alpha_d + theta_alpha) * u))
+
+
+def _augment(theta_nl: np.ndarray) -> np.ndarray:
+    """u = [1, theta_nl]: corrected outputs are A u and B u."""
+    return np.concatenate(([1.0], theta_nl))
 
 
 def accumulate_statistics(pairs: PairBatch, layout: CorrectionLayout, alpha_d: float,
                           n: int | None = None) -> PairStatistics:
-    """Densify the first n pairs into sample statistics buffers.
+    """Stack the first n pairs into C and form its Gram matrix.
 
     Raises RankDeficiencyError when the input failed to exercise every
     regressor direction (e.g. a constant input selecting one code forever).
@@ -134,12 +156,17 @@ def accumulate_statistics(pairs: PairBatch, layout: CorrectionLayout, alpha_d: f
         raise ValueError(f"need at least D={layout.dim} pairs, got {n}")
     batch = pairs.head(n)
 
-    h_x = selection_vectors(batch.unscaled, layout).dense()
-    h_ax = selection_vectors(batch.scaled, layout).dense()
-    stats = PairStatistics(h_x=h_x, h_ax=h_ax, y_x=batch.unscaled.y.copy(),
-                           y_ax=batch.scaled.y.copy(), alpha_d=alpha_d, layout=layout)
+    k = layout.dim + 1
+    columns = np.empty((n, 2 * k), order="F")
+    columns[:, 0] = batch.scaled.y
+    columns[:, 1:k] = selection_vectors(batch.scaled, layout).dense()
+    columns[:, k] = batch.unscaled.y
+    columns[:, k + 1:] = selection_vectors(batch.unscaled, layout).dense()
+    stats = PairStatistics(columns=columns, alpha_d=alpha_d, layout=layout)
 
-    rank = np.linalg.matrix_rank(stats.r_hh(0.0))
+    # numerical rank with matrix_rank's default tolerance, from the eigenvalues
+    w = np.abs(np.linalg.eigvalsh(stats.r_hh(0.0)))
+    rank = int(np.sum(w > w.max() * layout.dim * np.finfo(float).eps))
     if rank < layout.dim:
         raise RankDeficiencyError(
             f"regressor covariance rank {rank} < {layout.dim}; input does not cover all codes"
@@ -148,15 +175,22 @@ def accumulate_statistics(pairs: PairBatch, layout: CorrectionLayout, alpha_d: f
 
 
 def _solve_spd(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve r x = b for symmetric positive-definite r, with a condition check."""
-    cond = np.linalg.cond(r)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularStatisticsError(f"covariance condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
+    """Solve r x = b for symmetric positive-definite r.
+
+    One eigendecomposition gives the definiteness check, the 2-norm condition
+    number (largest over smallest eigenvalue) and the solution.
+    """
     try:
-        np.linalg.cholesky(r)
+        w, v = np.linalg.eigh(r)
     except np.linalg.LinAlgError as exc:
-        raise SingularStatisticsError(f"covariance not positive definite: {exc}") from exc
-    return np.linalg.solve(r, b)
+        raise SingularStatisticsError(f"covariance eigendecomposition failed: {exc}") from exc
+    # negated comparisons so that NaN eigenvalues fail the checks too
+    if not w[0] > 0.0:
+        raise SingularStatisticsError(f"covariance not positive definite: smallest eigenvalue {w[0]!r}")
+    cond = w[-1] / w[0]
+    if not cond <= COND_LIMIT:
+        raise SingularStatisticsError(f"covariance condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
+    return v @ ((v.T @ b) / w)
 
 
 def hec_wiener(stats: PairStatistics) -> np.ndarray:
@@ -189,6 +223,10 @@ def blhec_wiener(pairs: PairBatch | PairStatistics, layout: CorrectionLayout | N
     Iteration stops when theta_alpha moves less than `tolerance`. If the
     covariance turns singular mid-iteration, the previous parameters are
     returned with a diagnostic instead of silently regularizing.
+
+    Both updates read the Gram matrices of `PairStatistics` (O(D^2) per
+    iteration); the only pass over the N samples is the error vector behind
+    each MSE's standard error, a fourth moment the Gram matrices do not hold.
     """
     if isinstance(pairs, PairStatistics):
         stats = pairs
@@ -213,8 +251,9 @@ def blhec_wiener(pairs: PairBatch | PairStatistics, layout: CorrectionLayout | N
             raise NumericalError(f"non-positive output power {r_yy!r}")
         theta_alpha = stats.r_yya(theta_nl) / r_yy - stats.alpha_d
 
+        gram = stats.homogeneity_gram(theta_alpha)
         try:
-            theta_nl = -_solve_spd(stats.r_hh(theta_alpha), stats.r_hy(theta_alpha))
+            theta_nl = -_solve_spd(gram[1:, 1:], gram[1:, 0])
         except SingularStatisticsError as exc:
             if m == 1:
                 raise
@@ -224,10 +263,11 @@ def blhec_wiener(pairs: PairBatch | PairStatistics, layout: CorrectionLayout | N
         if not np.all(np.isfinite(theta_nl)) or not math.isfinite(theta_alpha):
             raise NumericalError("non-finite calibration parameters")
 
-        err = stats.errors(theta_alpha, theta_nl)
-        sq = err ** 2
-        mse.append(float(np.mean(sq)))
-        mse_se.append(float(np.std(sq) / math.sqrt(sq.size)))
+        sq = stats.errors(theta_alpha, theta_nl) ** 2
+        mean_sq = float(np.mean(sq))
+        dev = sq - mean_sq
+        mse.append(mean_sq)
+        mse_se.append(math.sqrt(float(dev @ dev)) / sq.size)     # std(sq) / sqrt(n)
         alphas.append(theta_alpha)
         if m > 1 and abs(theta_alpha - prev_alpha) < tolerance:
             converged = True

@@ -32,14 +32,14 @@ from .harness import (
     run_experiment,
     run_sweep,
 )
-from .spectral import spectrum
+from .spectral import MisdeclaredSignalError, spectrum
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 _NUMERICAL_ERRORS = (RankDeficiencyError, SingularStatisticsError, DivergenceError,
-                     NumericalError, np.linalg.LinAlgError)
+                     NumericalError, MisdeclaredSignalError, np.linalg.LinAlgError)
 
 
 def _build_parser() -> argparse.ArgumentParser:

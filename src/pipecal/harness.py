@@ -28,9 +28,9 @@ from .calibration import (
     hec_wiener,
     run_sgd,
 )
-from .correction import CorrectionLayout, apply_correction_batch, selection_vectors
+from .correction import CorrectionLayout, apply_correction_batch, model_dimension, selection_vectors
 from .signals import PathConfig, ToneSpec, gen_tones, make_pairs, snap_to_odd_bin
-from .spectral import analyze, spectrum, tone_bin
+from .spectral import WINDOWS, analyze, spectrum, tone_bin
 
 __all__ = [
     "ExperimentConfig",
@@ -130,8 +130,13 @@ class ExperimentConfig:
             raise ConfigError("amplitude backoffs must be in (0, 1]")
         if self.n_fft & (self.n_fft - 1):
             raise ConfigError("n_fft must be a power of two")
-        if self.n_cal < 1 or self.n_sgd < 0:
-            raise ConfigError("sample budgets must be positive")
+        if self.window not in WINDOWS:
+            raise ConfigError(f"unknown window {self.window!r}, expected one of {WINDOWS}")
+        dim = model_dimension((self.stage_levels,) * self.q)
+        if self.n_cal < dim:
+            raise ConfigError(f"n_cal={self.n_cal} is below the D={dim} correction parameters")
+        if self.n_sgd < 0 or (self.algorithm == "blhec-sgd" and self.n_sgd < 1):
+            raise ConfigError("n_sgd must be non-negative, and positive for blhec-sgd")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

@@ -24,10 +24,12 @@ __all__ = [
     "error_norm",
     "tone_bin",
     "window_values",
+    "WINDOWS",
 ]
 
 # exclusion half-width [bins] around DC and each signal bin, per window
 _EXCLUSION = {"rect": 1, "hann": 2, "bh4": 4}
+WINDOWS = tuple(_EXCLUSION)
 
 # 4-term Blackman-Harris (-92 dB sidelobes)
 _BH4 = (0.35875, 0.48829, 0.14128, 0.01168)

@@ -109,3 +109,81 @@ def fold_eliminated_entries(theta_tilde, sizes):
         theta.extend(block[:keep])
         off += p
     return np.array(theta)
+
+
+def dense_r_hh(stats, theta_alpha=0.0):
+    """R_hh from the dense regressor buffers: mean of dh dh^T."""
+    dh = stats.h_ax - (stats.alpha_d + theta_alpha) * stats.h_x
+    return dh.T @ dh / stats.n
+
+
+def dense_r_hy(stats, theta_alpha=0.0):
+    """r_hy from the dense buffers: mean of dh * dy."""
+    c = stats.alpha_d + theta_alpha
+    dh = stats.h_ax - c * stats.h_x
+    return dh.T @ (stats.y_ax - c * stats.y_x) / stats.n
+
+
+def dense_corrected(stats, theta_nl):
+    return stats.y_x + stats.h_x @ theta_nl, stats.y_ax + stats.h_ax @ theta_nl
+
+
+def dense_r_yy(stats, theta_nl):
+    yx, _ = dense_corrected(stats, theta_nl)
+    return float(np.mean(yx ** 2))
+
+
+def dense_r_yya(stats, theta_nl):
+    yx, yax = dense_corrected(stats, theta_nl)
+    return float(np.mean(yx * yax))
+
+
+def dense_mse(stats, theta_alpha, theta_nl):
+    yx, yax = dense_corrected(stats, theta_nl)
+    return float(np.mean((yax - (stats.alpha_d + theta_alpha) * yx) ** 2))
+
+
+def dense_solve_spd(r, b, cond_limit=1e12):
+    """Condition check by SVD, definiteness by Cholesky, then an LU solve."""
+    from pipecal.calibration import SingularStatisticsError
+
+    cond = np.linalg.cond(r)
+    if not np.isfinite(cond) or cond > cond_limit:
+        raise SingularStatisticsError(f"condition number {cond:.3e}")
+    try:
+        np.linalg.cholesky(r)
+    except np.linalg.LinAlgError as exc:
+        raise SingularStatisticsError(str(exc)) from exc
+    return np.linalg.solve(r, b)
+
+
+def dense_blhec(stats, max_iterations=50, tolerance=1e-7):
+    """Oracle: the alternating BL-HEC solve re-evaluated from the dense
+    buffers at every iteration.
+
+    Same map, stop rule and singular-matrix fallback as `blhec_wiener`;
+    returns (theta_nl, theta_alpha, mse trace, iterations, converged).
+    """
+    from pipecal.calibration import SingularStatisticsError
+
+    theta_nl = np.zeros(stats.dim)
+    theta_alpha = 0.0
+    mse = []
+    converged = False
+    m = 0
+    for m in range(1, max_iterations + 1):
+        prev_alpha = theta_alpha
+        theta_alpha = dense_r_yya(stats, theta_nl) / dense_r_yy(stats, theta_nl) - stats.alpha_d
+        try:
+            theta_nl = -dense_solve_spd(dense_r_hh(stats, theta_alpha),
+                                        dense_r_hy(stats, theta_alpha))
+        except SingularStatisticsError:
+            if m == 1:
+                raise
+            theta_alpha = prev_alpha
+            break
+        mse.append(dense_mse(stats, theta_alpha, theta_nl))
+        if m > 1 and abs(theta_alpha - prev_alpha) < tolerance:
+            converged = True
+            break
+    return theta_nl, theta_alpha, mse, m, converged

@@ -3,14 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dense_ramp, ls_fit, naive_selection_dense, toy_adc
+from helpers import (
+    dense_blhec,
+    dense_mse,
+    dense_r_hh,
+    dense_r_hy,
+    dense_r_yy,
+    dense_r_yya,
+    dense_ramp,
+    ls_fit,
+    naive_selection_dense,
+    toy_adc,
+)
 
 from pipecal.adc import ConversionRecord, convert_many, lsb_size
 from pipecal.calibration import (
     CalibrationState,
     DivergenceError,
     RankDeficiencyError,
+    SingularStatisticsError,
     StepSchedule,
+    _solve_spd,
     accumulate_statistics,
     blhec_wiener,
     hec_wiener,
@@ -183,6 +196,61 @@ class TestBlhecWiener:
         res = blhec_wiener(pairs, layout, ALPHA)
         for m in range(1, len(res.mse)):
             assert res.mse[m] <= res.mse[m - 1] + 3.0 * res.mse_stderr[m - 1]
+
+
+class TestGramStatistics:
+    """Gram-matrix statistics and the BL-HEC solve against the dense-buffer
+    formulas, on default population members."""
+
+    @pytest.fixture(scope="class")
+    def member_stats(self):
+        from pipecal.harness import _ROLE_CAL_NOISE, _build_member, _seed_for, default_config
+
+        cfg = default_config(11)
+        out = []
+        for idx in range(10):
+            adc, path, layout = _build_member(cfg, idx)
+            x = gen_tones(cfg.run_tones(cfg.cal_amplitude), cfg.n_cal)
+            pairs = make_pairs(adc, x, path, _seed_for(cfg, idx, _ROLE_CAL_NOISE))
+            out.append(accumulate_statistics(pairs, layout, cfg.alpha_d, n=cfg.n_cal))
+        return out
+
+    def test_blhec_matches_dense_oracle(self, member_stats):
+        outcomes = set()
+        for stats in member_stats:
+            res = blhec_wiener(stats)
+            theta_nl, theta_alpha, mse, iterations, converged = dense_blhec(stats)
+            assert res.iterations == iterations
+            assert res.converged == converged
+            assert np.max(np.abs(res.theta_nl - theta_nl)) <= 1e-8 * np.max(np.abs(theta_nl))
+            assert abs(res.theta_alpha - theta_alpha) <= 1e-12
+            assert np.allclose(res.mse, mse, rtol=1e-9, atol=0.0)
+            outcomes.add(converged)
+        # both stop rules are exercised: the tolerance and the iteration cap
+        assert outcomes == {True, False}
+
+    def test_statistics_match_dense_formulas(self, member_stats):
+        for stats in member_stats:
+            res = blhec_wiener(stats)
+            for ta, theta in ((0.0, np.zeros(stats.dim)), (res.theta_alpha, res.theta_nl)):
+                assert np.max(np.abs(stats.r_hh(ta) - dense_r_hh(stats, ta))) < 1e-12
+                assert np.max(np.abs(stats.r_hy(ta) - dense_r_hy(stats, ta))) < 1e-12
+                assert abs(stats.r_yy(theta) - dense_r_yy(stats, theta)) < 1e-12
+                assert abs(stats.r_yya(theta) - dense_r_yya(stats, theta)) < 1e-12
+                assert abs(stats.mse(ta, theta) - dense_mse(stats, ta, theta)) < 1e-12
+                assert stats.mse(ta, theta) == pytest.approx(
+                    float(np.mean(stats.errors(ta, theta) ** 2)), rel=1e-6)
+
+    def test_solve_spd_checks_definiteness_and_condition(self):
+        r = np.array([[4.0, 1.0], [1.0, 3.0]])
+        b = np.array([1.0, 2.0])
+        assert np.allclose(_solve_spd(r, b), np.linalg.solve(r, b), rtol=1e-14, atol=0.0)
+        with pytest.raises(SingularStatisticsError):
+            _solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), b)      # indefinite
+        with pytest.raises(SingularStatisticsError):
+            _solve_spd(np.diag([1.0, 1e-13]), b)                    # cond 1e13
+        with pytest.raises(SingularStatisticsError):
+            _solve_spd(np.full((2, 2), np.nan), b)
 
 
 def one_hot_pair(y_x, y_ax, layout):

@@ -48,6 +48,8 @@ class TestConfig:
         dict(q=0), dict(q=6), dict(algorithm="magic"), dict(alpha_d=1.5),
         dict(tones=((4.0, 1.0, 0.0),)), dict(eval_samples=100), dict(n_fft=1000),
         dict(delta_mode="maybe"), dict(noise_mode="sometimes"), dict(population=-1),
+        dict(window="hamming"), dict(n_cal=18), dict(q=2, n_cal=12),
+        dict(algorithm="blhec-sgd", n_sgd=0), dict(n_sgd=-1),
     ])
     def test_validation(self, overrides):
         with pytest.raises(ConfigError):
@@ -264,6 +266,26 @@ class TestCli:
                                    "tones": [[0.677, 0.05, 0.0]]}))
         assert main(["calibrate", "--seed", "7", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("fields, flags", [
+        ({"window": "hamming"}, []),
+        ({"n_cal": 10}, []),
+        ({}, ["--algorithm", "blhec-sgd", "--samples", "0"]),
+    ])
+    def test_invalid_config_exits_2(self, tmp_path, capsys, fields, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"population": 1, **fields}))
+        code = main(["calibrate", "--seed", "1", "--config", str(cfg),
+                     "--out", str(tmp_path), *flags])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_signal_below_spur_floor_exits_3(self, tmp_path, capsys):
+        # at -10 dB calibration SNR the corrected tone sinks below its spurs
+        code = main(["calibrate", "--seed", "1", "--snr", "-10", "--population", "1",
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert "not above spur floor" in capsys.readouterr().err
 
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
