@@ -9,18 +9,21 @@ regressors; the test signal itself stays unknown. Three routes are provided:
                         estimates a scalar correction theta_alpha for the
                         scaling factor mismatch (the error is linear in each
                         parameter block but bi-linear in both).
-* `sgd_step/run_sgd` -- per-sample stochastic-gradient version of the same
-                        bi-linear estimator, cheap enough for hardware.
+* `sgd_step`         -- per-sample stochastic-gradient version of the same
+                        bi-linear estimator, cheap enough for hardware;
+                        `run_sgd_population` runs it over the sample streams
+                        of many converters in lockstep (`run_sgd`: one).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .correction import CorrectionLayout, SelectionBatch, selection_vector, selection_vectors
+from .correction import CorrectionLayout, LayoutError, selection_vector, selection_vectors
 from .signals import PairBatch, SamplePair
 
 __all__ = [
@@ -29,6 +32,7 @@ __all__ = [
     "StepSchedule",
     "BlhecResult",
     "SgdTrajectory",
+    "SgdStream",
     "MultiplicationCount",
     "accumulate_statistics",
     "hec_wiener",
@@ -36,8 +40,8 @@ __all__ = [
     "sgd_step",
     "sgd_step_counted",
     "run_sgd",
+    "run_sgd_population",
     "step_size_bounds",
-    "pair_arrays",
 ]
 
 COND_LIMIT = 1e12
@@ -52,7 +56,16 @@ class SingularStatisticsError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """The adaptive parameter vector left the configured guard region."""
+    """The adaptive parameter vector left the configured guard region.
+
+    `member` is the diverging stream's position in a lockstep block and
+    `sample` the sample count at which the guard tripped.
+    """
+
+    def __init__(self, message: str, member: int | None = None, sample: int | None = None):
+        super().__init__(message)
+        self.member = member
+        self.sample = sample
 
 
 class NumericalError(RuntimeError):
@@ -411,103 +424,236 @@ class SgdTrajectory:
     checkpoints: dict[int, tuple[np.ndarray, float]] = field(default_factory=dict)
 
 
-def pair_arrays(pairs: PairBatch, layout: CorrectionLayout):
-    """Compact per-sample arrays for the fast adaptive loop."""
-    sx = selection_vectors(pairs.unscaled, layout)
-    sax = selection_vectors(pairs.scaled, layout)
-    return (
-        pairs.unscaled.y, pairs.scaled.y,
-        sx.weighted, sx.indicator_pos,
-        sax.weighted, sax.indicator_pos,
-    )
+@dataclass(frozen=True)
+class SgdStream:
+    """One converter's calibration pairs in the compact form the adaptive
+    kernel reads: both outputs as float64 plus the code index of each
+    calibrated stage as int8, 22 B per pair at q = 3 (a `PairBatch` holds
+    about ten times that).
+
+    The kernel rebuilds the regressors a chunk at a time: each weighted entry
+    from the stage code values, summed in `selection_vectors`' order, and each
+    indicator slot from its code index.
+    """
+
+    y_x: np.ndarray                       # (N,) unscaled outputs
+    y_ax: np.ndarray                      # (N,) scaled outputs
+    codes_x: np.ndarray                   # (N, q) 1-based code index per calibrated stage
+    codes_ax: np.ndarray
+    code_values: tuple[np.ndarray, ...]   # per calibrated stage: value of code j at j - 1
+
+    @classmethod
+    def from_pairs(cls, pairs: PairBatch, layout: CorrectionLayout) -> "SgdStream":
+        q = layout.q
+        if pairs.unscaled.index.shape[1] - 1 < q:
+            raise LayoutError("record lacks stage codes for the calibrated stages")
+        if max(layout.sizes) > np.iinfo(np.int8).max:
+            raise LayoutError("stage code indices do not fit in int8")
+        values = []
+        for i, p in enumerate(layout.sizes):
+            table = np.zeros(p)
+            for batch in (pairs.unscaled, pairs.scaled):
+                table[batch.index[:, i] - 1] = batch.value[:, i]
+            values.append(table)
+        return cls(y_x=pairs.unscaled.y, y_ax=pairs.scaled.y,
+                   codes_x=pairs.unscaled.index[:, :q].astype(np.int8),
+                   codes_ax=pairs.scaled.index[:, :q].astype(np.int8),
+                   code_values=tuple(values))
+
+    def __len__(self) -> int:
+        return self.y_x.shape[0]
+
+
+_CHUNK = 256     # samples whose gather slots and weights are expanded at once
+
+
+def run_sgd_population(streams: Sequence[SgdStream], layout: CorrectionLayout, alpha_d: float,
+                       schedule: StepSchedule | None = None, guard: float = 1.0,
+                       checkpoints: Sequence[int] | None = None,
+                       references: Sequence[np.ndarray] | None = None,
+                       log_every: int = 200) -> list[tuple[CalibrationState, SgdTrajectory]]:
+    """Adapt the correction parameters of M converters in lockstep.
+
+    The recursion is sequential in the sample index but independent across
+    converters, so each numpy step advances all M members by one pair.
+    Member j's parameters are column j of an (S, M) array of S = D + 2 slots:
+    the q weighted slots, then the indicator slots, a constant-1 slot (the
+    output y rides in the same gather as the regressor terms) and a zero sink
+    that takes the updates of codes without an indicator and is reset after
+    every update. Each member sees the floating-point operations of the
+    one-converter loop in the same order, so its results are bit-identical
+    to a run on its own.
+
+    Streams may differ in length; a member stops at the end of its own. Per
+    member, ||theta_nl - reference||_2 (when references are given) and
+    theta_alpha are logged every `log_every` samples and at the stream's end,
+    the parameters are snapshotted at the requested sample counts, and
+    DivergenceError, naming the member's position in `streams` and the
+    sample, is raised once ||theta_nl||_inf exceeds `guard`.
+    """
+    schedule = schedule or StepSchedule()
+    m, q, d = len(streams), layout.q, layout.dim
+    if references is not None and len(references) != m:
+        raise ValueError(f"{len(references)} references for {m} streams")
+    if log_every < 1:
+        raise ValueError("log_every must be positive")
+    if m == 0:
+        return []
+    lengths = np.array([len(s) for s in streams], dtype=np.int64)
+    total = int(lengths.max(initial=0))
+    one, sink = d, d + 1
+
+    # internal slot order: weighted slots first, so their update is one row block
+    weighted = [layout.weighted_position(i) for i in range(q)]
+    row_of = np.empty(d, dtype=np.int64)     # internal row of each layout slot
+    row_of[weighted + [s for s in range(d) if s not in weighted]] = np.arange(d)
+    cols = np.tile(np.arange(m), 2)       # member of each gather column
+    ends = np.tile(lengths, 2)
+    # static gather slots: the output, the weighted slots, indicators at the sink
+    template = np.empty((2 * q + 1, 2 * m), dtype=np.int64)
+    template[0] = one * m + cols
+    ind_offsets = []         # per stage, by code index: flat offset of its indicator from the sink
+    for i, p in enumerate(layout.sizes):
+        template[1 + 2 * i] = i * m + cols
+        template[2 + 2 * i] = sink * m + cols
+        rows = np.full(p + 1, sink)
+        for j in range(2, p + 1):
+            pos = layout.indicator_position(i, j)
+            if pos >= 0:
+                rows[j] = row_of[pos]
+        ind_offsets.append((rows - sink) * m)
+    # per stage, by gather column and code index: the code value
+    tables = [np.stack([np.concatenate(([0.0], s.code_values[i])) for s in streams] * 2)
+              for i in range(q)]
+    prefix = layout.gain_prefix_products()
+
+    def expand(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """Flat gather slots and weights of samples a..b-1, each (b-a, 2q+1, 2M).
+
+        Column j < M is member j's unscaled conversion, M + j its scaled one;
+        row 0 is the output, rows 1+2i and 2+2i stage i's weighted and
+        indicator terms. Past a stream's end the weights are zero and the
+        codes 1 (which has no indicator slot), so that member stands still.
+        """
+        n = b - a
+        w = np.empty((n, 2 * q + 1, 2 * m))
+        codes = np.empty((n, 2 * m, q), dtype=np.int8)
+        short = b > lengths.min()
+        if short:
+            w[:, 0] = 0.0
+            codes.fill(1)
+        for j, s in enumerate(streams):
+            seg = max(0, min(b, len(s)) - a)
+            w[:seg, 0, j], w[:seg, 0, m + j] = s.y_x[a:a + seg], s.y_ax[a:a + seg]
+            codes[:seg, j], codes[:seg, m + j] = s.codes_x[a:a + seg], s.codes_ax[a:a + seg]
+        values = [tables[i][cols, codes[:, :, i]] for i in range(q)]
+
+        idx = np.empty((n, 2 * q + 1, 2 * m), dtype=np.int64)
+        idx[:] = template
+        for i in range(q):
+            acc = np.zeros((n, 2 * m))
+            for l in range(i + 1):
+                acc += values[l] * prefix[i - l]
+            w[:, 1 + 2 * i] = acc
+            w[:, 2 + 2 * i] = 1.0
+            idx[:, 2 + 2 * i] += ind_offsets[i][codes[:, :, i]]
+        if short:
+            w *= (np.arange(a, b)[:, None] < ends)[:, None, :]
+        return idx, w
+
+    theta = np.zeros((d + 2, m))
+    theta[one] = 1.0
+    flat = theta.reshape(-1)
+    weighted_rows = theta[:q]
+    ta = np.zeros(m)
+    refs = None if references is None else np.column_stack(
+        [np.asarray(r, dtype=float) for r in references])
+    trajs = [SgdTrajectory() for _ in range(m)]
+    checkset = set(checkpoints or [])
+    results: list = [None] * m
+
+    def log(kk: int, members) -> None:
+        norms = None if refs is None else np.sqrt(np.sum((theta[row_of] - refs) ** 2, axis=0))
+        for j in members:
+            trajs[j].ks.append(kk)
+            trajs[j].theta_alpha.append(float(ta[j]))
+            if norms is not None:
+                trajs[j].error_norm.append(float(norms[j]))
+
+    def event(kk: int) -> None:
+        """Guard check and log, checkpoints and final states after sample kk."""
+        due = [j for j in range(m) if kk <= lengths[j] and (kk % log_every == 0 or kk == lengths[j])]
+        if due and kk:
+            peak = np.max(np.abs(theta[:d]), axis=0)
+            for j in due:
+                # negated comparison so that NaN fails the check too
+                if not peak[j] <= guard or not math.isfinite(ta[j]):
+                    raise DivergenceError(f"member {j}: ||theta_nl||_inf exceeded guard {guard} "
+                                          f"at sample {kk}", member=j, sample=kk)
+        if due:
+            log(kk, due)
+        if kk in checkset:
+            params = theta[row_of]
+            for j in range(m):
+                if kk <= lengths[j]:
+                    trajs[j].checkpoints[kk] = (params[:, j].copy(), float(ta[j]))
+        for j in np.flatnonzero(lengths == kk):
+            state = CalibrationState(theta_nl=theta[row_of, j], theta_alpha=float(ta[j]),
+                                     mu_nl=schedule.mu_nl(max(kk - 1, 0)),
+                                     mu_alpha=schedule.mu_alpha(max(kk - 1, 0)), k=kk)
+            if not np.all(np.isfinite(state.theta_nl)) or not math.isfinite(state.theta_alpha):
+                raise NumericalError("non-finite adaptive parameters")
+            results[j] = (state, trajs[j])
+
+    event(0)
+    event_at = set(range(log_every, total + 1, log_every)) | set(lengths.tolist()) | checkset
+    mu_nl, mu_alpha = schedule.mu_nl, schedule.mu_alpha
+    # a diverging member overflows before its next guard check, which reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, total, _CHUNK):
+            b = min(a + _CHUNK, total)
+            idx, w = expand(a, b)
+            for k in range(a, b):
+                gi, gw = idx[k - a], w[k - a]
+                terms = flat[gi]
+                terms *= gw
+                # a reduction along the slow axis is a running sum in row order:
+                # y, then per stage w * theta_f and theta_ind
+                out = np.add.reduce(terms, axis=0)
+                yx, yax = out[:m], out[m:]
+
+                e_alpha = yax - (alpha_d + ta) * yx
+                ta = ta + mu_alpha(k) * yx * e_alpha
+
+                c = alpha_d + ta
+                g = mu_nl(k) * (yax - c * yx)
+                gc = g * c
+                weighted_rows -= g * gw[1::2, m:] - gc * gw[1::2, :m]
+                ind_ax, ind_x = gi[2::2, m:], gi[2::2, :m]
+                flat.put(ind_ax, flat.take(ind_ax) - g)
+                flat.put(ind_x, flat.take(ind_x) + gc)
+                theta[sink] = 0.0
+                if k + 1 in event_at:
+                    event(k + 1)
+    return results
 
 
 def run_sgd(pairs: PairBatch, layout: CorrectionLayout, alpha_d: float,
             schedule: StepSchedule | None = None, guard: float = 1.0,
             reference: np.ndarray | None = None, log_every: int = 200,
             checkpoints: list[int] | None = None) -> tuple[CalibrationState, SgdTrajectory]:
-    """Consume sample pairs in order and adapt the correction parameters.
+    """`run_sgd_population` for one converter.
 
-    Logs ||theta_nl - reference||_2 every `log_every` samples when a Wiener
-    reference is supplied, snapshots the parameters at the requested sample
-    counts, and aborts with DivergenceError once ||theta_nl||_inf exceeds
-    `guard`.
+    Consumes the sample pairs in order, logs ||theta_nl - reference||_2 every
+    `log_every` samples when a Wiener reference is supplied, snapshots the
+    parameters at the requested sample counts, and aborts with
+    DivergenceError once ||theta_nl||_inf exceeds `guard`. At one member a
+    numpy step costs several times a plain Python loop's per-sample time;
+    pass many converters to `run_sgd_population` at once instead.
     """
-    schedule = schedule or StepSchedule()
-    n = len(pairs)
-    y_x, y_ax, w_x, ip_x, w_ax, ip_ax = pair_arrays(pairs, layout)
-
-    q = layout.q
-    first_pos = [layout.weighted_position(i) for i in range(q)]
-    # plain python scalars keep the sequential loop cheap
-    y_x = y_x.tolist()
-    y_ax = y_ax.tolist()
-    w_x = w_x.tolist()
-    w_ax = w_ax.tolist()
-    ip_x = ip_x.tolist()
-    ip_ax = ip_ax.tolist()
-
-    theta = [0.0] * layout.dim
-    theta_alpha = 0.0
-    traj = SgdTrajectory()
-    checkset = set(checkpoints or [])
-    ref = reference.tolist() if reference is not None else None
-
-    def log(k: int) -> None:
-        traj.ks.append(k)
-        traj.theta_alpha.append(theta_alpha)
-        if ref is not None:
-            traj.error_norm.append(math.sqrt(sum((a - b) ** 2 for a, b in zip(theta, ref))))
-
-    log(0)
-    if 0 in checkset:
-        traj.checkpoints[0] = (np.array(theta), theta_alpha)
-
-    for k in range(n):
-        mu_nl = schedule.mu_nl(k)
-        mu_alpha = schedule.mu_alpha(k)
-        wxk, waxk, ixk, iaxk = w_x[k], w_ax[k], ip_x[k], ip_ax[k]
-
-        yx_hat = y_x[k]
-        yax_hat = y_ax[k]
-        for i in range(q):
-            f = first_pos[i]
-            yx_hat += wxk[i] * theta[f]
-            yax_hat += waxk[i] * theta[f]
-            if ixk[i] >= 0:
-                yx_hat += theta[ixk[i]]
-            if iaxk[i] >= 0:
-                yax_hat += theta[iaxk[i]]
-
-        e_alpha = yax_hat - (alpha_d + theta_alpha) * yx_hat
-        theta_alpha += mu_alpha * yx_hat * e_alpha
-
-        c = alpha_d + theta_alpha
-        g = mu_nl * (yax_hat - c * yx_hat)
-        gc = g * c
-        for i in range(q):
-            f = first_pos[i]
-            theta[f] -= g * waxk[i] - gc * wxk[i]
-            if iaxk[i] >= 0:
-                theta[iaxk[i]] -= g
-            if ixk[i] >= 0:
-                theta[ixk[i]] += gc
-
-        kk = k + 1
-        if kk % log_every == 0 or kk == n:
-            peak = max(abs(t) for t in theta)
-            if peak > guard or not math.isfinite(peak) or not math.isfinite(theta_alpha):
-                raise DivergenceError(f"||theta_nl||_inf exceeded guard {guard} at sample {kk}")
-            log(kk)
-        if kk in checkset:
-            traj.checkpoints[kk] = (np.array(theta), theta_alpha)
-
-    state = CalibrationState(theta_nl=np.array(theta), theta_alpha=theta_alpha,
-                             mu_nl=schedule.mu_nl(max(n - 1, 0)),
-                             mu_alpha=schedule.mu_alpha(max(n - 1, 0)), k=n)
-    if not np.all(np.isfinite(state.theta_nl)) or not math.isfinite(theta_alpha):
-        raise NumericalError("non-finite adaptive parameters")
-    return state, traj
+    references = None if reference is None else [reference]
+    return run_sgd_population([SgdStream.from_pairs(pairs, layout)], layout, alpha_d,
+                              schedule, guard, checkpoints, references, log_every)[0]
 
 
 def step_size_bounds(layout: CorrectionLayout, y_max: float,

@@ -127,6 +127,18 @@ def _print_summary(rows) -> None:
         print(f"  {metric:14s} mean {s['mean']:8.2f}  min {s['min']:8.2f}  max {s['max']:8.2f}")
 
 
+def _warn_if_worse(rows) -> None:
+    """One stderr warning when calibration lowered the SNDR of any row."""
+    worse = [r for r in rows if r.post_sndr_db < r.pre_sndr_db]
+    if not worse:
+        return
+    worst = min(worse, key=lambda r: r.post_sndr_db - r.pre_sndr_db)
+    where = f" at {worst.sweep_kind} = {worst.sweep_value:g}" if worst.sweep_kind else ""
+    print(f"warning: calibration lowered SNDR on {len(worse)} of {len(rows)} rows; worst: "
+          f"adc {worst.adc_id}{where}, {worst.pre_sndr_db:.2f} dB -> {worst.post_sndr_db:.2f} dB",
+          file=sys.stderr)
+
+
 def _cmd_simulate(args) -> int:
     config = _config_from_args(args)
     if args.population is None:
@@ -162,6 +174,7 @@ def _cmd_calibrate(args) -> int:
     rows = run_experiment(config, workers=args.workers)
     path = emit_outputs(rows, args.out, include_timings=args.timings)
     _print_summary(rows)
+    _warn_if_worse(rows)
     print(f"results written to {path}")
     return EXIT_OK
 
@@ -173,6 +186,7 @@ def _cmd_sweep(args) -> int:
     for point in sweep.points:
         print(f"{args.kind} = {point}:")
         _print_summary(sweep.rows[point])
+    _warn_if_worse([row for point in sweep.points for row in sweep.rows[point]])
     print("written:", ", ".join(str(p) for p in paths))
     return EXIT_OK
 
@@ -189,6 +203,7 @@ def _cmd_convergence(args) -> int:
     paths = emit_sweep_outputs(sweep, args.out, include_timings=args.timings)
     for point in sweep.points:
         _print_summary(sweep.rows[point])
+    _warn_if_worse([row for point in sweep.points for row in sweep.rows[point]])
     print("written:", ", ".join(str(p) for p in paths))
     return EXIT_OK
 

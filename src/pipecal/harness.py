@@ -20,13 +20,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .adc import MismatchConfig, build_adc, convert_many, default_stage_specs
+from .adc import (
+    AdcModelError,
+    MismatchConfig,
+    build_adc,
+    convert_many,
+    default_stage_specs,
+    pipeline_stage_specs,
+)
 from .calibration import (
+    DivergenceError,
+    SgdStream,
     StepSchedule,
     accumulate_statistics,
     blhec_wiener,
     hec_wiener,
-    run_sgd,
+    run_sgd_population,
 )
 from .correction import CorrectionLayout, apply_correction_batch, model_dimension, selection_vectors
 from .signals import PathConfig, ToneSpec, gen_tones, make_pairs, snap_to_odd_bin
@@ -128,6 +137,19 @@ class ExperimentConfig:
             raise ConfigError("eval_samples must be at least n_fft")
         if not 0.0 < self.cal_amplitude <= 1.0 or not 0.0 < self.eval_amplitude <= 1.0:
             raise ConfigError("amplitude backoffs must be in (0, 1]")
+        peak = sum(amp for _, amp, _ in self.tones) * max(self.cal_amplitude, self.eval_amplitude)
+        if peak > 1.0:
+            raise ConfigError(f"tone amplitudes sum to a peak of {peak:g} full scale after the "
+                              "backoff; the converter input would clip")
+        try:
+            stage = pipeline_stage_specs(self.stage_levels, self.stage_gain)
+        except AdcModelError as exc:
+            raise ConfigError(f"stage geometry: {exc}") from exc
+        # voltages are normalized to v_ref = 1; the default stage sits exactly at the limit
+        residue = self.stage_gain * stage.max_digitization_error()
+        if not residue <= 1.0:
+            raise ConfigError(f"stage_gain x largest digitization error = {residue:g} exceeds "
+                              "v_ref = 1: the residue would overload the next stage")
         if self.n_fft & (self.n_fft - 1):
             raise ConfigError("n_fft must be a power of two")
         if self.window not in WINDOWS:
@@ -235,24 +257,6 @@ def _build_member(config: ExperimentConfig, idx: int):
     return adc, path, layout
 
 
-def _calibrate(config: ExperimentConfig, adc, path, layout, idx: int):
-    """Run the selected estimator; returns (theta_nl, theta_alpha, samples_used)."""
-    n_samples = config.n_sgd if config.algorithm == "blhec-sgd" else config.n_cal
-    x_cal = gen_tones(config.run_tones(config.cal_amplitude), n_samples)
-    pairs = make_pairs(adc, x_cal, path, _seed_for(config, idx, _ROLE_CAL_NOISE))
-
-    if config.algorithm == "hec-wiener":
-        stats = accumulate_statistics(pairs, layout, config.alpha_d, n=config.n_cal)
-        return hec_wiener(stats), 0.0, config.n_cal
-    if config.algorithm == "blhec-wiener":
-        stats = accumulate_statistics(pairs, layout, config.alpha_d, n=config.n_cal)
-        res = blhec_wiener(stats)
-        return res.theta_nl, res.theta_alpha, config.n_cal
-    state, _ = run_sgd(pairs, layout, config.alpha_d, schedule=config.schedule(),
-                       guard=config.sgd_guard)
-    return state.theta_nl, state.theta_alpha, config.n_sgd
-
-
 def _evaluate(config: ExperimentConfig, adc, layout, theta, idx: int):
     """Pre/post metrics on a clean, freshly generated evaluation signal."""
     tones = [ToneSpec(t.omega, t.amplitude, t.phase + EVAL_PHASE_OFFSET)
@@ -273,42 +277,125 @@ def _evaluate(config: ExperimentConfig, adc, layout, theta, idx: int):
     return pre, post
 
 
-def _run_member(args) -> ResultRow:
-    config, idx = args
-    start = time.perf_counter()
-    adc, path, layout = _build_member(config, idx)
-    theta, theta_alpha, samples = _calibrate(config, adc, path, layout, idx)
-    pre, post = _evaluate(config, adc, layout, theta, idx)
-    wall = time.perf_counter() - start
-    return ResultRow(
-        adc_id=idx,
-        seed=_seed_fingerprint(config, idx),
-        config_digest=config.digest(),
-        algorithm=config.algorithm,
-        pre_sndr_db=pre.sndr_db,
-        pre_sfdr_db=pre.sfdr_db,
-        post_sndr_db=post.sndr_db,
-        post_sfdr_db=post.sfdr_db,
-        theta_alpha=theta_alpha,
-        delta_true=path.delta,
-        samples=samples,
-        wall_clock_s=wall,
-    )
+def _wiener(config: ExperimentConfig, pairs, layout) -> tuple[np.ndarray, float]:
+    stats = accumulate_statistics(pairs, layout, config.alpha_d, n=config.n_cal)
+    if config.algorithm == "hec-wiener":
+        return hec_wiener(stats), 0.0
+    res = blhec_wiener(stats)
+    return res.theta_nl, res.theta_alpha
+
+
+def _run_block(args) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
+    """Calibrate and evaluate a contiguous block of population members.
+
+    Members are built one at a time. A Wiener member is solved right away;
+    an SGD member keeps only its compact pair stream (and, for a convergence
+    sweep, its BL-HEC reference), and one lockstep kernel call then adapts the
+    whole block. With `checkpoints`, each member gets one row per checkpoint
+    and one error norm against its reference. A row's wall_clock_s is its
+    member's own build, pair, solve and evaluation time plus, for SGD, an
+    equal share of the kernel time.
+    """
+    config, indices, checkpoints = args
+    sgd = config.algorithm == "blhec-sgd"
+    if checkpoints:
+        n_samples = max(checkpoints)
+    else:
+        n_samples = config.n_sgd if sgd else config.n_cal
+
+    # per member: (idx, adc, path, layout), [(samples, theta_nl, theta_alpha)], seconds
+    built, points, seconds = [], [], []
+    streams, references = [], []
+    for idx in indices:
+        start = time.perf_counter()
+        adc, path, layout = _build_member(config, idx)
+        x_cal = gen_tones(config.run_tones(config.cal_amplitude), n_samples)
+        pairs = make_pairs(adc, x_cal, path, _seed_for(config, idx, _ROLE_CAL_NOISE))
+        if sgd:
+            if checkpoints:
+                references.append(blhec_wiener(pairs.head(config.n_cal), layout,
+                                               config.alpha_d).theta_nl)
+            streams.append(SgdStream.from_pairs(pairs, layout))
+            points.append([])
+        else:
+            points.append([(config.n_cal, *_wiener(config, pairs, layout))])
+        del pairs       # only the compact stream waits for the kernel
+        built.append((idx, adc, path, layout))
+        seconds.append(time.perf_counter() - start)
+
+    if streams:
+        start = time.perf_counter()
+        try:
+            outcomes = run_sgd_population(streams, built[0][3], config.alpha_d,
+                                          schedule=config.schedule(), guard=config.sgd_guard,
+                                          checkpoints=checkpoints,
+                                          references=references if checkpoints else None)
+        except DivergenceError as exc:
+            raise DivergenceError(f"adc {built[exc.member][0]}: {exc}") from exc
+        share = (time.perf_counter() - start) / len(streams)
+        for m, (state, traj) in enumerate(outcomes):
+            if checkpoints:
+                points[m] = [(k, *traj.checkpoints[k]) for k in checkpoints]
+            else:
+                points[m] = [(config.n_sgd, state.theta_nl, state.theta_alpha)]
+            seconds[m] += share
+
+    rows: list[ResultRow] = []
+    norms: list[tuple[int, int, float]] = []
+    for m, (idx, adc, path, layout) in enumerate(built):
+        start = time.perf_counter()
+        metrics = [(k, alpha, *_evaluate(config, adc, layout, theta, idx))
+                   for k, theta, alpha in points[m]]
+        wall = seconds[m] + time.perf_counter() - start
+        for k, alpha, pre, post in metrics:
+            rows.append(ResultRow(
+                adc_id=idx, seed=_seed_fingerprint(config, idx), config_digest=config.digest(),
+                algorithm=config.algorithm, pre_sndr_db=pre.sndr_db, pre_sfdr_db=pre.sfdr_db,
+                post_sndr_db=post.sndr_db, post_sfdr_db=post.sfdr_db, theta_alpha=alpha,
+                delta_true=path.delta, samples=k, wall_clock_s=wall,
+                sweep_kind="convergence" if checkpoints else "",
+                sweep_value=float(k) if checkpoints else None,
+            ))
+        if checkpoints:
+            norms += [(idx, k, float(np.linalg.norm(theta - references[m])))
+                      for k, theta, _ in points[m]]
+    return rows, norms
+
+
+def _run_population(config: ExperimentConfig, workers: int,
+                    checkpoints: list[int] | None = None):
+    """Every member through `_run_block`, in contiguous blocks.
+
+    An SGD block shares one kernel call, so SGD runs as one block when serial
+    and as ceil(population / workers) members per pool task otherwise. A
+    Wiener member shares nothing with its neighbours; one member per task
+    keeps the pool's workers evenly loaded.
+    """
+    if config.algorithm != "blhec-sgd":
+        size = 1
+    else:
+        size = max(1, config.population if workers <= 1 else -(-config.population // workers))
+    tasks = [(config, range(a, min(a + size, config.population)), checkpoints)
+             for a in range(0, config.population, size)]
+    if workers <= 1 or len(tasks) <= 1:
+        outcomes = [_run_block(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_run_block, tasks))
+    rows = [row for block_rows, _ in outcomes for row in block_rows]
+    norms = [norm for _, block_norms in outcomes for norm in block_norms]
+    return rows, norms
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
     """Calibrate and evaluate every population member.
 
     Members are independent: each derives its own seed streams from
-    (master_seed, adc_id), so results do not depend on the worker count or
-    on which other members are present.
+    (master_seed, adc_id), and the lockstep SGD kernel gives each member the
+    same result as a run on its own, so results do not depend on the worker
+    count or on which other members are present.
     """
-    tasks = [(config, idx) for idx in range(config.population)]
-    if workers <= 1 or not tasks:
-        rows = [_run_member(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_member, tasks))
+    rows, _ = _run_population(config, workers)
     rows.sort(key=lambda r: r.adc_id)
     return rows
 
@@ -333,36 +420,6 @@ def _sweep_config(config: ExperimentConfig, kind: str, value: float) -> Experime
     raise ConfigError(f"unknown sweep kind {kind!r}")
 
 
-def _run_convergence_member(args):
-    config, idx, checkpoints = args
-    adc, path, layout = _build_member(config, idx)
-    n_samples = max(checkpoints)
-    x_cal = gen_tones(config.run_tones(config.cal_amplitude), n_samples)
-    pairs = make_pairs(adc, x_cal, path, _seed_for(config, idx, _ROLE_CAL_NOISE))
-
-    reference = blhec_wiener(pairs.head(config.n_cal), layout, config.alpha_d).theta_nl
-    start = time.perf_counter()
-    _, traj = run_sgd(pairs, layout, config.alpha_d, schedule=config.schedule(),
-                      guard=config.sgd_guard, reference=reference,
-                      checkpoints=list(checkpoints))
-    wall = time.perf_counter() - start
-
-    rows = []
-    norms = []
-    for k in checkpoints:
-        theta_k, alpha_k = traj.checkpoints[k]
-        pre, post = _evaluate(config, adc, layout, theta_k, idx)
-        rows.append(ResultRow(
-            adc_id=idx, seed=_seed_fingerprint(config, idx), config_digest=config.digest(),
-            algorithm=config.algorithm, pre_sndr_db=pre.sndr_db, pre_sfdr_db=pre.sfdr_db,
-            post_sndr_db=post.sndr_db, post_sfdr_db=post.sfdr_db, theta_alpha=alpha_k,
-            delta_true=path.delta, samples=k, wall_clock_s=wall,
-            sweep_kind="convergence", sweep_value=float(k),
-        ))
-        norms.append((idx, k, float(np.linalg.norm(theta_k - reference))))
-    return rows, norms
-
-
 def run_sweep(kind: str, config: ExperimentConfig, grid, workers: int = 1) -> SweepResult:
     """One averaged population run per grid point.
 
@@ -383,18 +440,10 @@ def run_sweep(kind: str, config: ExperimentConfig, grid, workers: int = 1) -> Sw
         checkpoints = sorted(int(k) for k in grid)
         if checkpoints[0] < 1:
             raise ConfigError("sample checkpoints must be positive")
-        tasks = [(config, idx, checkpoints) for idx in range(config.population)]
-        if workers <= 1 or not tasks:
-            outcomes = [_run_convergence_member(t) for t in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_run_convergence_member, tasks))
+        rows, norms = _run_population(config, workers, checkpoints)
         rows_per_point: dict[float, list[ResultRow]] = {float(k): [] for k in checkpoints}
-        norms: list[tuple[int, int, float]] = []
-        for rows, member_norms in outcomes:
-            for row in rows:
-                rows_per_point[float(row.samples)].append(row)
-            norms.extend(member_norms)
+        for row in rows:
+            rows_per_point[float(row.samples)].append(row)
         for point_rows in rows_per_point.values():
             point_rows.sort(key=lambda r: r.adc_id)
         norms.sort()

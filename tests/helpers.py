@@ -187,3 +187,99 @@ def dense_blhec(stats, max_iterations=50, tolerance=1e-7):
             converged = True
             break
     return theta_nl, theta_alpha, mse, m, converged
+
+
+def sgd_loop(pairs, layout, alpha_d, schedule=None, guard=1.0, reference=None,
+             log_every=200, checkpoints=None):
+    """Oracle: the adaptive run as a plain per-sample Python loop over one stream.
+
+    Same update order as `run_sgd_population` (corrected outputs stage by
+    stage, theta_alpha first, then the weighted slots and the scaled-path
+    indicator before the unscaled one); returns (CalibrationState,
+    SgdTrajectory).
+    """
+    import math
+
+    from pipecal.calibration import (
+        CalibrationState,
+        DivergenceError,
+        NumericalError,
+        SgdTrajectory,
+        StepSchedule,
+    )
+
+    schedule = schedule or StepSchedule()
+    n = len(pairs)
+    sx = selection_vectors(pairs.unscaled, layout)
+    sax = selection_vectors(pairs.scaled, layout)
+
+    q = layout.q
+    first_pos = [layout.weighted_position(i) for i in range(q)]
+    y_x = pairs.unscaled.y.tolist()
+    y_ax = pairs.scaled.y.tolist()
+    w_x = sx.weighted.tolist()
+    w_ax = sax.weighted.tolist()
+    ip_x = sx.indicator_pos.tolist()
+    ip_ax = sax.indicator_pos.tolist()
+
+    theta = [0.0] * layout.dim
+    theta_alpha = 0.0
+    traj = SgdTrajectory()
+    checkset = set(checkpoints or [])
+    ref = reference.tolist() if reference is not None else None
+
+    def log(k):
+        traj.ks.append(k)
+        traj.theta_alpha.append(theta_alpha)
+        if ref is not None:
+            traj.error_norm.append(math.sqrt(sum((a - b) ** 2 for a, b in zip(theta, ref))))
+
+    log(0)
+    if 0 in checkset:
+        traj.checkpoints[0] = (np.array(theta), theta_alpha)
+
+    for k in range(n):
+        mu_nl = schedule.mu_nl(k)
+        mu_alpha = schedule.mu_alpha(k)
+        wxk, waxk, ixk, iaxk = w_x[k], w_ax[k], ip_x[k], ip_ax[k]
+
+        yx_hat = y_x[k]
+        yax_hat = y_ax[k]
+        for i in range(q):
+            f = first_pos[i]
+            yx_hat += wxk[i] * theta[f]
+            yax_hat += waxk[i] * theta[f]
+            if ixk[i] >= 0:
+                yx_hat += theta[ixk[i]]
+            if iaxk[i] >= 0:
+                yax_hat += theta[iaxk[i]]
+
+        e_alpha = yax_hat - (alpha_d + theta_alpha) * yx_hat
+        theta_alpha += mu_alpha * yx_hat * e_alpha
+
+        c = alpha_d + theta_alpha
+        g = mu_nl * (yax_hat - c * yx_hat)
+        gc = g * c
+        for i in range(q):
+            f = first_pos[i]
+            theta[f] -= g * waxk[i] - gc * wxk[i]
+            if iaxk[i] >= 0:
+                theta[iaxk[i]] -= g
+            if ixk[i] >= 0:
+                theta[ixk[i]] += gc
+
+        kk = k + 1
+        if kk % log_every == 0 or kk == n:
+            peak = max(abs(t) for t in theta)
+            if peak > guard or not math.isfinite(peak) or not math.isfinite(theta_alpha):
+                raise DivergenceError(f"||theta_nl||_inf exceeded guard {guard} at sample {kk}")
+            log(kk)
+        if kk in checkset:
+            traj.checkpoints[kk] = (np.array(theta), theta_alpha)
+
+    state = CalibrationState(theta_nl=np.array(theta), theta_alpha=theta_alpha,
+                             mu_nl=schedule.mu_nl(max(n - 1, 0)),
+                             mu_alpha=schedule.mu_alpha(max(n - 1, 0)), k=n)
+    if not np.all(np.isfinite(state.theta_nl)) or not math.isfinite(theta_alpha):
+        raise NumericalError("non-finite adaptive parameters")
+    return state, traj

@@ -13,22 +13,24 @@ from helpers import (
     dense_ramp,
     ls_fit,
     naive_selection_dense,
+    sgd_loop,
     toy_adc,
 )
 
-from pipecal.adc import ConversionRecord, convert_many, lsb_size
+from pipecal.adc import ConversionBatch, ConversionRecord, convert_many, lsb_size
 from pipecal.calibration import (
     CalibrationState,
     DivergenceError,
     RankDeficiencyError,
+    SgdStream,
     SingularStatisticsError,
     StepSchedule,
     _solve_spd,
     accumulate_statistics,
     blhec_wiener,
     hec_wiener,
-    pair_arrays,
     run_sgd,
+    run_sgd_population,
     sgd_step,
     sgd_step_counted,
     step_size_bounds,
@@ -449,8 +451,9 @@ class TestRunSgd:
         assert abs(state.theta_alpha - ref.theta_alpha) < 1e-4
 
     def test_error_norm_shrinks_averaged_over_runs(self):
-        # average final-to-initial error-norm ratio over many independent runs
-        ratios = []
+        # average final-to-initial error-norm ratio over many independent
+        # runs, adapted together in one lockstep block
+        streams, refs = [], []
         for seed in range(100):
             rng = np.random.default_rng(seed)
             dac = rng.uniform(-0.003, 0.003, (2, 3))
@@ -460,11 +463,12 @@ class TestRunSgd:
             layout = CorrectionLayout.from_adc(adc, 2)
             x = gen_tones([ToneSpec(0.677, 0.9, float(rng.uniform(0, 3)))], 8000)
             pairs = make_pairs(adc, x, PathConfig(ALPHA + 1e-3, ALPHA, None), seed)
-            ref = blhec_wiener(pairs.head(2000), layout, ALPHA)
-            schedule = StepSchedule(mu_nl_init=2.0 ** -2, halve_every=0)
-            _, traj = run_sgd(pairs, layout, ALPHA, schedule=schedule,
-                              reference=ref.theta_nl, log_every=8000)
-            ratios.append(traj.error_norm[-1] / traj.error_norm[0])
+            refs.append(blhec_wiener(pairs.head(2000), layout, ALPHA).theta_nl)
+            streams.append(SgdStream.from_pairs(pairs, layout))
+        schedule = StepSchedule(mu_nl_init=2.0 ** -2, halve_every=0)
+        results = run_sgd_population(streams, layout, ALPHA, schedule=schedule,
+                                     references=refs, log_every=8000)
+        ratios = [traj.error_norm[-1] / traj.error_norm[0] for _, traj in results]
         assert float(np.mean(ratios)) < 0.1
 
     def test_divergence_guard(self):
@@ -486,6 +490,73 @@ class TestRunSgd:
         assert np.array_equal(theta_300, state.theta_nl)
         assert alpha_300 == state.theta_alpha
         assert not np.array_equal(theta_100, theta_300)
+
+
+def default_member_pairs(idx, n):
+    """Calibration pairs of default-config member idx (q = 3, D = 19)."""
+    from pipecal.harness import _build_member, default_config
+
+    cfg = default_config(11, algorithm="blhec-sgd")
+    adc, path, layout = _build_member(cfg, idx)
+    x = gen_tones(cfg.run_tones(cfg.cal_amplitude), n)
+    return make_pairs(adc, x, path, np.random.SeedSequence(11, spawn_key=(idx, 2))), layout, cfg
+
+
+def scaled_outputs(pairs, factor):
+    """The same pairs with both outputs scaled: large enough errors diverge."""
+    u, s = pairs.unscaled, pairs.scaled
+    return PairBatch(ConversionBatch(u.y * factor, u.index, u.value, u.x_in),
+                     ConversionBatch(s.y * factor, s.index, s.value, s.x_in))
+
+
+class TestSgdPopulation:
+    @pytest.mark.parametrize("lengths", [(1500,), (1500, 0, 900)])
+    def test_matches_per_sample_loop_exactly(self, lengths):
+        checkpoints = [0, 100, 900, 1500, 2000]
+        batches, refs, layout, cfg = [], [], None, None
+        for idx, n in enumerate(lengths):
+            pairs, layout, cfg = default_member_pairs(idx, 1500)
+            refs.append(blhec_wiener(pairs.head(1000), layout, cfg.alpha_d).theta_nl)
+            batches.append(pairs.head(n))
+        results = run_sgd_population([SgdStream.from_pairs(p, layout) for p in batches],
+                                     layout, cfg.alpha_d, schedule=cfg.schedule(),
+                                     checkpoints=checkpoints, references=refs, log_every=200)
+        assert len(results) == len(lengths)
+        for pairs, ref, (state, traj) in zip(batches, refs, results):
+            want, want_traj = sgd_loop(pairs, layout, cfg.alpha_d, cfg.schedule(), reference=ref,
+                                       log_every=200, checkpoints=checkpoints)
+            assert np.array_equal(state.theta_nl, want.theta_nl)
+            assert state.theta_alpha == want.theta_alpha
+            assert (state.k, state.mu_nl, state.mu_alpha) == (want.k, want.mu_nl, want.mu_alpha)
+            assert traj.ks == want_traj.ks
+            assert traj.theta_alpha == want_traj.theta_alpha
+            assert np.allclose(traj.error_norm, want_traj.error_norm, rtol=1e-12, atol=0.0)
+            assert traj.checkpoints.keys() == want_traj.checkpoints.keys()
+            for k, (theta_k, alpha_k) in want_traj.checkpoints.items():
+                assert np.array_equal(traj.checkpoints[k][0], theta_k)
+                assert traj.checkpoints[k][1] == alpha_k
+        assert 0 in results[0][1].checkpoints
+
+    def test_divergence_names_member_and_sample(self):
+        batches, layout, cfg = [], None, None
+        for idx in range(3):
+            pairs, layout, cfg = default_member_pairs(idx, 2000)
+            batches.append(scaled_outputs(pairs, 40.0) if idx == 1 else pairs)
+        with pytest.raises(DivergenceError) as want:
+            sgd_loop(batches[1], layout, cfg.alpha_d, cfg.schedule(), log_every=50)
+        sample = int(str(want.value).rsplit(" ", 1)[1])
+        streams = [SgdStream.from_pairs(p, layout) for p in batches]
+        with pytest.raises(DivergenceError) as got:
+            run_sgd_population(streams, layout, cfg.alpha_d, schedule=cfg.schedule(), log_every=50)
+        assert got.value.member == 1 and got.value.sample == sample
+        assert "member 1" in str(got.value) and f"sample {sample}" in str(got.value)
+
+    def test_stream_is_compact(self):
+        pairs, layout, _ = default_member_pairs(0, 1000)
+        stream = SgdStream.from_pairs(pairs, layout)
+        assert len(stream) == 1000
+        arrays = (stream.y_x, stream.y_ax, stream.codes_x, stream.codes_ax)
+        assert sum(a.nbytes for a in arrays) == 1000 * (8 + 8 + layout.q + layout.q) == 22000
 
 
 class TestMeanConvergence:

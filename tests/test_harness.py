@@ -50,6 +50,8 @@ class TestConfig:
         dict(delta_mode="maybe"), dict(noise_mode="sometimes"), dict(population=-1),
         dict(window="hamming"), dict(n_cal=18), dict(q=2, n_cal=12),
         dict(algorithm="blhec-sgd", n_sgd=0), dict(n_sgd=-1),
+        dict(tones=((0.677, 1.0, 0.0), (0.9, 1.0, 0.0))), dict(stage_levels=3),
+        dict(stage_gain=4.5), dict(stage_levels=1),
     ])
     def test_validation(self, overrides):
         with pytest.raises(ConfigError):
@@ -87,10 +89,16 @@ class TestRunExperiment:
             assert a.theta_alpha == b.theta_alpha
             assert a.delta_true == b.delta_true
 
-    def test_workers_do_not_change_results(self):
-        cfg = default_config(7, **SMALL)
+    @pytest.mark.parametrize("algorithm, extra", [
+        ("blhec-wiener", {}),
+        ("blhec-sgd", {"n_sgd": 3000}),
+    ], ids=["blhec-wiener", "blhec-sgd"])
+    def test_workers_do_not_change_results(self, algorithm, extra):
+        # two workers split the population into two lockstep blocks
+        cfg = default_config(7, algorithm=algorithm, **SMALL, **extra)
         seq = run_experiment(cfg, workers=1)
         par = run_experiment(cfg, workers=2)
+        assert [r.adc_id for r in par] == list(range(cfg.population))
         for a, b in zip(seq, par):
             assert a.post_sndr_db == b.post_sndr_db
             assert a.post_sfdr_db == b.post_sfdr_db
@@ -271,6 +279,10 @@ class TestCli:
         ({"window": "hamming"}, []),
         ({"n_cal": 10}, []),
         ({}, ["--algorithm", "blhec-sgd", "--samples", "0"]),
+        # two full-scale tones clip the input (post-SFDR 5.77 dB when accepted)
+        ({"tones": [[0.677, 1, 0], [0.9, 1, 0]]}, []),
+        # three codes at gain 4 overload the residue of the next stage
+        ({"stage_levels": 3}, []),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, fields, flags):
         cfg = tmp_path / "cfg.json"
@@ -286,6 +298,20 @@ class TestCli:
                      "--out", str(tmp_path)])
         assert code == 3
         assert "not above spur floor" in capsys.readouterr().err
+
+    def test_lowered_sndr_warns_but_exits_0(self, tmp_path, capsys):
+        # at -10 dB calibration SNR the BL-HEC solve makes the converter worse
+        code = main(["calibrate", "--seed", "1", "--snr", "-10", "--population", "1",
+                     "--config", self._cfg(tmp_path), "--out", str(tmp_path)])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert "lowered SNDR on 1 of 1 rows; worst: adc 0, 42.81 dB -> -17.05 dB" in err
+
+    def test_improving_calibration_does_not_warn(self, tmp_path, capsys):
+        assert main(["calibrate", "--seed", "7", "--out", str(tmp_path),
+                     "--config", self._cfg(tmp_path)]) == 0
+        assert "warning" not in capsys.readouterr().err
 
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
