@@ -2,12 +2,10 @@
 
 from .adc import (
     AdcInstance,
-    ConversionRecord,
     MismatchConfig,
     MismatchSet,
     StageSpec,
     build_adc,
-    convert,
     convert_many,
     default_stage_specs,
     quantize_stage,
@@ -26,14 +24,7 @@ from .calibration import (
     sgd_step,
     step_size_bounds,
 )
-from .correction import (
-    CorrectionLayout,
-    SelectionVector,
-    apply_correction,
-    model_dimension,
-    selection_vector,
-    selection_vectors,
-)
+from .correction import CorrectionLayout, model_dimension, selection_vectors
 from .harness import (
     ExperimentConfig,
     ResultRow,
@@ -43,7 +34,7 @@ from .harness import (
     run_experiment,
     run_sweep,
 )
-from .signals import PathConfig, SamplePair, ToneSpec, gen_impure_two_tone, gen_tones, make_pairs
+from .signals import PathConfig, ToneSpec, gen_impure_two_tone, gen_tones, make_pairs
 from .spectral import MetricReport, SpectrumEstimate, error_norm, sfdr, sndr, spectrum
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ All voltages are normalized to v_ref = 1, full scale is [-1, +1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,11 +22,9 @@ __all__ = [
     "MismatchSet",
     "MismatchConfig",
     "AdcInstance",
-    "ConversionRecord",
     "ConversionBatch",
     "lsb_size",
     "quantize_stage",
-    "convert",
     "convert_many",
     "reference_output",
     "build_adc",
@@ -46,7 +44,7 @@ class AdcModelError(ValueError):
 
 
 class RecordMismatchError(RuntimeError):
-    """A conversion record is inconsistent with the instance that allegedly produced it."""
+    """A conversion batch is inconsistent with the instance that allegedly produced it."""
 
 
 @dataclass(frozen=True)
@@ -83,14 +81,12 @@ class StageSpec:
         the selected code flips.
         """
         probes = [v_min, v_max]
-        for j, t in enumerate(self.thresholds):
-            probes.append(t)            # code j still selected (x <= t)
-            probes.append(math.nextafter(t, math.inf))  # code j+1 takes over
-        worst = 0.0
-        for x in probes:
-            j, code = quantize_stage(self, x)
-            worst = max(worst, abs(x - code))
-        return worst
+        for t in self.thresholds:
+            probes.append(t)            # the lower code still selected (x <= t)
+            probes.append(math.nextafter(t, math.inf))  # the upper code takes over
+        x = np.array(probes)
+        _, code = quantize_stage(self, x)
+        return float(np.max(np.abs(x - code)))
 
 
 @dataclass(frozen=True)
@@ -179,23 +175,14 @@ class AdcInstance:
         return w
 
 
-@dataclass(frozen=True)
-class ConversionRecord:
-    """Everything one conversion exposes: output plus per-stage selections.
+class ConversionBatch:
+    """Column-oriented store for many conversions of one instance.
 
-    Index 1..p_i per stage (1-based, matching the comparator bank); the final
-    entry is the back-end stage (index 0 when the exact sampler is used).
+    Row k holds conversion k: its output, and per stage the 1-based code index
+    (matching the comparator bank; the final column is the back-end stage,
+    index 0 when the exact sampler is used) and the selected code value.
     `x_in` is simulation-side truth and never visible to calibrators.
     """
-
-    output: float
-    stage_index: tuple[int, ...]
-    stage_value: tuple[float, ...]
-    x_in: float
-
-
-class ConversionBatch:
-    """Column-oriented store for many conversions of one instance."""
 
     def __init__(self, y: np.ndarray, index: np.ndarray, value: np.ndarray, x_in: np.ndarray):
         self.y = y
@@ -206,28 +193,21 @@ class ConversionBatch:
     def __len__(self) -> int:
         return self.y.shape[0]
 
-    def record(self, k: int) -> ConversionRecord:
-        return ConversionRecord(
-            output=float(self.y[k]),
-            stage_index=tuple(int(j) for j in self.index[k]),
-            stage_value=tuple(float(v) for v in self.value[k]),
-            x_in=float(self.x_in[k]),
-        )
+    def __getitem__(self, rows: slice) -> "ConversionBatch":
+        """The selected rows as a batch of their own; one conversion is `batch[k:k+1]`."""
+        if not isinstance(rows, slice):
+            raise TypeError(f"batches take a slice such as [k:k+1], not {rows!r}")
+        return ConversionBatch(self.y[rows], self.index[rows], self.value[rows], self.x_in[rows])
 
 
-def quantize_stage(stage: StageSpec, residue_in: float) -> tuple[int, float]:
-    """Select the stage code for one input value.
+def quantize_stage(stage: StageSpec, residue_in):
+    """Select the stage code for each input value (a scalar or an array).
 
     Total function: j=1 for x <= v_1, the unique j with v_{j-1} < x <= v_j in
     between, j=p for x > v_{p-1}. Out-of-range inputs therefore clip to the
-    outermost codes.
+    outermost codes. Returns the 1-based code index and the code value.
     """
-    j = int(np.searchsorted(stage.thresholds, residue_in, side="left")) + 1
-    return j, stage.codes[j - 1]
-
-
-def _quantize_many(stage: StageSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    j = np.searchsorted(np.asarray(stage.thresholds), x, side="left") + 1
+    j = np.searchsorted(np.asarray(stage.thresholds), residue_in, side="left") + 1
     return j, np.asarray(stage.codes)[j - 1]
 
 
@@ -243,7 +223,7 @@ def convert_many(adc: AdcInstance, x_in: np.ndarray) -> ConversionBatch:
 
     residue = x.copy()
     for i, stage in enumerate(adc.stages):
-        j, code = _quantize_many(stage, residue)
+        j, code = quantize_stage(stage, residue)
         index[:, i] = j
         value[:, i] = code
         eda = np.asarray(adc.mismatches.dac_errors[i])[j - 1]
@@ -253,7 +233,7 @@ def convert_many(adc: AdcInstance, x_in: np.ndarray) -> ConversionBatch:
     if adc.flash is None:
         value[:, n] = residue       # exact back end, zero digitization error
     else:
-        j, code = _quantize_many(adc.flash, residue)
+        j, code = quantize_stage(adc.flash, residue)
         index[:, n] = j
         value[:, n] = code
 
@@ -261,19 +241,14 @@ def convert_many(adc: AdcInstance, x_in: np.ndarray) -> ConversionBatch:
     return ConversionBatch(y=y, index=index, value=value, x_in=x)
 
 
-def convert(adc: AdcInstance, x_in: float) -> ConversionRecord:
-    """Convert a single sample; see `convert_many` for the batch form."""
-    return convert_many(adc, np.array([float(x_in)])).record(0)
-
-
-def reference_output(adc: AdcInstance, x_in: float, record: ConversionRecord,
-                     tolerance: float = 1e-9) -> float:
-    """Closed-form cross-check of `convert`.
+def reference_output(adc: AdcInstance, batch: ConversionBatch,
+                     tolerance: float = 1e-9) -> np.ndarray:
+    """Closed-form cross-check of `convert_many`, row by row.
 
     Evaluates y = beta*x_in - sum_i w_i^T phi_0,i + q_x, where beta folds all
     gain mismatches, phi_0,i collects each stage's code- and DAC-error terms,
-    and q_x is the weighted back-end digitization error. Raises if the record
-    disagrees with the closed form beyond `tolerance` [V].
+    and q_x is the weighted back-end digitization error. Raises if any row's
+    output disagrees with the closed form beyond `tolerance` [V].
     """
     n = adc.n_stages
     zetas = adc.mismatches.gain_mismatch
@@ -285,25 +260,24 @@ def reference_output(adc: AdcInstance, x_in: float, record: ConversionRecord,
         tails[i] = tails[i + 1] * (1.0 + zetas[i])
     beta = tails[0]
 
-    nonideal = 0.0
-    for i in range(n):
-        j = record.stage_index[i] - 1
-        d = adc.stages[i].codes[j]
-        eda = adc.mismatches.dac_errors[i][j]
-        nonideal += weights[i] * ((tails[i] - 1.0) * d + tails[i] * eda)
-
+    nonideal = np.zeros(len(batch))
     # back-end digitization error from the recorded selections
-    residue = record.x_in
+    residue = batch.x_in
     for i, stage in enumerate(adc.stages):
-        j = record.stage_index[i] - 1
+        j = batch.index[:, i] - 1
+        d = np.asarray(stage.codes)[j]
+        eda = np.asarray(adc.mismatches.dac_errors[i])[j]
+        nonideal += weights[i] * ((tails[i] - 1.0) * d + tails[i] * eda)
         true_gain = stage.gain * (1.0 + zetas[i])
-        residue = true_gain * (residue - stage.codes[j] - adc.mismatches.dac_errors[i][j])
-    q_x = -(residue - record.stage_value[n]) * weights[n]
+        residue = true_gain * (residue - d - eda)
+    q_x = -(residue - batch.value[:, n]) * weights[n]
 
-    y_ref = beta * record.x_in - nonideal + q_x
-    if abs(y_ref - record.output) > tolerance:
+    y_ref = beta * batch.x_in - nonideal + q_x
+    bad = np.flatnonzero(~(np.abs(y_ref - batch.y) <= tolerance))
+    if bad.size:
+        k = bad[0]
         raise RecordMismatchError(
-            f"record output {record.output!r} deviates from closed form {y_ref!r}"
+            f"row {k}: output {batch.y[k]!r} deviates from closed form {y_ref[k]!r}"
         )
     return y_ref
 

@@ -9,10 +9,11 @@ regressors; the test signal itself stays unknown. Three routes are provided:
                         estimates a scalar correction theta_alpha for the
                         scaling factor mismatch (the error is linear in each
                         parameter block but bi-linear in both).
-* `sgd_step`         -- per-sample stochastic-gradient version of the same
-                        bi-linear estimator, cheap enough for hardware;
-                        `run_sgd_population` runs it over the sample streams
-                        of many converters in lockstep (`run_sgd`: one).
+* `run_sgd_population` -- per-sample stochastic-gradient version of the same
+                        bi-linear estimator, cheap enough for hardware, run
+                        over the sample streams of many converters in
+                        lockstep (`run_sgd`: one); `sgd_step` is one update
+                        with its multiplication budget counted.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .correction import CorrectionLayout, LayoutError, selection_vector, selection_vectors
-from .signals import PairBatch, SamplePair
+from .correction import CorrectionLayout, LayoutError, selection_vectors
+from .signals import PairBatch
 
 __all__ = [
     "PairStatistics",
@@ -38,7 +39,6 @@ __all__ = [
     "hec_wiener",
     "blhec_wiener",
     "sgd_step",
-    "sgd_step_counted",
     "run_sgd",
     "run_sgd_population",
     "step_size_bounds",
@@ -167,7 +167,7 @@ def accumulate_statistics(pairs: PairBatch, layout: CorrectionLayout, alpha_d: f
         raise ValueError(f"requested {n} pairs but only {len(pairs)} available")
     if n < layout.dim:
         raise ValueError(f"need at least D={layout.dim} pairs, got {n}")
-    batch = pairs.head(n)
+    batch = pairs[:n]
 
     k = layout.dim + 1
     columns = np.empty((n, 2 * k), order="F")
@@ -327,49 +327,21 @@ class CalibrationState:
         return cls(theta_nl=np.zeros(layout.dim), theta_alpha=0.0, mu_nl=mu_nl, mu_alpha=mu_alpha)
 
 
-def _pair_scalars(pair: SamplePair, layout: CorrectionLayout):
-    hx = selection_vector(pair.unscaled, layout)
-    hax = selection_vector(pair.scaled, layout)
-    return pair.unscaled.output, pair.scaled.output, hx, hax
-
-
-def sgd_step(state: CalibrationState, pair: SamplePair, layout: CorrectionLayout,
-             alpha_d: float) -> CalibrationState:
-    """One alternating stochastic-gradient update.
-
-    The scalar parameter moves first using its apriori error; the vector
-    update then uses the *fresh* theta_alpha in both its regressor and its
-    apriori error. Only the regressor's nonzero slots of theta_nl change.
-    """
-    y_x, y_ax, hx, hax = _pair_scalars(pair, layout)
-    theta = state.theta_nl.copy()
-
-    yx_hat = y_x + hx.dot(theta)
-    yax_hat = y_ax + hax.dot(theta)
-
-    e_alpha = yax_hat - (alpha_d + state.theta_alpha) * yx_hat
-    theta_alpha = state.theta_alpha + state.mu_alpha * yx_hat * e_alpha
-
-    c = alpha_d + theta_alpha
-    e_nl = yax_hat - c * yx_hat
-    g = state.mu_nl * e_nl
-    for pos, val in zip(hax.positions, hax.values):
-        theta[pos] -= g * val
-    for pos, val in zip(hx.positions, hx.values):
-        theta[pos] += g * c * val
-
-    return replace(state, theta_nl=theta, theta_alpha=theta_alpha, k=state.k + 1)
-
-
 @dataclass
 class MultiplicationCount:
     nl: int = 0
     alpha: int = 0
 
 
-def sgd_step_counted(state: CalibrationState, pair: SamplePair, layout: CorrectionLayout,
-                     alpha_d: float) -> tuple[CalibrationState, MultiplicationCount]:
-    """`sgd_step` with an explicit multiplication budget, hardware-style.
+def sgd_step(state: CalibrationState, pair: PairBatch, layout: CorrectionLayout,
+             alpha_d: float) -> tuple[CalibrationState, MultiplicationCount]:
+    """One alternating stochastic-gradient update on a batch of one pair,
+    with its multiplication budget counted hardware-style.
+
+    The scalar parameter moves first using its apriori error; the vector
+    update then uses the *fresh* theta_alpha in both its regressor and its
+    apriori error. `run_sgd_population` performs the same update for many
+    converters at once; this single step exists for the hardware audit.
 
     Counting conventions: step sizes are powers of two, so scaling by mu is a
     shift; products with the 0/1 indicator entries of the regressors are
@@ -380,15 +352,17 @@ def sgd_step_counted(state: CalibrationState, pair: SamplePair, layout: Correcti
     path adds three: forming its apriori error, the gradient product, and
     re-scaling the corrected output with the updated factor.
     """
+    if len(pair) != 1:
+        raise ValueError(f"sgd_step takes a batch of exactly one pair, got {len(pair)}")
     count = MultiplicationCount()
-    y_x, y_ax, hx, hax = _pair_scalars(pair, layout)
+    hx = selection_vectors(pair.unscaled, layout).dense()[0]
+    hax = selection_vectors(pair.scaled, layout).dense()[0]
     theta = state.theta_nl.copy()
-    d = layout.dim
 
     # corrected outputs; indicator slots add for free, weighted slots are sums
     # the recombination logic already produces
-    yx_hat = y_x + hx.dot(theta)
-    yax_hat = y_ax + hax.dot(theta)
+    yx_hat = float(pair.unscaled.y[0] + hx @ theta)
+    yax_hat = float(pair.scaled.y[0] + hax @ theta)
 
     # scalar path: 3 multiplications
     t1 = (alpha_d + state.theta_alpha) * yx_hat
@@ -404,9 +378,9 @@ def sgd_step_counted(state: CalibrationState, pair: SamplePair, layout: Correcti
     e_nl = yax_hat - t2
 
     # vector path: dense multiply-accumulate over all D slots
-    dh = hax.dense() - c * hx.dense()
+    dh = hax - c * hx
     g = state.mu_nl * e_nl                                       # shift
-    for pos in range(d):
+    for pos in range(layout.dim):
         theta[pos] -= g * dh[pos]
         count.nl += 1
 
@@ -446,7 +420,7 @@ class SgdStream:
     def from_pairs(cls, pairs: PairBatch, layout: CorrectionLayout) -> "SgdStream":
         q = layout.q
         if pairs.unscaled.index.shape[1] - 1 < q:
-            raise LayoutError("record lacks stage codes for the calibrated stages")
+            raise LayoutError("batch lacks stage codes for the calibrated stages")
         if max(layout.sizes) > np.iinfo(np.int8).max:
             raise LayoutError("stage code indices do not fit in int8")
         values = []
@@ -513,14 +487,10 @@ def run_sgd_population(streams: Sequence[SgdStream], layout: CorrectionLayout, a
     template = np.empty((2 * q + 1, 2 * m), dtype=np.int64)
     template[0] = one * m + cols
     ind_offsets = []         # per stage, by code index: flat offset of its indicator from the sink
-    for i, p in enumerate(layout.sizes):
+    for i, slots in enumerate(layout.indicator_slots):
         template[1 + 2 * i] = i * m + cols
         template[2 + 2 * i] = sink * m + cols
-        rows = np.full(p + 1, sink)
-        for j in range(2, p + 1):
-            pos = layout.indicator_position(i, j)
-            if pos >= 0:
-                rows[j] = row_of[pos]
+        rows = np.where(slots >= 0, row_of[slots], sink)
         ind_offsets.append((rows - sink) * m)
     # per stage, by gather column and code index: the code value
     tables = [np.stack([np.concatenate(([0.0], s.code_values[i])) for s in streams] * 2)

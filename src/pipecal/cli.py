@@ -29,6 +29,7 @@ from .harness import (
     aggregate_rows,
     emit_outputs,
     emit_sweep_outputs,
+    evaluation_batch,
     run_experiment,
     run_sweep,
 )
@@ -152,18 +153,12 @@ def _cmd_simulate(args) -> int:
     emit_outputs(rows, args.out, include_timings=args.timings)
 
     if args.dump_spectrum and config.population > 0:
-        from .adc import convert_many
-        from .harness import _build_member
-        from .signals import gen_tones
-
-        adc, _, _ = _build_member(config, 0)
-        x = gen_tones(config.run_tones(config.eval_amplitude), config.eval_samples)
-        est = spectrum(convert_many(adc, x).y, config.window, config.n_fft)
+        est = spectrum(evaluation_batch(config, 0).y, config.window, config.n_fft)
         path = Path(args.out) / "spectrum.csv"
         with open(path, "w", newline="") as fh:
             fh.write("# schema: pipecal-spectrum/1\n")
             fh.write("bin,power\n")
-            for i, p in enumerate(est.power):
+            for i, p in enumerate(est.power.tolist()):
                 fh.write(f"{i},{p!r}\n")
         print(f"spectrum written to {path}")
     return EXIT_OK

@@ -17,16 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adc import AdcInstance, ConversionBatch, ConversionRecord
+from .adc import AdcInstance, ConversionBatch
 
 __all__ = [
     "CorrectionLayout",
-    "SelectionVector",
     "SelectionBatch",
     "model_dimension",
-    "selection_vector",
     "selection_vectors",
-    "apply_correction",
     "apply_correction_batch",
 ]
 
@@ -89,20 +86,22 @@ class CorrectionLayout:
         """Slot of the gain-weighted code sum of stage i (0-based stage)."""
         return self.block_starts[stage]
 
-    def indicator_position(self, stage: int, code_index: int) -> int:
-        """Slot of code j's indicator (1-based j), -1 if that code has none.
+    @property
+    def indicator_slots(self) -> tuple[np.ndarray, ...]:
+        """Per stage, the slot of each code's indicator by 1-based code index, -1 for none.
 
         Code 1 is absorbed by the weighted entry; the last code of every
-        stage but the final calibrated one is the eliminated entry.
+        stage but the final calibrated one is the eliminated entry. Entry 0
+        of each table is unused and holds -1.
         """
-        p = self.sizes[stage]
-        if not 1 <= code_index <= p:
-            raise LayoutError(f"code index {code_index} outside 1..{p}")
-        if code_index == 1:
-            return -1
-        if stage < self.q - 1 and code_index == p:
-            return -1
-        return self.block_starts[stage] + code_index - 1
+        tables = []
+        for i, (start, p) in enumerate(zip(self.block_starts, self.sizes)):
+            slots = np.arange(start - 1, start + p)      # code j at start + j - 1
+            slots[:2] = -1
+            if i < self.q - 1:
+                slots[p] = -1
+            tables.append(slots)
+        return tuple(tables)
 
     def gain_prefix_products(self) -> np.ndarray:
         """P[t] = G_1 * ... * G_t (P[0] = 1), used by the code-weighting sums."""
@@ -110,27 +109,6 @@ class CorrectionLayout:
         for t in range(1, self.q):
             out[t] = out[t - 1] * self.gains[t - 1]
         return out
-
-
-@dataclass(frozen=True)
-class SelectionVector:
-    """Sparse correction regressor: slot positions plus their values."""
-
-    dim: int
-    positions: tuple[int, ...]
-    values: tuple[float, ...]
-
-    def dense(self) -> np.ndarray:
-        h = np.zeros(self.dim)
-        for pos, val in zip(self.positions, self.values):
-            h[pos] += val
-        return h
-
-    def dot(self, theta: np.ndarray) -> float:
-        theta = np.asarray(theta)
-        if theta.shape != (self.dim,):
-            raise ValueError(f"parameter vector must have length {self.dim}")
-        return float(sum(v * theta[p] for p, v in zip(self.positions, self.values)))
 
 
 class SelectionBatch:
@@ -172,23 +150,12 @@ class SelectionBatch:
             out += padded[self.indicator_pos[:, i]]
         return out
 
-    def vector(self, k: int) -> SelectionVector:
-        positions, values = [], []
-        for i in range(self.layout.q):
-            positions.append(self.layout.weighted_position(i))
-            values.append(float(self.weighted[k, i]))
-            pos = int(self.indicator_pos[k, i])
-            if pos >= 0:
-                positions.append(pos)
-                values.append(1.0)
-        return SelectionVector(dim=self.layout.dim, positions=tuple(positions), values=tuple(values))
-
 
 def selection_vectors(batch: ConversionBatch, layout: CorrectionLayout) -> SelectionBatch:
     """Build the sparse regressors for every conversion in a batch."""
     q = layout.q
     if batch.index.shape[1] - 1 < q:
-        raise LayoutError("record lacks stage codes for the calibrated stages")
+        raise LayoutError("batch lacks stage codes for the calibrated stages")
     prefix = layout.gain_prefix_products()
     n = len(batch)
 
@@ -198,39 +165,11 @@ def selection_vectors(batch: ConversionBatch, layout: CorrectionLayout) -> Selec
         for l in range(i + 1):
             weighted[:, i] += batch.value[:, l] * prefix[i - l]
 
-    indicator_pos = np.full((n, q), -1, dtype=np.int64)
-    for i in range(q):
-        j = batch.index[:, i]
-        p = layout.sizes[i]
-        pos = layout.block_starts[i] + j - 1
-        none = (j == 1) | ((j == p) & (i < q - 1))
-        indicator_pos[:, i] = np.where(none, -1, pos)
+    indicator_pos = np.empty((n, q), dtype=np.int64)
+    for i, slots in enumerate(layout.indicator_slots):
+        indicator_pos[:, i] = slots[batch.index[:, i]]
 
     return SelectionBatch(layout=layout, weighted=weighted, indicator_pos=indicator_pos)
-
-
-def selection_vector(record: ConversionRecord, layout: CorrectionLayout) -> SelectionVector:
-    """Sparse regressor for a single conversion record."""
-    q = layout.q
-    if len(record.stage_index) - 1 < q:
-        raise LayoutError("record lacks stage codes for the calibrated stages")
-    prefix = layout.gain_prefix_products()
-
-    positions, values = [], []
-    for i in range(q):
-        w = sum(record.stage_value[l] * prefix[i - l] for l in range(i + 1))
-        positions.append(layout.weighted_position(i))
-        values.append(float(w))
-        pos = layout.indicator_position(i, record.stage_index[i])
-        if pos >= 0:
-            positions.append(pos)
-            values.append(1.0)
-    return SelectionVector(dim=layout.dim, positions=tuple(positions), values=tuple(values))
-
-
-def apply_correction(y: float, h: SelectionVector, theta: np.ndarray) -> float:
-    """Post-corrected output y + h . theta."""
-    return float(y) + h.dot(theta)
 
 
 def apply_correction_batch(y: np.ndarray, sel: SelectionBatch, theta: np.ndarray) -> np.ndarray:

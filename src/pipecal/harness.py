@@ -21,7 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .adc import (
+    AdcInstance,
     AdcModelError,
+    ConversionBatch,
     MismatchConfig,
     build_adc,
     convert_many,
@@ -38,7 +40,7 @@ from .calibration import (
     run_sgd_population,
 )
 from .correction import CorrectionLayout, apply_correction_batch, model_dimension, selection_vectors
-from .signals import PathConfig, ToneSpec, gen_tones, make_pairs, snap_to_odd_bin
+from .signals import NOISE_MODES, PathConfig, ToneSpec, gen_tones, make_pairs, snap_to_odd_bin
 from .spectral import WINDOWS, analyze, spectrum, tone_bin
 
 __all__ = [
@@ -47,6 +49,7 @@ __all__ = [
     "SweepResult",
     "ConfigError",
     "default_config",
+    "evaluation_batch",
     "run_experiment",
     "run_sweep",
     "emit_outputs",
@@ -63,6 +66,10 @@ SWEEP_KINDS = ("alpha", "snr", "delta", "convergence")
 # default test tone: 10.77 MHz at 100 MHz sampling
 DEFAULT_TONE_OMEGA = 2.0 * math.pi * 10.77 / 100.0
 EVAL_PHASE_OFFSET = math.pi / 4.0
+
+# members per SGD block: a block holds every member's stream until its one
+# kernel call, so the cap bounds a serial run's memory whatever the population
+SGD_BLOCK_MEMBERS = 128
 
 # seed-stream roles per population member
 _ROLE_MISMATCH, _ROLE_DELTA, _ROLE_CAL_NOISE, _ROLE_EVAL_NOISE = 0, 1, 2, 3
@@ -122,17 +129,18 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
         if self.delta_mode not in ("normal", "fixed"):
             raise ConfigError(f"unknown delta mode {self.delta_mode!r}")
-        if self.noise_mode not in ("held", "independent"):
+        if self.noise_mode not in NOISE_MODES:
             raise ConfigError(f"unknown noise mode {self.noise_mode!r}")
         if not 0.0 < self.alpha_d < 1.0:
             raise ConfigError("alpha_d must be in (0, 1)")
         if not self.tones:
             raise ConfigError("need at least one test tone")
-        for omega, amp, _ in self.tones:
-            if not 0.0 < omega < math.pi:
-                raise ConfigError(f"tone frequency {omega} outside (0, pi)")
-            if not 0.0 <= amp <= 1.0:
-                raise ConfigError("tone amplitude must be in [0, 1]")
+        for tone in self.tones:
+            try:
+                omega, amp, phase = tone
+                ToneSpec(omega, amp, phase)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"invalid tone {tone!r}: {exc}") from exc
         if self.eval_samples < self.n_fft:
             raise ConfigError("eval_samples must be at least n_fft")
         if not 0.0 < self.cal_amplitude <= 1.0 or not 0.0 < self.eval_amplitude <= 1.0:
@@ -173,7 +181,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         d = dict(d)
         if "tones" in d:
-            d["tones"] = tuple(tuple(float(v) for v in t) for t in d["tones"])
+            try:
+                d["tones"] = tuple(tuple(float(v) for v in t) for t in d["tones"])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"tones must be lists of numbers: {exc}") from exc
         try:
             return cls(**d)
         except TypeError as exc:
@@ -257,8 +268,16 @@ def _build_member(config: ExperimentConfig, idx: int):
     return adc, path, layout
 
 
-def _evaluate(config: ExperimentConfig, adc, layout, theta, idx: int):
-    """Pre/post metrics on a clean, freshly generated evaluation signal."""
+def evaluation_batch(config: ExperimentConfig, idx: int,
+                     adc: AdcInstance | None = None) -> ConversionBatch:
+    """Member idx's conversions of its evaluation signal, the input of its metrics.
+
+    The signal is the backed-off test tones shifted by EVAL_PHASE_OFFSET,
+    plus the member's seeded noise when eval_snr_db is set. Passing the
+    member's `adc` saves rebuilding it.
+    """
+    if adc is None:
+        adc = _build_member(config, idx)[0]
     tones = [ToneSpec(t.omega, t.amplitude, t.phase + EVAL_PHASE_OFFSET)
              for t in config.run_tones(config.eval_amplitude)]
     x_eval = gen_tones(tones, config.eval_samples)
@@ -266,10 +285,14 @@ def _evaluate(config: ExperimentConfig, adc, layout, theta, idx: int):
         rng = np.random.default_rng(_seed_for(config, idx, _ROLE_EVAL_NOISE))
         sigma = math.sqrt(float(np.mean(x_eval ** 2)) / 10.0 ** (config.eval_snr_db / 10.0))
         x_eval = x_eval + rng.normal(0.0, sigma, x_eval.size)
+    return convert_many(adc, x_eval)
 
-    batch = convert_many(adc, x_eval)
+
+def _evaluate(config: ExperimentConfig, adc, layout, theta, idx: int):
+    """Pre/post metrics on the member's freshly generated evaluation signal."""
+    batch = evaluation_batch(config, idx, adc)
     sel = selection_vectors(batch, layout)
-    bins = [tone_bin(t.omega, config.n_fft) for t in tones]
+    bins = [tone_bin(t.omega, config.n_fft) for t in config.run_tones(config.eval_amplitude)]
 
     pre = analyze(spectrum(batch.y, config.window, config.n_fft), bins)
     y_post = apply_correction_batch(batch.y, sel, theta)
@@ -313,7 +336,7 @@ def _run_block(args) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
         pairs = make_pairs(adc, x_cal, path, _seed_for(config, idx, _ROLE_CAL_NOISE))
         if sgd:
             if checkpoints:
-                references.append(blhec_wiener(pairs.head(config.n_cal), layout,
+                references.append(blhec_wiener(pairs[:config.n_cal], layout,
                                                config.alpha_d).theta_nl)
             streams.append(SgdStream.from_pairs(pairs, layout))
             points.append([])
@@ -367,14 +390,15 @@ def _run_population(config: ExperimentConfig, workers: int,
     """Every member through `_run_block`, in contiguous blocks.
 
     An SGD block shares one kernel call, so SGD runs as one block when serial
-    and as ceil(population / workers) members per pool task otherwise. A
-    Wiener member shares nothing with its neighbours; one member per task
-    keeps the pool's workers evenly loaded.
+    and as ceil(population / workers) members per pool task otherwise, at
+    most SGD_BLOCK_MEMBERS each. A Wiener member shares nothing with its
+    neighbours; one member per task keeps the pool's workers evenly loaded.
     """
     if config.algorithm != "blhec-sgd":
         size = 1
     else:
-        size = max(1, config.population if workers <= 1 else -(-config.population // workers))
+        share = config.population if workers <= 1 else -(-config.population // workers)
+        size = max(1, min(SGD_BLOCK_MEMBERS, share))
     tasks = [(config, range(a, min(a + size, config.population)), checkpoints)
              for a in range(0, config.population, size)]
     if workers <= 1 or len(tasks) <= 1:

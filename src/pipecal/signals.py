@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adc import AdcInstance, ConversionBatch, ConversionRecord, convert_many
+from .adc import AdcInstance, ConversionBatch, convert_many
 
 __all__ = [
     "ToneSpec",
     "PathConfig",
-    "SamplePair",
+    "NOISE_MODES",
     "PairBatch",
     "gen_tones",
     "gen_impure_two_tone",
@@ -39,6 +39,9 @@ class ToneSpec:
             raise ValueError(f"omega must be in (0, pi), got {self.omega}")
         if not 0.0 <= self.amplitude <= 1.0:
             raise ValueError("tone amplitude must be in [0, 1]")
+
+
+NOISE_MODES = ("held", "independent")
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,7 @@ class PathConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha_a < 1.0:
             raise ValueError("analog scaling factor must be in (0, 1)")
-        if self.noise_mode not in ("held", "independent"):
+        if self.noise_mode not in NOISE_MODES:
             raise ValueError(f"unknown noise mode {self.noise_mode!r}")
 
     @property
@@ -73,15 +76,6 @@ class PathConfig:
     @property
     def noiseless(self) -> bool:
         return self.snr_db is None or math.isinf(self.snr_db)
-
-
-@dataclass(frozen=True)
-class SamplePair:
-    """Matched conversions of one held deterministic sample."""
-
-    unscaled: ConversionRecord
-    scaled: ConversionRecord
-    index: int
 
 
 class PairBatch:
@@ -96,20 +90,9 @@ class PairBatch:
     def __len__(self) -> int:
         return len(self.unscaled)
 
-    def pair(self, k: int) -> SamplePair:
-        return SamplePair(unscaled=self.unscaled.record(k), scaled=self.scaled.record(k), index=k)
-
-    def __iter__(self):
-        for k in range(len(self)):
-            yield self.pair(k)
-
-    def head(self, n: int) -> "PairBatch":
-        sl = slice(0, n)
-        u, s = self.unscaled, self.scaled
-        return PairBatch(
-            ConversionBatch(u.y[sl], u.index[sl], u.value[sl], u.x_in[sl]),
-            ConversionBatch(s.y[sl], s.index[sl], s.value[sl], s.x_in[sl]),
-        )
+    def __getitem__(self, rows: slice) -> "PairBatch":
+        """The selected pairs as a batch of their own; one pair is `pairs[k:k+1]`."""
+        return PairBatch(self.unscaled[rows], self.scaled[rows])
 
 
 def gen_tones(tones: list[ToneSpec], n: int) -> np.ndarray:

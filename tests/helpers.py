@@ -52,8 +52,9 @@ def ls_fit(adc, layout, x):
     return float(coef[0]), coef[1:]
 
 
-def naive_selection_dense(record, layout):
-    """Direct, loop-based regressor construction straight from the definition."""
+def naive_selection_dense(row, layout):
+    """Direct, loop-based regressor construction straight from the definition,
+    for the one conversion of a one-row batch."""
     h = np.zeros(layout.dim)
     pos = 0
     prefix = [1.0]
@@ -62,9 +63,9 @@ def naive_selection_dense(record, layout):
     for i, p in enumerate(layout.sizes):
         weighted = 0.0
         for l in range(i + 1):
-            weighted += record.stage_value[l] * prefix[i - l]
+            weighted += row.value[0, l] * prefix[i - l]
         h[pos] = weighted
-        j = record.stage_index[i]
+        j = row.index[0, i]
         last = layout.q - 1
         if j != 1 and not (i < last and j == p):
             h[pos + j - 1] = 1.0

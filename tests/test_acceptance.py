@@ -14,13 +14,14 @@ from helpers import dense_ramp, ls_fit, toy_adc
 from pipecal.adc import convert_many
 from pipecal.calibration import (
     CalibrationState,
+    StepSchedule,
     accumulate_statistics,
     blhec_wiener,
     hec_wiener,
+    run_sgd,
     sgd_step,
-    sgd_step_counted,
 )
-from pipecal.correction import CorrectionLayout, selection_vector, selection_vectors
+from pipecal.correction import CorrectionLayout, selection_vectors
 from pipecal.harness import (
     aggregate_rows,
     default_config,
@@ -168,16 +169,18 @@ def test_criterion_8_sgd_contraction():
     x = rng.uniform(-0.99, 0.99, n)
     pairs = make_pairs(adc, x, PathConfig(ALPHA + 2e-3, ALPHA, 60.0, "independent"), 1)
 
+    h_x = selection_vectors(pairs.unscaled, layout).dense()
+    h_ax = selection_vectors(pairs.scaled, layout).dense()
+    y_x, y_ax = pairs.unscaled.y, pairs.scaled.y
+
     checks = 0
     failures = 0
     for k in range(n):
-        pair = pairs.pair(k)
-        hx = selection_vector(pair.unscaled, layout)
-        hax = selection_vector(pair.scaled, layout)
+        hx, hax = h_x[k], h_ax[k]
         theta = rng.normal(scale=0.005, size=layout.dim)
         theta_alpha = float(rng.normal(scale=0.005))
-        yx_hat = pair.unscaled.output + hx.dot(theta)
-        yax_hat = pair.scaled.output + hax.dot(theta)
+        yx_hat = y_x[k] + hx @ theta
+        yax_hat = y_ax[k] + hax @ theta
 
         # scalar path
         e = yax_hat - (ALPHA + theta_alpha) * yx_hat
@@ -189,12 +192,12 @@ def test_criterion_8_sgd_contraction():
 
         # vector path at the fresh scalar value
         c = ALPHA + ta2
-        dh = hax.dense() - c * hx.dense()
+        dh = hax - c * hx
         norm2 = float(dh @ dh)
         mu_nl = rng.uniform(0.0, 2.0 / norm2)
         e_nl = yax_hat - c * yx_hat
         theta2 = theta - mu_nl * dh * e_nl
-        e_nl_post = (pair.scaled.output + hax.dot(theta2)) - c * (pair.unscaled.output + hx.dot(theta2))
+        e_nl_post = (y_ax[k] + hax @ theta2) - c * (y_x[k] + hx @ theta2)
         checks += 1
         failures += abs(e_nl_post) > abs(e_nl) + 1e-15
 
@@ -203,7 +206,7 @@ def test_criterion_8_sgd_contraction():
         ta3 = theta_alpha + (1.5 * 2.0 / yx_hat ** 2) * yx_hat * e
         failures += not (abs(yax_hat - (ALPHA + ta3) * yx_hat) > abs(e))
         theta3 = theta - (1.5 * 2.0 / norm2) * dh * e_nl
-        e3 = (pair.scaled.output + hax.dot(theta3)) - c * (pair.unscaled.output + hx.dot(theta3))
+        e3 = (y_ax[k] + hax @ theta3) - c * (y_x[k] + hx @ theta3)
         failures += not (abs(e3) > abs(e_nl))
 
     ok = report("8", checks == 4 * n and failures == 0,
@@ -216,9 +219,10 @@ def test_criterion_9_complexity_audit(mismatched_adc):
     x = gen_tones([ToneSpec(0.677, 0.995)], 3)
     pairs = make_pairs(mismatched_adc, x, PathConfig(ALPHA, ALPHA, None), 0)
     state = CalibrationState.initial(layout)
-    out, count = sgd_step_counted(state, pairs.pair(1), layout, ALPHA)
-    plain = sgd_step(state, pairs.pair(1), layout, ALPHA)
-    same = np.allclose(out.theta_nl, plain.theta_nl, atol=1e-15)
+    out, count = sgd_step(state, pairs[1:2], layout, ALPHA)
+    # the production kernel on the same pair, at the state's step sizes
+    kernel, _ = run_sgd(pairs[1:2], layout, ALPHA, StepSchedule(2.0 ** -6, 0, 2.0 ** -6, 0.5))
+    same = np.allclose(out.theta_nl, kernel.theta_nl, atol=1e-15)
     ok = report("9", count.nl == 19 and count.alpha == 3 and same,
                 f"instrumented step: {count.nl} vector-path + {count.alpha} scalar-path "
                 f"multiplications (19 + 3), update unchanged: {same}")

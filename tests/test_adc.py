@@ -7,11 +7,11 @@ from helpers import dense_ramp, random_toy, toy_adc, toy_stage
 
 from pipecal.adc import (
     AdcModelError,
+    ConversionBatch,
     MismatchConfig,
     RecordMismatchError,
     StageSpec,
     build_adc,
-    convert,
     convert_many,
     default_stage_specs,
     lsb_size,
@@ -106,7 +106,7 @@ class TestBuildAdc:
 class TestConvert:
     def test_zero_input_toy_gives_exact_zero(self):
         adc = toy_adc(zetas=(0.0, 0.0), flash_bits=None)
-        assert convert(adc, 0.0).output == 0.0
+        assert convert_many(adc, [0.0]).y[0] == 0.0
 
     def test_ideal_composite_within_half_final_step(self, ideal_adc):
         x = dense_ramp(20001)
@@ -125,10 +125,10 @@ class TestConvert:
         dirty = toy_adc(zetas=(0.0, 0.0), dac_errors=((0.0, eps, 0.0), (0.0, 0.0, 0.0)),
                         flash_bits=None)
         # inputs selecting code 2 of stage 1
-        for x in (-0.1, 0.0, 0.2):
-            y0 = convert(clean, x).output
-            y1 = convert(dirty, x).output
-            assert y1 == pytest.approx(y0 - eps, abs=1e-15)
+        x = [-0.1, 0.0, 0.2]
+        y0 = convert_many(clean, x).y
+        y1 = convert_many(dirty, x).y
+        assert y1 == pytest.approx(y0 - eps, abs=1e-15)
 
     def test_error_weighting_law(self):
         # injecting eps at stage i changes the output by -eps*(1+zeta_i)/prod(G_j<i)
@@ -142,27 +142,28 @@ class TestConvert:
             dirty = toy_adc(zetas=tuple(zetas), dac_errors=dac, flash_bits=None)
             weight = (1.0 + zeta) / (2.0 ** i)
             # |x| <= 0.12 keeps both stages in their middle code
-            for x in np.linspace(-0.12, 0.12, 7):
-                delta = convert(dirty, x).output - convert(clean, x).output
-                assert delta == pytest.approx(-eps * weight, abs=1e-14)
+            x = np.linspace(-0.12, 0.12, 7)
+            delta = convert_many(dirty, x).y - convert_many(clean, x).y
+            assert delta == pytest.approx(-eps * weight, abs=1e-14)
 
     def test_rejects_non_finite_input(self, ideal_adc):
         with pytest.raises(ValueError):
-            convert(ideal_adc, float("nan"))
+            convert_many(ideal_adc, [float("nan")])
 
     def test_records_expose_all_stage_codes(self, mismatched_adc):
-        rec = convert(mismatched_adc, 0.33)
-        assert len(rec.stage_index) == 6
-        assert all(1 <= j <= 7 for j in rec.stage_index[:5])
-        assert 1 <= rec.stage_index[5] <= 8
-        assert rec.x_in == 0.33
+        batch = convert_many(mismatched_adc, [0.33])
+        index = batch.index[0]
+        assert len(index) == 6
+        assert all(1 <= j <= 7 for j in index[:5])
+        assert 1 <= index[5] <= 8
+        assert batch.x_in[0] == 0.33
 
 
 class TestReferenceOutput:
     def test_ideal_adc_reference_is_input_minus_weighted_flash_error(self, ideal_adc):
-        rec = convert(ideal_adc, 0.41)
-        ref = reference_output(ideal_adc, 0.41, rec)
-        assert ref == pytest.approx(rec.output, abs=1e-15)
+        batch = convert_many(ideal_adc, [0.41])
+        ref = reference_output(ideal_adc, batch)[0]
+        assert ref == pytest.approx(batch.y[0], abs=1e-15)
         # beta == 1, so the deviation from x_in is purely the back-end term
         assert abs(ref - 0.41) <= 0.125 / 1024.0
 
@@ -177,25 +178,23 @@ class TestReferenceOutput:
         worst = 0.0
         for _ in range(100):
             adc = random_toy(rng, flash_bits=3 if rng.random() < 0.5 else None)
-            batch = convert_many(adc, x)
-            for k in range(0, len(x), 40):
-                rec = batch.record(k)
-                worst = max(worst, abs(reference_output(adc, rec.x_in, rec) - rec.output))
+            batch = convert_many(adc, x)[::40]
+            worst = max(worst, np.max(np.abs(reference_output(adc, batch) - batch.y)))
         assert worst < 1e-12
 
     def test_equivalence_on_default_instance(self, mismatched_adc):
-        batch = convert_many(mismatched_adc, dense_ramp(2001))
-        for k in range(0, 2001, 97):
-            rec = batch.record(k)
-            ref = reference_output(mismatched_adc, rec.x_in, rec)
-            assert abs(ref - rec.output) < 1e-12
+        batch = convert_many(mismatched_adc, dense_ramp(2001))[::97]
+        ref = reference_output(mismatched_adc, batch)
+        assert np.all(np.abs(ref - batch.y) < 1e-12)
 
     def test_flags_inconsistent_record(self, mismatched_adc):
-        rec = convert(mismatched_adc, 0.2)
-        forged = type(rec)(output=rec.output + 1e-3, stage_index=rec.stage_index,
-                           stage_value=rec.stage_value, x_in=rec.x_in)
-        with pytest.raises(RecordMismatchError):
-            reference_output(mismatched_adc, 0.2, forged)
+        batch = convert_many(mismatched_adc, np.linspace(-0.9, 0.9, 100))
+        reference_output(mismatched_adc, batch)
+        y = batch.y.copy()
+        y[57] += 1e-3
+        forged = ConversionBatch(y, batch.index, batch.value, batch.x_in)
+        with pytest.raises(RecordMismatchError, match="row 57"):
+            reference_output(mismatched_adc, forged)
 
 
 def test_max_digitization_error_default_stage():

@@ -17,7 +17,7 @@ from helpers import (
     toy_adc,
 )
 
-from pipecal.adc import ConversionBatch, ConversionRecord, convert_many, lsb_size
+from pipecal.adc import ConversionBatch, convert_many, lsb_size
 from pipecal.calibration import (
     CalibrationState,
     DivergenceError,
@@ -32,11 +32,10 @@ from pipecal.calibration import (
     run_sgd,
     run_sgd_population,
     sgd_step,
-    sgd_step_counted,
     step_size_bounds,
 )
-from pipecal.correction import CorrectionLayout, selection_vector
-from pipecal.signals import PairBatch, PathConfig, SamplePair, ToneSpec, gen_tones, make_pairs
+from pipecal.correction import CorrectionLayout, selection_vectors
+from pipecal.signals import PairBatch, PathConfig, ToneSpec, gen_tones, make_pairs
 
 ALPHA = 1.0 / math.sqrt(2.0)
 
@@ -79,11 +78,12 @@ class TestAccumulateStatistics:
         n = len(pairs)
         r_hh = np.zeros((layout.dim, layout.dim))
         r_hy = np.zeros(layout.dim)
-        for pair in pairs:
+        for k in range(n):
+            pair = pairs[k:k + 1]
             hx = naive_selection_dense(pair.unscaled, layout)
             hax = naive_selection_dense(pair.scaled, layout)
             dh = hax - ALPHA * hx
-            dy = pair.scaled.output - ALPHA * pair.unscaled.output
+            dy = pair.scaled.y[0] - ALPHA * pair.unscaled.y[0]
             r_hh += np.outer(dh, dh)
             r_hy += dh * dy
         assert np.max(np.abs(stats.r_hh(0.0) - r_hh / n)) < 1e-12
@@ -256,9 +256,9 @@ class TestGramStatistics:
 
 
 def one_hot_pair(y_x, y_ax, layout):
-    """Fabricated sample pair whose regressors are one-hot on the middle code."""
-    rec = lambda y: ConversionRecord(output=y, stage_index=(2, 1), stage_value=(0.0, 0.0), x_in=0.0)
-    return SamplePair(unscaled=rec(y_x), scaled=rec(y_ax), index=0)
+    """Fabricated one-pair batch whose regressors are one-hot on the middle code."""
+    row = lambda y: ConversionBatch(np.array([y]), np.array([[2, 1]]), np.zeros((1, 2)), np.zeros(1))
+    return PairBatch(row(y_x), row(y_ax))
 
 
 class TestSgdStep:
@@ -267,7 +267,7 @@ class TestSgdStep:
     def test_zero_step_sizes_freeze_state(self):
         pair = one_hot_pair(0.5, 0.3, self.layout)
         state = CalibrationState.initial(self.layout, mu_nl=0.0, mu_alpha=0.0)
-        out = sgd_step(state, pair, self.layout, alpha_d=0.7)
+        out, _ = sgd_step(state, pair, self.layout, alpha_d=0.7)
         assert out.theta_alpha == 0.0
         assert np.array_equal(out.theta_nl, state.theta_nl)
         assert out.k == 1
@@ -277,7 +277,7 @@ class TestSgdStep:
         alpha_d, y_x, y_ax = 0.7, 0.5, 0.3
         pair = one_hot_pair(y_x, y_ax, self.layout)
         state = CalibrationState.initial(self.layout, mu_nl=mu_nl, mu_alpha=mu_alpha)
-        out = sgd_step(state, pair, self.layout, alpha_d)
+        out, _ = sgd_step(state, pair, self.layout, alpha_d)
 
         e_alpha = y_ax - alpha_d * y_x
         ta = mu_alpha * y_x * e_alpha
@@ -298,11 +298,11 @@ class TestSgdStep:
             state.theta_nl = rng.normal(scale=0.01, size=layout.dim)
             state.theta_alpha = rng.normal(scale=0.01)
             alpha_d = 0.7
-            out = sgd_step(state, pair, layout, alpha_d)
+            out, _ = sgd_step(state, pair, layout, alpha_d)
 
-            hx = selection_vector(pair.unscaled, layout)
-            yx_hat = y_x + hx.dot(state.theta_nl)
-            yax_hat = y_ax + hx.dot(state.theta_nl)
+            hx = selection_vectors(pair.unscaled, layout)
+            yx_hat = y_x + hx.dot(state.theta_nl)[0]
+            yax_hat = y_ax + hx.dot(state.theta_nl)[0]
             e_prior = yax_hat - (alpha_d + state.theta_alpha) * yx_hat
             e_post = yax_hat - (alpha_d + out.theta_alpha) * yx_hat
             factor = 1.0 - mu_alpha * yx_hat ** 2
@@ -312,13 +312,23 @@ class TestSgdStep:
         layout = CorrectionLayout.from_adc(mismatched_adc, 3)
         x = gen_tones([ToneSpec(0.677, 0.995)], 5)
         pairs = make_pairs(mismatched_adc, x, PathConfig(ALPHA, ALPHA, None), 0)
-        pair = pairs.pair(3)
+        pair = pairs[3:4]
         state = CalibrationState.initial(layout)
-        out = sgd_step(state, pair, layout, ALPHA)
+        out, _ = sgd_step(state, pair, layout, ALPHA)
         touched = set(np.flatnonzero(out.theta_nl != state.theta_nl))
-        allowed = set(selection_vector(pair.unscaled, layout).positions)
-        allowed |= set(selection_vector(pair.scaled, layout).positions)
+        allowed = {layout.weighted_position(i) for i in range(layout.q)}
+        for conversions in (pair.unscaled, pair.scaled):
+            slots = selection_vectors(conversions, layout).indicator_pos[0]
+            allowed |= set(slots[slots >= 0].tolist())
         assert touched <= allowed
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_takes_exactly_one_pair(self, mismatched_adc, n):
+        layout = CorrectionLayout.from_adc(mismatched_adc, 3)
+        x = gen_tones([ToneSpec(0.677, 0.995)], 5)
+        pairs = make_pairs(mismatched_adc, x, PathConfig(ALPHA, ALPHA, None), 0)
+        with pytest.raises(ValueError):
+            sgd_step(CalibrationState.initial(layout), pairs[1:1 + n], layout, ALPHA)
 
 
 class TestContraction:
@@ -331,35 +341,35 @@ class TestContraction:
         x = rng.uniform(-0.99, 0.99, n)
         pairs = make_pairs(adc, x, PathConfig(ALPHA + 2e-3, ALPHA, 60.0, "independent"), 9)
 
+        h_x = selection_vectors(pairs.unscaled, layout).dense()
+        h_ax = selection_vectors(pairs.scaled, layout).dense()
+        y_x, y_ax = pairs.unscaled.y, pairs.scaled.y
         checks = 0
         for k in range(n):
-            pair = pairs.pair(k)
+            hx, hax = h_x[k], h_ax[k]
             state = CalibrationState.initial(layout)
             state.theta_nl = rng.normal(scale=0.005, size=layout.dim)
             state.theta_alpha = rng.normal(scale=0.005)
 
-            hx = selection_vector(pair.unscaled, layout)
-            hax = selection_vector(pair.scaled, layout)
-            yx_hat = pair.unscaled.output + hx.dot(state.theta_nl)
-            yax_hat = pair.scaled.output + hax.dot(state.theta_nl)
+            yx_hat = y_x[k] + hx @ state.theta_nl
+            yax_hat = y_ax[k] + hax @ state.theta_nl
 
             # scalar path at its per-sample bound
             bound_alpha = 2.0 / yx_hat ** 2
             state.mu_alpha = rng.uniform(0.0, bound_alpha)
-            out = sgd_step(state, pair, layout, ALPHA)
+            out, _ = sgd_step(state, pairs[k:k + 1], layout, ALPHA)
             e_prior = yax_hat - (ALPHA + state.theta_alpha) * yx_hat
             e_post = yax_hat - (ALPHA + out.theta_alpha) * yx_hat
             assert abs(e_post) <= abs(e_prior) + 1e-15
 
             # vector path at its per-sample bound, holding theta_alpha fixed
             c = ALPHA + out.theta_alpha
-            dh = hax.dense() - c * hx.dense()
+            dh = hax - c * hx
             norm2 = float(dh @ dh)
             mu_nl = rng.uniform(0.0, 2.0 / norm2)
             e_nl = yax_hat - c * yx_hat
             theta_after = state.theta_nl - mu_nl * dh * e_nl
-            e_nl_post = (pair.scaled.output + hax.dot(theta_after)
-                         - c * (pair.unscaled.output + hx.dot(theta_after)))
+            e_nl_post = y_ax[k] + hax @ theta_after - c * (y_x[k] + hx @ theta_after)
             assert abs(e_nl_post) <= abs(e_nl) + 1e-15
             checks += 2
         assert checks == 2 * n
@@ -370,7 +380,7 @@ class TestContraction:
         y_x = 0.5
         bound = 2.0 / y_x ** 2
         state = CalibrationState.initial(layout, mu_nl=0.0, mu_alpha=1.5 * bound)
-        out = sgd_step(state, pair, layout, alpha_d=0.7)
+        out, _ = sgd_step(state, pair, layout, alpha_d=0.7)
         e_prior = 0.3 - 0.7 * 0.5
         e_post = 0.3 - (0.7 + out.theta_alpha) * 0.5
         assert abs(e_post) > abs(e_prior)
@@ -392,7 +402,7 @@ class TestStepSizeBounds:
         # force identical codes by converting the same input twice
         pairs = PairBatch(pairs.unscaled, pairs.unscaled)
         _, mu_nl = step_size_bounds(layout, 1.0, pairs, alpha_d=ALPHA)
-        h = selection_vector(pairs.unscaled.record(0), layout).dense()
+        h = selection_vectors(pairs.unscaled[0:1], layout).dense()[0]
         norm2 = float(np.sum(((1.0 - ALPHA) * h) ** 2))
         assert mu_nl == pytest.approx(2.0 / norm2, rel=1e-12)
 
@@ -415,7 +425,7 @@ class TestRunSgd:
         adc = toy_with_mismatch(flash_bits=None)
         layout = CorrectionLayout.from_adc(adc, 2)
         pairs, _ = toy_pairs(adc, n=30)
-        state, traj = run_sgd(pairs.head(0), layout, ALPHA)
+        state, traj = run_sgd(pairs[:0], layout, ALPHA)
         assert state.k == 0
         assert state.theta_alpha == 0.0
         assert np.all(state.theta_nl == 0.0)
@@ -428,8 +438,8 @@ class TestRunSgd:
         fast, _ = run_sgd(pairs, layout, ALPHA, schedule=schedule)
 
         state = CalibrationState.initial(layout, mu_nl=2.0 ** -4, mu_alpha=2.0 ** -5)
-        for pair in pairs:
-            state = sgd_step(state, pair, layout, ALPHA)
+        for k in range(len(pairs)):
+            state, _ = sgd_step(state, pairs[k:k + 1], layout, ALPHA)
         assert state.theta_alpha == pytest.approx(fast.theta_alpha, abs=1e-13)
         assert np.allclose(state.theta_nl, fast.theta_nl, atol=1e-13)
 
@@ -443,7 +453,7 @@ class TestRunSgd:
         x = gen_tones([ToneSpec(0.677, 0.9)], 20000)
         path = PathConfig(ALPHA + 1e-3, ALPHA, None)
         pairs = make_pairs(adc, x, path, 0)
-        ref = blhec_wiener(pairs.head(2000), layout, ALPHA)
+        ref = blhec_wiener(pairs[:2000], layout, ALPHA)
         schedule = StepSchedule(mu_nl_init=2.0 ** -2, halve_every=0)
         state, traj = run_sgd(pairs, layout, ALPHA, schedule=schedule,
                               reference=ref.theta_nl, log_every=500)
@@ -463,7 +473,7 @@ class TestRunSgd:
             layout = CorrectionLayout.from_adc(adc, 2)
             x = gen_tones([ToneSpec(0.677, 0.9, float(rng.uniform(0, 3)))], 8000)
             pairs = make_pairs(adc, x, PathConfig(ALPHA + 1e-3, ALPHA, None), seed)
-            refs.append(blhec_wiener(pairs.head(2000), layout, ALPHA).theta_nl)
+            refs.append(blhec_wiener(pairs[:2000], layout, ALPHA).theta_nl)
             streams.append(SgdStream.from_pairs(pairs, layout))
         schedule = StepSchedule(mu_nl_init=2.0 ** -2, halve_every=0)
         results = run_sgd_population(streams, layout, ALPHA, schedule=schedule,
@@ -516,8 +526,8 @@ class TestSgdPopulation:
         batches, refs, layout, cfg = [], [], None, None
         for idx, n in enumerate(lengths):
             pairs, layout, cfg = default_member_pairs(idx, 1500)
-            refs.append(blhec_wiener(pairs.head(1000), layout, cfg.alpha_d).theta_nl)
-            batches.append(pairs.head(n))
+            refs.append(blhec_wiener(pairs[:1000], layout, cfg.alpha_d).theta_nl)
+            batches.append(pairs[:n])
         results = run_sgd_population([SgdStream.from_pairs(p, layout) for p in batches],
                                      layout, cfg.alpha_d, schedule=cfg.schedule(),
                                      checkpoints=checkpoints, references=refs, log_every=200)
@@ -595,19 +605,19 @@ class TestComplexityAudit:
         x = gen_tones([ToneSpec(0.677, 0.995)], 3)
         pairs = make_pairs(mismatched_adc, x, PathConfig(ALPHA, ALPHA, None), 0)
         state = CalibrationState.initial(layout)
-        out, count = sgd_step_counted(state, pairs.pair(1), layout, ALPHA)
+        out, count = sgd_step(state, pairs[1:2], layout, ALPHA)
         assert count.nl == 19
         assert count.alpha == 3
-        # and the counted step computes the very same update
-        plain = sgd_step(state, pairs.pair(1), layout, ALPHA)
-        assert np.allclose(out.theta_nl, plain.theta_nl, atol=1e-15)
-        assert out.theta_alpha == pytest.approx(plain.theta_alpha, abs=1e-16)
+        # and the counted step computes the production kernel's update
+        kernel, _ = run_sgd(pairs[1:2], layout, ALPHA, StepSchedule(2.0 ** -6, 0, 2.0 ** -6, 0.5))
+        assert np.allclose(out.theta_nl, kernel.theta_nl, atol=1e-15)
+        assert out.theta_alpha == pytest.approx(kernel.theta_alpha, abs=1e-16)
 
     def test_multiplication_budget_matches_dimension(self):
         adc = toy_with_mismatch(flash_bits=3)
         layout = CorrectionLayout.from_adc(adc, 2)
         pairs, _ = toy_pairs(adc, n=30)
         state = CalibrationState.initial(layout)
-        _, count = sgd_step_counted(state, pairs.pair(0), layout, ALPHA)
+        _, count = sgd_step(state, pairs[0:1], layout, ALPHA)
         assert count.nl == layout.dim == 5
         assert count.alpha == 3

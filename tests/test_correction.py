@@ -10,14 +10,12 @@ from helpers import (
     unreduced_transformed_matrix,
 )
 
-from pipecal.adc import convert, convert_many
+from pipecal.adc import convert_many
 from pipecal.correction import (
     CorrectionLayout,
     LayoutError,
-    apply_correction,
     apply_correction_batch,
     model_dimension,
-    selection_vector,
     selection_vectors,
 )
 
@@ -31,15 +29,15 @@ class TestSelectionVector:
     def test_single_stage_middle_code(self):
         adc = toy_adc(zetas=(0.0,), dac_errors=((0.0, 0.0, 0.0),), flash_bits=None)
         layout = CorrectionLayout.from_adc(adc, 1)
-        rec = convert(adc, 0.0)     # code 2, value 0
-        h = selection_vector(rec, layout)
-        assert np.array_equal(h.dense(), [0.0, 1.0, 0.0])
+        batch = convert_many(adc, [0.0])     # code 2, value 0
+        h = selection_vectors(batch, layout)
+        assert np.array_equal(h.dense()[0], [0.0, 1.0, 0.0])
 
     def test_weighted_entries_are_gain_weighted_code_sums(self, mismatched_adc):
         layout = CorrectionLayout.from_adc(mismatched_adc, 3)
-        rec = convert(mismatched_adc, 0.37)
-        h = selection_vector(rec, layout).dense()
-        v = rec.stage_value
+        batch = convert_many(mismatched_adc, [0.37])
+        h = selection_vectors(batch, layout).dense()[0]
+        v = batch.value[0]
         assert h[layout.weighted_position(0)] == pytest.approx(v[0])
         assert h[layout.weighted_position(1)] == pytest.approx(4.0 * v[0] + v[1])
         assert h[layout.weighted_position(2)] == pytest.approx(16.0 * v[0] + 4.0 * v[1] + v[2])
@@ -47,41 +45,43 @@ class TestSelectionVector:
     def test_eliminated_top_code_has_no_indicator(self):
         adc = toy_adc(zetas=(0.0, 0.0), flash_bits=None)
         layout = CorrectionLayout.from_adc(adc, 2)
-        rec = convert(adc, 0.9)     # stage 1 selects its top code (eliminated)
-        assert rec.stage_index[0] == 3
-        h = selection_vector(rec, layout)
-        dense = h.dense()
+        batch = convert_many(adc, [0.9])     # stage 1 selects its top code (eliminated)
+        assert batch.index[0, 0] == 3
+        h = selection_vectors(batch, layout)
+        dense = h.dense()[0]
+        positions = layout.q + np.count_nonzero(h.indicator_pos[0] >= 0)
         # only weighted-code entries may be nonzero in the stage-1 block
         assert dense[1] == 0.0
-        assert len(h.positions) == 2 + 2 or dense[layout.weighted_position(1)] != 0.0
+        assert positions == 2 + 2 or dense[layout.weighted_position(1)] != 0.0
 
     def test_first_code_absorbed_by_weighted_entry(self):
         adc = toy_adc(zetas=(0.0, 0.0), flash_bits=None)
         layout = CorrectionLayout.from_adc(adc, 2)
-        rec = convert(adc, -0.9)
-        assert rec.stage_index[0] == 1
-        dense = selection_vector(rec, layout).dense()
+        batch = convert_many(adc, [-0.9])
+        assert batch.index[0, 0] == 1
+        dense = selection_vectors(batch, layout).dense()[0]
         block = dense[:layout.block_starts[1]]
         assert np.count_nonzero(block[1:]) == 0
 
     def test_sparsity_at_most_two_per_stage(self, mismatched_adc):
         layout = CorrectionLayout.from_adc(mismatched_adc, 3)
-        batch = convert_many(mismatched_adc, dense_ramp(501))
-        for k in range(0, 501, 13):
-            h = selection_vector(batch.record(k), layout)
-            assert len(h.positions) <= 2 * layout.q
+        batch = convert_many(mismatched_adc, dense_ramp(501))[::13]
+        h = selection_vectors(batch, layout)
+        positions = layout.q + np.count_nonzero(h.indicator_pos >= 0, axis=1)
+        assert np.all(positions <= 2 * layout.q)
 
     def test_batch_matches_single_and_naive(self, mismatched_adc):
         layout = CorrectionLayout.from_adc(mismatched_adc, 3)
         batch = convert_many(mismatched_adc, dense_ramp(301))
-        sel = selection_vectors(batch, layout)
-        dense = sel.dense()
+        dense = selection_vectors(batch, layout).dense()
+        theta = np.random.default_rng(5).normal(size=layout.dim)
         for k in range(0, 301, 7):
-            rec = batch.record(k)
-            expected = naive_selection_dense(rec, layout)
+            row = batch[k:k + 1]
+            expected = naive_selection_dense(row, layout)
+            single = selection_vectors(row, layout)
             assert np.allclose(dense[k], expected, atol=1e-12)
-            assert np.allclose(selection_vector(rec, layout).dense(), expected, atol=1e-12)
-            assert np.allclose(sel.vector(k).dense(), expected, atol=1e-12)
+            assert np.allclose(single.dense()[0], expected, atol=1e-12)
+            assert np.allclose(single.dot(theta)[0], expected @ theta, atol=1e-12)
 
     def test_batch_dot_matches_dense_product(self, mismatched_adc):
         layout = CorrectionLayout.from_adc(mismatched_adc, 3)
@@ -93,10 +93,10 @@ class TestSelectionVector:
 
     def test_requires_enough_stage_codes(self):
         adc = toy_adc(zetas=(0.0, 0.0), flash_bits=None)
-        rec = convert(adc, 0.1)
+        batch = convert_many(adc, [0.1])
         layout = CorrectionLayout(sizes=(3, 3, 3), gains=(2.0, 2.0, 2.0))
         with pytest.raises(LayoutError):
-            selection_vector(rec, layout)
+            selection_vectors(batch, layout)
 
     def test_layout_q_bounds(self, mismatched_adc):
         with pytest.raises(LayoutError):
@@ -109,33 +109,33 @@ class TestApplyCorrection:
     def test_zero_parameters_identity(self):
         adc = toy_adc(zetas=(0.0, 0.0), flash_bits=None)
         layout = CorrectionLayout.from_adc(adc, 2)
-        rec = convert(adc, 0.3)
-        h = selection_vector(rec, layout)
-        assert apply_correction(rec.output, h, np.zeros(layout.dim)) == rec.output
+        batch = convert_many(adc, [0.3])
+        h = selection_vectors(batch, layout)
+        assert apply_correction_batch(batch.y, h, np.zeros(layout.dim))[0] == batch.y[0]
 
     def test_single_indicator_adds_its_parameter(self):
         adc = toy_adc(zetas=(0.0,), flash_bits=None)
         layout = CorrectionLayout.from_adc(adc, 1)
-        rec = convert(adc, 0.0)    # h == [0, 1, 0]
+        batch = convert_many(adc, [0.0])    # h == [0, 1, 0]
         theta = np.array([0.7, -0.3, 0.9])
-        assert apply_correction(rec.output, selection_vector(rec, layout), theta) == \
-            pytest.approx(rec.output - 0.3, abs=1e-15)
+        assert apply_correction_batch(batch.y, selection_vectors(batch, layout), theta)[0] == \
+            pytest.approx(batch.y[0] - 0.3, abs=1e-15)
 
     def test_additive_in_parameters(self, mismatched_adc):
         layout = CorrectionLayout.from_adc(mismatched_adc, 3)
-        rec = convert(mismatched_adc, 0.52)
-        h = selection_vector(rec, layout)
+        batch = convert_many(mismatched_adc, [0.52])
+        h = selection_vectors(batch, layout)
         rng = np.random.default_rng(0)
         t1, t2 = rng.normal(size=(2, layout.dim))
-        lhs = apply_correction(rec.output, h, t1 + t2)
-        rhs = apply_correction(rec.output, h, t1) + apply_correction(0.0, h, t2)
+        lhs = apply_correction_batch(batch.y, h, t1 + t2)[0]
+        rhs = apply_correction_batch(batch.y, h, t1)[0] + apply_correction_batch([0.0], h, t2)[0]
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_dimension_mismatch(self, mismatched_adc):
         layout = CorrectionLayout.from_adc(mismatched_adc, 3)
-        rec = convert(mismatched_adc, 0.1)
+        batch = convert_many(mismatched_adc, [0.1])
         with pytest.raises(ValueError):
-            apply_correction(rec.output, selection_vector(rec, layout), np.zeros(5))
+            apply_correction_batch(batch.y, selection_vectors(batch, layout), np.zeros(5))
 
     def test_oracle_reduced_parameters_cancel_nonlinearity(self):
         # real-flash toy: the LS-fit parameters must bring the residual down

@@ -18,6 +18,7 @@ from pipecal.harness import (
     default_config,
     emit_outputs,
     emit_sweep_outputs,
+    evaluation_batch,
     run_experiment,
     run_sweep,
 )
@@ -246,6 +247,20 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "spectrum.csv").exists()
 
+    def test_dumped_spectrum_is_the_evaluated_one(self, tmp_path):
+        # with evaluation noise, the dump is the spectrum behind pre_sndr_db
+        path = tmp_path / "cfg.json"
+        fields = {"population": 1, "n_cal": 1200, "n_fft": 4096, "eval_samples": 4096,
+                  "eval_snr_db": 40.0}
+        path.write_text(json.dumps(fields))
+        assert main(["simulate", "--seed", "7", "--out", str(tmp_path),
+                     "--config", str(path), "--dump-spectrum"]) == 0
+        lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+        dumped = np.array([float(line.split(",")[1]) for line in lines[2:]])
+        cfg = default_config(7, **fields)
+        want = spectrum(evaluation_batch(cfg, 0).y, cfg.window, cfg.n_fft).power
+        assert np.array_equal(dumped, want)
+
     def test_sweep_cli(self, tmp_path):
         code = main(["sweep", "--seed", "7", "--kind", "delta", "--grid", "0,2e-3",
                      "--out", str(tmp_path), "--population", "2",
@@ -283,6 +298,10 @@ class TestCli:
         ({"tones": [[0.677, 1, 0], [0.9, 1, 0]]}, []),
         # three codes at gain 4 overload the residue of the next stage
         ({"stage_levels": 3}, []),
+        # a tone is exactly (omega, amplitude, phase)
+        ({"tones": [[0.5, 1.0]]}, []),
+        ({"tones": [[0.5, 1, 0, 3]]}, []),
+        ({"tones": [0.5]}, []),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, fields, flags):
         cfg = tmp_path / "cfg.json"

@@ -1,0 +1,22 @@
+import importlib
+
+import pytest
+
+import pipecal
+
+MODULES = ["adc", "calibration", "correction", "harness", "signals", "spectral"]
+
+# per-record scalar API, replaced by one-row slices of the batch types
+REMOVED = ["ConversionRecord", "convert", "SamplePair", "SelectionVector", "selection_vector",
+           "apply_correction", "sgd_step_counted"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve_and_none_was_removed(name):
+    module = importlib.import_module(f"pipecal.{name}")
+    assert all(hasattr(module, attr) for attr in module.__all__)
+    assert not set(REMOVED) & set(module.__all__)
+
+
+def test_package_exposes_no_removed_name():
+    assert [name for name in REMOVED if hasattr(pipecal, name)] == []

@@ -147,11 +147,15 @@ class TestMakePairs:
         x = gen_tones([ToneSpec(0.7, 1.0)], 50)
         pairs = make_pairs(adc, x, PathConfig(0.7071, 0.7071, None), seed=6)
         assert len(pairs) == 50
-        pair = pairs.pair(7)
-        assert pair.index == 7
-        assert pair.unscaled.x_in == pytest.approx(x[7])
-        assert len(list(pairs)) == 50
-        head = pairs.head(10)
+        pair = pairs[7:8]
+        assert len(pair) == 1 and pair.scaled.y[0] == pairs.scaled.y[7]
+        assert pair.unscaled.x_in[0] == pytest.approx(x[7])
+        # an int index and the iteration protocol built on it fail fast
+        with pytest.raises(TypeError):
+            pairs[3]
+        with pytest.raises(TypeError):
+            list(pairs)
+        head = pairs[:10]
         assert len(head) == 10
         assert head.unscaled.y[3] == pairs.unscaled.y[3]
 
