@@ -28,6 +28,7 @@ __all__ = [
     "convert_many",
     "reference_output",
     "build_adc",
+    "stage_mismatch_bounds",
     "pipeline_stage_specs",
     "flash_stage_spec",
     "default_stage_specs",
@@ -124,6 +125,8 @@ class MismatchConfig:
     def __post_init__(self) -> None:
         if self.gain_bound_lsb < 0 or self.dac_bound_lsb < 0:
             raise AdcModelError("mismatch bounds must be non-negative")
+        if self.gain_error_reference is not None and not self.gain_error_reference > 0:
+            raise AdcModelError("gain error reference must be positive")
 
 
 @dataclass(frozen=True)
@@ -307,6 +310,26 @@ def default_stage_specs(n_pipeline: int = 5, stage_levels: int = 7,
     return stages, flash_stage_spec(flash_bits)
 
 
+def stage_mismatch_bounds(stage: StageSpec, mismatch: MismatchConfig,
+                          lsb: float) -> tuple[float, float]:
+    """Bounds of one stage's uniform gain-mismatch and DAC-error draws.
+
+    Raises AdcModelError when a draw within them could make the stage gain
+    non-positive or reorder the stage's code levels.
+    """
+    e_ref = mismatch.gain_error_reference
+    if e_ref is None:
+        e_ref = stage.max_digitization_error()
+    zeta_bound = mismatch.gain_bound_lsb * lsb / e_ref
+    if zeta_bound >= 1.0:
+        raise AdcModelError("gain mismatch bound allows non-positive stage gain")
+    dac_bound = mismatch.dac_bound_lsb * lsb
+    min_pitch = min(b - a for a, b in zip(stage.codes, stage.codes[1:]))
+    if 2.0 * dac_bound >= min_pitch:
+        raise AdcModelError("DAC error bound can reorder the stage code levels")
+    return zeta_bound, dac_bound
+
+
 def build_adc(stages: list[StageSpec], flash: StageSpec | None,
               mismatch: MismatchConfig, seed, resolution_bits: int = 13,
               ideal_stages: int = 0) -> AdcInstance:
@@ -321,20 +344,10 @@ def build_adc(stages: list[StageSpec], flash: StageSpec | None,
     rng = np.random.default_rng(seed)
     lsb = lsb_size(resolution_bits)
 
-    dac_bound = mismatch.dac_bound_lsb * lsb
     zetas = []
     dac_errors = []
     for i, stage in enumerate(stages):
-        e_ref = mismatch.gain_error_reference
-        if e_ref is None:
-            e_ref = stage.max_digitization_error()
-        zeta_bound = mismatch.gain_bound_lsb * lsb / e_ref
-        if zeta_bound >= 1.0:
-            raise AdcModelError("gain mismatch bound allows non-positive stage gain")
-        min_pitch = min(b - a for a, b in zip(stage.codes, stage.codes[1:]))
-        if 2.0 * dac_bound >= min_pitch:
-            raise AdcModelError("DAC error bound can reorder the stage code levels")
-
+        zeta_bound, dac_bound = stage_mismatch_bounds(stage, mismatch, lsb)
         z = float(rng.uniform(-zeta_bound, zeta_bound))
         e = rng.uniform(-dac_bound, dac_bound, size=stage.levels)
         # a common shift of all DAC levels is stage offset, not nonlinearity

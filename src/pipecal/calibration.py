@@ -5,7 +5,8 @@ regressors; the test signal itself stays unknown. Three routes are provided:
 
 * `hec_wiener`       -- linear Wiener solution assuming the digital scaling
                         factor alpha_d matches the analog one exactly.
-* `blhec_wiener`     -- alternating Wiener solution that additionally
+* `blhec_wiener`     -- alternating Wiener solution, with a safeguarded
+                        Aitken step on the scalar, that additionally
                         estimates a scalar correction theta_alpha for the
                         scaling factor mismatch (the error is linear in each
                         parameter block but bi-linear in both).
@@ -223,23 +224,45 @@ class BlhecResult:
     diagnostic: str | None = None
 
 
+def _aitken(a0: float, a1: float, a2: float) -> float | None:
+    """Aitken's delta-squared extrapolation of three successive iterates
+    a1 = F(a0), a2 = F(a1) of a scalar fixed-point map F; None when the
+    second difference vanishes or the result is not finite."""
+    curvature = a2 - 2.0 * a1 + a0
+    if curvature == 0.0:
+        return None
+    step = a2 - (a2 - a1) ** 2 / curvature
+    return step if math.isfinite(step) else None
+
+
 def blhec_wiener(pairs: PairBatch | PairStatistics, layout: CorrectionLayout | None = None,
                  alpha_d: float | None = None, max_iterations: int = 50,
                  tolerance: float = 1e-7, n: int | None = None) -> BlhecResult:
-    """Alternating Wiener solution of the bi-linear homogeneity cost.
+    """Alternating Wiener solution of the bi-linear homogeneity cost,
+    accelerated by a safeguarded Steffensen step on theta_alpha.
 
-    Starting from theta_nl = 0, each iteration first updates the scalar
+    Starting from theta_nl = 0, a plain iteration first updates the scalar
 
         theta_alpha = r_yya(theta_nl) / r_yy(theta_nl) - alpha_d
 
     and then re-solves theta_nl = -R_hh(theta_alpha)^{-1} r_hy(theta_alpha).
-    Iteration stops when theta_alpha moves less than `tolerance`. If the
-    covariance turns singular mid-iteration, the previous parameters are
-    returned with a diagnostic instead of silently regularizing.
+    That map of theta_alpha contracts linearly with a factor close to one, so
+    after every two plain iterations the last three plain iterates are
+    extrapolated with Aitken's delta-squared formula and theta_nl is solved
+    at the extrapolated theta_alpha. The candidate is accepted only when its homogeneity MSE does
+    not exceed the last accepted one; a rejected or singular candidate costs
+    its solve and the plain iteration follows. `iterations` counts every
+    solve; `mse`, `mse_stderr` and `alpha_trace` list accepted iterates only.
+
+    Iteration stops when an accepted theta_alpha moves less than `tolerance`.
+    If the covariance turns singular in a plain iteration after the first,
+    the previous parameters are returned with a diagnostic instead of
+    silently regularizing.
 
     Both updates read the Gram matrices of `PairStatistics` (O(D^2) per
     iteration); the only pass over the N samples is the error vector behind
-    each MSE's standard error, a fourth moment the Gram matrices do not hold.
+    each MSE and its standard error, a fourth moment the Gram matrices do not
+    hold.
     """
     if isinstance(pairs, PairStatistics):
         stats = pairs
@@ -248,6 +271,10 @@ def blhec_wiener(pairs: PairBatch | PairStatistics, layout: CorrectionLayout | N
             raise ValueError("layout and alpha_d are required when passing a pair batch")
         stats = accumulate_statistics(pairs, layout, alpha_d, n=n)
 
+    def solve(theta_alpha: float) -> np.ndarray:
+        gram = stats.homogeneity_gram(theta_alpha)
+        return -_solve_spd(gram[1:, 1:], gram[1:, 0])
+
     theta_nl = np.zeros(stats.dim)
     theta_alpha = 0.0
     mse: list[float] = []
@@ -255,28 +282,44 @@ def blhec_wiener(pairs: PairBatch | PairStatistics, layout: CorrectionLayout | N
     alphas: list[float] = []
     converged = False
     diagnostic = None
+    chain: list[float] = []      # successive plain iterates of theta_alpha since the last restart
 
     m = 0
     for m in range(1, max_iterations + 1):
         prev_alpha = theta_alpha
-        r_yy = stats.r_yy(theta_nl)
-        if r_yy <= 0.0 or not math.isfinite(r_yy):
-            raise NumericalError(f"non-positive output power {r_yy!r}")
-        theta_alpha = stats.r_yya(theta_nl) / r_yy - stats.alpha_d
+        step = None
+        if len(chain) == 3:
+            step = _aitken(*chain)
+            chain = chain[-1:]
+        if step is not None:
+            try:
+                nl = solve(step)
+            except SingularStatisticsError:
+                continue
+            sq = stats.errors(step, nl) ** 2
+            # negated comparison so that a NaN error rejects the candidate
+            if not np.mean(sq) <= mse[-1]:
+                continue
+            theta_alpha, theta_nl = step, nl
+            chain = [step]
+        else:
+            r_yy = stats.r_yy(theta_nl)
+            if r_yy <= 0.0 or not math.isfinite(r_yy):
+                raise NumericalError(f"non-positive output power {r_yy!r}")
+            theta_alpha = stats.r_yya(theta_nl) / r_yy - stats.alpha_d
+            try:
+                theta_nl = solve(theta_alpha)
+            except SingularStatisticsError as exc:
+                if m == 1:
+                    raise
+                theta_alpha = prev_alpha
+                diagnostic = f"iteration {m}: {exc}; kept previous parameters"
+                break
+            if not np.all(np.isfinite(theta_nl)) or not math.isfinite(theta_alpha):
+                raise NumericalError("non-finite calibration parameters")
+            sq = stats.errors(theta_alpha, theta_nl) ** 2
+            chain.append(theta_alpha)
 
-        gram = stats.homogeneity_gram(theta_alpha)
-        try:
-            theta_nl = -_solve_spd(gram[1:, 1:], gram[1:, 0])
-        except SingularStatisticsError as exc:
-            if m == 1:
-                raise
-            theta_alpha = prev_alpha
-            diagnostic = f"iteration {m}: {exc}; kept previous parameters"
-            break
-        if not np.all(np.isfinite(theta_nl)) or not math.isfinite(theta_alpha):
-            raise NumericalError("non-finite calibration parameters")
-
-        sq = stats.errors(theta_alpha, theta_nl) ** 2
         mean_sq = float(np.mean(sq))
         dev = sq - mean_sq
         mse.append(mean_sq)

@@ -140,6 +140,20 @@ def _warn_if_worse(rows) -> None:
           file=sys.stderr)
 
 
+def _warn_if_unconverged(rows) -> None:
+    """One stderr warning when any BL-HEC solve stopped before converging.
+
+    A convergence sweep's rows share their member's one reference solve, so
+    solves are counted per member and grid point, not per row.
+    """
+    solves = {(r.adc_id, None if r.sweep_kind == "convergence" else r.sweep_value):
+              r.blhec_converged for r in rows if r.blhec_converged is not None}
+    stopped = sum(not ok for ok in solves.values())
+    if stopped:
+        print(f"warning: {stopped} of {len(solves)} BL-HEC solves stopped without converging "
+              "(iteration cap or singular covariance)", file=sys.stderr)
+
+
 def _cmd_simulate(args) -> int:
     config = _config_from_args(args)
     if args.population is None:
@@ -170,6 +184,7 @@ def _cmd_calibrate(args) -> int:
     path = emit_outputs(rows, args.out, include_timings=args.timings)
     _print_summary(rows)
     _warn_if_worse(rows)
+    _warn_if_unconverged(rows)
     print(f"results written to {path}")
     return EXIT_OK
 
@@ -181,7 +196,9 @@ def _cmd_sweep(args) -> int:
     for point in sweep.points:
         print(f"{args.kind} = {point}:")
         _print_summary(sweep.rows[point])
-    _warn_if_worse([row for point in sweep.points for row in sweep.rows[point]])
+    rows = [row for point in sweep.points for row in sweep.rows[point]]
+    _warn_if_worse(rows)
+    _warn_if_unconverged(rows)
     print("written:", ", ".join(str(p) for p in paths))
     return EXIT_OK
 
@@ -198,7 +215,9 @@ def _cmd_convergence(args) -> int:
     paths = emit_sweep_outputs(sweep, args.out, include_timings=args.timings)
     for point in sweep.points:
         _print_summary(sweep.rows[point])
-    _warn_if_worse([row for point in sweep.points for row in sweep.rows[point]])
+    rows = [row for point in sweep.points for row in sweep.rows[point]]
+    _warn_if_worse(rows)
+    _warn_if_unconverged(rows)
     print("written:", ", ".join(str(p) for p in paths))
     return EXIT_OK
 

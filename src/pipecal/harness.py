@@ -28,7 +28,8 @@ from .adc import (
     build_adc,
     convert_many,
     default_stage_specs,
-    pipeline_stage_specs,
+    lsb_size,
+    stage_mismatch_bounds,
 )
 from .calibration import (
     DivergenceError,
@@ -129,10 +130,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
         if self.delta_mode not in ("normal", "fixed"):
             raise ConfigError(f"unknown delta mode {self.delta_mode!r}")
+        if not self.delta_std >= 0.0:
+            raise ConfigError("delta_std must be non-negative")
         if self.noise_mode not in NOISE_MODES:
             raise ConfigError(f"unknown noise mode {self.noise_mode!r}")
         if not 0.0 < self.alpha_d < 1.0:
             raise ConfigError("alpha_d must be in (0, 1)")
+        if self.delta_mode == "fixed" and not 0.0 < self.alpha_d + self.delta_value < 1.0:
+            raise ConfigError(f"alpha_d + delta_value = {self.alpha_d + self.delta_value:g} "
+                              "puts the analog scaling factor outside (0, 1)")
         if not self.tones:
             raise ConfigError("need at least one test tone")
         for tone in self.tones:
@@ -150,11 +156,13 @@ class ExperimentConfig:
             raise ConfigError(f"tone amplitudes sum to a peak of {peak:g} full scale after the "
                               "backoff; the converter input would clip")
         try:
-            stage = pipeline_stage_specs(self.stage_levels, self.stage_gain)
+            stages, _, mismatch = _converter_model(self)
+            for stage in stages:
+                stage_mismatch_bounds(stage, mismatch, lsb_size(self.resolution_bits))
         except AdcModelError as exc:
-            raise ConfigError(f"stage geometry: {exc}") from exc
+            raise ConfigError(f"converter model: {exc}") from exc
         # voltages are normalized to v_ref = 1; the default stage sits exactly at the limit
-        residue = self.stage_gain * stage.max_digitization_error()
+        residue = self.stage_gain * stages[0].max_digitization_error()
         if not residue <= 1.0:
             raise ConfigError(f"stage_gain x largest digitization error = {residue:g} exceeds "
                               "v_ref = 1: the residue would overload the next stage")
@@ -235,6 +243,10 @@ class ResultRow:
     wall_clock_s: float
     sweep_kind: str = ""
     sweep_value: float | None = None
+    # whether the row's BL-HEC solve (the calibration itself, or a
+    # convergence sweep's reference) met its tolerance; None without one.
+    # Like wall_clock_s, not a results.csv column.
+    blhec_converged: bool | None = None
 
 
 def _seed_for(config: ExperimentConfig, idx: int, role: int) -> np.random.SeedSequence:
@@ -246,13 +258,19 @@ def _seed_fingerprint(config: ExperimentConfig, idx: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _build_member(config: ExperimentConfig, idx: int):
-    """Converter instance, scaling path, and layout for population member idx."""
+def _converter_model(config: ExperimentConfig):
+    """Stage specs, flash back end and mismatch bounds of the configured converter."""
     stages, flash = default_stage_specs(config.pipeline_stages, config.stage_levels,
                                         config.stage_gain, config.flash_bits)
     mismatch = MismatchConfig(gain_bound_lsb=config.gain_bound_lsb,
                               dac_bound_lsb=config.dac_bound_lsb,
                               gain_error_reference=config.gain_error_reference)
+    return stages, flash, mismatch
+
+
+def _build_member(config: ExperimentConfig, idx: int):
+    """Converter instance, scaling path, and layout for population member idx."""
+    stages, flash, mismatch = _converter_model(config)
     adc = build_adc(stages, flash, mismatch, _seed_for(config, idx, _ROLE_MISMATCH),
                     resolution_bits=config.resolution_bits,
                     ideal_stages=config.q if config.ideal_included_stages else 0)
@@ -262,6 +280,9 @@ def _build_member(config: ExperimentConfig, idx: int):
     else:
         rng = np.random.default_rng(_seed_for(config, idx, _ROLE_DELTA))
         delta = float(rng.normal(0.0, config.delta_std))
+        if not 0.0 < config.alpha_d + delta < 1.0:
+            raise ConfigError(f"adc {idx}: drawn delta {delta:g} puts the analog scaling factor "
+                              f"outside (0, 1); delta_std {config.delta_std:g} is too large")
     path = PathConfig(alpha_a=config.alpha_d + delta, alpha_d=config.alpha_d,
                       snr_db=config.snr_db, noise_mode=config.noise_mode)
     layout = CorrectionLayout.from_adc(adc, config.q)
@@ -288,24 +309,27 @@ def evaluation_batch(config: ExperimentConfig, idx: int,
     return convert_many(adc, x_eval)
 
 
-def _evaluate(config: ExperimentConfig, adc, layout, theta, idx: int):
-    """Pre/post metrics on the member's freshly generated evaluation signal."""
+def _evaluate(config: ExperimentConfig, adc, layout, idx: int, thetas):
+    """Pre metrics, and post metrics for each correction in `thetas`, on the
+    member's freshly generated evaluation signal, converted once."""
     batch = evaluation_batch(config, idx, adc)
     sel = selection_vectors(batch, layout)
     bins = [tone_bin(t.omega, config.n_fft) for t in config.run_tones(config.eval_amplitude)]
 
     pre = analyze(spectrum(batch.y, config.window, config.n_fft), bins)
-    y_post = apply_correction_batch(batch.y, sel, theta)
-    post = analyze(spectrum(y_post, config.window, config.n_fft), bins)
-    return pre, post
+    posts = [analyze(spectrum(apply_correction_batch(batch.y, sel, theta), config.window,
+                              config.n_fft), bins)
+             for theta in thetas]
+    return pre, posts
 
 
-def _wiener(config: ExperimentConfig, pairs, layout) -> tuple[np.ndarray, float]:
+def _wiener(config: ExperimentConfig, pairs, layout) -> tuple[np.ndarray, float, bool | None]:
+    """theta_nl, theta_alpha and, for BL-HEC, whether the solve converged."""
     stats = accumulate_statistics(pairs, layout, config.alpha_d, n=config.n_cal)
     if config.algorithm == "hec-wiener":
-        return hec_wiener(stats), 0.0
+        return hec_wiener(stats), 0.0, None
     res = blhec_wiener(stats)
-    return res.theta_nl, res.theta_alpha
+    return res.theta_nl, res.theta_alpha, res.converged
 
 
 def _run_block(args) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
@@ -314,10 +338,11 @@ def _run_block(args) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
     Members are built one at a time. A Wiener member is solved right away;
     an SGD member keeps only its compact pair stream (and, for a convergence
     sweep, its BL-HEC reference), and one lockstep kernel call then adapts the
-    whole block. With `checkpoints`, each member gets one row per checkpoint
-    and one error norm against its reference. A row's wall_clock_s is its
-    member's own build, pair, solve and evaluation time plus, for SGD, an
-    equal share of the kernel time.
+    whole block. With `checkpoints`, each member gets one row per checkpoint,
+    all evaluated on one conversion of its evaluation signal, and one error
+    norm against its reference. A row's wall_clock_s is its member's own
+    build, pair, solve and evaluation time plus, for SGD, an equal share of
+    the kernel time.
     """
     config, indices, checkpoints = args
     sgd = config.algorithm == "blhec-sgd"
@@ -326,8 +351,9 @@ def _run_block(args) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
     else:
         n_samples = config.n_sgd if sgd else config.n_cal
 
-    # per member: (idx, adc, path, layout), [(samples, theta_nl, theta_alpha)], seconds
-    built, points, seconds = [], [], []
+    # per member: (idx, adc, path, layout), [(samples, theta_nl, theta_alpha)],
+    # BL-HEC converged flag, seconds
+    built, points, converged, seconds = [], [], [], []
     streams, references = [], []
     for idx in indices:
         start = time.perf_counter()
@@ -336,12 +362,17 @@ def _run_block(args) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
         pairs = make_pairs(adc, x_cal, path, _seed_for(config, idx, _ROLE_CAL_NOISE))
         if sgd:
             if checkpoints:
-                references.append(blhec_wiener(pairs[:config.n_cal], layout,
-                                               config.alpha_d).theta_nl)
+                ref = blhec_wiener(pairs[:config.n_cal], layout, config.alpha_d)
+                references.append(ref.theta_nl)
+                converged.append(ref.converged)
+            else:
+                converged.append(None)
             streams.append(SgdStream.from_pairs(pairs, layout))
             points.append([])
         else:
-            points.append([(config.n_cal, *_wiener(config, pairs, layout))])
+            theta_nl, theta_alpha, ok = _wiener(config, pairs, layout)
+            points.append([(config.n_cal, theta_nl, theta_alpha)])
+            converged.append(ok)
         del pairs       # only the compact stream waits for the kernel
         built.append((idx, adc, path, layout))
         seconds.append(time.perf_counter() - start)
@@ -363,21 +394,23 @@ def _run_block(args) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
                 points[m] = [(config.n_sgd, state.theta_nl, state.theta_alpha)]
             seconds[m] += share
 
+    digest = config.digest()
     rows: list[ResultRow] = []
     norms: list[tuple[int, int, float]] = []
     for m, (idx, adc, path, layout) in enumerate(built):
         start = time.perf_counter()
-        metrics = [(k, alpha, *_evaluate(config, adc, layout, theta, idx))
-                   for k, theta, alpha in points[m]]
+        pre, posts = _evaluate(config, adc, layout, idx, [theta for _, theta, _ in points[m]])
         wall = seconds[m] + time.perf_counter() - start
-        for k, alpha, pre, post in metrics:
+        fingerprint = _seed_fingerprint(config, idx)
+        for (k, _, alpha), post in zip(points[m], posts):
             rows.append(ResultRow(
-                adc_id=idx, seed=_seed_fingerprint(config, idx), config_digest=config.digest(),
+                adc_id=idx, seed=fingerprint, config_digest=digest,
                 algorithm=config.algorithm, pre_sndr_db=pre.sndr_db, pre_sfdr_db=pre.sfdr_db,
                 post_sndr_db=post.sndr_db, post_sfdr_db=post.sfdr_db, theta_alpha=alpha,
                 delta_true=path.delta, samples=k, wall_clock_s=wall,
                 sweep_kind="convergence" if checkpoints else "",
                 sweep_value=float(k) if checkpoints else None,
+                blhec_converged=converged[m],
             ))
         if checkpoints:
             norms += [(idx, k, float(np.linalg.norm(theta - references[m])))

@@ -159,35 +159,77 @@ def dense_solve_spd(r, b, cond_limit=1e12):
 
 
 def dense_blhec(stats, max_iterations=50, tolerance=1e-7):
-    """Oracle: the alternating BL-HEC solve re-evaluated from the dense
+    """Oracle: the safeguarded BL-HEC solve re-evaluated from the dense
     buffers at every iteration.
 
-    Same map, stop rule and singular-matrix fallback as `blhec_wiener`;
-    returns (theta_nl, theta_alpha, mse trace, iterations, converged).
+    Same map, extrapolation schedule, acceptance rule, stop rule and
+    singular-matrix fallback as `blhec_wiener`; returns (theta_nl,
+    theta_alpha, accepted mse trace, solves, converged).
     """
     from pipecal.calibration import SingularStatisticsError
+
+    def solve(theta_alpha):
+        return -dense_solve_spd(dense_r_hh(stats, theta_alpha), dense_r_hy(stats, theta_alpha))
 
     theta_nl = np.zeros(stats.dim)
     theta_alpha = 0.0
     mse = []
     converged = False
+    plain = []          # plain iterates since the last accepted extrapolation
+    pending = 0         # plain iterations since the last extrapolation attempt
     m = 0
-    for m in range(1, max_iterations + 1):
+    while m < max_iterations:
+        m += 1
         prev_alpha = theta_alpha
+        if pending >= 2 and len(plain) >= 3:
+            pending = 0
+            a0, a1, a2 = plain[-3:]
+            if a2 - 2.0 * a1 + a0 != 0.0:
+                candidate = a2 - (a2 - a1) ** 2 / (a2 - 2.0 * a1 + a0)
+                try:
+                    nl = solve(candidate)
+                except SingularStatisticsError:
+                    continue
+                cost = dense_mse(stats, candidate, nl)
+                if cost <= mse[-1]:
+                    theta_alpha, theta_nl = candidate, nl
+                    mse.append(cost)
+                    plain = [candidate]
+                    if abs(theta_alpha - prev_alpha) < tolerance:
+                        converged = True
+                        break
+                continue
         theta_alpha = dense_r_yya(stats, theta_nl) / dense_r_yy(stats, theta_nl) - stats.alpha_d
         try:
-            theta_nl = -dense_solve_spd(dense_r_hh(stats, theta_alpha),
-                                        dense_r_hy(stats, theta_alpha))
+            theta_nl = solve(theta_alpha)
         except SingularStatisticsError:
             if m == 1:
                 raise
             theta_alpha = prev_alpha
             break
         mse.append(dense_mse(stats, theta_alpha, theta_nl))
+        plain.append(theta_alpha)
+        pending += 1
         if m > 1 and abs(theta_alpha - prev_alpha) < tolerance:
             converged = True
             break
     return theta_nl, theta_alpha, mse, m, converged
+
+
+def plain_blhec(stats, tolerance=1e-12, max_iterations=100000):
+    """Oracle: the paper's plain theta_alpha / theta_nl alternation, without
+    extrapolation, run until theta_alpha moves less than `tolerance`, with
+    LU solves of the Gram-matrix statistics. Returns (theta_nl, theta_alpha,
+    iterations); raises AssertionError if the cap is reached."""
+    theta_nl = np.zeros(stats.dim)
+    theta_alpha = 0.0
+    for m in range(1, max_iterations + 1):
+        prev_alpha = theta_alpha
+        theta_alpha = stats.r_yya(theta_nl) / stats.r_yy(theta_nl) - stats.alpha_d
+        theta_nl = -np.linalg.solve(stats.r_hh(theta_alpha), stats.r_hy(theta_alpha))
+        if m > 1 and abs(theta_alpha - prev_alpha) < tolerance:
+            return theta_nl, theta_alpha, m
+    raise AssertionError(f"plain alternation did not reach {tolerance} in {max_iterations} iterations")
 
 
 def sgd_loop(pairs, layout, alpha_d, schedule=None, guard=1.0, reference=None,

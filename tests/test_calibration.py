@@ -13,6 +13,7 @@ from helpers import (
     dense_ramp,
     ls_fit,
     naive_selection_dense,
+    plain_blhec,
     sgd_loop,
     toy_adc,
 )
@@ -191,6 +192,42 @@ class TestBlhecWiener:
         res = blhec_wiener(stats, max_iterations=100)
         assert abs(res.theta_alpha - 0.1) <= 2e-3
 
+    def test_default_members_converge_to_plain_alternation(self):
+        # the extrapolated solve lands where the paper's plain alternation,
+        # run to 1e-12, ends up, on every member of a default population
+        from pipecal.harness import _ROLE_CAL_NOISE, _build_member, _seed_for, default_config
+
+        cfg = default_config(11)
+        x = gen_tones(cfg.run_tones(cfg.cal_amplitude), cfg.n_cal)
+        for idx in range(cfg.population):
+            adc, path, layout = _build_member(cfg, idx)
+            pairs = make_pairs(adc, x, path, _seed_for(cfg, idx, _ROLE_CAL_NOISE))
+            stats = accumulate_statistics(pairs, layout, cfg.alpha_d)
+            res = blhec_wiener(stats)
+            _, theta_alpha, _ = plain_blhec(stats)
+            assert res.converged and res.diagnostic is None, idx
+            assert res.iterations <= 8, idx
+            assert abs(res.theta_alpha - theta_alpha) <= 2e-6, idx
+
+    def test_rejected_extrapolation_keeps_mse_non_increasing(self):
+        # a strongly mismatched scaling path (alpha_a = 0.09 against
+        # alpha_d = 0.14) makes the theta_alpha map non-linear enough that
+        # Aitken's step overshoots; the safeguard rejects those candidates
+        adc = toy_adc(zetas=(0.006, 0.012),
+                      dac_errors=((-0.005, -0.002, 0.0089), (0.003, 0.0017, -0.0087)),
+                      flash_bits=3)
+        layout = CorrectionLayout.from_adc(adc, 2)
+        x = np.random.default_rng(31).uniform(-0.99, 0.99, 3000)
+        pairs = make_pairs(adc, x, PathConfig(alpha_a=0.09, alpha_d=0.14, snr_db=60.0), 31)
+        res = blhec_wiener(pairs, layout, 0.14)
+        assert res.diagnostic is None
+        assert res.iterations > len(res.mse)            # some solves were rejected
+        assert len(res.mse) == len(res.mse_stderr) == len(res.alpha_trace)
+        assert res.alpha_trace[-1] == res.theta_alpha
+        for m in range(1, len(res.mse)):
+            # a plain step at convergence may move the MSE by rounding only
+            assert res.mse[m] <= res.mse[m - 1] * (1.0 + 1e-12)
+
     def test_mse_trajectory_monotone_within_noise(self):
         adc = toy_with_mismatch(flash_bits=3)
         layout = CorrectionLayout.from_adc(adc, 2)
@@ -219,15 +256,18 @@ class TestGramStatistics:
 
     def test_blhec_matches_dense_oracle(self, member_stats):
         outcomes = set()
-        for stats in member_stats:
-            res = blhec_wiener(stats)
-            theta_nl, theta_alpha, mse, iterations, converged = dense_blhec(stats)
-            assert res.iterations == iterations
-            assert res.converged == converged
-            assert np.max(np.abs(res.theta_nl - theta_nl)) <= 1e-8 * np.max(np.abs(theta_nl))
-            assert abs(res.theta_alpha - theta_alpha) <= 1e-12
-            assert np.allclose(res.mse, mse, rtol=1e-9, atol=0.0)
-            outcomes.add(converged)
+        # every default member converges within 8 solves; a cap of 4 stops
+        # each one right after its first extrapolated candidate
+        for cap in (50, 4):
+            for stats in member_stats:
+                res = blhec_wiener(stats, max_iterations=cap)
+                theta_nl, theta_alpha, mse, iterations, converged = dense_blhec(stats, cap)
+                assert res.iterations == iterations
+                assert res.converged == converged
+                assert np.max(np.abs(res.theta_nl - theta_nl)) <= 1e-8 * np.max(np.abs(theta_nl))
+                assert abs(res.theta_alpha - theta_alpha) <= 1e-12
+                assert np.allclose(res.mse, mse, rtol=1e-9, atol=0.0)
+                outcomes.add(converged)
         # both stop rules are exercised: the tolerance and the iteration cap
         assert outcomes == {True, False}
 

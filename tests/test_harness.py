@@ -53,6 +53,8 @@ class TestConfig:
         dict(algorithm="blhec-sgd", n_sgd=0), dict(n_sgd=-1),
         dict(tones=((0.677, 1.0, 0.0), (0.9, 1.0, 0.0))), dict(stage_levels=3),
         dict(stage_gain=4.5), dict(stage_levels=1),
+        dict(delta_mode="fixed", delta_value=0.5), dict(delta_mode="fixed", delta_value=-0.8),
+        dict(delta_std=-0.01), dict(gain_error_reference=0.0),
     ])
     def test_validation(self, overrides):
         with pytest.raises(ConfigError):
@@ -181,6 +183,38 @@ class TestSweeps:
         paths = emit_sweep_outputs(sweep, tmp_path)
         assert any(p.name == "error_norms.csv" for p in paths)
 
+    def test_convergence_sweep_converts_evaluation_signal_once(self, monkeypatch):
+        # every checkpoint of a member is evaluated on one conversion
+        from pipecal import harness
+
+        calls = []
+
+        def counting(adc, x):
+            calls.append(len(x))
+            return convert_many(adc, x)
+
+        monkeypatch.setattr(harness, "convert_many", counting)
+        cfg = default_config(7, algorithm="blhec-sgd", population=2,
+                             n_cal=1200, n_fft=4096, eval_samples=4096)
+        run_sweep("convergence", cfg, [1500, 3000, 6000])
+        assert calls == [4096, 4096]
+
+    def test_rows_carry_blhec_convergence(self):
+        cfg = default_config(7, **SMALL)
+        assert [r.blhec_converged for r in run_experiment(cfg)] == [True] * 4
+        hec = run_experiment(default_config(7, algorithm="hec-wiener", **SMALL))
+        assert [r.blhec_converged for r in hec] == [None] * 4
+        sweep = run_sweep("convergence", default_config(7, algorithm="blhec-sgd", population=2,
+                                                        n_cal=1200, n_fft=4096,
+                                                        eval_samples=4096), [1500, 3000])
+        assert all(r.blhec_converged for rows in sweep.rows.values() for r in rows)
+
+    def test_drawn_scaling_factor_outside_range_is_a_config_error(self):
+        # with a huge delta_std, member 0's draw leaves (0, 1)
+        cfg = default_config(7, delta_std=5.0, **SMALL)
+        with pytest.raises(ConfigError, match="adc 0"):
+            run_experiment(cfg)
+
     def test_convergence_requires_sgd(self):
         cfg = default_config(7, algorithm="blhec-wiener", **SMALL)
         with pytest.raises(ConfigError):
@@ -302,6 +336,8 @@ class TestCli:
         ({"tones": [[0.5, 1.0]]}, []),
         ({"tones": [[0.5, 1, 0, 3]]}, []),
         ({"tones": [0.5]}, []),
+        # alpha_d + delta above 1 puts the analog scaling factor out of range
+        ({}, ["--delta", "0.5"]),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, fields, flags):
         cfg = tmp_path / "cfg.json"
@@ -326,6 +362,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("warning:") == 1
         assert "lowered SNDR on 1 of 1 rows; worst: adc 0, 42.81 dB -> -17.05 dB" in err
+
+    @pytest.mark.parametrize("command", [
+        ["calibrate"],
+        ["sweep", "--kind", "delta", "--grid", "0,2e-3"],
+        ["convergence", "--algorithm", "blhec-sgd", "--checkpoints", "1500,3000"],
+    ], ids=["calibrate", "sweep", "convergence"])
+    def test_unconverged_blhec_warns(self, tmp_path, capsys, monkeypatch, command):
+        # a cap of 2 solves stops every BL-HEC solve before it can converge;
+        # a convergence sweep counts each member's one reference solve once
+        import functools
+
+        from pipecal import harness
+
+        monkeypatch.setattr(harness, "blhec_wiener",
+                            functools.partial(blhec_wiener, max_iterations=2))
+        code = main([*command, "--seed", "7", "--out", str(tmp_path),
+                     "--config", self._cfg(tmp_path)])
+        assert code == 0
+        solves = 4 if command[0] == "sweep" else 2
+        assert (f"warning: {solves} of {solves} BL-HEC solves stopped without converging"
+                in capsys.readouterr().err)
 
     def test_improving_calibration_does_not_warn(self, tmp_path, capsys):
         assert main(["calibrate", "--seed", "7", "--out", str(tmp_path),
