@@ -123,8 +123,9 @@ class MismatchConfig:
     gain_error_reference: float | None = 1.0
 
     def __post_init__(self) -> None:
-        if self.gain_bound_lsb < 0 or self.dac_bound_lsb < 0:
-            raise AdcModelError("mismatch bounds must be non-negative")
+        # negated comparisons so that NaN bounds fail the check too
+        if not self.gain_bound_lsb >= 0 or not self.dac_bound_lsb >= 0:
+            raise AdcModelError("mismatch bounds must be non-negative numbers")
         if self.gain_error_reference is not None and not self.gain_error_reference > 0:
             raise AdcModelError("gain error reference must be positive")
 

@@ -33,7 +33,6 @@ __all__ = [
     "CalibrationState",
     "StepSchedule",
     "BlhecResult",
-    "SgdTrajectory",
     "SgdStream",
     "MultiplicationCount",
     "accumulate_statistics",
@@ -155,27 +154,23 @@ def _augment(theta_nl: np.ndarray) -> np.ndarray:
     return np.concatenate(([1.0], theta_nl))
 
 
-def accumulate_statistics(pairs: PairBatch, layout: CorrectionLayout, alpha_d: float,
-                          n: int | None = None) -> PairStatistics:
-    """Stack the first n pairs into C and form its Gram matrix.
+def accumulate_statistics(pairs: PairBatch, layout: CorrectionLayout,
+                          alpha_d: float) -> PairStatistics:
+    """Stack the pairs into C and form its Gram matrix.
 
     Raises RankDeficiencyError when the input failed to exercise every
     regressor direction (e.g. a constant input selecting one code forever).
     """
-    if n is None:
-        n = len(pairs)
-    if n > len(pairs):
-        raise ValueError(f"requested {n} pairs but only {len(pairs)} available")
+    n = len(pairs)
     if n < layout.dim:
         raise ValueError(f"need at least D={layout.dim} pairs, got {n}")
-    batch = pairs[:n]
 
     k = layout.dim + 1
     columns = np.empty((n, 2 * k), order="F")
-    columns[:, 0] = batch.scaled.y
-    columns[:, 1:k] = selection_vectors(batch.scaled, layout).dense()
-    columns[:, k] = batch.unscaled.y
-    columns[:, k + 1:] = selection_vectors(batch.unscaled, layout).dense()
+    columns[:, 0] = pairs.scaled.y
+    columns[:, 1:k] = selection_vectors(pairs.scaled, layout).dense()
+    columns[:, k] = pairs.unscaled.y
+    columns[:, k + 1:] = selection_vectors(pairs.unscaled, layout).dense()
     stats = PairStatistics(columns=columns, alpha_d=alpha_d, layout=layout)
 
     # numerical rank with matrix_rank's default tolerance, from the eigenvalues
@@ -235,9 +230,8 @@ def _aitken(a0: float, a1: float, a2: float) -> float | None:
     return step if math.isfinite(step) else None
 
 
-def blhec_wiener(pairs: PairBatch | PairStatistics, layout: CorrectionLayout | None = None,
-                 alpha_d: float | None = None, max_iterations: int = 50,
-                 tolerance: float = 1e-7, n: int | None = None) -> BlhecResult:
+def blhec_wiener(stats: PairStatistics, max_iterations: int = 50,
+                 tolerance: float = 1e-7) -> BlhecResult:
     """Alternating Wiener solution of the bi-linear homogeneity cost,
     accelerated by a safeguarded Steffensen step on theta_alpha.
 
@@ -264,13 +258,6 @@ def blhec_wiener(pairs: PairBatch | PairStatistics, layout: CorrectionLayout | N
     each MSE and its standard error, a fourth moment the Gram matrices do not
     hold.
     """
-    if isinstance(pairs, PairStatistics):
-        stats = pairs
-    else:
-        if layout is None or alpha_d is None:
-            raise ValueError("layout and alpha_d are required when passing a pair batch")
-        stats = accumulate_statistics(pairs, layout, alpha_d, n=n)
-
     def solve(theta_alpha: float) -> np.ndarray:
         gram = stats.homogeneity_gram(theta_alpha)
         return -_solve_spd(gram[1:, 1:], gram[1:, 0])
@@ -431,16 +418,6 @@ def sgd_step(state: CalibrationState, pair: PairBatch, layout: CorrectionLayout,
     return new_state, count
 
 
-@dataclass
-class SgdTrajectory:
-    """Decimated log of an adaptive run."""
-
-    ks: list[int] = field(default_factory=list)
-    error_norm: list[float] = field(default_factory=list)
-    theta_alpha: list[float] = field(default_factory=list)
-    checkpoints: dict[int, tuple[np.ndarray, float]] = field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class SgdStream:
     """One converter's calibration pairs in the compact form the adaptive
@@ -482,13 +459,15 @@ class SgdStream:
 
 
 _CHUNK = 256     # samples whose gather slots and weights are expanded at once
+GUARD_EVERY = 200   # samples between the adaptive kernel's divergence checks
+
+Snapshots = dict[int, tuple[np.ndarray, float]]    # sample count -> (theta_nl, theta_alpha)
 
 
 def run_sgd_population(streams: Sequence[SgdStream], layout: CorrectionLayout, alpha_d: float,
                        schedule: StepSchedule | None = None, guard: float = 1.0,
-                       checkpoints: Sequence[int] | None = None,
-                       references: Sequence[np.ndarray] | None = None,
-                       log_every: int = 200) -> list[tuple[CalibrationState, SgdTrajectory]]:
+                       checkpoints: Sequence[int] | None = None
+                       ) -> list[tuple[CalibrationState, Snapshots]]:
     """Adapt the correction parameters of M converters in lockstep.
 
     The recursion is sequential in the sample index but independent across
@@ -501,23 +480,20 @@ def run_sgd_population(streams: Sequence[SgdStream], layout: CorrectionLayout, a
     one-converter loop in the same order, so its results are bit-identical
     to a run on its own.
 
-    Streams may differ in length; a member stops at the end of its own. Per
-    member, ||theta_nl - reference||_2 (when references are given) and
-    theta_alpha are logged every `log_every` samples and at the stream's end,
-    the parameters are snapshotted at the requested sample counts, and
-    DivergenceError, naming the member's position in `streams` and the
-    sample, is raised once ||theta_nl||_inf exceeds `guard`.
+    All streams hold the same number N of pairs; streams of unequal length
+    raise ValueError. Each member gets its final state and a snapshot of its
+    (theta_nl, theta_alpha) at each requested sample count up to N. Every
+    GUARD_EVERY samples and at N, DivergenceError, naming the member's
+    position in `streams` and the sample, is raised once ||theta_nl||_inf
+    exceeds `guard`.
     """
     schedule = schedule or StepSchedule()
     m, q, d = len(streams), layout.q, layout.dim
-    if references is not None and len(references) != m:
-        raise ValueError(f"{len(references)} references for {m} streams")
-    if log_every < 1:
-        raise ValueError("log_every must be positive")
     if m == 0:
         return []
-    lengths = np.array([len(s) for s in streams], dtype=np.int64)
-    total = int(lengths.max(initial=0))
+    total = len(streams[0])
+    if any(len(s) != total for s in streams):
+        raise ValueError(f"streams differ in length: {sorted({len(s) for s in streams})}")
     one, sink = d, d + 1
 
     # internal slot order: weighted slots first, so their update is one row block
@@ -525,7 +501,6 @@ def run_sgd_population(streams: Sequence[SgdStream], layout: CorrectionLayout, a
     row_of = np.empty(d, dtype=np.int64)     # internal row of each layout slot
     row_of[weighted + [s for s in range(d) if s not in weighted]] = np.arange(d)
     cols = np.tile(np.arange(m), 2)       # member of each gather column
-    ends = np.tile(lengths, 2)
     # static gather slots: the output, the weighted slots, indicators at the sink
     template = np.empty((2 * q + 1, 2 * m), dtype=np.int64)
     template[0] = one * m + cols
@@ -545,20 +520,14 @@ def run_sgd_population(streams: Sequence[SgdStream], layout: CorrectionLayout, a
 
         Column j < M is member j's unscaled conversion, M + j its scaled one;
         row 0 is the output, rows 1+2i and 2+2i stage i's weighted and
-        indicator terms. Past a stream's end the weights are zero and the
-        codes 1 (which has no indicator slot), so that member stands still.
+        indicator terms.
         """
         n = b - a
         w = np.empty((n, 2 * q + 1, 2 * m))
         codes = np.empty((n, 2 * m, q), dtype=np.int8)
-        short = b > lengths.min()
-        if short:
-            w[:, 0] = 0.0
-            codes.fill(1)
         for j, s in enumerate(streams):
-            seg = max(0, min(b, len(s)) - a)
-            w[:seg, 0, j], w[:seg, 0, m + j] = s.y_x[a:a + seg], s.y_ax[a:a + seg]
-            codes[:seg, j], codes[:seg, m + j] = s.codes_x[a:a + seg], s.codes_ax[a:a + seg]
+            w[:, 0, j], w[:, 0, m + j] = s.y_x[a:b], s.y_ax[a:b]
+            codes[:, j], codes[:, m + j] = s.codes_x[a:b], s.codes_ax[a:b]
         values = [tables[i][cols, codes[:, :, i]] for i in range(q)]
 
         idx = np.empty((n, 2 * q + 1, 2 * m), dtype=np.int64)
@@ -570,8 +539,6 @@ def run_sgd_population(streams: Sequence[SgdStream], layout: CorrectionLayout, a
             w[:, 1 + 2 * i] = acc
             w[:, 2 + 2 * i] = 1.0
             idx[:, 2 + 2 * i] += ind_offsets[i][codes[:, :, i]]
-        if short:
-            w *= (np.arange(a, b)[:, None] < ends)[:, None, :]
         return idx, w
 
     theta = np.zeros((d + 2, m))
@@ -579,47 +546,25 @@ def run_sgd_population(streams: Sequence[SgdStream], layout: CorrectionLayout, a
     flat = theta.reshape(-1)
     weighted_rows = theta[:q]
     ta = np.zeros(m)
-    refs = None if references is None else np.column_stack(
-        [np.asarray(r, dtype=float) for r in references])
-    trajs = [SgdTrajectory() for _ in range(m)]
     checkset = set(checkpoints or [])
-    results: list = [None] * m
-
-    def log(kk: int, members) -> None:
-        norms = None if refs is None else np.sqrt(np.sum((theta[row_of] - refs) ** 2, axis=0))
-        for j in members:
-            trajs[j].ks.append(kk)
-            trajs[j].theta_alpha.append(float(ta[j]))
-            if norms is not None:
-                trajs[j].error_norm.append(float(norms[j]))
+    snapshots: list[Snapshots] = [{} for _ in range(m)]
 
     def event(kk: int) -> None:
-        """Guard check and log, checkpoints and final states after sample kk."""
-        due = [j for j in range(m) if kk <= lengths[j] and (kk % log_every == 0 or kk == lengths[j])]
-        if due and kk:
-            peak = np.max(np.abs(theta[:d]), axis=0)
-            for j in due:
-                # negated comparison so that NaN fails the check too
-                if not peak[j] <= guard or not math.isfinite(ta[j]):
-                    raise DivergenceError(f"member {j}: ||theta_nl||_inf exceeded guard {guard} "
-                                          f"at sample {kk}", member=j, sample=kk)
-        if due:
-            log(kk, due)
+        """Guard check and checkpoint snapshots after sample kk."""
+        if kk and (kk % GUARD_EVERY == 0 or kk == total):
+            # negated comparison so that NaN fails the check too
+            bad = np.flatnonzero(~(np.max(np.abs(theta[:d]), axis=0) <= guard) | ~np.isfinite(ta))
+            if bad.size:
+                j = int(bad[0])
+                raise DivergenceError(f"member {j}: ||theta_nl||_inf exceeded guard {guard} "
+                                      f"at sample {kk}", member=j, sample=kk)
         if kk in checkset:
             params = theta[row_of]
             for j in range(m):
-                if kk <= lengths[j]:
-                    trajs[j].checkpoints[kk] = (params[:, j].copy(), float(ta[j]))
-        for j in np.flatnonzero(lengths == kk):
-            state = CalibrationState(theta_nl=theta[row_of, j], theta_alpha=float(ta[j]),
-                                     mu_nl=schedule.mu_nl(max(kk - 1, 0)),
-                                     mu_alpha=schedule.mu_alpha(max(kk - 1, 0)), k=kk)
-            if not np.all(np.isfinite(state.theta_nl)) or not math.isfinite(state.theta_alpha):
-                raise NumericalError("non-finite adaptive parameters")
-            results[j] = (state, trajs[j])
+                snapshots[j][kk] = (params[:, j].copy(), float(ta[j]))
 
     event(0)
-    event_at = set(range(log_every, total + 1, log_every)) | set(lengths.tolist()) | checkset
+    event_at = set(range(GUARD_EVERY, total + 1, GUARD_EVERY)) | {total} | checkset
     mu_nl, mu_alpha = schedule.mu_nl, schedule.mu_alpha
     # a diverging member overflows before its next guard check, which reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -648,25 +593,27 @@ def run_sgd_population(streams: Sequence[SgdStream], layout: CorrectionLayout, a
                 theta[sink] = 0.0
                 if k + 1 in event_at:
                     event(k + 1)
-    return results
+
+    if not np.all(np.isfinite(theta[:d])) or not np.all(np.isfinite(ta)):
+        raise NumericalError("non-finite adaptive parameters")
+    last = max(total - 1, 0)
+    return [(CalibrationState(theta_nl=theta[row_of, j], theta_alpha=float(ta[j]),
+                              mu_nl=schedule.mu_nl(last), mu_alpha=schedule.mu_alpha(last),
+                              k=total), snapshots[j])
+            for j in range(m)]
 
 
 def run_sgd(pairs: PairBatch, layout: CorrectionLayout, alpha_d: float,
             schedule: StepSchedule | None = None, guard: float = 1.0,
-            reference: np.ndarray | None = None, log_every: int = 200,
-            checkpoints: list[int] | None = None) -> tuple[CalibrationState, SgdTrajectory]:
-    """`run_sgd_population` for one converter.
+            checkpoints: Sequence[int] | None = None) -> tuple[CalibrationState, Snapshots]:
+    """`run_sgd_population` for one converter: its final state and snapshots.
 
-    Consumes the sample pairs in order, logs ||theta_nl - reference||_2 every
-    `log_every` samples when a Wiener reference is supplied, snapshots the
-    parameters at the requested sample counts, and aborts with
-    DivergenceError once ||theta_nl||_inf exceeds `guard`. At one member a
-    numpy step costs several times a plain Python loop's per-sample time;
-    pass many converters to `run_sgd_population` at once instead.
+    At one member a numpy step costs several times a plain Python loop's
+    per-sample time; pass many converters to `run_sgd_population` at once
+    instead.
     """
-    references = None if reference is None else [reference]
     return run_sgd_population([SgdStream.from_pairs(pairs, layout)], layout, alpha_d,
-                              schedule, guard, checkpoints, references, log_every)[0]
+                              schedule, guard, checkpoints)[0]
 
 
 def step_size_bounds(layout: CorrectionLayout, y_max: float,

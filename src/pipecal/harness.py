@@ -42,7 +42,7 @@ from .calibration import (
 )
 from .correction import CorrectionLayout, apply_correction_batch, model_dimension, selection_vectors
 from .signals import NOISE_MODES, PathConfig, ToneSpec, gen_tones, make_pairs, snap_to_odd_bin
-from .spectral import WINDOWS, analyze, spectrum, tone_bin
+from .spectral import WINDOWS, analyze, error_norm, spectrum, tone_bin
 
 __all__ = [
     "ExperimentConfig",
@@ -134,6 +134,11 @@ class ExperimentConfig:
             raise ConfigError("delta_std must be non-negative")
         if self.noise_mode not in NOISE_MODES:
             raise ConfigError(f"unknown noise mode {self.noise_mode!r}")
+        for name in ("snr_db", "eval_snr_db"):
+            value = getattr(self, name)
+            # None and +inf mean noiseless; NaN and -inf mean nothing
+            if value is not None and not value > -math.inf:
+                raise ConfigError(f"{name} must be a number, +inf or None, not {value!r}")
         if not 0.0 < self.alpha_d < 1.0:
             raise ConfigError("alpha_d must be in (0, 1)")
         if self.delta_mode == "fixed" and not 0.0 < self.alpha_d + self.delta_value < 1.0:
@@ -166,8 +171,9 @@ class ExperimentConfig:
         if not residue <= 1.0:
             raise ConfigError(f"stage_gain x largest digitization error = {residue:g} exceeds "
                               "v_ref = 1: the residue would overload the next stage")
-        if self.n_fft & (self.n_fft - 1):
-            raise ConfigError("n_fft must be a power of two")
+        # below 4 bins no odd bin lies strictly between DC and Nyquist
+        if self.n_fft < 4 or self.n_fft & (self.n_fft - 1):
+            raise ConfigError("n_fft must be a power of two and at least 4")
         if self.window not in WINDOWS:
             raise ConfigError(f"unknown window {self.window!r}, expected one of {WINDOWS}")
         dim = model_dimension((self.stage_levels,) * self.q)
@@ -175,6 +181,13 @@ class ExperimentConfig:
             raise ConfigError(f"n_cal={self.n_cal} is below the D={dim} correction parameters")
         if self.n_sgd < 0 or (self.algorithm == "blhec-sgd" and self.n_sgd < 1):
             raise ConfigError("n_sgd must be non-negative, and positive for blhec-sgd")
+        # negated comparisons so that NaN fails the checks too
+        if not self.mu_nl_init > 0.0 or not self.mu_nl_min > 0.0:
+            raise ConfigError("mu_nl_init and mu_nl_min must be positive")
+        if not self.mu_alpha_ratio >= 0.0:
+            raise ConfigError("mu_alpha_ratio must be non-negative")
+        if not self.sgd_guard > 0.0:
+            raise ConfigError("sgd_guard must be positive")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -324,8 +337,10 @@ def _evaluate(config: ExperimentConfig, adc, layout, idx: int, thetas):
 
 
 def _wiener(config: ExperimentConfig, pairs, layout) -> tuple[np.ndarray, float, bool | None]:
-    """theta_nl, theta_alpha and, for BL-HEC, whether the solve converged."""
-    stats = accumulate_statistics(pairs, layout, config.alpha_d, n=config.n_cal)
+    """theta_nl, theta_alpha and, for BL-HEC, whether the solve converged,
+    from the first n_cal pairs. An SGD config gets the BL-HEC solve, the
+    reference of its convergence sweep."""
+    stats = accumulate_statistics(pairs[:config.n_cal], layout, config.alpha_d)
     if config.algorithm == "hec-wiener":
         return hec_wiener(stats), 0.0, None
     res = blhec_wiener(stats)
@@ -362,9 +377,9 @@ def _run_block(args) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
         pairs = make_pairs(adc, x_cal, path, _seed_for(config, idx, _ROLE_CAL_NOISE))
         if sgd:
             if checkpoints:
-                ref = blhec_wiener(pairs[:config.n_cal], layout, config.alpha_d)
-                references.append(ref.theta_nl)
-                converged.append(ref.converged)
+                reference, _, ok = _wiener(config, pairs, layout)
+                references.append(reference)
+                converged.append(ok)
             else:
                 converged.append(None)
             streams.append(SgdStream.from_pairs(pairs, layout))
@@ -382,14 +397,13 @@ def _run_block(args) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
         try:
             outcomes = run_sgd_population(streams, built[0][3], config.alpha_d,
                                           schedule=config.schedule(), guard=config.sgd_guard,
-                                          checkpoints=checkpoints,
-                                          references=references if checkpoints else None)
+                                          checkpoints=checkpoints)
         except DivergenceError as exc:
             raise DivergenceError(f"adc {built[exc.member][0]}: {exc}") from exc
         share = (time.perf_counter() - start) / len(streams)
-        for m, (state, traj) in enumerate(outcomes):
+        for m, (state, snapshots) in enumerate(outcomes):
             if checkpoints:
-                points[m] = [(k, *traj.checkpoints[k]) for k in checkpoints]
+                points[m] = [(k, *snapshots[k]) for k in checkpoints]
             else:
                 points[m] = [(config.n_sgd, state.theta_nl, state.theta_alpha)]
             seconds[m] += share
@@ -413,8 +427,7 @@ def _run_block(args) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
                 blhec_converged=converged[m],
             ))
         if checkpoints:
-            norms += [(idx, k, float(np.linalg.norm(theta - references[m])))
-                      for k, theta, _ in points[m]]
+            norms += [(idx, k, error_norm(theta, references[m])) for k, theta, _ in points[m]]
     return rows, norms
 
 

@@ -64,10 +64,6 @@ class SpectrumEstimate:
     coherent_gain: float
 
     @property
-    def bin_resolution(self) -> float:
-        return 2.0 * math.pi / self.n_fft
-
-    @property
     def exclusion_halfwidth(self) -> int:
         return _EXCLUSION.get(self.window, 4)
 

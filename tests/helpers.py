@@ -232,22 +232,21 @@ def plain_blhec(stats, tolerance=1e-12, max_iterations=100000):
     raise AssertionError(f"plain alternation did not reach {tolerance} in {max_iterations} iterations")
 
 
-def sgd_loop(pairs, layout, alpha_d, schedule=None, guard=1.0, reference=None,
-             log_every=200, checkpoints=None):
+def sgd_loop(pairs, layout, alpha_d, schedule=None, guard=1.0, checkpoints=None):
     """Oracle: the adaptive run as a plain per-sample Python loop over one stream.
 
     Same update order as `run_sgd_population` (corrected outputs stage by
     stage, theta_alpha first, then the weighted slots and the scaled-path
-    indicator before the unscaled one); returns (CalibrationState,
-    SgdTrajectory).
+    indicator before the unscaled one) and the same guard cadence; returns
+    (CalibrationState, {k: (theta_nl, theta_alpha)}).
     """
     import math
 
     from pipecal.calibration import (
+        GUARD_EVERY,
         CalibrationState,
         DivergenceError,
         NumericalError,
-        SgdTrajectory,
         StepSchedule,
     )
 
@@ -267,19 +266,10 @@ def sgd_loop(pairs, layout, alpha_d, schedule=None, guard=1.0, reference=None,
 
     theta = [0.0] * layout.dim
     theta_alpha = 0.0
-    traj = SgdTrajectory()
+    snapshots = {}
     checkset = set(checkpoints or [])
-    ref = reference.tolist() if reference is not None else None
-
-    def log(k):
-        traj.ks.append(k)
-        traj.theta_alpha.append(theta_alpha)
-        if ref is not None:
-            traj.error_norm.append(math.sqrt(sum((a - b) ** 2 for a, b in zip(theta, ref))))
-
-    log(0)
     if 0 in checkset:
-        traj.checkpoints[0] = (np.array(theta), theta_alpha)
+        snapshots[0] = (np.array(theta), theta_alpha)
 
     for k in range(n):
         mu_nl = schedule.mu_nl(k)
@@ -312,17 +302,16 @@ def sgd_loop(pairs, layout, alpha_d, schedule=None, guard=1.0, reference=None,
                 theta[ixk[i]] += gc
 
         kk = k + 1
-        if kk % log_every == 0 or kk == n:
+        if kk % GUARD_EVERY == 0 or kk == n:
             peak = max(abs(t) for t in theta)
             if peak > guard or not math.isfinite(peak) or not math.isfinite(theta_alpha):
                 raise DivergenceError(f"||theta_nl||_inf exceeded guard {guard} at sample {kk}")
-            log(kk)
         if kk in checkset:
-            traj.checkpoints[kk] = (np.array(theta), theta_alpha)
+            snapshots[kk] = (np.array(theta), theta_alpha)
 
     state = CalibrationState(theta_nl=np.array(theta), theta_alpha=theta_alpha,
                              mu_nl=schedule.mu_nl(max(n - 1, 0)),
                              mu_alpha=schedule.mu_alpha(max(n - 1, 0)), k=n)
     if not np.all(np.isfinite(state.theta_nl)) or not math.isfinite(theta_alpha):
         raise NumericalError("non-finite adaptive parameters")
-    return state, traj
+    return state, snapshots

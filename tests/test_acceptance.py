@@ -120,7 +120,7 @@ def test_criterion_5_theta_alpha_recovery():
     worst = 0.0
     for delta in (1e-3, -1e-3, 1e-2, -1e-2):
         path = PathConfig(alpha_a=ALPHA + delta, alpha_d=ALPHA, snr_db=None)
-        res = blhec_wiener(make_pairs(adc, x, path, 0), layout, ALPHA)
+        res = blhec_wiener(accumulate_statistics(make_pairs(adc, x, path, 0), layout, ALPHA))
         worst = max(worst, abs(res.theta_alpha - delta))
     ok = report("5", worst <= 1e-4, f"max |theta_alpha - delta| = {worst:.2e} (<=1e-4)")
     assert ok
@@ -149,7 +149,7 @@ def test_criterion_7_monotone_alternation():
         adc, path, layout = _build_member(cfg, idx)
         x = gen_tones(cfg.run_tones(cfg.cal_amplitude), cfg.n_cal)
         pairs = make_pairs(adc, x, path, np.random.SeedSequence(cfg.master_seed, spawn_key=(idx, 2)))
-        res = blhec_wiener(pairs, layout, cfg.alpha_d)
+        res = blhec_wiener(accumulate_statistics(pairs, layout, cfg.alpha_d))
         runs += 1
         for m in range(1, len(res.mse)):
             if res.mse[m] > res.mse[m - 1] + 3.0 * res.mse_stderr[m - 1]:

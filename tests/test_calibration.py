@@ -66,7 +66,7 @@ class TestAccumulateStatistics:
         layout = CorrectionLayout.from_adc(mismatched_adc, 3)
         x = gen_tones([ToneSpec(0.677, 0.995)], 2000)
         pairs = make_pairs(mismatched_adc, x, PathConfig(ALPHA, ALPHA, None), 0)
-        stats = accumulate_statistics(pairs, layout, ALPHA, n=2000)
+        stats = accumulate_statistics(pairs, layout, ALPHA)
         assert stats.n == 2000
         assert np.linalg.matrix_rank(stats.r_hh(0.0)) == layout.dim
 
@@ -95,7 +95,7 @@ class TestAccumulateStatistics:
         layout = CorrectionLayout.from_adc(adc, 2)
         pairs, _ = toy_pairs(adc, n=21)
         with pytest.raises(ValueError):
-            accumulate_statistics(pairs, layout, ALPHA, n=3)
+            accumulate_statistics(pairs[:3], layout, ALPHA)
 
 
 class TestHecWiener:
@@ -141,7 +141,7 @@ class TestBlhecWiener:
         adc = toy_adc(zetas=(0.0, 0.0), flash_bits=None)
         layout = CorrectionLayout.from_adc(adc, 2)
         pairs, _ = toy_pairs(adc)
-        res = blhec_wiener(pairs, layout, ALPHA)
+        res = blhec_wiener(accumulate_statistics(pairs, layout, ALPHA))
         assert abs(res.theta_alpha) < 1e-9
         assert np.max(np.abs(res.theta_nl)) < 1e-9
 
@@ -150,7 +150,7 @@ class TestBlhecWiener:
         adc = toy_with_mismatch(flash_bits=None)
         layout = CorrectionLayout.from_adc(adc, 2)
         pairs, _ = toy_pairs(adc, delta=delta)
-        res = blhec_wiener(pairs, layout, ALPHA)
+        res = blhec_wiener(accumulate_statistics(pairs, layout, ALPHA))
         assert abs(res.theta_alpha - delta) <= 1e-4
 
     def test_grid_search_oracle_for_theta_alpha(self):
@@ -219,7 +219,7 @@ class TestBlhecWiener:
         layout = CorrectionLayout.from_adc(adc, 2)
         x = np.random.default_rng(31).uniform(-0.99, 0.99, 3000)
         pairs = make_pairs(adc, x, PathConfig(alpha_a=0.09, alpha_d=0.14, snr_db=60.0), 31)
-        res = blhec_wiener(pairs, layout, 0.14)
+        res = blhec_wiener(accumulate_statistics(pairs, layout, 0.14))
         assert res.diagnostic is None
         assert res.iterations > len(res.mse)            # some solves were rejected
         assert len(res.mse) == len(res.mse_stderr) == len(res.alpha_trace)
@@ -232,7 +232,7 @@ class TestBlhecWiener:
         adc = toy_with_mismatch(flash_bits=3)
         layout = CorrectionLayout.from_adc(adc, 2)
         pairs, _ = toy_pairs(adc, delta=3e-3, snr_db=70.0, seed=5)
-        res = blhec_wiener(pairs, layout, ALPHA)
+        res = blhec_wiener(accumulate_statistics(pairs, layout, ALPHA))
         for m in range(1, len(res.mse)):
             assert res.mse[m] <= res.mse[m - 1] + 3.0 * res.mse_stderr[m - 1]
 
@@ -251,7 +251,7 @@ class TestGramStatistics:
             adc, path, layout = _build_member(cfg, idx)
             x = gen_tones(cfg.run_tones(cfg.cal_amplitude), cfg.n_cal)
             pairs = make_pairs(adc, x, path, _seed_for(cfg, idx, _ROLE_CAL_NOISE))
-            out.append(accumulate_statistics(pairs, layout, cfg.alpha_d, n=cfg.n_cal))
+            out.append(accumulate_statistics(pairs[:cfg.n_cal], layout, cfg.alpha_d))
         return out
 
     def test_blhec_matches_dense_oracle(self, member_stats):
@@ -465,8 +465,9 @@ class TestRunSgd:
         adc = toy_with_mismatch(flash_bits=None)
         layout = CorrectionLayout.from_adc(adc, 2)
         pairs, _ = toy_pairs(adc, n=30)
-        state, traj = run_sgd(pairs[:0], layout, ALPHA)
+        state, snapshots = run_sgd(pairs[:0], layout, ALPHA, checkpoints=[0])
         assert state.k == 0
+        assert set(snapshots) == {0}
         assert state.theta_alpha == 0.0
         assert np.all(state.theta_nl == 0.0)
 
@@ -493,11 +494,12 @@ class TestRunSgd:
         x = gen_tones([ToneSpec(0.677, 0.9)], 20000)
         path = PathConfig(ALPHA + 1e-3, ALPHA, None)
         pairs = make_pairs(adc, x, path, 0)
-        ref = blhec_wiener(pairs[:2000], layout, ALPHA)
+        ref = blhec_wiener(accumulate_statistics(pairs[:2000], layout, ALPHA))
         schedule = StepSchedule(mu_nl_init=2.0 ** -2, halve_every=0)
-        state, traj = run_sgd(pairs, layout, ALPHA, schedule=schedule,
-                              reference=ref.theta_nl, log_every=500)
-        assert traj.error_norm[-1] < 0.1 * traj.error_norm[0]
+        state, snapshots = run_sgd(pairs, layout, ALPHA, schedule=schedule,
+                                   checkpoints=[0, len(pairs)])
+        first, last = (np.linalg.norm(snapshots[k][0] - ref.theta_nl) for k in (0, len(pairs)))
+        assert last < 0.1 * first
         assert abs(state.theta_alpha - ref.theta_alpha) < 1e-4
 
     def test_error_norm_shrinks_averaged_over_runs(self):
@@ -513,12 +515,13 @@ class TestRunSgd:
             layout = CorrectionLayout.from_adc(adc, 2)
             x = gen_tones([ToneSpec(0.677, 0.9, float(rng.uniform(0, 3)))], 8000)
             pairs = make_pairs(adc, x, PathConfig(ALPHA + 1e-3, ALPHA, None), seed)
-            refs.append(blhec_wiener(pairs[:2000], layout, ALPHA).theta_nl)
+            refs.append(blhec_wiener(accumulate_statistics(pairs[:2000], layout, ALPHA)).theta_nl)
             streams.append(SgdStream.from_pairs(pairs, layout))
         schedule = StepSchedule(mu_nl_init=2.0 ** -2, halve_every=0)
         results = run_sgd_population(streams, layout, ALPHA, schedule=schedule,
-                                     references=refs, log_every=8000)
-        ratios = [traj.error_norm[-1] / traj.error_norm[0] for _, traj in results]
+                                     checkpoints=[0, 8000])
+        ratios = [np.linalg.norm(snapshots[8000][0] - ref) / np.linalg.norm(snapshots[0][0] - ref)
+                  for ref, (_, snapshots) in zip(refs, results)]
         assert float(np.mean(ratios)) < 0.1
 
     def test_divergence_guard(self):
@@ -527,16 +530,16 @@ class TestRunSgd:
         pairs, _ = toy_pairs(adc, n=2000)
         schedule = StepSchedule(mu_nl_init=64.0, halve_every=0, mu_nl_min=64.0)
         with pytest.raises(DivergenceError):
-            run_sgd(pairs, layout, ALPHA, schedule=schedule, log_every=50)
+            run_sgd(pairs, layout, ALPHA, schedule=schedule)
 
     def test_checkpoints_capture_snapshots(self):
         adc = toy_with_mismatch(flash_bits=3)
         layout = CorrectionLayout.from_adc(adc, 2)
         pairs, _ = toy_pairs(adc, n=300)
-        state, traj = run_sgd(pairs, layout, ALPHA, checkpoints=[100, 300])
-        assert set(traj.checkpoints) == {100, 300}
-        theta_100, _ = traj.checkpoints[100]
-        theta_300, alpha_300 = traj.checkpoints[300]
+        state, snapshots = run_sgd(pairs, layout, ALPHA, checkpoints=[100, 300])
+        assert set(snapshots) == {100, 300}
+        theta_100, _ = snapshots[100]
+        theta_300, alpha_300 = snapshots[300]
         assert np.array_equal(theta_300, state.theta_nl)
         assert alpha_300 == state.theta_alpha
         assert not np.array_equal(theta_100, theta_300)
@@ -560,32 +563,34 @@ def scaled_outputs(pairs, factor):
 
 
 class TestSgdPopulation:
-    @pytest.mark.parametrize("lengths", [(1500,), (1500, 0, 900)])
+    @pytest.mark.parametrize("lengths", [(1500,), (1500, 1500, 1500)])
     def test_matches_per_sample_loop_exactly(self, lengths):
+        # a checkpoint past the streams' end is never reached
         checkpoints = [0, 100, 900, 1500, 2000]
-        batches, refs, layout, cfg = [], [], None, None
+        batches, layout, cfg = [], None, None
         for idx, n in enumerate(lengths):
-            pairs, layout, cfg = default_member_pairs(idx, 1500)
-            refs.append(blhec_wiener(pairs[:1000], layout, cfg.alpha_d).theta_nl)
-            batches.append(pairs[:n])
+            pairs, layout, cfg = default_member_pairs(idx, n)
+            batches.append(pairs)
         results = run_sgd_population([SgdStream.from_pairs(p, layout) for p in batches],
                                      layout, cfg.alpha_d, schedule=cfg.schedule(),
-                                     checkpoints=checkpoints, references=refs, log_every=200)
+                                     checkpoints=checkpoints)
         assert len(results) == len(lengths)
-        for pairs, ref, (state, traj) in zip(batches, refs, results):
-            want, want_traj = sgd_loop(pairs, layout, cfg.alpha_d, cfg.schedule(), reference=ref,
-                                       log_every=200, checkpoints=checkpoints)
+        for pairs, (state, snapshots) in zip(batches, results):
+            want, want_snapshots = sgd_loop(pairs, layout, cfg.alpha_d, cfg.schedule(),
+                                            checkpoints=checkpoints)
             assert np.array_equal(state.theta_nl, want.theta_nl)
             assert state.theta_alpha == want.theta_alpha
             assert (state.k, state.mu_nl, state.mu_alpha) == (want.k, want.mu_nl, want.mu_alpha)
-            assert traj.ks == want_traj.ks
-            assert traj.theta_alpha == want_traj.theta_alpha
-            assert np.allclose(traj.error_norm, want_traj.error_norm, rtol=1e-12, atol=0.0)
-            assert traj.checkpoints.keys() == want_traj.checkpoints.keys()
-            for k, (theta_k, alpha_k) in want_traj.checkpoints.items():
-                assert np.array_equal(traj.checkpoints[k][0], theta_k)
-                assert traj.checkpoints[k][1] == alpha_k
-        assert 0 in results[0][1].checkpoints
+            assert snapshots.keys() == want_snapshots.keys() == {0, 100, 900, 1500}
+            for k, (theta_k, alpha_k) in want_snapshots.items():
+                assert np.array_equal(snapshots[k][0], theta_k)
+                assert snapshots[k][1] == alpha_k
+
+    def test_rejects_streams_of_unequal_length(self):
+        pairs, layout, cfg = default_member_pairs(0, 300)
+        streams = [SgdStream.from_pairs(pairs, layout), SgdStream.from_pairs(pairs[:200], layout)]
+        with pytest.raises(ValueError, match="differ in length"):
+            run_sgd_population(streams, layout, cfg.alpha_d)
 
     def test_divergence_names_member_and_sample(self):
         batches, layout, cfg = [], None, None
@@ -593,11 +598,11 @@ class TestSgdPopulation:
             pairs, layout, cfg = default_member_pairs(idx, 2000)
             batches.append(scaled_outputs(pairs, 40.0) if idx == 1 else pairs)
         with pytest.raises(DivergenceError) as want:
-            sgd_loop(batches[1], layout, cfg.alpha_d, cfg.schedule(), log_every=50)
+            sgd_loop(batches[1], layout, cfg.alpha_d, cfg.schedule())
         sample = int(str(want.value).rsplit(" ", 1)[1])
         streams = [SgdStream.from_pairs(p, layout) for p in batches]
         with pytest.raises(DivergenceError) as got:
-            run_sgd_population(streams, layout, cfg.alpha_d, schedule=cfg.schedule(), log_every=50)
+            run_sgd_population(streams, layout, cfg.alpha_d, schedule=cfg.schedule())
         assert got.value.member == 1 and got.value.sample == sample
         assert "member 1" in str(got.value) and f"sample {sample}" in str(got.value)
 

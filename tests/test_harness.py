@@ -7,7 +7,7 @@ import pytest
 
 from helpers import toy_adc
 
-from pipecal.calibration import blhec_wiener
+from pipecal.calibration import accumulate_statistics, blhec_wiener
 from pipecal.cli import main
 from pipecal.correction import CorrectionLayout, apply_correction_batch, selection_vectors
 from pipecal.adc import convert_many
@@ -55,6 +55,9 @@ class TestConfig:
         dict(stage_gain=4.5), dict(stage_levels=1),
         dict(delta_mode="fixed", delta_value=0.5), dict(delta_mode="fixed", delta_value=-0.8),
         dict(delta_std=-0.01), dict(gain_error_reference=0.0),
+        dict(n_fft=2), dict(snr_db=math.nan), dict(eval_snr_db=math.nan),
+        dict(gain_bound_lsb=math.nan), dict(dac_bound_lsb=math.nan), dict(mu_nl_init=0.0),
+        dict(mu_nl_min=-2.0 ** -6), dict(mu_alpha_ratio=-1.0), dict(sgd_guard=0.0),
     ])
     def test_validation(self, overrides):
         with pytest.raises(ConfigError):
@@ -258,7 +261,8 @@ class TestImpureGeneratorCalibration:
             sel = selection_vectors(batch, layout)
             pre = analyze(spectrum(batch.y, "rect", 4096), bins).sfdr_db
             for tag, signal in (("clean", clean), ("impure", impure)):
-                res = blhec_wiener(make_pairs(adc, signal, path, 3), layout, cfg.alpha_d)
+                pairs = make_pairs(adc, signal, path, 3)
+                res = blhec_wiener(accumulate_statistics(pairs, layout, cfg.alpha_d))
                 post = analyze(spectrum(apply_correction_batch(batch.y, sel, res.theta_nl),
                                         "rect", 4096), bins).sfdr_db
                 results[tag].append(post)
@@ -338,6 +342,7 @@ class TestCli:
         ({"tones": [0.5]}, []),
         # alpha_d + delta above 1 puts the analog scaling factor out of range
         ({}, ["--delta", "0.5"]),
+        ({}, ["--snr", "nan"]),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, fields, flags):
         cfg = tmp_path / "cfg.json"

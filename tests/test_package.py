@@ -6,9 +6,10 @@ import pipecal
 
 MODULES = ["adc", "calibration", "correction", "harness", "signals", "spectral"]
 
-# per-record scalar API, replaced by one-row slices of the batch types
+# per-record scalar API, replaced by one-row slices of the batch types, and the
+# adaptive kernel's trajectory log, replaced by its checkpoint snapshots
 REMOVED = ["ConversionRecord", "convert", "SamplePair", "SelectionVector", "selection_vector",
-           "apply_correction", "sgd_step_counted"]
+           "apply_correction", "sgd_step_counted", "SgdTrajectory"]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -30,9 +30,9 @@ _FIELDS = {
     "cal_amplitude": st.floats(0.0, 1.2),
     "eval_amplitude": st.floats(0.0, 1.2),
     "coherent_snap": st.booleans(),
-    "snr_db": st.one_of(st.none(), st.floats(-20.0, 120.0)),
+    "snr_db": st.one_of(st.none(), st.floats(-20.0, 120.0), st.just(math.nan)),
     "noise_mode": st.sampled_from(["held", "independent", "bogus"]),
-    "eval_snr_db": st.one_of(st.none(), st.floats(0.0, 120.0)),
+    "eval_snr_db": st.one_of(st.none(), st.floats(0.0, 120.0), st.just(math.nan)),
     "alpha_d": st.floats(-0.2, 1.2),
     "delta_mode": st.sampled_from(["normal", "fixed"]),
     "delta_value": st.floats(-0.5, 0.5),
@@ -45,7 +45,7 @@ _FIELDS = {
     "mu_nl_min": st.floats(2.0 ** -10, 2.0 ** -4),
     "mu_alpha_ratio": st.floats(0.0, 1.0),
     "sgd_guard": st.floats(0.01, 4.0),
-    "n_fft": st.sampled_from([1000, 1024, 2048]),
+    "n_fft": st.sampled_from([0, 1, 2, 1000, 1024, 2048]),
     "window": st.sampled_from(["rect", "blackmanharris", "hamming"]),
     "eval_samples": st.sampled_from([512, 2048, 4096]),
 }
