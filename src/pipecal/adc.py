@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +76,10 @@ class StageSpec:
     def levels(self) -> int:
         return len(self.codes)
 
+    @cached_property
+    def code_table(self) -> np.ndarray:     # code value by 1-based index, zero-padded
+        return np.concatenate(([0.0], self.codes))
+
     def max_digitization_error(self, v_min: float = -1.0, v_max: float = 1.0) -> float:
         """Largest |input - selected code| over [v_min, v_max].
 
@@ -104,6 +109,10 @@ class MismatchSet:
     def __post_init__(self) -> None:
         if len(self.gain_mismatch) != len(self.dac_errors):
             raise AdcModelError("need one gain mismatch and one DAC error vector per stage")
+
+    @cached_property
+    def dac_tables(self) -> tuple[np.ndarray, ...]:     # per stage, as StageSpec.code_table
+        return tuple(np.concatenate(([0.0], e)) for e in self.dac_errors)
 
 
 @dataclass(frozen=True)
@@ -185,7 +194,9 @@ class ConversionBatch:
     Row k holds conversion k: its output, and per stage the 1-based code index
     (matching the comparator bank; the final column is the back-end stage,
     index 0 when the exact sampler is used) and the selected code value.
-    `x_in` is simulation-side truth and never visible to calibrators.
+    `index` and `value` are column-major (order="F"), so each stage's column
+    is one contiguous array. `x_in` is simulation-side truth and never visible
+    to calibrators.
     """
 
     def __init__(self, y: np.ndarray, index: np.ndarray, value: np.ndarray, x_in: np.ndarray):
@@ -209,10 +220,21 @@ def quantize_stage(stage: StageSpec, residue_in):
 
     Total function: j=1 for x <= v_1, the unique j with v_{j-1} < x <= v_j in
     between, j=p for x > v_{p-1}. Out-of-range inputs therefore clip to the
-    outermost codes. Returns the 1-based code index and the code value.
+    outermost codes. Returns the 1-based code index, in the smallest unsigned
+    type that holds p, and the code value.
+
+    The index is 1 plus the number of thresholds strictly below the input.
+    Inputs must be finite: NaN compares greater than no threshold and so
+    selects code 1, not code p where NumPy's sort order would place it.
     """
-    j = np.searchsorted(np.asarray(stage.thresholds), residue_in, side="left") + 1
-    return j, np.asarray(stage.codes)[j - 1]
+    x = np.asarray(residue_in, dtype=float)
+    j = np.ones(x.shape, dtype=np.min_scalar_type(stage.levels))
+    above = np.empty(x.shape, dtype=bool)
+    step = above.view(np.uint8)     # the comparisons as 0/1 counts
+    for t in stage.thresholds:
+        np.greater(x, t, out=above)
+        j += step
+    return j, stage.code_table.take(j)
 
 
 def convert_many(adc: AdcInstance, x_in: np.ndarray) -> ConversionBatch:
@@ -220,26 +242,20 @@ def convert_many(adc: AdcInstance, x_in: np.ndarray) -> ConversionBatch:
     x = np.asarray(x_in, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("ADC input must be finite")
-    n = adc.n_stages
-    n_cols = n + 1
-    index = np.zeros((x.size, n_cols), dtype=np.int64)
-    value = np.zeros((x.size, n_cols), dtype=float)
+    index = np.zeros((x.size, adc.n_stages + 1), dtype=np.int64, order="F")
+    value = np.zeros(index.shape, order="F")
 
-    residue = x.copy()
+    residue = x
     for i, stage in enumerate(adc.stages):
-        j, code = quantize_stage(stage, residue)
-        index[:, i] = j
-        value[:, i] = code
-        eda = np.asarray(adc.mismatches.dac_errors[i])[j - 1]
+        index[:, i], value[:, i] = quantize_stage(stage, residue)
+        eda = adc.mismatches.dac_tables[i].take(index[:, i])
         true_gain = stage.gain * (1.0 + adc.mismatches.gain_mismatch[i])
-        residue = true_gain * (residue - code - eda)
+        residue = true_gain * (residue - value[:, i] - eda)
 
     if adc.flash is None:
-        value[:, n] = residue       # exact back end, zero digitization error
+        value[:, -1] = residue      # exact back end, zero digitization error
     else:
-        j, code = quantize_stage(adc.flash, residue)
-        index[:, n] = j
-        value[:, n] = code
+        index[:, -1], value[:, -1] = quantize_stage(adc.flash, residue)
 
     y = value @ adc.recombination_weights()
     return ConversionBatch(y=y, index=index, value=value, x_in=x)
@@ -268,9 +284,8 @@ def reference_output(adc: AdcInstance, batch: ConversionBatch,
     # back-end digitization error from the recorded selections
     residue = batch.x_in
     for i, stage in enumerate(adc.stages):
-        j = batch.index[:, i] - 1
-        d = np.asarray(stage.codes)[j]
-        eda = np.asarray(adc.mismatches.dac_errors[i])[j]
+        d = stage.code_table[batch.index[:, i]]
+        eda = adc.mismatches.dac_tables[i][batch.index[:, i]]
         nonideal += weights[i] * ((tails[i] - 1.0) * d + tails[i] * eda)
         true_gain = stage.gain * (1.0 + zetas[i])
         residue = true_gain * (residue - d - eda)

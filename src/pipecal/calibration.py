@@ -422,8 +422,9 @@ def sgd_step(state: CalibrationState, pair: PairBatch, layout: CorrectionLayout,
 class SgdStream:
     """One converter's calibration pairs in the compact form the adaptive
     kernel reads: both outputs as float64 plus the code index of each
-    calibrated stage as int8, 22 B per pair at q = 3 (a `PairBatch` holds
-    about ten times that).
+    calibrated stage in the smallest unsigned type that holds the largest
+    stage's level count, as the stage quantizer counts it (uint8 up to 255
+    levels), 22 B per pair at q = 3 (a `PairBatch` holds about ten times that).
 
     The kernel rebuilds the regressors a chunk at a time: each weighted entry
     from the stage code values, summed in `selection_vectors`' order, and each
@@ -441,8 +442,7 @@ class SgdStream:
         q = layout.q
         if pairs.unscaled.index.shape[1] - 1 < q:
             raise LayoutError("batch lacks stage codes for the calibrated stages")
-        if max(layout.sizes) > np.iinfo(np.int8).max:
-            raise LayoutError("stage code indices do not fit in int8")
+        code_type = np.min_scalar_type(max(layout.sizes))
         values = []
         for i, p in enumerate(layout.sizes):
             table = np.zeros(p)
@@ -450,8 +450,8 @@ class SgdStream:
                 table[batch.index[:, i] - 1] = batch.value[:, i]
             values.append(table)
         return cls(y_x=pairs.unscaled.y, y_ax=pairs.scaled.y,
-                   codes_x=pairs.unscaled.index[:, :q].astype(np.int8),
-                   codes_ax=pairs.scaled.index[:, :q].astype(np.int8),
+                   codes_x=pairs.unscaled.index[:, :q].astype(code_type),
+                   codes_ax=pairs.scaled.index[:, :q].astype(code_type),
                    code_values=tuple(values))
 
     def __len__(self) -> int:
@@ -524,7 +524,7 @@ def run_sgd_population(streams: Sequence[SgdStream], layout: CorrectionLayout, a
         """
         n = b - a
         w = np.empty((n, 2 * q + 1, 2 * m))
-        codes = np.empty((n, 2 * m, q), dtype=np.int8)
+        codes = np.empty((n, 2 * m, q), dtype=streams[0].codes_x.dtype)
         for j, s in enumerate(streams):
             w[:, 0, j], w[:, 0, m + j] = s.y_x[a:b], s.y_ax[a:b]
             codes[:, j], codes[:, m + j] = s.codes_x[a:b], s.codes_ax[a:b]

@@ -33,6 +33,7 @@ from .adc import (
 )
 from .calibration import (
     DivergenceError,
+    RankDeficiencyError,
     SgdStream,
     StepSchedule,
     accumulate_statistics,
@@ -347,6 +348,20 @@ def _wiener(config: ExperimentConfig, pairs, layout) -> tuple[np.ndarray, float,
     return res.theta_nl, res.theta_alpha, res.converged
 
 
+def _check_code_coverage(stream: SgdStream, layout: CorrectionLayout, idx: int) -> None:
+    """Raise RankDeficiencyError when the calibration pairs never select a code
+    that owns an indicator slot: the adaptive loop would leave that slot at 0."""
+    for i, slots in enumerate(layout.indicator_slots):
+        counts = (np.bincount(stream.codes_x[:, i], minlength=slots.size)
+                  + np.bincount(stream.codes_ax[:, i], minlength=slots.size))
+        missing = np.flatnonzero((counts == 0) & (slots >= 0))
+        if missing.size:
+            code = int(missing[0])
+            raise RankDeficiencyError(
+                f"adc {idx}: the calibration input never selects stage {i + 1} code {code} "
+                f"(indicator slot {slots[code]}); input does not cover all codes")
+
+
 def _run_block(args) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
     """Calibrate and evaluate a contiguous block of population members.
 
@@ -383,6 +398,7 @@ def _run_block(args) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
             else:
                 converged.append(None)
             streams.append(SgdStream.from_pairs(pairs, layout))
+            _check_code_coverage(streams[-1], layout, idx)
             points.append([])
         else:
             theta_nl, theta_alpha, ok = _wiener(config, pairs, layout)

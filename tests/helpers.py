@@ -7,7 +7,14 @@ an independent route.
 
 import numpy as np
 
-from pipecal.adc import AdcInstance, MismatchSet, StageSpec, convert_many, flash_stage_spec
+from pipecal.adc import (
+    AdcInstance,
+    ConversionBatch,
+    MismatchSet,
+    StageSpec,
+    convert_many,
+    flash_stage_spec,
+)
 from pipecal.correction import CorrectionLayout, selection_vectors
 
 
@@ -37,6 +44,34 @@ def random_toy(rng, flash_bits=None, zeta_scale=0.02, dac_scale=0.004):
     zetas = rng.uniform(-zeta_scale, zeta_scale, 2)
     dac = rng.uniform(-dac_scale, dac_scale, (2, 3))
     return toy_adc(zetas=tuple(zetas), dac_errors=dac, flash_bits=flash_bits)
+
+
+def searchsorted_convert(adc, x_in):
+    """Oracle for `convert_many`: the same pipeline recursion with a
+    `searchsorted` quantizer, row-major (N, n_stages+1) stores and `j - 1`
+    lookups into the stage tuples."""
+    x = np.asarray(x_in, dtype=float)
+    n = adc.n_stages
+    index = np.zeros((x.size, n + 1), dtype=np.int64)
+    value = np.zeros((x.size, n + 1), dtype=float)
+
+    def quantize(stage, residue):
+        j = np.searchsorted(np.asarray(stage.thresholds), residue, side="left") + 1
+        return j, np.asarray(stage.codes)[j - 1]
+
+    residue = x.copy()
+    for i, stage in enumerate(adc.stages):
+        j, code = quantize(stage, residue)
+        index[:, i] = j
+        value[:, i] = code
+        eda = np.asarray(adc.mismatches.dac_errors[i])[j - 1]
+        true_gain = stage.gain * (1.0 + adc.mismatches.gain_mismatch[i])
+        residue = true_gain * (residue - code - eda)
+    if adc.flash is None:
+        value[:, n] = residue
+    else:
+        index[:, n], value[:, n] = quantize(adc.flash, residue)
+    return ConversionBatch(y=value @ adc.recombination_weights(), index=index, value=value, x_in=x)
 
 
 def dense_ramp(n=4001, lo=-0.999, hi=0.999):

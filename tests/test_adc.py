@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from helpers import dense_ramp, random_toy, toy_adc, toy_stage
+from helpers import dense_ramp, random_toy, searchsorted_convert, toy_adc, toy_stage
 
 from pipecal.adc import (
     AdcModelError,
@@ -15,6 +16,7 @@ from pipecal.adc import (
     convert_many,
     default_stage_specs,
     lsb_size,
+    pipeline_stage_specs,
     quantize_stage,
     reference_output,
 )
@@ -35,6 +37,24 @@ class TestQuantizeStage:
     def test_total_function_far_out_of_range(self):
         assert quantize_stage(self.stage, -7.0) == (1, -0.5)
         assert quantize_stage(self.stage, 7.0) == (3, 0.5)
+
+
+    @pytest.mark.parametrize("levels", [7, 200, 300])
+    def test_threshold_count_matches_searchsorted(self, levels):
+        # 200 and 300 levels overflow a signed or an 8-bit counter
+        stage = pipeline_stage_specs(levels)
+        t = np.asarray(stage.thresholds)
+        x = np.concatenate([t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf),
+                            np.random.default_rng(11).uniform(-1.5, 1.5, 5000),
+                            [-np.inf, -1.0, 0.0, 1.0, np.inf]])
+        j, code = quantize_stage(stage, x)
+        assert j.dtype == np.min_scalar_type(levels)
+        assert np.array_equal(j, np.searchsorted(t, x, side="left") + 1)
+        assert np.array_equal(code, np.asarray(stage.codes)[j.astype(np.int64) - 1])
+
+    def test_nan_selects_the_first_code(self):
+        # documented: inputs must be finite; NaN is above no threshold
+        assert quantize_stage(self.stage, float("nan")) == (1, -0.5)
 
 
 class TestStageValidation:
@@ -157,6 +177,39 @@ class TestConvert:
         assert all(1 <= j <= 7 for j in index[:5])
         assert 1 <= index[5] <= 8
         assert batch.x_in[0] == 0.33
+
+
+class TestConvertKernel:
+    """`convert_many` against the row-major searchsorted oracle, bit for bit."""
+
+    @staticmethod
+    def assert_same(adc, x):
+        got, want = convert_many(adc, x), searchsorted_convert(adc, x)
+        for field in ("y", "index", "value", "x_in"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert got.index.dtype == np.int64
+        assert got.index.flags.f_contiguous and got.value.flags.f_contiguous
+
+    @pytest.mark.parametrize("n", [2000, 16384])
+    def test_matches_oracle_on_population_members(self, n):
+        from pipecal.harness import _build_member, default_config
+
+        cfg = default_config(11)
+        x = np.random.default_rng(11).uniform(-1.0, 1.0, n)
+        for idx in range(10):
+            self.assert_same(_build_member(cfg, idx)[0], x)
+
+    @pytest.mark.parametrize("flash", [True, False], ids=["flash", "exact-back-end"])
+    def test_matches_oracle_on_thresholds_and_overload(self, mismatched_adc, ideal_adc, flash):
+        # stage-1 thresholds, and the same divided by 4**k so that an ideal
+        # converter's later stages see residues exactly on their thresholds
+        t = np.asarray(mismatched_adc.stages[0].thresholds)
+        on = np.concatenate([t / 4.0 ** k for k in range(5)])
+        x = np.concatenate([on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf),
+                            [-7.0, -1.5, np.nextafter(-1.0, -np.inf), -1.0,
+                             1.0, np.nextafter(1.0, np.inf), 1.5, 7.0]])
+        for adc in (mismatched_adc, ideal_adc):
+            self.assert_same(adc if flash else dataclasses.replace(adc, flash=None), x)
 
 
 class TestReferenceOutput:

@@ -586,6 +586,19 @@ class TestSgdPopulation:
                 assert np.array_equal(snapshots[k][0], theta_k)
                 assert snapshots[k][1] == alpha_k
 
+    def test_stage_with_more_than_127_levels_matches_loop(self):
+        # code indices above 127 must survive the compact stream and the kernel
+        adc = toy_adc(zetas=(0.013, -0.021), levels=200, flash_bits=None)
+        layout = CorrectionLayout.from_adc(adc, 2)
+        pairs, _ = toy_pairs(adc, delta=1e-3, n=1200)
+        stream = SgdStream.from_pairs(pairs, layout)
+        assert stream.codes_x.dtype == np.uint8 and stream.codes_x.max() == 200
+        schedule = StepSchedule(mu_nl_init=2.0 ** -4, halve_every=0)
+        [(state, _)] = run_sgd_population([stream], layout, ALPHA, schedule=schedule)
+        want, _ = sgd_loop(pairs, layout, ALPHA, schedule)
+        assert np.array_equal(state.theta_nl, want.theta_nl)
+        assert state.theta_alpha == want.theta_alpha
+
     def test_rejects_streams_of_unequal_length(self):
         pairs, layout, cfg = default_member_pairs(0, 300)
         streams = [SgdStream.from_pairs(pairs, layout), SgdStream.from_pairs(pairs[:200], layout)]

@@ -352,6 +352,24 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_sgd_input_missing_a_code_exits_3(self, tmp_path, capsys):
+        # a 32-sample tone period never selects stage 3's code 2; the Wiener
+        # algorithms stop on the rank of R_hh, the adaptive one on the code count
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_fft": 32, "population": 1}))
+        code = main(["calibrate", "--seed", "1", "--algorithm", "blhec-sgd",
+                     "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 3
+        assert "adc 0: the calibration input never selects stage 3 code 2" in capsys.readouterr().err
+
+    def test_sgd_stage_with_200_levels_exits_0_or_3(self, tmp_path):
+        # 200 code indices do not fit in int8; the run must not end in a traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"stage_levels": 200, "dac_bound_lsb": 1,
+                                   "population": 1, "n_sgd": 3000}))
+        assert main(["calibrate", "--seed", "1", "--algorithm", "blhec-sgd",
+                     "--config", str(cfg), "--out", str(tmp_path)]) in (0, 3)
+
     def test_signal_below_spur_floor_exits_3(self, tmp_path, capsys):
         # at -10 dB calibration SNR the corrected tone sinks below its spurs
         code = main(["calibrate", "--seed", "1", "--snr", "-10", "--population", "1",
