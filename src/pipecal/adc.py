@@ -191,18 +191,17 @@ class AdcInstance:
 class ConversionBatch:
     """Column-oriented store for many conversions of one instance.
 
-    Row k holds conversion k: its output, and per stage the 1-based code index
-    (matching the comparator bank; the final column is the back-end stage,
-    index 0 when the exact sampler is used) and the selected code value.
-    `index` and `value` are column-major (order="F"), so each stage's column
-    is one contiguous array. `x_in` is simulation-side truth and never visible
-    to calibrators.
+    Row k holds conversion k: its output and, per stage, the 1-based code
+    index (matching the comparator bank; the final column is the back-end
+    stage, index 0 when the exact sampler is used). A code's value is read
+    from its stage's `StageSpec.code_table`, never stored. `index` is
+    column-major (order="F"), so each stage's column is one contiguous
+    array. `x_in` is simulation-side truth and never visible to calibrators.
     """
 
-    def __init__(self, y: np.ndarray, index: np.ndarray, value: np.ndarray, x_in: np.ndarray):
+    def __init__(self, y: np.ndarray, index: np.ndarray, x_in: np.ndarray):
         self.y = y
         self.index = index          # (N, n_stages+1), 1-based codes, 0 = exact back end
-        self.value = value          # (N, n_stages+1) selected code values / residue
         self.x_in = x_in
 
     def __len__(self) -> int:
@@ -212,7 +211,7 @@ class ConversionBatch:
         """The selected rows as a batch of their own; one conversion is `batch[k:k+1]`."""
         if not isinstance(rows, slice):
             raise TypeError(f"batches take a slice such as [k:k+1], not {rows!r}")
-        return ConversionBatch(self.y[rows], self.index[rows], self.value[rows], self.x_in[rows])
+        return ConversionBatch(self.y[rows], self.index[rows], self.x_in[rows])
 
 
 def quantize_stage(stage: StageSpec, residue_in):
@@ -243,7 +242,7 @@ def convert_many(adc: AdcInstance, x_in: np.ndarray) -> ConversionBatch:
     if not np.all(np.isfinite(x)):
         raise ValueError("ADC input must be finite")
     index = np.zeros((x.size, adc.n_stages + 1), dtype=np.int64, order="F")
-    value = np.zeros(index.shape, order="F")
+    value = np.zeros(index.shape, order="F")    # code values and residue, for y only
 
     residue = x
     for i, stage in enumerate(adc.stages):
@@ -258,7 +257,7 @@ def convert_many(adc: AdcInstance, x_in: np.ndarray) -> ConversionBatch:
         index[:, -1], value[:, -1] = quantize_stage(adc.flash, residue)
 
     y = value @ adc.recombination_weights()
-    return ConversionBatch(y=y, index=index, value=value, x_in=x)
+    return ConversionBatch(y=y, index=index, x_in=x)
 
 
 def reference_output(adc: AdcInstance, batch: ConversionBatch,
@@ -289,7 +288,8 @@ def reference_output(adc: AdcInstance, batch: ConversionBatch,
         nonideal += weights[i] * ((tails[i] - 1.0) * d + tails[i] * eda)
         true_gain = stage.gain * (1.0 + zetas[i])
         residue = true_gain * (residue - d - eda)
-    q_x = -(residue - batch.value[:, n]) * weights[n]
+    back_end = residue if adc.flash is None else adc.flash.code_table[batch.index[:, n]]
+    q_x = -(residue - back_end) * weights[n]
 
     y_ref = beta * batch.x_in - nonideal + q_x
     bad = np.flatnonzero(~(np.abs(y_ref - batch.y) <= tolerance))

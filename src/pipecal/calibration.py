@@ -424,18 +424,17 @@ class SgdStream:
     kernel reads: both outputs as float64 plus the code index of each
     calibrated stage in the smallest unsigned type that holds the largest
     stage's level count, as the stage quantizer counts it (uint8 up to 255
-    levels), 22 B per pair at q = 3 (a `PairBatch` holds about ten times that).
+    levels), 22 B per pair at q = 3.
 
-    The kernel rebuilds the regressors a chunk at a time: each weighted entry
-    from the stage code values, summed in `selection_vectors`' order, and each
-    indicator slot from its code index.
+    The kernel rebuilds the regressors a chunk at a time from the code
+    indices: the weighted entries by `CorrectionLayout.weighted_entries` and
+    each indicator slot from its code index.
     """
 
     y_x: np.ndarray                       # (N,) unscaled outputs
     y_ax: np.ndarray                      # (N,) scaled outputs
     codes_x: np.ndarray                   # (N, q) 1-based code index per calibrated stage
     codes_ax: np.ndarray
-    code_values: tuple[np.ndarray, ...]   # per calibrated stage: value of code j at j - 1
 
     @classmethod
     def from_pairs(cls, pairs: PairBatch, layout: CorrectionLayout) -> "SgdStream":
@@ -443,16 +442,9 @@ class SgdStream:
         if pairs.unscaled.index.shape[1] - 1 < q:
             raise LayoutError("batch lacks stage codes for the calibrated stages")
         code_type = np.min_scalar_type(max(layout.sizes))
-        values = []
-        for i, p in enumerate(layout.sizes):
-            table = np.zeros(p)
-            for batch in (pairs.unscaled, pairs.scaled):
-                table[batch.index[:, i] - 1] = batch.value[:, i]
-            values.append(table)
         return cls(y_x=pairs.unscaled.y, y_ax=pairs.scaled.y,
                    codes_x=pairs.unscaled.index[:, :q].astype(code_type),
-                   codes_ax=pairs.scaled.index[:, :q].astype(code_type),
-                   code_values=tuple(values))
+                   codes_ax=pairs.scaled.index[:, :q].astype(code_type))
 
     def __len__(self) -> int:
         return self.y_x.shape[0]
@@ -510,10 +502,6 @@ def run_sgd_population(streams: Sequence[SgdStream], layout: CorrectionLayout, a
         template[2 + 2 * i] = sink * m + cols
         rows = np.where(slots >= 0, row_of[slots], sink)
         ind_offsets.append((rows - sink) * m)
-    # per stage, by gather column and code index: the code value
-    tables = [np.stack([np.concatenate(([0.0], s.code_values[i])) for s in streams] * 2)
-              for i in range(q)]
-    prefix = layout.gain_prefix_products()
 
     def expand(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         """Flat gather slots and weights of samples a..b-1, each (b-a, 2q+1, 2M).
@@ -528,16 +516,12 @@ def run_sgd_population(streams: Sequence[SgdStream], layout: CorrectionLayout, a
         for j, s in enumerate(streams):
             w[:, 0, j], w[:, 0, m + j] = s.y_x[a:b], s.y_ax[a:b]
             codes[:, j], codes[:, m + j] = s.codes_x[a:b], s.codes_ax[a:b]
-        values = [tables[i][cols, codes[:, :, i]] for i in range(q)]
+        w[:, 1::2] = np.moveaxis(layout.weighted_entries(codes), -1, 1)
+        w[:, 2::2] = 1.0
 
         idx = np.empty((n, 2 * q + 1, 2 * m), dtype=np.int64)
         idx[:] = template
         for i in range(q):
-            acc = np.zeros((n, 2 * m))
-            for l in range(i + 1):
-                acc += values[l] * prefix[i - l]
-            w[:, 1 + 2 * i] = acc
-            w[:, 2 + 2 * i] = 1.0
             idx[:, 2 + 2 * i] += ind_offsets[i][codes[:, :, i]]
         return idx, w
 

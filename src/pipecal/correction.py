@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adc import AdcInstance, ConversionBatch
+from .adc import AdcInstance, ConversionBatch, StageSpec
 
 __all__ = [
     "CorrectionLayout",
@@ -44,30 +44,36 @@ def model_dimension(sizes) -> int:
 class CorrectionLayout:
     """Index map of the reduced regressor for q calibrated stages.
 
-    sizes -- levels p_i of the calibrated stages
-    gains -- ideal gains G_i of those stages (the code-weighting sums use the
-             ideal gains; the true gains are unknown to the calibrator)
+    stages -- specs of the calibrated stages; their code tables and ideal
+              gains G_i weight the code sums (the true gains are unknown to
+              the calibrator)
     """
 
-    sizes: tuple[int, ...]
-    gains: tuple[float, ...]
+    stages: tuple[StageSpec, ...]
 
     def __post_init__(self) -> None:
-        if len(self.sizes) != len(self.gains):
-            raise LayoutError("need one gain per calibrated stage")
-        if len(self.sizes) < 1:
+        if len(self.stages) < 1:
             raise LayoutError("need at least one calibrated stage")
 
     @classmethod
     def from_adc(cls, adc: AdcInstance, q: int) -> "CorrectionLayout":
         if not 1 <= q <= adc.n_stages:
             raise LayoutError(f"q={q} outside 1..{adc.n_stages} quantizing stages")
-        stages = adc.stages[:q]
-        return cls(sizes=tuple(s.levels for s in stages), gains=tuple(s.gain for s in stages))
+        return cls(stages=adc.stages[:q])
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        """Levels p_i of the calibrated stages."""
+        return tuple(s.levels for s in self.stages)
+
+    @property
+    def gains(self) -> tuple[float, ...]:
+        """Ideal gains G_i of the calibrated stages."""
+        return tuple(s.gain for s in self.stages)
 
     @property
     def q(self) -> int:
-        return len(self.sizes)
+        return len(self.stages)
 
     @property
     def dim(self) -> int:
@@ -108,6 +114,22 @@ class CorrectionLayout:
         out = np.ones(self.q)
         for t in range(1, self.q):
             out[t] = out[t - 1] * self.gains[t - 1]
+        return out
+
+    def weighted_entries(self, codes: np.ndarray) -> np.ndarray:
+        """The q gain-weighted code sums of conversions given by their code indices.
+
+        `codes` holds 1-based code indices with the q calibrated stages on its
+        last axis, after any leading shape; so does the result. Entry i is
+        0 + v_0 P[i] + v_1 P[i-1] + ... + v_i P[0], summed in that order, with
+        v_l stage l's code value from its `StageSpec.code_table`.
+        """
+        prefix = self.gain_prefix_products()
+        values = [s.code_table.take(codes[..., l]) for l, s in enumerate(self.stages)]
+        out = np.zeros(codes.shape)
+        for i in range(self.q):
+            for l in range(i + 1):
+                out[..., i] += values[l] * prefix[i - l]
         return out
 
 
@@ -156,16 +178,9 @@ def selection_vectors(batch: ConversionBatch, layout: CorrectionLayout) -> Selec
     q = layout.q
     if batch.index.shape[1] - 1 < q:
         raise LayoutError("batch lacks stage codes for the calibrated stages")
-    prefix = layout.gain_prefix_products()
-    n = len(batch)
+    weighted = layout.weighted_entries(batch.index[:, :q])
 
-    weighted = np.zeros((n, q))
-    for i in range(q):
-        # sum_{l=1..i} x_s,l * P[i-l]
-        for l in range(i + 1):
-            weighted[:, i] += batch.value[:, l] * prefix[i - l]
-
-    indicator_pos = np.empty((n, q), dtype=np.int64)
+    indicator_pos = np.empty((len(batch), q), dtype=np.int64)
     for i, slots in enumerate(layout.indicator_slots):
         indicator_pos[:, i] = slots[batch.index[:, i]]
 

@@ -123,6 +123,10 @@ class ExperimentConfig:
     eval_samples: int = 16384
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ConfigError(f"{f.name} must be an integer, not {value!r}")
         if self.population < 0:
             raise ConfigError("population must be non-negative")
         if not 1 <= self.q <= self.pipeline_stages:
@@ -455,18 +459,21 @@ def _run_population(config: ExperimentConfig, workers: int,
     and as ceil(population / workers) members per pool task otherwise, at
     most SGD_BLOCK_MEMBERS each. A Wiener member shares nothing with its
     neighbours; one member per task keeps the pool's workers evenly loaded.
+    The pool starts no more processes than there are tasks.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     if config.algorithm != "blhec-sgd":
         size = 1
     else:
-        share = config.population if workers <= 1 else -(-config.population // workers)
+        share = config.population if workers == 1 else -(-config.population // workers)
         size = max(1, min(SGD_BLOCK_MEMBERS, share))
     tasks = [(config, range(a, min(a + size, config.population)), checkpoints)
              for a in range(0, config.population, size)]
-    if workers <= 1 or len(tasks) <= 1:
+    if workers == 1 or len(tasks) <= 1:
         outcomes = [_run_block(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             outcomes = list(pool.map(_run_block, tasks))
     rows = [row for block_rows, _ in outcomes for row in block_rows]
     norms = [norm for _, block_norms in outcomes for norm in block_norms]

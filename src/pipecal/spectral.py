@@ -65,7 +65,7 @@ class SpectrumEstimate:
 
     @property
     def exclusion_halfwidth(self) -> int:
-        return _EXCLUSION.get(self.window, 4)
+        return _EXCLUSION[self.window]
 
 
 def tone_bin(omega: float, n_fft: int) -> int:
@@ -73,9 +73,8 @@ def tone_bin(omega: float, n_fft: int) -> int:
     return int(round(omega * n_fft / (2.0 * math.pi)))
 
 
-def spectrum(samples: np.ndarray, window: str | np.ndarray = "rect",
-             n_fft: int | None = None) -> SpectrumEstimate:
-    """Averaged windowed periodogram of a real sequence.
+def spectrum(samples: np.ndarray, window: str, n_fft: int) -> SpectrumEstimate:
+    """Averaged periodogram of a real sequence under a named window.
 
     n_fft must be a power of two and no longer than the sequence; all full
     segments are averaged. Bin j holds d_j * |X_j|^2 / (sum w)^2 with the
@@ -83,24 +82,12 @@ def spectrum(samples: np.ndarray, window: str | np.ndarray = "rect",
     windowed sequence divided by the squared coherent gain.
     """
     x = np.asarray(samples, dtype=float)
-    if n_fft is None:
-        n_fft = 1 << (x.size.bit_length() - 1)
     if n_fft < 2 or n_fft & (n_fft - 1):
         raise ValueError(f"n_fft must be a power of two, got {n_fft}")
     if n_fft > x.size:
         raise ValueError(f"n_fft={n_fft} longer than the sequence ({x.size})")
-
-    if isinstance(window, str):
-        name = window
-        w = window_values(window, n_fft)
-    else:
-        name = "custom"
-        w = np.asarray(window, dtype=float)
-        if w.shape != (n_fft,):
-            raise ValueError("window array must have length n_fft")
+    w = window_values(window, n_fft)
     wsum = float(np.sum(w))
-    if wsum == 0.0 or not np.any(w):
-        raise ValueError("window must not be all-zero")
 
     segments = x.size // n_fft
     acc = np.zeros(n_fft // 2 + 1)
@@ -114,7 +101,7 @@ def spectrum(samples: np.ndarray, window: str | np.ndarray = "rect",
     scale[0] = 1.0
     scale[-1] = 1.0
     power = acc * scale / wsum ** 2
-    return SpectrumEstimate(power=power, n_fft=n_fft, window=name,
+    return SpectrumEstimate(power=power, n_fft=n_fft, window=window,
                             segments=segments, coherent_gain=wsum / n_fft)
 
 

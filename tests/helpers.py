@@ -49,7 +49,10 @@ def random_toy(rng, flash_bits=None, zeta_scale=0.02, dac_scale=0.004):
 def searchsorted_convert(adc, x_in):
     """Oracle for `convert_many`: the same pipeline recursion with a
     `searchsorted` quantizer, row-major (N, n_stages+1) stores and `j - 1`
-    lookups into the stage tuples."""
+    lookups into the stage tuples. Its code-value matrix is local, as in
+    `convert_many`, and y is its product with the recombination weights taken
+    column-major: the product of a row-major copy, or a stage-by-stage sum,
+    rounds differently at a gain that is not a power of two."""
     x = np.asarray(x_in, dtype=float)
     n = adc.n_stages
     index = np.zeros((x.size, n + 1), dtype=np.int64)
@@ -71,7 +74,8 @@ def searchsorted_convert(adc, x_in):
         value[:, n] = residue
     else:
         index[:, n], value[:, n] = quantize(adc.flash, residue)
-    return ConversionBatch(y=value @ adc.recombination_weights(), index=index, value=value, x_in=x)
+    y = np.asfortranarray(value) @ adc.recombination_weights()
+    return ConversionBatch(y=y, index=index, x_in=x)
 
 
 def dense_ramp(n=4001, lo=-0.999, hi=0.999):
@@ -89,7 +93,8 @@ def ls_fit(adc, layout, x):
 
 def naive_selection_dense(row, layout):
     """Direct, loop-based regressor construction straight from the definition,
-    for the one conversion of a one-row batch."""
+    for the one conversion of a one-row batch; code values come from the
+    stages' `codes` tuples."""
     h = np.zeros(layout.dim)
     pos = 0
     prefix = [1.0]
@@ -98,7 +103,7 @@ def naive_selection_dense(row, layout):
     for i, p in enumerate(layout.sizes):
         weighted = 0.0
         for l in range(i + 1):
-            weighted += row.value[0, l] * prefix[i - l]
+            weighted += layout.stages[l].codes[row.index[0, l] - 1] * prefix[i - l]
         h[pos] = weighted
         j = row.index[0, i]
         last = layout.q - 1

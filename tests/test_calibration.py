@@ -16,6 +16,7 @@ from helpers import (
     plain_blhec,
     sgd_loop,
     toy_adc,
+    toy_stage,
 )
 
 from pipecal.adc import ConversionBatch, convert_many, lsb_size
@@ -297,12 +298,12 @@ class TestGramStatistics:
 
 def one_hot_pair(y_x, y_ax, layout):
     """Fabricated one-pair batch whose regressors are one-hot on the middle code."""
-    row = lambda y: ConversionBatch(np.array([y]), np.array([[2, 1]]), np.zeros((1, 2)), np.zeros(1))
+    row = lambda y: ConversionBatch(np.array([y]), np.array([[2, 1]]), np.zeros(1))
     return PairBatch(row(y_x), row(y_ax))
 
 
 class TestSgdStep:
-    layout = CorrectionLayout(sizes=(3,), gains=(2.0,))
+    layout = CorrectionLayout(stages=(toy_stage(),))
 
     def test_zero_step_sizes_freeze_state(self):
         pair = one_hot_pair(0.5, 0.3, self.layout)
@@ -415,7 +416,7 @@ class TestContraction:
         assert checks == 2 * n
 
     def test_above_bound_strictly_grows_error(self):
-        layout = CorrectionLayout(sizes=(3,), gains=(2.0,))
+        layout = CorrectionLayout(stages=(toy_stage(),))
         pair = one_hot_pair(0.5, 0.3, layout)
         y_x = 0.5
         bound = 2.0 / y_x ** 2
@@ -428,7 +429,7 @@ class TestContraction:
 
 class TestStepSizeBounds:
     def test_full_scale_alpha_bound_is_two(self):
-        layout = CorrectionLayout(sizes=(3,), gains=(2.0,))
+        layout = CorrectionLayout(stages=(toy_stage(),))
         mu_alpha, _ = step_size_bounds(layout, y_max=1.0, alpha_d=ALPHA)
         assert mu_alpha == 2.0
 
@@ -455,7 +456,7 @@ class TestStepSizeBounds:
         assert analytic <= measured
 
     def test_rejects_non_positive_y_max(self):
-        layout = CorrectionLayout(sizes=(3,), gains=(2.0,))
+        layout = CorrectionLayout(stages=(toy_stage(),))
         with pytest.raises(ValueError):
             step_size_bounds(layout, 0.0)
 
@@ -558,8 +559,8 @@ def default_member_pairs(idx, n):
 def scaled_outputs(pairs, factor):
     """The same pairs with both outputs scaled: large enough errors diverge."""
     u, s = pairs.unscaled, pairs.scaled
-    return PairBatch(ConversionBatch(u.y * factor, u.index, u.value, u.x_in),
-                     ConversionBatch(s.y * factor, s.index, s.value, s.x_in))
+    return PairBatch(ConversionBatch(u.y * factor, u.index, u.x_in),
+                     ConversionBatch(s.y * factor, s.index, s.x_in))
 
 
 class TestSgdPopulation:

@@ -7,6 +7,7 @@ from helpers import (
     ls_fit,
     naive_selection_dense,
     toy_adc,
+    toy_stage,
     unreduced_transformed_matrix,
 )
 
@@ -37,10 +38,23 @@ class TestSelectionVector:
         layout = CorrectionLayout.from_adc(mismatched_adc, 3)
         batch = convert_many(mismatched_adc, [0.37])
         h = selection_vectors(batch, layout).dense()[0]
-        v = batch.value[0]
+        v = [s.codes[j - 1] for s, j in zip(layout.stages, batch.index[0])]
         assert h[layout.weighted_position(0)] == pytest.approx(v[0])
         assert h[layout.weighted_position(1)] == pytest.approx(4.0 * v[0] + v[1])
         assert h[layout.weighted_position(2)] == pytest.approx(16.0 * v[0] + 4.0 * v[1] + v[2])
+
+    def test_weighted_entries_sum_stages_in_order(self):
+        # at gain 3 the products round, so only 0 + v_0 P[i] + ... + v_i P[0],
+        # summed in that order as the naive loop does, matches bit for bit
+        from pipecal.harness import _build_member, default_config
+
+        adc = _build_member(default_config(11, stage_gain=3.0, stage_levels=5), 0)[0]
+        layout = CorrectionLayout.from_adc(adc, 3)
+        batch = convert_many(adc, dense_ramp(301))
+        weighted = selection_vectors(batch, layout).weighted
+        for k in range(len(batch)):
+            h = naive_selection_dense(batch[k:k + 1], layout)
+            assert weighted[k].tolist() == [h[layout.weighted_position(i)] for i in range(3)]
 
     def test_eliminated_top_code_has_no_indicator(self):
         adc = toy_adc(zetas=(0.0, 0.0), flash_bits=None)
@@ -94,7 +108,7 @@ class TestSelectionVector:
     def test_requires_enough_stage_codes(self):
         adc = toy_adc(zetas=(0.0, 0.0), flash_bits=None)
         batch = convert_many(adc, [0.1])
-        layout = CorrectionLayout(sizes=(3, 3, 3), gains=(2.0, 2.0, 2.0))
+        layout = CorrectionLayout(stages=(toy_stage(),) * 3)
         with pytest.raises(LayoutError):
             selection_vectors(batch, layout)
 

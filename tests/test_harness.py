@@ -11,6 +11,7 @@ from pipecal.calibration import accumulate_statistics, blhec_wiener
 from pipecal.cli import main
 from pipecal.correction import CorrectionLayout, apply_correction_batch, selection_vectors
 from pipecal.adc import convert_many
+from pipecal import harness
 from pipecal.harness import (
     ConfigError,
     ExperimentConfig,
@@ -26,6 +27,29 @@ from pipecal.signals import PathConfig, ToneSpec, gen_impure_two_tone, gen_tones
 from pipecal.spectral import analyze, spectrum, tone_bin
 
 SMALL = dict(population=4, n_cal=1200, n_fft=4096, eval_samples=4096)
+
+
+@pytest.fixture
+def opened_pools(monkeypatch):
+    """Sizes of the process pools the harness opens. The stand-in pool runs
+    its tasks in this process and starts none."""
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return opened
 
 
 class TestConfig:
@@ -58,6 +82,9 @@ class TestConfig:
         dict(n_fft=2), dict(snr_db=math.nan), dict(eval_snr_db=math.nan),
         dict(gain_bound_lsb=math.nan), dict(dac_bound_lsb=math.nan), dict(mu_nl_init=0.0),
         dict(mu_nl_min=-2.0 ** -6), dict(mu_alpha_ratio=-1.0), dict(sgd_guard=0.0),
+        dict(population=2.5), dict(population=True), dict(resolution_bits=13.5),
+        dict(n_cal=2000.5), dict(eval_samples=16384.5), dict(n_fft=16384.0),
+        dict(algorithm="blhec-sgd", n_sgd=3000.5), dict(q=True), dict(mu_halve_every=1.2e4),
     ])
     def test_validation(self, overrides):
         with pytest.raises(ConfigError):
@@ -109,6 +136,19 @@ class TestRunExperiment:
             assert a.post_sndr_db == b.post_sndr_db
             assert a.post_sfdr_db == b.post_sfdr_db
             assert a.theta_alpha == b.theta_alpha
+
+    def test_pool_starts_no_more_workers_than_tasks(self, opened_pools):
+        # three SGD members at eight workers are three one-member tasks
+        cfg = default_config(7, algorithm="blhec-sgd", n_sgd=3000, **{**SMALL, "population": 3})
+        rows = run_experiment(cfg, workers=8)
+        assert opened_pools == [3]
+        assert [r.adc_id for r in rows] == [0, 1, 2]
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_fewer_than_one_worker(self, opened_pools, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            run_experiment(default_config(7, **SMALL), workers=workers)
+        assert opened_pools == []
 
     def test_calibration_improves_metrics(self):
         rows = run_experiment(default_config(7, **SMALL))
@@ -343,6 +383,15 @@ class TestCli:
         # alpha_d + delta above 1 puts the analog scaling factor out of range
         ({}, ["--delta", "0.5"]),
         ({}, ["--snr", "nan"]),
+        # a non-integer or a boolean in an integer field
+        ({"population": 2.5}, []),
+        ({"population": True}, []),
+        ({"n_cal": 2000.5}, []),
+        ({"eval_samples": 16384.5}, []),
+        ({"resolution_bits": 13.5}, []),
+        ({"n_sgd": 3000.5}, ["--algorithm", "blhec-sgd"]),
+        # the worker count is checked before any member is built
+        ({}, ["--workers", "0"]),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, fields, flags):
         cfg = tmp_path / "cfg.json"

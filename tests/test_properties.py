@@ -38,7 +38,8 @@ _FIELDS = {
     "delta_value": st.floats(-0.5, 0.5),
     "delta_std": st.floats(-0.01, 0.3),
     "algorithm": st.sampled_from(["hec-wiener", "blhec-wiener", "blhec-sgd"]),
-    "n_cal": st.integers(0, 2000),
+    # a float in an integer field is a ConfigError, never a TypeError
+    "n_cal": st.one_of(st.integers(0, 2000), st.floats(0.0, 2000.0)),
     "n_sgd": st.integers(-1, 1500),
     "mu_nl_init": st.floats(2.0 ** -8, 2.0 ** -1),
     "mu_halve_every": st.integers(0, 2000),

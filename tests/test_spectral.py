@@ -62,7 +62,7 @@ class TestSpectrum:
     def test_rejects_bad_windows_and_lengths(self):
         x = coherent_tone()
         with pytest.raises(ValueError):
-            spectrum(x, np.zeros(N), N)
+            spectrum(x, "boxcar", N)
         with pytest.raises(ValueError):
             spectrum(x, "rect", N + 1)
         with pytest.raises(ValueError):
