@@ -169,14 +169,6 @@ class AdcInstance:
     def lsb(self) -> float:
         return lsb_size(self.resolution_bits)
 
-    @property
-    def total_gain(self) -> float:
-        """Composite scaling factor of the input term: prod(1 + zeta_i)."""
-        beta = 1.0
-        for z in self.mismatches.gain_mismatch:
-            beta *= 1.0 + z
-        return beta
-
     def recombination_weights(self) -> np.ndarray:
         """Digital weights 1/prod(G_j, j<i) per stage, last entry for the back end."""
         w = np.empty(self.n_stages + 1)

@@ -117,9 +117,6 @@ class PairStatistics:
     def dim(self) -> int:
         return self.layout.dim
 
-    def delta_h(self, theta_alpha: float = 0.0) -> np.ndarray:
-        return self.h_ax - (self.alpha_d + theta_alpha) * self.h_x
-
     def homogeneity_gram(self, theta_alpha: float = 0.0) -> np.ndarray:
         """M(c) at c = alpha_d + theta_alpha: the Gram matrix of [dy, dh]."""
         c = self.alpha_d + theta_alpha
@@ -464,13 +461,20 @@ def run_sgd_population(streams: Sequence[SgdStream], layout: CorrectionLayout, a
 
     The recursion is sequential in the sample index but independent across
     converters, so each numpy step advances all M members by one pair.
-    Member j's parameters are column j of an (S, M) array of S = D + 2 slots:
-    the q weighted slots, then the indicator slots, a constant-1 slot (the
-    output y rides in the same gather as the regressor terms) and a zero sink
-    that takes the updates of codes without an indicator and is reset after
-    every update. Each member sees the floating-point operations of the
-    one-converter loop in the same order, so its results are bit-identical
-    to a run on its own.
+    Member j's parameters are column j of an (S, M) array of S = D + 3 rows:
+    the q weighted slots, then the indicator slots, a constant-1 row (the
+    output y rides in the same gather as the regressor terms), a zero row
+    that the gather reads for codes without an indicator, and a trash row
+    that takes their updates and is never read. Both outputs come from one
+    gather and one row-order sum; all indicator updates go through one
+    `np.add.at` whose index lists, per stage, the scaled path's indicators
+    before the unscaled ones, so a slot both paths select gets -g before
+    +g*c, as in the one-converter loop. The step sizes are looked up again
+    only where the loop stops anyway (guard checks, checkpoints) and at the
+    multiples of the schedule's `halve_every`, where they may change.
+    Each member sees the floating-point operations of the one-converter
+    loop in the same order, so its results are bit-identical to a run on
+    its own.
 
     All streams hold the same number N of pairs; streams of unequal length
     raise ValueError. Each member gets its final state and a snapshot of its
@@ -486,50 +490,57 @@ def run_sgd_population(streams: Sequence[SgdStream], layout: CorrectionLayout, a
     total = len(streams[0])
     if any(len(s) != total for s in streams):
         raise ValueError(f"streams differ in length: {sorted({len(s) for s in streams})}")
-    one, sink = d, d + 1
+    one, zero, trash = d, d + 1, d + 2
 
     # internal slot order: weighted slots first, so their update is one row block
     weighted = [layout.weighted_position(i) for i in range(q)]
     row_of = np.empty(d, dtype=np.int64)     # internal row of each layout slot
     row_of[weighted + [s for s in range(d) if s not in weighted]] = np.arange(d)
-    cols = np.tile(np.arange(m), 2)       # member of each gather column
-    # static gather slots: the output, the weighted slots, indicators at the sink
-    template = np.empty((2 * q + 1, 2 * m), dtype=np.int64)
-    template[0] = one * m + cols
-    ind_offsets = []         # per stage, by code index: flat offset of its indicator from the sink
-    for i, slots in enumerate(layout.indicator_slots):
-        template[1 + 2 * i] = i * m + cols
-        template[2 + 2 * i] = sink * m + cols
-        rows = np.where(slots >= 0, row_of[slots], sink)
-        ind_offsets.append((rows - sink) * m)
+    cols = np.arange(m)
+    # static gather slots: the output, the weighted slots, indicators at the zero row
+    template = np.array([one] + [r for i in range(q) for r in (i, zero)])[:, None, None] * m + cols
+    read_at, write_at = [], []     # per stage, by code index: flat gather offset, scatter slot
+    for slots in layout.indicator_slots:
+        read_at.append((np.where(slots >= 0, row_of[slots], zero) - zero) * m)
+        write_at.append(np.where(slots >= 0, row_of[slots], trash) * m)
+    # operand buffers, refilled for every chunk
+    w_buf = np.empty((_CHUNK, 2 * q + 1, 2, m))
+    idx_buf = np.empty((_CHUNK, 2 * q + 1, 2, m), dtype=np.int64)
+    ind_buf = np.empty((_CHUNK, q, 2, m), dtype=np.int64)
 
-    def expand(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Flat gather slots and weights of samples a..b-1, each (b-a, 2q+1, 2M).
+    def expand(a: int, b: int) -> tuple[np.ndarray, ...]:
+        """Per-sample operands of samples a..b-1: gather slots and weights,
+        each (b-a, 2q+1, 2, M), views of the weighted entries of the scaled
+        and the unscaled conversion, each (b-a, q, M), and the scatter slots,
+        (b-a, 2qM).
 
-        Column j < M is member j's unscaled conversion, M + j its scaled one;
-        row 0 is the output, rows 1+2i and 2+2i stage i's weighted and
+        In the gather, path 0 is the unscaled conversion and path 1 the scaled
+        one; row 0 is the output, rows 1+2i and 2+2i stage i's weighted and
         indicator terms.
         """
         n = b - a
-        w = np.empty((n, 2 * q + 1, 2 * m))
-        codes = np.empty((n, 2 * m, q), dtype=streams[0].codes_x.dtype)
-        for j, s in enumerate(streams):
-            w[:, 0, j], w[:, 0, m + j] = s.y_x[a:b], s.y_ax[a:b]
-            codes[:, j], codes[:, m + j] = s.codes_x[a:b], s.codes_ax[a:b]
+        w, idx, ind = w_buf[:n], idx_buf[:n], ind_buf[:n]
+        codes = np.stack([s.codes_x[a:b] for s in streams] + [s.codes_ax[a:b] for s in streams],
+                         axis=1).reshape(n, 2, m, q)
+        w[:, 0] = np.stack([s.y_x[a:b] for s in streams] + [s.y_ax[a:b] for s in streams],
+                           axis=1).reshape(n, 2, m)
         w[:, 1::2] = np.moveaxis(layout.weighted_entries(codes), -1, 1)
         w[:, 2::2] = 1.0
 
-        idx = np.empty((n, 2 * q + 1, 2 * m), dtype=np.int64)
         idx[:] = template
         for i in range(q):
-            idx[:, 2 + 2 * i] += ind_offsets[i][codes[:, :, i]]
-        return idx, w
+            idx[:, 2 + 2 * i] += read_at[i][codes[..., i]]
+            ind[:, i] = write_at[i][codes[:, ::-1, :, i]] + cols      # scaled path first
+        return idx, w, w[:, 1::2, 1], w[:, 1::2, 0], ind.reshape(n, -1)
 
-    theta = np.zeros((d + 2, m))
+    theta = np.zeros((d + 3, m))
     theta[one] = 1.0
     flat = theta.reshape(-1)
     weighted_rows = theta[:q]
     ta = np.zeros(m)
+    updates = np.empty((q, 2, m))     # per stage: -g for the scaled path, g*c for the unscaled
+    neg_g, gc = updates[:, 0], updates[:, 1]
+    updates = updates.reshape(-1)
     checkset = set(checkpoints or [])
     snapshots: list[Snapshots] = [{} for _ in range(m)]
 
@@ -548,35 +559,34 @@ def run_sgd_population(streams: Sequence[SgdStream], layout: CorrectionLayout, a
                 snapshots[j][kk] = (params[:, j].copy(), float(ta[j]))
 
     event(0)
-    event_at = set(range(GUARD_EVERY, total + 1, GUARD_EVERY)) | {total} | checkset
-    mu_nl, mu_alpha = schedule.mu_nl, schedule.mu_alpha
+    # sample counts after which to check, snapshot or look the step sizes up again
+    h = schedule.halve_every
+    stops = set(range(GUARD_EVERY, total + 1, GUARD_EVERY)) | {total} | checkset
+    stops |= set(range(h, total, h)) if h > 0 else set()
+    mu_nl, mu_alpha = schedule.mu_nl(0), schedule.mu_alpha(0)
+    c = alpha_d + ta
     # a diverging member overflows before its next guard check, which reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, total, _CHUNK):
-            b = min(a + _CHUNK, total)
-            idx, w = expand(a, b)
-            for k in range(a, b):
-                gi, gw = idx[k - a], w[k - a]
+            for k, (gi, gw, wax, wx, si) in enumerate(zip(*expand(a, min(a + _CHUNK, total))), a):
                 terms = flat[gi]
                 terms *= gw
                 # a reduction along the slow axis is a running sum in row order:
                 # y, then per stage w * theta_f and theta_ind
-                out = np.add.reduce(terms, axis=0)
-                yx, yax = out[:m], out[m:]
+                yx, yax = np.add.reduce(terms, axis=0)
 
-                e_alpha = yax - (alpha_d + ta) * yx
-                ta = ta + mu_alpha(k) * yx * e_alpha
+                e_alpha = yax - c * yx          # c = alpha_d + ta, carried from the last sample
+                ta += mu_alpha * yx * e_alpha
 
                 c = alpha_d + ta
-                g = mu_nl(k) * (yax - c * yx)
-                gc = g * c
-                weighted_rows -= g * gw[1::2, m:] - gc * gw[1::2, :m]
-                ind_ax, ind_x = gi[2::2, m:], gi[2::2, :m]
-                flat.put(ind_ax, flat.take(ind_ax) - g)
-                flat.put(ind_x, flat.take(ind_x) + gc)
-                theta[sink] = 0.0
-                if k + 1 in event_at:
+                g = mu_nl * (yax - c * yx)
+                np.negative(g, out=neg_g)
+                np.multiply(g, c, out=gc)
+                weighted_rows -= g * wax - gc * wx
+                np.add.at(flat, si, updates)
+                if k + 1 in stops:
                     event(k + 1)
+                    mu_nl, mu_alpha = schedule.mu_nl(k + 1), schedule.mu_alpha(k + 1)
 
     if not np.all(np.isfinite(theta[:d])) or not np.all(np.isfinite(ta)):
         raise NumericalError("non-finite adaptive parameters")

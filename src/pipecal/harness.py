@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -81,6 +82,11 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+# accepted values by field annotation; None only where the annotation adds "| None"
+_FIELD_KINDS = {"int": (int, "an integer"), "float": (numbers.Real, "a real number"),
+                "bool": (bool, "true or false"), "str": (str, "a string")}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one experiment; defaults reproduce the reference
@@ -125,8 +131,14 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-                raise ConfigError(f"{f.name} must be an integer, not {value!r}")
+            kind = f.type.removesuffix(" | None")
+            if kind not in _FIELD_KINDS or (value is None and kind != f.type):
+                continue
+            cls, what = _FIELD_KINDS[kind]
+            if isinstance(value, bool) != (kind == "bool") or not isinstance(value, cls):
+                raise ConfigError(f"{f.name} must be {what}, not {value!r}")
+            if isinstance(value, np.generic):     # a numpy scalar is kept as its Python value
+                object.__setattr__(self, f.name, value.item())
         if self.population < 0:
             raise ConfigError("population must be non-negative")
         if not 1 <= self.q <= self.pipeline_stages:

@@ -152,17 +152,29 @@ def fold_eliminated_entries(theta_tilde, sizes):
     return np.array(theta)
 
 
+def total_gain(adc):
+    """Composite scaling factor of the input term: prod(1 + zeta_i)."""
+    beta = 1.0
+    for z in adc.mismatches.gain_mismatch:
+        beta *= 1.0 + z
+    return beta
+
+
+def delta_h(stats, theta_alpha=0.0):
+    """Dense homogeneity regressors h_ax - (alpha_d + theta_alpha) h_x, (N, D)."""
+    return stats.h_ax - (stats.alpha_d + theta_alpha) * stats.h_x
+
+
 def dense_r_hh(stats, theta_alpha=0.0):
     """R_hh from the dense regressor buffers: mean of dh dh^T."""
-    dh = stats.h_ax - (stats.alpha_d + theta_alpha) * stats.h_x
+    dh = delta_h(stats, theta_alpha)
     return dh.T @ dh / stats.n
 
 
 def dense_r_hy(stats, theta_alpha=0.0):
     """r_hy from the dense buffers: mean of dh * dy."""
     c = stats.alpha_d + theta_alpha
-    dh = stats.h_ax - c * stats.h_x
-    return dh.T @ (stats.y_ax - c * stats.y_x) / stats.n
+    return delta_h(stats, theta_alpha).T @ (stats.y_ax - c * stats.y_x) / stats.n
 
 
 def dense_corrected(stats, theta_nl):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    delta_h,
     dense_blhec,
     dense_mse,
     dense_r_hh,
@@ -17,6 +18,7 @@ from helpers import (
     sgd_loop,
     toy_adc,
     toy_stage,
+    total_gain,
 )
 
 from pipecal.adc import ConversionBatch, convert_many, lsb_size
@@ -132,7 +134,7 @@ class TestHecWiener:
         stats = accumulate_statistics(pairs, layout, ALPHA)
         theta = hec_wiener(stats)
         _, theta0 = ls_fit(adc, layout, x)
-        r_hx = stats.delta_h(0.0).T @ (adc.total_gain * x) / stats.n
+        r_hx = delta_h(stats, 0.0).T @ (total_gain(adc) * x) / stats.n
         predicted = theta0 - delta * np.linalg.solve(stats.r_hh(0.0), r_hx)
         assert np.max(np.abs(theta - predicted)) < 1e-9
 
@@ -586,6 +588,39 @@ class TestSgdPopulation:
             for k, (theta_k, alpha_k) in want_snapshots.items():
                 assert np.array_equal(snapshots[k][0], theta_k)
                 assert snapshots[k][1] == alpha_k
+
+    def test_matches_loop_across_rate_changes_and_chunks(self):
+        # the step sizes halve at 350, 700 and 1050, off the 256-sample chunk
+        # edges and the guard checks, and sit at the mu_nl_min floor from 1050 on
+        schedule = StepSchedule(halve_every=350, mu_nl_min=2.0 ** -5)
+        checkpoints = [256, 349, 350, 512, 1024, 1500]
+        batches, layout, cfg = [], None, None
+        for idx in range(3):
+            pairs, layout, cfg = default_member_pairs(idx, 1500)
+            batches.append(pairs)
+        results = run_sgd_population([SgdStream.from_pairs(p, layout) for p in batches],
+                                     layout, cfg.alpha_d, schedule=schedule,
+                                     checkpoints=checkpoints)
+        for pairs, (state, snapshots) in zip(batches, results):
+            want, want_snapshots = sgd_loop(pairs, layout, cfg.alpha_d, schedule,
+                                            checkpoints=checkpoints)
+            assert np.array_equal(state.theta_nl, want.theta_nl)
+            assert state.theta_alpha == want.theta_alpha
+            assert (state.mu_nl, state.mu_alpha) == (want.mu_nl, want.mu_alpha) == (2.0 ** -5, 2.0 ** -6)
+            assert snapshots.keys() == want_snapshots.keys() == set(checkpoints)
+            for k, (theta_k, alpha_k) in want_snapshots.items():
+                assert np.array_equal(snapshots[k][0], theta_k)
+                assert snapshots[k][1] == alpha_k
+
+    def test_exactness_streams_share_indicator_slots(self):
+        # the exactness tests cover steps whose scaled and unscaled conversions
+        # update the same indicator (-g, then +g*c): 413, 374 and 202 of 1500
+        # steps in stages 1, 2 and 3 of member 0
+        pairs, layout, _ = default_member_pairs(0, 1500)
+        stream = SgdStream.from_pairs(pairs, layout)
+        for i, slots in enumerate(layout.indicator_slots):
+            cx, cax = stream.codes_x[:, i], stream.codes_ax[:, i]
+            assert np.count_nonzero((cx == cax) & (slots[cx] >= 0)) > 100
 
     def test_stage_with_more_than_127_levels_matches_loop(self):
         # code indices above 127 must survive the compact stream and the kernel

@@ -85,10 +85,21 @@ class TestConfig:
         dict(population=2.5), dict(population=True), dict(resolution_bits=13.5),
         dict(n_cal=2000.5), dict(eval_samples=16384.5), dict(n_fft=16384.0),
         dict(algorithm="blhec-sgd", n_sgd=3000.5), dict(q=True), dict(mu_halve_every=1.2e4),
+        # a value of the wrong kind in a float, bool or str field
+        dict(snr_db=True), dict(stage_gain=True), dict(coherent_snap="no"),
+        dict(ideal_included_stages=2), dict(snr_db="70"), dict(alpha_d="0.5"),
     ])
     def test_validation(self, overrides):
         with pytest.raises(ConfigError):
             default_config(7, **overrides)
+
+    def test_float_fields_take_any_real_number(self):
+        # ints and numpy scalars are real numbers; a numpy scalar is stored as
+        # its Python value, so the config still serializes
+        cfg = default_config(7, snr_db=np.float32(70.0), stage_gain=4, alpha_d=np.float64(0.5),
+                             eval_snr_db=None)
+        assert type(cfg.snr_db) is float and cfg.snr_db == 70.0
+        assert cfg.digest() == default_config(7, stage_gain=4, alpha_d=0.5).digest()
 
     def test_defaults_reproduce_study_setup(self):
         cfg = default_config(7)
@@ -392,6 +403,9 @@ class TestCli:
         ({"n_sgd": 3000.5}, ["--algorithm", "blhec-sgd"]),
         # the worker count is checked before any member is built
         ({}, ["--workers", "0"]),
+        # a string in a float field, a number in a bool field
+        ({"snr_db": "70"}, []),
+        ({"coherent_snap": 1}, []),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, fields, flags):
         cfg = tmp_path / "cfg.json"
