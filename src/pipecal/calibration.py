@@ -12,16 +12,21 @@ regressors; the test signal itself stays unknown. Three routes are provided:
                         parameter block but bi-linear in both).
 * `run_sgd_population` -- per-sample stochastic-gradient version of the same
                         bi-linear estimator, cheap enough for hardware, run
-                        over the sample streams of many converters in
-                        lockstep (`run_sgd`: one); `sgd_step` is one update
-                        with its multiplication budget counted.
+                        by a compiled C loop (`sgd_kernel.c`, built on first
+                        use) over one converter's sample stream after the
+                        other (`run_sgd`: one); `sgd_step` is one update with
+                        its multiplication budget counted.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -58,8 +63,8 @@ class SingularStatisticsError(RuntimeError):
 class DivergenceError(RuntimeError):
     """The adaptive parameter vector left the configured guard region.
 
-    `member` is the diverging stream's position in a lockstep block and
-    `sample` the sample count at which the guard tripped.
+    `member` is the diverging stream's position in the population (None
+    from `run_sgd`) and `sample` the sample count at which the guard tripped.
     """
 
     def __init__(self, message: str, member: int | None = None, sample: int | None = None):
@@ -367,8 +372,8 @@ def sgd_step(state: CalibrationState, pair: PairBatch, layout: CorrectionLayout,
 
     The scalar parameter moves first using its apriori error; the vector
     update then uses the *fresh* theta_alpha in both its regressor and its
-    apriori error. `run_sgd_population` performs the same update for many
-    converters at once; this single step exists for the hardware audit.
+    apriori error. `run_sgd_population` performs the same update in its
+    compiled loop; this single step exists for the hardware audit.
 
     Counting conventions: step sizes are powers of two, so scaling by mu is a
     shift; products with the 0/1 indicator entries of the regressors are
@@ -421,11 +426,8 @@ class SgdStream:
     kernel reads: both outputs as float64 plus the code index of each
     calibrated stage in the smallest unsigned type that holds the largest
     stage's level count, as the stage quantizer counts it (uint8 up to 255
-    levels), 22 B per pair at q = 3.
-
-    The kernel rebuilds the regressors a chunk at a time from the code
-    indices: the weighted entries by `CorrectionLayout.weighted_entries` and
-    each indicator slot from its code index.
+    levels), 22 B per pair at q = 3. The code indices are row-major, one
+    sample's q codes next to each other, as the kernel reads them.
     """
 
     y_x: np.ndarray                       # (N,) unscaled outputs
@@ -440,174 +442,155 @@ class SgdStream:
             raise LayoutError("batch lacks stage codes for the calibrated stages")
         code_type = np.min_scalar_type(max(layout.sizes))
         return cls(y_x=pairs.unscaled.y, y_ax=pairs.scaled.y,
-                   codes_x=pairs.unscaled.index[:, :q].astype(code_type),
-                   codes_ax=pairs.scaled.index[:, :q].astype(code_type))
+                   codes_x=pairs.unscaled.index[:, :q].astype(code_type, order="C"),
+                   codes_ax=pairs.scaled.index[:, :q].astype(code_type, order="C"))
 
     def __len__(self) -> int:
         return self.y_x.shape[0]
 
 
-_CHUNK = 256     # samples whose gather slots and weights are expanded at once
 GUARD_EVERY = 200   # samples between the adaptive kernel's divergence checks
 
 Snapshots = dict[int, tuple[np.ndarray, float]]    # sample count -> (theta_nl, theta_alpha)
+
+_KERNEL_SOURCE = Path(__file__).with_name("sgd_kernel.c")
+# no contraction: a fused multiply-add would round differently from the per-sample loop
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+class KernelBuildError(RuntimeError):
+    """The adaptive kernel's C source could not be compiled."""
+
+
+def _compiler() -> list[str]:
+    """The C compiler command Python was built with (sysconfig's CC)."""
+    import sysconfig
+
+    return (sysconfig.get_config_var("CC") or "cc").split()
+
+
+def _build_kernel(out_dir: Path) -> Path:
+    """The adaptive kernel's shared library in `out_dir`, named by the sha256
+    of the source and the flags and compiled if missing: under a temporary
+    name, then moved into place, so processes that build at the same moment
+    never load a partial file."""
+    import subprocess
+
+    source = _KERNEL_SOURCE.read_bytes()
+    key = hashlib.sha256(source + " ".join(_KERNEL_FLAGS).encode()).hexdigest()[:16]
+    target = out_dir / f"sgd_kernel-{key}.so"
+    if target.exists():
+        return target
+    out_dir.mkdir(parents=True, exist_ok=True)
+    cc, tmp = _compiler(), out_dir / f"{target.name}.{os.getpid()}.tmp"
+    try:
+        subprocess.run([*cc, *_KERNEL_FLAGS, "-o", str(tmp), str(_KERNEL_SOURCE)],
+                       check=True, capture_output=True, text=True)
+        os.replace(tmp, target)
+    except (OSError, subprocess.CalledProcessError) as exc:
+        raise KernelBuildError(f"C compiler {cc[0]!r} could not build the adaptive kernel "
+                               f"{_KERNEL_SOURCE.name}: {getattr(exc, 'stderr', None) or exc}"
+                               ) from exc
+    finally:
+        tmp.unlink(missing_ok=True)
+    return target
+
+
+@functools.cache
+def _kernel():
+    """The compiled per-member loop, built into the package's __pycache__ on first use."""
+    import ctypes
+
+    fn = ctypes.CDLL(str(_build_kernel(_KERNEL_SOURCE.parent / "__pycache__"))).pipecal_sgd
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    fn.argtypes = [i64] * 4 + [ptr] * 4 + [i64] * 3 + [ptr] * 5 + [i64, ptr] + [f64] * 4
+    fn.restype = i64
+    return fn
+
+
+def _adapt(stream: SgdStream, layout: CorrectionLayout, alpha_d: float, schedule: StepSchedule,
+           guard: float, checkpoints: Sequence[int] | None, member: int | None = None
+           ) -> tuple[CalibrationState, Snapshots]:
+    """One converter through the compiled loop (`sgd_kernel.c`), which reads
+    the stream and the stage tables itself and checks the guard. It returns
+    to Python only at checkpoints and at multiples of the schedule's
+    `halve_every`, where the step sizes may change. DivergenceError names
+    `member` when it is given."""
+    total, q = len(stream), layout.q
+    code_type = np.min_scalar_type(max(layout.sizes))     # as `SgdStream.from_pairs` stores it
+    y_x, y_ax = (np.ascontiguousarray(y, dtype=float) for y in (stream.y_x, stream.y_ax))
+    codes_x, codes_ax = (np.ascontiguousarray(c) for c in (stream.codes_x, stream.codes_ax))
+    if code_type.itemsize > 2 or y_ax.shape != (total,) or any(
+            c.dtype != code_type or c.shape != (total, q) for c in (codes_x, codes_ax)):
+        raise ValueError(f"the adaptive kernel needs ({total},) outputs and ({total}, {q}) "
+                         f"uint8 or uint16 code indices, here {code_type}")
+    # per stage, the code value and indicator slot of every index the code type holds
+    width = 1 << 8 * code_type.itemsize
+    values, slots = np.zeros((q, width)), np.full((q, width), -1, dtype=np.int64)
+    for i, (stage, table) in enumerate(zip(layout.stages, layout.indicator_slots)):
+        values[i, :table.size], slots[i, :table.size] = stage.code_table, table
+    prefix = layout.gain_prefix_products()
+    weighted = np.array([layout.weighted_position(i) for i in range(q)], dtype=np.int64)
+
+    checkset = set(checkpoints or [])
+    h = schedule.halve_every
+    stops = sorted({total} | {k for k in checkset if 0 < k < total}
+                   | (set(range(h, total, h)) if h > 0 else set()))
+    theta, ta = np.zeros(layout.dim), np.zeros(1)
+    snapshots: Snapshots = {0: (theta.copy(), 0.0)} if 0 in checkset else {}
+    a = 0
+    for b in stops:
+        tripped = _kernel()(a, b, total, GUARD_EVERY, y_x.ctypes.data, y_ax.ctypes.data,
+                            codes_x.ctypes.data, codes_ax.ctypes.data, code_type.itemsize, q,
+                            width, values.ctypes.data, slots.ctypes.data, prefix.ctypes.data,
+                            weighted.ctypes.data, theta.ctypes.data, layout.dim, ta.ctypes.data,
+                            alpha_d, schedule.mu_nl(a), schedule.mu_alpha(a), guard)
+        if tripped:
+            who = "" if member is None else f"member {member}: "
+            raise DivergenceError(f"{who}||theta_nl||_inf exceeded guard {guard} at sample "
+                                  f"{tripped}", member=member, sample=tripped)
+        if b in checkset:
+            snapshots[b] = (theta.copy(), float(ta[0]))
+        a = b
+    if not np.all(np.isfinite(theta)) or not np.isfinite(ta[0]):
+        raise NumericalError("non-finite adaptive parameters")
+    last = max(total - 1, 0)
+    return CalibrationState(theta_nl=theta, theta_alpha=float(ta[0]), mu_nl=schedule.mu_nl(last),
+                            mu_alpha=schedule.mu_alpha(last), k=total), snapshots
 
 
 def run_sgd_population(streams: Sequence[SgdStream], layout: CorrectionLayout, alpha_d: float,
                        schedule: StepSchedule | None = None, guard: float = 1.0,
                        checkpoints: Sequence[int] | None = None
                        ) -> list[tuple[CalibrationState, Snapshots]]:
-    """Adapt the correction parameters of M converters in lockstep.
+    """Adapt the correction parameters of M converters, one after the other.
 
-    The recursion is sequential in the sample index but independent across
-    converters, so each numpy step advances all M members by one pair.
-    Member j's parameters are column j of an (S, M) array of S = D + 3 rows:
-    the q weighted slots, then the indicator slots, a constant-1 row (the
-    output y rides in the same gather as the regressor terms), a zero row
-    that the gather reads for codes without an indicator, and a trash row
-    that takes their updates and is never read. Both outputs come from one
-    gather and one row-order sum; all indicator updates go through one
-    `np.add.at` whose index lists, per stage, the scaled path's indicators
-    before the unscaled ones, so a slot both paths select gets -g before
-    +g*c, as in the one-converter loop. The step sizes are looked up again
-    only where the loop stops anyway (guard checks, checkpoints) and at the
-    multiples of the schedule's `halve_every`, where they may change.
-    Each member sees the floating-point operations of the one-converter
-    loop in the same order, so its results are bit-identical to a run on
-    its own.
+    Each member runs through one compiled C loop that performs the
+    operations of the per-sample loop (`tests/helpers.py`'s `sgd_loop`) in
+    the same order, so its results are bit-identical to it.
 
     All streams hold the same number N of pairs; streams of unequal length
     raise ValueError. Each member gets its final state and a snapshot of its
     (theta_nl, theta_alpha) at each requested sample count up to N. Every
-    GUARD_EVERY samples and at N, DivergenceError, naming the member's
-    position in `streams` and the sample, is raised once ||theta_nl||_inf
-    exceeds `guard`.
+    GUARD_EVERY samples and at N the loop checks the guard. The first member
+    in stream order whose ||theta_nl||_inf exceeds `guard`, or whose
+    theta_alpha is no longer finite, raises DivergenceError naming its
+    position in `streams` and the sample; later members are not run.
     """
-    schedule = schedule or StepSchedule()
-    m, q, d = len(streams), layout.q, layout.dim
-    if m == 0:
-        return []
-    total = len(streams[0])
-    if any(len(s) != total for s in streams):
+    if len({len(s) for s in streams}) > 1:
         raise ValueError(f"streams differ in length: {sorted({len(s) for s in streams})}")
-    one, zero, trash = d, d + 1, d + 2
-
-    # internal slot order: weighted slots first, so their update is one row block
-    weighted = [layout.weighted_position(i) for i in range(q)]
-    row_of = np.empty(d, dtype=np.int64)     # internal row of each layout slot
-    row_of[weighted + [s for s in range(d) if s not in weighted]] = np.arange(d)
-    cols = np.arange(m)
-    # static gather slots: the output, the weighted slots, indicators at the zero row
-    template = np.array([one] + [r for i in range(q) for r in (i, zero)])[:, None, None] * m + cols
-    read_at, write_at = [], []     # per stage, by code index: flat gather offset, scatter slot
-    for slots in layout.indicator_slots:
-        read_at.append((np.where(slots >= 0, row_of[slots], zero) - zero) * m)
-        write_at.append(np.where(slots >= 0, row_of[slots], trash) * m)
-    # operand buffers, refilled for every chunk
-    w_buf = np.empty((_CHUNK, 2 * q + 1, 2, m))
-    idx_buf = np.empty((_CHUNK, 2 * q + 1, 2, m), dtype=np.int64)
-    ind_buf = np.empty((_CHUNK, q, 2, m), dtype=np.int64)
-
-    def expand(a: int, b: int) -> tuple[np.ndarray, ...]:
-        """Per-sample operands of samples a..b-1: gather slots and weights,
-        each (b-a, 2q+1, 2, M), views of the weighted entries of the scaled
-        and the unscaled conversion, each (b-a, q, M), and the scatter slots,
-        (b-a, 2qM).
-
-        In the gather, path 0 is the unscaled conversion and path 1 the scaled
-        one; row 0 is the output, rows 1+2i and 2+2i stage i's weighted and
-        indicator terms.
-        """
-        n = b - a
-        w, idx, ind = w_buf[:n], idx_buf[:n], ind_buf[:n]
-        codes = np.stack([s.codes_x[a:b] for s in streams] + [s.codes_ax[a:b] for s in streams],
-                         axis=1).reshape(n, 2, m, q)
-        w[:, 0] = np.stack([s.y_x[a:b] for s in streams] + [s.y_ax[a:b] for s in streams],
-                           axis=1).reshape(n, 2, m)
-        w[:, 1::2] = np.moveaxis(layout.weighted_entries(codes), -1, 1)
-        w[:, 2::2] = 1.0
-
-        idx[:] = template
-        for i in range(q):
-            idx[:, 2 + 2 * i] += read_at[i][codes[..., i]]
-            ind[:, i] = write_at[i][codes[:, ::-1, :, i]] + cols      # scaled path first
-        return idx, w, w[:, 1::2, 1], w[:, 1::2, 0], ind.reshape(n, -1)
-
-    theta = np.zeros((d + 3, m))
-    theta[one] = 1.0
-    flat = theta.reshape(-1)
-    weighted_rows = theta[:q]
-    ta = np.zeros(m)
-    updates = np.empty((q, 2, m))     # per stage: -g for the scaled path, g*c for the unscaled
-    neg_g, gc = updates[:, 0], updates[:, 1]
-    updates = updates.reshape(-1)
-    checkset = set(checkpoints or [])
-    snapshots: list[Snapshots] = [{} for _ in range(m)]
-
-    def event(kk: int) -> None:
-        """Guard check and checkpoint snapshots after sample kk."""
-        if kk and (kk % GUARD_EVERY == 0 or kk == total):
-            # negated comparison so that NaN fails the check too
-            bad = np.flatnonzero(~(np.max(np.abs(theta[:d]), axis=0) <= guard) | ~np.isfinite(ta))
-            if bad.size:
-                j = int(bad[0])
-                raise DivergenceError(f"member {j}: ||theta_nl||_inf exceeded guard {guard} "
-                                      f"at sample {kk}", member=j, sample=kk)
-        if kk in checkset:
-            params = theta[row_of]
-            for j in range(m):
-                snapshots[j][kk] = (params[:, j].copy(), float(ta[j]))
-
-    event(0)
-    # sample counts after which to check, snapshot or look the step sizes up again
-    h = schedule.halve_every
-    stops = set(range(GUARD_EVERY, total + 1, GUARD_EVERY)) | {total} | checkset
-    stops |= set(range(h, total, h)) if h > 0 else set()
-    mu_nl, mu_alpha = schedule.mu_nl(0), schedule.mu_alpha(0)
-    c = alpha_d + ta
-    # a diverging member overflows before its next guard check, which reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(0, total, _CHUNK):
-            for k, (gi, gw, wax, wx, si) in enumerate(zip(*expand(a, min(a + _CHUNK, total))), a):
-                terms = flat[gi]
-                terms *= gw
-                # a reduction along the slow axis is a running sum in row order:
-                # y, then per stage w * theta_f and theta_ind
-                yx, yax = np.add.reduce(terms, axis=0)
-
-                e_alpha = yax - c * yx          # c = alpha_d + ta, carried from the last sample
-                ta += mu_alpha * yx * e_alpha
-
-                c = alpha_d + ta
-                g = mu_nl * (yax - c * yx)
-                np.negative(g, out=neg_g)
-                np.multiply(g, c, out=gc)
-                weighted_rows -= g * wax - gc * wx
-                np.add.at(flat, si, updates)
-                if k + 1 in stops:
-                    event(k + 1)
-                    mu_nl, mu_alpha = schedule.mu_nl(k + 1), schedule.mu_alpha(k + 1)
-
-    if not np.all(np.isfinite(theta[:d])) or not np.all(np.isfinite(ta)):
-        raise NumericalError("non-finite adaptive parameters")
-    last = max(total - 1, 0)
-    return [(CalibrationState(theta_nl=theta[row_of, j], theta_alpha=float(ta[j]),
-                              mu_nl=schedule.mu_nl(last), mu_alpha=schedule.mu_alpha(last),
-                              k=total), snapshots[j])
-            for j in range(m)]
+    schedule = schedule or StepSchedule()
+    return [_adapt(stream, layout, alpha_d, schedule, guard, checkpoints, member=j)
+            for j, stream in enumerate(streams)]
 
 
 def run_sgd(pairs: PairBatch, layout: CorrectionLayout, alpha_d: float,
             schedule: StepSchedule | None = None, guard: float = 1.0,
             checkpoints: Sequence[int] | None = None) -> tuple[CalibrationState, Snapshots]:
     """`run_sgd_population` for one converter: its final state and snapshots.
-
-    At one member a numpy step costs several times a plain Python loop's
-    per-sample time; pass many converters to `run_sgd_population` at once
-    instead.
-    """
-    return run_sgd_population([SgdStream.from_pairs(pairs, layout)], layout, alpha_d,
-                              schedule, guard, checkpoints)[0]
+    A DivergenceError names the sample only."""
+    return _adapt(SgdStream.from_pairs(pairs, layout), layout, alpha_d,
+                  schedule or StepSchedule(), guard, checkpoints)
 
 
 def step_size_bounds(layout: CorrectionLayout, y_max: float,

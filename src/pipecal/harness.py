@@ -35,15 +35,14 @@ from .adc import (
 from .calibration import (
     DivergenceError,
     RankDeficiencyError,
-    SgdStream,
     StepSchedule,
     accumulate_statistics,
     blhec_wiener,
     hec_wiener,
-    run_sgd_population,
+    run_sgd,
 )
 from .correction import CorrectionLayout, apply_correction_batch, model_dimension, selection_vectors
-from .signals import NOISE_MODES, PathConfig, ToneSpec, gen_tones, make_pairs, snap_to_odd_bin
+from .signals import NOISE_MODES, PairBatch, PathConfig, ToneSpec, gen_tones, make_pairs, snap_to_odd_bin
 from .spectral import WINDOWS, analyze, error_norm, spectrum, tone_bin
 
 __all__ = [
@@ -70,10 +69,6 @@ SWEEP_KINDS = ("alpha", "snr", "delta", "convergence")
 DEFAULT_TONE_OMEGA = 2.0 * math.pi * 10.77 / 100.0
 EVAL_PHASE_OFFSET = math.pi / 4.0
 
-# members per SGD block: a block holds every member's stream until its one
-# kernel call, so the cap bounds a serial run's memory whatever the population
-SGD_BLOCK_MEMBERS = 128
-
 # seed-stream roles per population member
 _ROLE_MISMATCH, _ROLE_DELTA, _ROLE_CAL_NOISE, _ROLE_EVAL_NOISE = 0, 1, 2, 3
 
@@ -83,7 +78,7 @@ class ConfigError(ValueError):
 
 
 # accepted values by field annotation; None only where the annotation adds "| None"
-_FIELD_KINDS = {"int": (int, "an integer"), "float": (numbers.Real, "a real number"),
+_FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a real number"),
                 "bool": (bool, "true or false"), "str": (str, "a string")}
 
 
@@ -137,7 +132,9 @@ class ExperimentConfig:
             cls, what = _FIELD_KINDS[kind]
             if isinstance(value, bool) != (kind == "bool") or not isinstance(value, cls):
                 raise ConfigError(f"{f.name} must be {what}, not {value!r}")
-            if isinstance(value, np.generic):     # a numpy scalar is kept as its Python value
+            if kind == "int":       # any integer type is kept as a Python int
+                object.__setattr__(self, f.name, int(value))
+            elif isinstance(value, np.generic):     # a numpy scalar is kept as its Python value
                 object.__setattr__(self, f.name, value.item())
         if self.population < 0:
             raise ConfigError("population must be non-negative")
@@ -364,12 +361,12 @@ def _wiener(config: ExperimentConfig, pairs, layout) -> tuple[np.ndarray, float,
     return res.theta_nl, res.theta_alpha, res.converged
 
 
-def _check_code_coverage(stream: SgdStream, layout: CorrectionLayout, idx: int) -> None:
+def _check_code_coverage(pairs: PairBatch, layout: CorrectionLayout, idx: int) -> None:
     """Raise RankDeficiencyError when the calibration pairs never select a code
     that owns an indicator slot: the adaptive loop would leave that slot at 0."""
     for i, slots in enumerate(layout.indicator_slots):
-        counts = (np.bincount(stream.codes_x[:, i], minlength=slots.size)
-                  + np.bincount(stream.codes_ax[:, i], minlength=slots.size))
+        counts = (np.bincount(pairs.unscaled.index[:, i], minlength=slots.size)
+                  + np.bincount(pairs.scaled.index[:, i], minlength=slots.size))
         missing = np.flatnonzero((counts == 0) & (slots >= 0))
         if missing.size:
             code = int(missing[0])
@@ -378,117 +375,70 @@ def _check_code_coverage(stream: SgdStream, layout: CorrectionLayout, idx: int) 
                 f"(indicator slot {slots[code]}); input does not cover all codes")
 
 
-def _run_block(args) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
-    """Calibrate and evaluate a contiguous block of population members.
+def _run_member(args) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
+    """Build, calibrate and evaluate population member idx.
 
-    Members are built one at a time. A Wiener member is solved right away;
-    an SGD member keeps only its compact pair stream (and, for a convergence
-    sweep, its BL-HEC reference), and one lockstep kernel call then adapts the
-    whole block. With `checkpoints`, each member gets one row per checkpoint,
+    With `checkpoints` (SGD only), the member gets one row per checkpoint,
     all evaluated on one conversion of its evaluation signal, and one error
-    norm against its reference. A row's wall_clock_s is its member's own
-    build, pair, solve and evaluation time plus, for SGD, an equal share of
-    the kernel time.
+    norm per checkpoint against its BL-HEC reference. A row's wall_clock_s
+    is its member's build, pair, calibration and evaluation time.
     """
-    config, indices, checkpoints = args
+    config, idx, checkpoints = args
+    start = time.perf_counter()
+    adc, path, layout = _build_member(config, idx)
     sgd = config.algorithm == "blhec-sgd"
-    if checkpoints:
-        n_samples = max(checkpoints)
+    n_samples = max(checkpoints) if checkpoints else (config.n_sgd if sgd else config.n_cal)
+    x_cal = gen_tones(config.run_tones(config.cal_amplitude), n_samples)
+    pairs = make_pairs(adc, x_cal, path, _seed_for(config, idx, _ROLE_CAL_NOISE))
+
+    reference, converged = None, None
+    if not sgd:
+        theta_nl, theta_alpha, converged = _wiener(config, pairs, layout)
+        points = [(config.n_cal, theta_nl, theta_alpha)]
     else:
-        n_samples = config.n_sgd if sgd else config.n_cal
-
-    # per member: (idx, adc, path, layout), [(samples, theta_nl, theta_alpha)],
-    # BL-HEC converged flag, seconds
-    built, points, converged, seconds = [], [], [], []
-    streams, references = [], []
-    for idx in indices:
-        start = time.perf_counter()
-        adc, path, layout = _build_member(config, idx)
-        x_cal = gen_tones(config.run_tones(config.cal_amplitude), n_samples)
-        pairs = make_pairs(adc, x_cal, path, _seed_for(config, idx, _ROLE_CAL_NOISE))
-        if sgd:
-            if checkpoints:
-                reference, _, ok = _wiener(config, pairs, layout)
-                references.append(reference)
-                converged.append(ok)
-            else:
-                converged.append(None)
-            streams.append(SgdStream.from_pairs(pairs, layout))
-            _check_code_coverage(streams[-1], layout, idx)
-            points.append([])
-        else:
-            theta_nl, theta_alpha, ok = _wiener(config, pairs, layout)
-            points.append([(config.n_cal, theta_nl, theta_alpha)])
-            converged.append(ok)
-        del pairs       # only the compact stream waits for the kernel
-        built.append((idx, adc, path, layout))
-        seconds.append(time.perf_counter() - start)
-
-    if streams:
-        start = time.perf_counter()
-        try:
-            outcomes = run_sgd_population(streams, built[0][3], config.alpha_d,
-                                          schedule=config.schedule(), guard=config.sgd_guard,
-                                          checkpoints=checkpoints)
-        except DivergenceError as exc:
-            raise DivergenceError(f"adc {built[exc.member][0]}: {exc}") from exc
-        share = (time.perf_counter() - start) / len(streams)
-        for m, (state, snapshots) in enumerate(outcomes):
-            if checkpoints:
-                points[m] = [(k, *snapshots[k]) for k in checkpoints]
-            else:
-                points[m] = [(config.n_sgd, state.theta_nl, state.theta_alpha)]
-            seconds[m] += share
-
-    digest = config.digest()
-    rows: list[ResultRow] = []
-    norms: list[tuple[int, int, float]] = []
-    for m, (idx, adc, path, layout) in enumerate(built):
-        start = time.perf_counter()
-        pre, posts = _evaluate(config, adc, layout, idx, [theta for _, theta, _ in points[m]])
-        wall = seconds[m] + time.perf_counter() - start
-        fingerprint = _seed_fingerprint(config, idx)
-        for (k, _, alpha), post in zip(points[m], posts):
-            rows.append(ResultRow(
-                adc_id=idx, seed=fingerprint, config_digest=digest,
-                algorithm=config.algorithm, pre_sndr_db=pre.sndr_db, pre_sfdr_db=pre.sfdr_db,
-                post_sndr_db=post.sndr_db, post_sfdr_db=post.sfdr_db, theta_alpha=alpha,
-                delta_true=path.delta, samples=k, wall_clock_s=wall,
-                sweep_kind="convergence" if checkpoints else "",
-                sweep_value=float(k) if checkpoints else None,
-                blhec_converged=converged[m],
-            ))
         if checkpoints:
-            norms += [(idx, k, error_norm(theta, references[m])) for k, theta, _ in points[m]]
+            reference, _, converged = _wiener(config, pairs, layout)
+        _check_code_coverage(pairs, layout, idx)
+        samples = checkpoints or [n_samples]
+        try:
+            _, snapshots = run_sgd(pairs, layout, config.alpha_d, schedule=config.schedule(),
+                                   guard=config.sgd_guard, checkpoints=samples)
+        except DivergenceError as exc:
+            raise DivergenceError(f"adc {idx}: {exc}", member=idx, sample=exc.sample) from exc
+        points = [(k, *snapshots[k]) for k in samples]
+    del pairs
+
+    pre, posts = _evaluate(config, adc, layout, idx, [theta for _, theta, _ in points])
+    wall = time.perf_counter() - start
+    fingerprint, digest = _seed_fingerprint(config, idx), config.digest()
+    rows = [ResultRow(adc_id=idx, seed=fingerprint, config_digest=digest,
+                      algorithm=config.algorithm, pre_sndr_db=pre.sndr_db,
+                      pre_sfdr_db=pre.sfdr_db, post_sndr_db=post.sndr_db,
+                      post_sfdr_db=post.sfdr_db, theta_alpha=alpha, delta_true=path.delta,
+                      samples=k, wall_clock_s=wall,
+                      sweep_kind="convergence" if checkpoints else "",
+                      sweep_value=float(k) if checkpoints else None,
+                      blhec_converged=converged)
+            for (k, _, alpha), post in zip(points, posts)]
+    norms = [(idx, k, error_norm(theta, reference)) for k, theta, _ in points] if checkpoints else []
     return rows, norms
 
 
 def _run_population(config: ExperimentConfig, workers: int,
                     checkpoints: list[int] | None = None):
-    """Every member through `_run_block`, in contiguous blocks.
-
-    An SGD block shares one kernel call, so SGD runs as one block when serial
-    and as ceil(population / workers) members per pool task otherwise, at
-    most SGD_BLOCK_MEMBERS each. A Wiener member shares nothing with its
-    neighbours; one member per task keeps the pool's workers evenly loaded.
-    The pool starts no more processes than there are tasks.
-    """
+    """Every member through `_run_member`, one member per pool task, so the
+    pool's workers stay evenly loaded. The pool starts no more processes
+    than there are members."""
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    if config.algorithm != "blhec-sgd":
-        size = 1
-    else:
-        share = config.population if workers == 1 else -(-config.population // workers)
-        size = max(1, min(SGD_BLOCK_MEMBERS, share))
-    tasks = [(config, range(a, min(a + size, config.population)), checkpoints)
-             for a in range(0, config.population, size)]
+    tasks = [(config, idx, checkpoints) for idx in range(config.population)]
     if workers == 1 or len(tasks) <= 1:
-        outcomes = [_run_block(t) for t in tasks]
+        outcomes = [_run_member(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            outcomes = list(pool.map(_run_block, tasks))
-    rows = [row for block_rows, _ in outcomes for row in block_rows]
-    norms = [norm for _, block_norms in outcomes for norm in block_norms]
+            outcomes = list(pool.map(_run_member, tasks))
+    rows = [row for member_rows, _ in outcomes for row in member_rows]
+    norms = [norm for _, member_norms in outcomes for norm in member_norms]
     return rows, norms
 
 
@@ -496,9 +446,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ResultRow
     """Calibrate and evaluate every population member.
 
     Members are independent: each derives its own seed streams from
-    (master_seed, adc_id), and the lockstep SGD kernel gives each member the
-    same result as a run on its own, so results do not depend on the worker
-    count or on which other members are present.
+    (master_seed, adc_id) and is calibrated on its own, so results do not
+    depend on the worker count or on which other members are present.
     """
     rows, _ = _run_population(config, workers)
     rows.sort(key=lambda r: r.adc_id)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,14 +25,17 @@ from helpers import (
     total_gain,
 )
 
+from pipecal import calibration
 from pipecal.adc import ConversionBatch, convert_many, lsb_size
 from pipecal.calibration import (
     CalibrationState,
     DivergenceError,
+    KernelBuildError,
     RankDeficiencyError,
     SgdStream,
     SingularStatisticsError,
     StepSchedule,
+    _build_kernel,
     _solve_spd,
     accumulate_statistics,
     blhec_wiener,
@@ -507,7 +514,7 @@ class TestRunSgd:
 
     def test_error_norm_shrinks_averaged_over_runs(self):
         # average final-to-initial error-norm ratio over many independent
-        # runs, adapted together in one lockstep block
+        # runs, adapted by one population call
         streams, refs = [], []
         for seed in range(100):
             rng = np.random.default_rng(seed)
@@ -635,6 +642,19 @@ class TestSgdPopulation:
         assert np.array_equal(state.theta_nl, want.theta_nl)
         assert state.theta_alpha == want.theta_alpha
 
+    def test_stage_with_more_than_255_levels_matches_loop(self):
+        # code indices above 255 are uint16 in the stream and in the kernel
+        adc = toy_adc(zetas=(0.013, -0.021), levels=300, flash_bits=None)
+        layout = CorrectionLayout.from_adc(adc, 2)
+        pairs, _ = toy_pairs(adc, delta=1e-3, n=1200)
+        stream = SgdStream.from_pairs(pairs, layout)
+        assert stream.codes_x.dtype == np.uint16 and stream.codes_x.max() == 300
+        schedule = StepSchedule(mu_nl_init=2.0 ** -4, halve_every=0)
+        [(state, _)] = run_sgd_population([stream], layout, ALPHA, schedule=schedule)
+        want, _ = sgd_loop(pairs, layout, ALPHA, schedule)
+        assert np.array_equal(state.theta_nl, want.theta_nl)
+        assert state.theta_alpha == want.theta_alpha
+
     def test_rejects_streams_of_unequal_length(self):
         pairs, layout, cfg = default_member_pairs(0, 300)
         streams = [SgdStream.from_pairs(pairs, layout), SgdStream.from_pairs(pairs[:200], layout)]
@@ -654,6 +674,25 @@ class TestSgdPopulation:
             run_sgd_population(streams, layout, cfg.alpha_d, schedule=cfg.schedule())
         assert got.value.member == 1 and got.value.sample == sample
         assert "member 1" in str(got.value) and f"sample {sample}" in str(got.value)
+
+    def test_divergence_names_first_member_in_stream_order(self):
+        # member 2 diverges at the first guard check, member 1 only after its
+        # outputs blow up at sample 1000; members run in order, so 1 is named
+        batches, layout, cfg = [], None, None
+        late = np.where(np.arange(2000) < 1000, 1.0, 40.0)
+        for idx, factor in enumerate([1.0, late, 40.0]):
+            pairs, layout, cfg = default_member_pairs(idx, 2000)
+            batches.append(scaled_outputs(pairs, factor))
+        samples = []
+        for pairs in batches[1:]:
+            with pytest.raises(DivergenceError) as want:
+                sgd_loop(pairs, layout, cfg.alpha_d, cfg.schedule())
+            samples.append(int(str(want.value).rsplit(" ", 1)[1]))
+        assert samples[1] < samples[0]
+        streams = [SgdStream.from_pairs(p, layout) for p in batches]
+        with pytest.raises(DivergenceError) as got:
+            run_sgd_population(streams, layout, cfg.alpha_d, schedule=cfg.schedule())
+        assert (got.value.member, got.value.sample) == (1, samples[0])
 
     def test_stream_is_compact(self):
         pairs, layout, _ = default_member_pairs(0, 1000)
@@ -715,3 +754,27 @@ class TestComplexityAudit:
         _, count = sgd_step(state, pairs[0:1], layout, ALPHA)
         assert count.nl == layout.dim == 5
         assert count.alpha == 3
+
+
+class TestKernelBuild:
+    def test_two_processes_build_and_load_at_once(self, tmp_path):
+        # both may compile; each renames a finished file into place
+        script = ("import ctypes, sys; from pathlib import Path; "
+                  "from pipecal.calibration import _build_kernel; "
+                  "ctypes.CDLL(str(_build_kernel(Path(sys.argv[1])))).pipecal_sgd; print('loaded')")
+        src = str(Path(calibration.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        procs = [subprocess.Popen([sys.executable, "-c", script, str(tmp_path)], env=env,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                 for _ in range(2)]
+        outs = [proc.communicate(timeout=120) for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0], outs
+        assert [out for out, _ in outs] == ["loaded\n"] * 2
+        # one library and no temporary file left behind
+        assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
+
+    def test_missing_compiler_is_named(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(calibration, "_compiler", lambda: ["pipecal-no-such-cc"])
+        with pytest.raises(KernelBuildError, match="pipecal-no-such-cc"):
+            _build_kernel(tmp_path)
+        assert list(tmp_path.iterdir()) == []

@@ -88,6 +88,8 @@ class TestConfig:
         # a value of the wrong kind in a float, bool or str field
         dict(snr_db=True), dict(stage_gain=True), dict(coherent_snap="no"),
         dict(ideal_included_stages=2), dict(snr_db="70"), dict(alpha_d="0.5"),
+        # a numpy bool or float in an int field
+        dict(q=np.True_), dict(population=np.float64(3.0)),
     ])
     def test_validation(self, overrides):
         with pytest.raises(ConfigError):
@@ -100,6 +102,13 @@ class TestConfig:
                              eval_snr_db=None)
         assert type(cfg.snr_db) is float and cfg.snr_db == 70.0
         assert cfg.digest() == default_config(7, stage_gain=4, alpha_d=0.5).digest()
+
+    def test_int_fields_take_any_integer(self):
+        # numpy integers are integers; each is stored as a Python int, so the
+        # config still serializes to the same digest
+        cfg = default_config(7, population=np.int64(3), q=np.uint8(2), n_sgd=np.int32(3000))
+        assert [type(v) for v in (cfg.population, cfg.q, cfg.n_sgd)] == [int, int, int]
+        assert cfg.digest() == default_config(7, population=3, q=2, n_sgd=3000).digest()
 
     def test_defaults_reproduce_study_setup(self):
         cfg = default_config(7)
@@ -138,7 +147,7 @@ class TestRunExperiment:
         ("blhec-sgd", {"n_sgd": 3000}),
     ], ids=["blhec-wiener", "blhec-sgd"])
     def test_workers_do_not_change_results(self, algorithm, extra):
-        # two workers split the population into two lockstep blocks
+        # two workers take the members one at a time, in no fixed order
         cfg = default_config(7, algorithm=algorithm, **SMALL, **extra)
         seq = run_experiment(cfg, workers=1)
         par = run_experiment(cfg, workers=2)
@@ -406,6 +415,8 @@ class TestCli:
         # a string in a float field, a number in a bool field
         ({"snr_db": "70"}, []),
         ({"coherent_snap": 1}, []),
+        # a boolean is not an integer, although Python counts it as one
+        ({"q": True}, []),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, fields, flags):
         cfg = tmp_path / "cfg.json"

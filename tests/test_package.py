@@ -1,4 +1,5 @@
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +22,11 @@ def test_all_names_resolve_and_none_was_removed(name):
 
 def test_package_exposes_no_removed_name():
     assert [name for name in REMOVED if hasattr(pipecal, name)] == []
+
+
+def test_kernel_source_ships_next_to_calibration():
+    # the adaptive kernel is compiled from this file on first use
+    from pipecal import calibration
+
+    source = Path(calibration.__file__).with_name("sgd_kernel.c")
+    assert source.is_file() and calibration._KERNEL_SOURCE == source
