@@ -14,13 +14,11 @@ from .adc import (
 from .calibration import (
     CalibrationState,
     PairStatistics,
-    SgdStream,
     StepSchedule,
     accumulate_statistics,
     blhec_wiener,
     hec_wiener,
     run_sgd,
-    run_sgd_population,
     sgd_step,
     step_size_bounds,
 )

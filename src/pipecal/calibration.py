@@ -10,12 +10,11 @@ regressors; the test signal itself stays unknown. Three routes are provided:
                         estimates a scalar correction theta_alpha for the
                         scaling factor mismatch (the error is linear in each
                         parameter block but bi-linear in both).
-* `run_sgd_population` -- per-sample stochastic-gradient version of the same
+* `run_sgd`          -- per-sample stochastic-gradient version of the same
                         bi-linear estimator, cheap enough for hardware, run
                         by a compiled C loop (`sgd_kernel.c`, built on first
-                        use) over one converter's sample stream after the
-                        other (`run_sgd`: one); `sgd_step` is one update with
-                        its multiplication budget counted.
+                        use) over one converter's pairs; `sgd_step` is one
+                        update with its multiplication budget counted.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correction import CorrectionLayout, LayoutError, selection_vectors
+from .correction import CorrectionLayout, selection_vectors
 from .signals import PairBatch
 
 __all__ = [
@@ -38,14 +37,12 @@ __all__ = [
     "CalibrationState",
     "StepSchedule",
     "BlhecResult",
-    "SgdStream",
     "MultiplicationCount",
     "accumulate_statistics",
     "hec_wiener",
     "blhec_wiener",
     "sgd_step",
     "run_sgd",
-    "run_sgd_population",
     "step_size_bounds",
 ]
 
@@ -63,8 +60,9 @@ class SingularStatisticsError(RuntimeError):
 class DivergenceError(RuntimeError):
     """The adaptive parameter vector left the configured guard region.
 
-    `member` is the diverging stream's position in the population (None
-    from `run_sgd`) and `sample` the sample count at which the guard tripped.
+    `sample` is the sample count at which the guard tripped and `member` the
+    diverging converter's position in the population (None from `run_sgd`,
+    set by the harness).
     """
 
     def __init__(self, message: str, member: int | None = None, sample: int | None = None):
@@ -372,8 +370,8 @@ def sgd_step(state: CalibrationState, pair: PairBatch, layout: CorrectionLayout,
 
     The scalar parameter moves first using its apriori error; the vector
     update then uses the *fresh* theta_alpha in both its regressor and its
-    apriori error. `run_sgd_population` performs the same update in its
-    compiled loop; this single step exists for the hardware audit.
+    apriori error. `run_sgd` performs the same update in its compiled
+    loop; this single step exists for the hardware audit.
 
     Counting conventions: step sizes are powers of two, so scaling by mu is a
     shift; products with the 0/1 indicator entries of the regressors are
@@ -418,35 +416,6 @@ def sgd_step(state: CalibrationState, pair: PairBatch, layout: CorrectionLayout,
 
     new_state = replace(state, theta_nl=theta, theta_alpha=theta_alpha, k=state.k + 1)
     return new_state, count
-
-
-@dataclass(frozen=True)
-class SgdStream:
-    """One converter's calibration pairs in the compact form the adaptive
-    kernel reads: both outputs as float64 plus the code index of each
-    calibrated stage in the smallest unsigned type that holds the largest
-    stage's level count, as the stage quantizer counts it (uint8 up to 255
-    levels), 22 B per pair at q = 3. The code indices are row-major, one
-    sample's q codes next to each other, as the kernel reads them.
-    """
-
-    y_x: np.ndarray                       # (N,) unscaled outputs
-    y_ax: np.ndarray                      # (N,) scaled outputs
-    codes_x: np.ndarray                   # (N, q) 1-based code index per calibrated stage
-    codes_ax: np.ndarray
-
-    @classmethod
-    def from_pairs(cls, pairs: PairBatch, layout: CorrectionLayout) -> "SgdStream":
-        q = layout.q
-        if pairs.unscaled.index.shape[1] - 1 < q:
-            raise LayoutError("batch lacks stage codes for the calibrated stages")
-        code_type = np.min_scalar_type(max(layout.sizes))
-        return cls(y_x=pairs.unscaled.y, y_ax=pairs.scaled.y,
-                   codes_x=pairs.unscaled.index[:, :q].astype(code_type, order="C"),
-                   codes_ax=pairs.scaled.index[:, :q].astype(code_type, order="C"))
-
-    def __len__(self) -> int:
-        return self.y_x.shape[0]
 
 
 GUARD_EVERY = 200   # samples between the adaptive kernel's divergence checks
@@ -503,29 +472,39 @@ def _kernel():
 
     fn = ctypes.CDLL(str(_build_kernel(_KERNEL_SOURCE.parent / "__pycache__"))).pipecal_sgd
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    fn.argtypes = [i64] * 4 + [ptr] * 4 + [i64] * 3 + [ptr] * 5 + [i64, ptr] + [f64] * 4
+    fn.argtypes = [i64] * 4 + [ptr] * 5 + [i64] * 2 + [ptr] * 5 + [i64, ptr] + [f64] * 4
     fn.restype = i64
     return fn
 
 
-def _adapt(stream: SgdStream, layout: CorrectionLayout, alpha_d: float, schedule: StepSchedule,
-           guard: float, checkpoints: Sequence[int] | None, member: int | None = None
-           ) -> tuple[CalibrationState, Snapshots]:
-    """One converter through the compiled loop (`sgd_kernel.c`), which reads
-    the stream and the stage tables itself and checks the guard. It returns
-    to Python only at checkpoints and at multiples of the schedule's
-    `halve_every`, where the step sizes may change. DivergenceError names
-    `member` when it is given."""
-    total, q = len(stream), layout.q
-    code_type = np.min_scalar_type(max(layout.sizes))     # as `SgdStream.from_pairs` stores it
-    y_x, y_ax = (np.ascontiguousarray(y, dtype=float) for y in (stream.y_x, stream.y_ax))
-    codes_x, codes_ax = (np.ascontiguousarray(c) for c in (stream.codes_x, stream.codes_ax))
-    if code_type.itemsize > 2 or y_ax.shape != (total,) or any(
-            c.dtype != code_type or c.shape != (total, q) for c in (codes_x, codes_ax)):
-        raise ValueError(f"the adaptive kernel needs ({total},) outputs and ({total}, {q}) "
-                         f"uint8 or uint16 code indices, here {code_type}")
-    # per stage, the code value and indicator slot of every index the code type holds
-    width = 1 << 8 * code_type.itemsize
+def run_sgd(pairs: PairBatch, layout: CorrectionLayout, alpha_d: float,
+            schedule: StepSchedule | None = None, guard: float = 1.0,
+            checkpoints: Sequence[int] | None = None) -> tuple[CalibrationState, Snapshots]:
+    """Adapt one converter's correction parameters over its N pairs.
+
+    A compiled C loop (`sgd_kernel.c`) performs the operations of the
+    per-sample loop (`tests/helpers.py`'s `sgd_loop`) in the same order, so
+    its results are bit-identical to it. It reads the outputs and the int64
+    code-index columns of both batches where they lie, and returns to Python
+    only at checkpoints and at multiples of the schedule's `halve_every`,
+    where the step sizes may change.
+
+    Returns the final state and a snapshot of (theta_nl, theta_alpha) at each
+    requested sample count up to N. Every GUARD_EVERY samples and at N the
+    loop checks the guard: ||theta_nl||_inf above `guard`, or a theta_alpha
+    that is no longer finite, raises DivergenceError naming the sample. A code
+    index outside its stage's 1..p_i raises LayoutError before the loop.
+    """
+    schedule = schedule or StepSchedule()
+    total, q = len(pairs), layout.q
+    batches = (pairs.unscaled, pairs.scaled)
+    for batch in batches:
+        layout.check_codes(batch)
+    y_x, y_ax = (np.ascontiguousarray(b.y, dtype=float) for b in batches)
+    codes_x, codes_ax = (b.index.astype(np.int64, copy=False) for b in batches)
+    strides = np.array([*codes_x.strides, *codes_ax.strides], dtype=np.int64) // 8  # elements
+    # per stage, the code value and indicator slot of every code index 0..max(p_i)
+    width = max(layout.sizes) + 1
     values, slots = np.zeros((q, width)), np.full((q, width), -1, dtype=np.int64)
     for i, (stage, table) in enumerate(zip(layout.stages, layout.indicator_slots)):
         values[i, :table.size], slots[i, :table.size] = stage.code_table, table
@@ -541,14 +520,13 @@ def _adapt(stream: SgdStream, layout: CorrectionLayout, alpha_d: float, schedule
     a = 0
     for b in stops:
         tripped = _kernel()(a, b, total, GUARD_EVERY, y_x.ctypes.data, y_ax.ctypes.data,
-                            codes_x.ctypes.data, codes_ax.ctypes.data, code_type.itemsize, q,
+                            codes_x.ctypes.data, codes_ax.ctypes.data, strides.ctypes.data, q,
                             width, values.ctypes.data, slots.ctypes.data, prefix.ctypes.data,
                             weighted.ctypes.data, theta.ctypes.data, layout.dim, ta.ctypes.data,
                             alpha_d, schedule.mu_nl(a), schedule.mu_alpha(a), guard)
         if tripped:
-            who = "" if member is None else f"member {member}: "
-            raise DivergenceError(f"{who}||theta_nl||_inf exceeded guard {guard} at sample "
-                                  f"{tripped}", member=member, sample=tripped)
+            raise DivergenceError(f"||theta_nl||_inf exceeded guard {guard} at sample {tripped}",
+                                  sample=tripped)
         if b in checkset:
             snapshots[b] = (theta.copy(), float(ta[0]))
         a = b
@@ -557,40 +535,6 @@ def _adapt(stream: SgdStream, layout: CorrectionLayout, alpha_d: float, schedule
     last = max(total - 1, 0)
     return CalibrationState(theta_nl=theta, theta_alpha=float(ta[0]), mu_nl=schedule.mu_nl(last),
                             mu_alpha=schedule.mu_alpha(last), k=total), snapshots
-
-
-def run_sgd_population(streams: Sequence[SgdStream], layout: CorrectionLayout, alpha_d: float,
-                       schedule: StepSchedule | None = None, guard: float = 1.0,
-                       checkpoints: Sequence[int] | None = None
-                       ) -> list[tuple[CalibrationState, Snapshots]]:
-    """Adapt the correction parameters of M converters, one after the other.
-
-    Each member runs through one compiled C loop that performs the
-    operations of the per-sample loop (`tests/helpers.py`'s `sgd_loop`) in
-    the same order, so its results are bit-identical to it.
-
-    All streams hold the same number N of pairs; streams of unequal length
-    raise ValueError. Each member gets its final state and a snapshot of its
-    (theta_nl, theta_alpha) at each requested sample count up to N. Every
-    GUARD_EVERY samples and at N the loop checks the guard. The first member
-    in stream order whose ||theta_nl||_inf exceeds `guard`, or whose
-    theta_alpha is no longer finite, raises DivergenceError naming its
-    position in `streams` and the sample; later members are not run.
-    """
-    if len({len(s) for s in streams}) > 1:
-        raise ValueError(f"streams differ in length: {sorted({len(s) for s in streams})}")
-    schedule = schedule or StepSchedule()
-    return [_adapt(stream, layout, alpha_d, schedule, guard, checkpoints, member=j)
-            for j, stream in enumerate(streams)]
-
-
-def run_sgd(pairs: PairBatch, layout: CorrectionLayout, alpha_d: float,
-            schedule: StepSchedule | None = None, guard: float = 1.0,
-            checkpoints: Sequence[int] | None = None) -> tuple[CalibrationState, Snapshots]:
-    """`run_sgd_population` for one converter: its final state and snapshots.
-    A DivergenceError names the sample only."""
-    return _adapt(SgdStream.from_pairs(pairs, layout), layout, alpha_d,
-                  schedule or StepSchedule(), guard, checkpoints)
 
 
 def step_size_bounds(layout: CorrectionLayout, y_max: float,

@@ -109,6 +109,21 @@ class CorrectionLayout:
             tables.append(slots)
         return tuple(tables)
 
+    def check_codes(self, batch: ConversionBatch) -> None:
+        """Raise LayoutError unless `batch.index` has a row for each of its
+        outputs and every calibrated stage i's code index lies in 1..p_i."""
+        index = batch.index
+        if index.ndim != 2 or index.shape[0] != len(batch) or index.shape[1] - 1 < self.q:
+            raise LayoutError(f"batch lacks stage codes for the {self.q} calibrated stages: code "
+                              f"indices of shape {index.shape} for {len(batch)} outputs")
+        if not np.issubdtype(index.dtype, np.integer):
+            raise LayoutError(f"code indices must be integers, not {index.dtype}")
+        codes = index[:, :self.q]
+        if len(batch) and ((codes.min(axis=0) < 1) | (codes.max(axis=0) > self.sizes)).any():
+            k, i = np.argwhere((codes < 1) | (codes > self.sizes))[0]
+            raise LayoutError(f"stage {i + 1} code index {codes[k, i]} at row {k} "
+                              f"outside 1..{self.sizes[i]}")
+
     def gain_prefix_products(self) -> np.ndarray:
         """P[t] = G_1 * ... * G_t (P[0] = 1), used by the code-weighting sums."""
         out = np.ones(self.q)
@@ -176,8 +191,7 @@ class SelectionBatch:
 def selection_vectors(batch: ConversionBatch, layout: CorrectionLayout) -> SelectionBatch:
     """Build the sparse regressors for every conversion in a batch."""
     q = layout.q
-    if batch.index.shape[1] - 1 < q:
-        raise LayoutError("batch lacks stage codes for the calibrated stages")
+    layout.check_codes(batch)
     weighted = layout.weighted_entries(batch.index[:, :q])
 
     indicator_pos = np.empty((len(batch), q), dtype=np.int64)

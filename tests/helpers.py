@@ -287,7 +287,7 @@ def plain_blhec(stats, tolerance=1e-12, max_iterations=100000):
 def sgd_loop(pairs, layout, alpha_d, schedule=None, guard=1.0, checkpoints=None):
     """Oracle: the adaptive run as a plain per-sample Python loop over one stream.
 
-    Same update order as `run_sgd_population` (corrected outputs stage by
+    Same update order as `run_sgd`'s compiled loop (corrected outputs stage by
     stage, theta_alpha first, then the weighted slots and the scaled-path
     indicator before the unscaled one) and the same guard cadence; returns
     (CalibrationState, {k: (theta_nl, theta_alpha)}).

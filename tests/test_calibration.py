@@ -32,7 +32,6 @@ from pipecal.calibration import (
     DivergenceError,
     KernelBuildError,
     RankDeficiencyError,
-    SgdStream,
     SingularStatisticsError,
     StepSchedule,
     _build_kernel,
@@ -41,11 +40,10 @@ from pipecal.calibration import (
     blhec_wiener,
     hec_wiener,
     run_sgd,
-    run_sgd_population,
     sgd_step,
     step_size_bounds,
 )
-from pipecal.correction import CorrectionLayout, selection_vectors
+from pipecal.correction import CorrectionLayout, LayoutError, selection_vectors
 from pipecal.signals import PairBatch, PathConfig, ToneSpec, gen_tones, make_pairs
 
 ALPHA = 1.0 / math.sqrt(2.0)
@@ -513,9 +511,9 @@ class TestRunSgd:
         assert abs(state.theta_alpha - ref.theta_alpha) < 1e-4
 
     def test_error_norm_shrinks_averaged_over_runs(self):
-        # average final-to-initial error-norm ratio over many independent
-        # runs, adapted by one population call
-        streams, refs = [], []
+        # average final-to-initial error-norm ratio over many independent runs
+        schedule = StepSchedule(mu_nl_init=2.0 ** -2, halve_every=0)
+        ratios = []
         for seed in range(100):
             rng = np.random.default_rng(seed)
             dac = rng.uniform(-0.003, 0.003, (2, 3))
@@ -525,13 +523,10 @@ class TestRunSgd:
             layout = CorrectionLayout.from_adc(adc, 2)
             x = gen_tones([ToneSpec(0.677, 0.9, float(rng.uniform(0, 3)))], 8000)
             pairs = make_pairs(adc, x, PathConfig(ALPHA + 1e-3, ALPHA, None), seed)
-            refs.append(blhec_wiener(accumulate_statistics(pairs[:2000], layout, ALPHA)).theta_nl)
-            streams.append(SgdStream.from_pairs(pairs, layout))
-        schedule = StepSchedule(mu_nl_init=2.0 ** -2, halve_every=0)
-        results = run_sgd_population(streams, layout, ALPHA, schedule=schedule,
-                                     checkpoints=[0, 8000])
-        ratios = [np.linalg.norm(snapshots[8000][0] - ref) / np.linalg.norm(snapshots[0][0] - ref)
-                  for ref, (_, snapshots) in zip(refs, results)]
+            ref = blhec_wiener(accumulate_statistics(pairs[:2000], layout, ALPHA)).theta_nl
+            _, snapshots = run_sgd(pairs, layout, ALPHA, schedule=schedule, checkpoints=[0, 8000])
+            ratios.append(np.linalg.norm(snapshots[8000][0] - ref)
+                          / np.linalg.norm(snapshots[0][0] - ref))
         assert float(np.mean(ratios)) < 0.1
 
     def test_divergence_guard(self):
@@ -572,26 +567,49 @@ def scaled_outputs(pairs, factor):
                      ConversionBatch(s.y * factor, s.index, s.x_in))
 
 
+@pytest.mark.parametrize("caller", ["run_sgd", "selection_vectors"])
+@pytest.mark.parametrize("code", [8, 300, -1])
+def test_code_index_outside_stage_is_rejected(code, caller):
+    # stage 2 of the default converter has 7 codes; one forged scaled
+    # conversion selects a code it does not have
+    pairs, layout, cfg = default_member_pairs(0, 300)
+    index = pairs.scaled.index.copy(order="F")
+    index[150, 1] = code
+    forged = ConversionBatch(pairs.scaled.y, index, pairs.scaled.x_in)
+    with pytest.raises(LayoutError, match=f"stage 2 code index {code} at row 150 outside 1..7"):
+        if caller == "run_sgd":
+            run_sgd(PairBatch(pairs.unscaled, forged), layout, cfg.alpha_d)
+        else:
+            selection_vectors(forged, layout)
+
+
 class TestSgdPopulation:
-    @pytest.mark.parametrize("lengths", [(1500,), (1500, 1500, 1500)])
-    def test_matches_per_sample_loop_exactly(self, lengths):
-        # a checkpoint past the streams' end is never reached
-        checkpoints = [0, 100, 900, 1500, 2000]
-        batches, layout, cfg = [], None, None
+    """`run_sgd` on default population members, one member at a time, against
+    the per-sample loop."""
+
+    @pytest.mark.parametrize("lengths, rows", [
+        ((1500,), slice(None)),
+        ((1500, 1500, 1500), slice(None)),
+        # a row slice starts 100 rows into each code column, whose stride is
+        # still the full batch's length; a step slice strides the rows
+        ((1500,), slice(100, 1300)),
+        ((1500,), slice(None, None, 2)),
+    ], ids=["lengths0", "lengths1", "row-offset", "row-step"])
+    def test_matches_per_sample_loop_exactly(self, lengths, rows):
+        # a checkpoint past the pairs' end is never reached
+        checkpoints = [0, 100, 900, 1200, 1500, 2000]
         for idx, n in enumerate(lengths):
             pairs, layout, cfg = default_member_pairs(idx, n)
-            batches.append(pairs)
-        results = run_sgd_population([SgdStream.from_pairs(p, layout) for p in batches],
-                                     layout, cfg.alpha_d, schedule=cfg.schedule(),
-                                     checkpoints=checkpoints)
-        assert len(results) == len(lengths)
-        for pairs, (state, snapshots) in zip(batches, results):
+            pairs = pairs[rows]
+            state, snapshots = run_sgd(pairs, layout, cfg.alpha_d, schedule=cfg.schedule(),
+                                       checkpoints=checkpoints)
             want, want_snapshots = sgd_loop(pairs, layout, cfg.alpha_d, cfg.schedule(),
                                             checkpoints=checkpoints)
             assert np.array_equal(state.theta_nl, want.theta_nl)
             assert state.theta_alpha == want.theta_alpha
             assert (state.k, state.mu_nl, state.mu_alpha) == (want.k, want.mu_nl, want.mu_alpha)
-            assert snapshots.keys() == want_snapshots.keys() == {0, 100, 900, 1500}
+            assert snapshots.keys() == want_snapshots.keys() == {k for k in checkpoints
+                                                                 if k <= len(pairs)}
             for k, (theta_k, alpha_k) in want_snapshots.items():
                 assert np.array_equal(snapshots[k][0], theta_k)
                 assert snapshots[k][1] == alpha_k
@@ -601,14 +619,10 @@ class TestSgdPopulation:
         # edges and the guard checks, and sit at the mu_nl_min floor from 1050 on
         schedule = StepSchedule(halve_every=350, mu_nl_min=2.0 ** -5)
         checkpoints = [256, 349, 350, 512, 1024, 1500]
-        batches, layout, cfg = [], None, None
         for idx in range(3):
             pairs, layout, cfg = default_member_pairs(idx, 1500)
-            batches.append(pairs)
-        results = run_sgd_population([SgdStream.from_pairs(p, layout) for p in batches],
-                                     layout, cfg.alpha_d, schedule=schedule,
-                                     checkpoints=checkpoints)
-        for pairs, (state, snapshots) in zip(batches, results):
+            state, snapshots = run_sgd(pairs, layout, cfg.alpha_d, schedule=schedule,
+                                       checkpoints=checkpoints)
             want, want_snapshots = sgd_loop(pairs, layout, cfg.alpha_d, schedule,
                                             checkpoints=checkpoints)
             assert np.array_equal(state.theta_nl, want.theta_nl)
@@ -624,82 +638,38 @@ class TestSgdPopulation:
         # update the same indicator (-g, then +g*c): 413, 374 and 202 of 1500
         # steps in stages 1, 2 and 3 of member 0
         pairs, layout, _ = default_member_pairs(0, 1500)
-        stream = SgdStream.from_pairs(pairs, layout)
         for i, slots in enumerate(layout.indicator_slots):
-            cx, cax = stream.codes_x[:, i], stream.codes_ax[:, i]
+            cx, cax = pairs.unscaled.index[:, i], pairs.scaled.index[:, i]
             assert np.count_nonzero((cx == cax) & (slots[cx] >= 0)) > 100
 
-    def test_stage_with_more_than_127_levels_matches_loop(self):
-        # code indices above 127 must survive the compact stream and the kernel
-        adc = toy_adc(zetas=(0.013, -0.021), levels=200, flash_bits=None)
+    @staticmethod
+    def assert_many_levels_match_loop(levels):
+        adc = toy_adc(zetas=(0.013, -0.021), levels=levels, flash_bits=None)
         layout = CorrectionLayout.from_adc(adc, 2)
         pairs, _ = toy_pairs(adc, delta=1e-3, n=1200)
-        stream = SgdStream.from_pairs(pairs, layout)
-        assert stream.codes_x.dtype == np.uint8 and stream.codes_x.max() == 200
+        assert pairs.unscaled.index[:, 0].max() == levels
         schedule = StepSchedule(mu_nl_init=2.0 ** -4, halve_every=0)
-        [(state, _)] = run_sgd_population([stream], layout, ALPHA, schedule=schedule)
+        state, _ = run_sgd(pairs, layout, ALPHA, schedule=schedule)
         want, _ = sgd_loop(pairs, layout, ALPHA, schedule)
         assert np.array_equal(state.theta_nl, want.theta_nl)
         assert state.theta_alpha == want.theta_alpha
+
+    def test_stage_with_more_than_127_levels_matches_loop(self):
+        self.assert_many_levels_match_loop(200)
 
     def test_stage_with_more_than_255_levels_matches_loop(self):
-        # code indices above 255 are uint16 in the stream and in the kernel
-        adc = toy_adc(zetas=(0.013, -0.021), levels=300, flash_bits=None)
-        layout = CorrectionLayout.from_adc(adc, 2)
-        pairs, _ = toy_pairs(adc, delta=1e-3, n=1200)
-        stream = SgdStream.from_pairs(pairs, layout)
-        assert stream.codes_x.dtype == np.uint16 and stream.codes_x.max() == 300
-        schedule = StepSchedule(mu_nl_init=2.0 ** -4, halve_every=0)
-        [(state, _)] = run_sgd_population([stream], layout, ALPHA, schedule=schedule)
-        want, _ = sgd_loop(pairs, layout, ALPHA, schedule)
-        assert np.array_equal(state.theta_nl, want.theta_nl)
-        assert state.theta_alpha == want.theta_alpha
+        self.assert_many_levels_match_loop(300)
 
-    def test_rejects_streams_of_unequal_length(self):
-        pairs, layout, cfg = default_member_pairs(0, 300)
-        streams = [SgdStream.from_pairs(pairs, layout), SgdStream.from_pairs(pairs[:200], layout)]
-        with pytest.raises(ValueError, match="differ in length"):
-            run_sgd_population(streams, layout, cfg.alpha_d)
-
-    def test_divergence_names_member_and_sample(self):
-        batches, layout, cfg = [], None, None
-        for idx in range(3):
-            pairs, layout, cfg = default_member_pairs(idx, 2000)
-            batches.append(scaled_outputs(pairs, 40.0) if idx == 1 else pairs)
+    def test_divergence_names_sample(self):
+        pairs, layout, cfg = default_member_pairs(1, 2000)
+        pairs = scaled_outputs(pairs, 40.0)
         with pytest.raises(DivergenceError) as want:
-            sgd_loop(batches[1], layout, cfg.alpha_d, cfg.schedule())
+            sgd_loop(pairs, layout, cfg.alpha_d, cfg.schedule())
         sample = int(str(want.value).rsplit(" ", 1)[1])
-        streams = [SgdStream.from_pairs(p, layout) for p in batches]
         with pytest.raises(DivergenceError) as got:
-            run_sgd_population(streams, layout, cfg.alpha_d, schedule=cfg.schedule())
-        assert got.value.member == 1 and got.value.sample == sample
-        assert "member 1" in str(got.value) and f"sample {sample}" in str(got.value)
-
-    def test_divergence_names_first_member_in_stream_order(self):
-        # member 2 diverges at the first guard check, member 1 only after its
-        # outputs blow up at sample 1000; members run in order, so 1 is named
-        batches, layout, cfg = [], None, None
-        late = np.where(np.arange(2000) < 1000, 1.0, 40.0)
-        for idx, factor in enumerate([1.0, late, 40.0]):
-            pairs, layout, cfg = default_member_pairs(idx, 2000)
-            batches.append(scaled_outputs(pairs, factor))
-        samples = []
-        for pairs in batches[1:]:
-            with pytest.raises(DivergenceError) as want:
-                sgd_loop(pairs, layout, cfg.alpha_d, cfg.schedule())
-            samples.append(int(str(want.value).rsplit(" ", 1)[1]))
-        assert samples[1] < samples[0]
-        streams = [SgdStream.from_pairs(p, layout) for p in batches]
-        with pytest.raises(DivergenceError) as got:
-            run_sgd_population(streams, layout, cfg.alpha_d, schedule=cfg.schedule())
-        assert (got.value.member, got.value.sample) == (1, samples[0])
-
-    def test_stream_is_compact(self):
-        pairs, layout, _ = default_member_pairs(0, 1000)
-        stream = SgdStream.from_pairs(pairs, layout)
-        assert len(stream) == 1000
-        arrays = (stream.y_x, stream.y_ax, stream.codes_x, stream.codes_ax)
-        assert sum(a.nbytes for a in arrays) == 1000 * (8 + 8 + layout.q + layout.q) == 22000
+            run_sgd(pairs, layout, cfg.alpha_d, schedule=cfg.schedule())
+        assert got.value.member is None and got.value.sample == sample
+        assert str(got.value) == str(want.value)
 
 
 class TestMeanConvergence:
@@ -772,6 +742,12 @@ class TestKernelBuild:
         assert [out for out, _ in outs] == ["loaded\n"] * 2
         # one library and no temporary file left behind
         assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
+
+    def test_source_compiles_without_warnings(self, tmp_path):
+        cmd = [*calibration._compiler(), *calibration._KERNEL_FLAGS, "-Wall", "-Wextra",
+               "-Werror", "-o", str(tmp_path / "sgd_kernel.so"), str(calibration._KERNEL_SOURCE)]
+        done = subprocess.run(cmd, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_missing_compiler_is_named(self, tmp_path, monkeypatch):
         monkeypatch.setattr(calibration, "_compiler", lambda: ["pipecal-no-such-cc"])

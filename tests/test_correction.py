@@ -11,7 +11,7 @@ from helpers import (
     unreduced_transformed_matrix,
 )
 
-from pipecal.adc import convert_many
+from pipecal.adc import ConversionBatch, convert_many
 from pipecal.correction import (
     CorrectionLayout,
     LayoutError,
@@ -111,6 +111,17 @@ class TestSelectionVector:
         layout = CorrectionLayout(stages=(toy_stage(),) * 3)
         with pytest.raises(LayoutError):
             selection_vectors(batch, layout)
+
+    @pytest.mark.parametrize("malformed, match", [
+        (lambda index: index[:2], "shape"),                  # fewer rows than outputs
+        (lambda index: index.astype(float), "integers"),
+    ])
+    def test_rejects_malformed_code_indices(self, malformed, match):
+        adc = toy_adc(zetas=(0.0, 0.0), flash_bits=None)
+        batch = convert_many(adc, [0.1, 0.2, 0.3])
+        forged = ConversionBatch(batch.y, malformed(batch.index), batch.x_in)
+        with pytest.raises(LayoutError, match=match):
+            selection_vectors(forged, CorrectionLayout.from_adc(adc, 2))
 
     def test_layout_q_bounds(self, mismatched_adc):
         with pytest.raises(LayoutError):

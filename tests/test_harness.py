@@ -7,7 +7,7 @@ import pytest
 
 from helpers import toy_adc
 
-from pipecal.calibration import accumulate_statistics, blhec_wiener
+from pipecal.calibration import DivergenceError, accumulate_statistics, blhec_wiener
 from pipecal.cli import main
 from pipecal.correction import CorrectionLayout, apply_correction_batch, selection_vectors
 from pipecal.adc import convert_many
@@ -435,6 +435,20 @@ class TestCli:
                      "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 3
         assert "adc 0: the calibration input never selects stage 3 code 2" in capsys.readouterr().err
+
+    def test_sgd_divergence_names_member_and_sample(self, tmp_path, capsys):
+        # a step size of 64 blows member 0 up at the first guard check
+        fields = {"population": 2, "mu_nl_init": 64.0, "mu_nl_min": 64.0, "n_sgd": 3000}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        code = main(["calibrate", "--seed", "1", "--algorithm", "blhec-sgd",
+                     "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 3
+        assert ("adc 0: ||theta_nl||_inf exceeded guard 1.0 at sample 200"
+                in capsys.readouterr().err)
+        with pytest.raises(DivergenceError) as exc:
+            run_experiment(default_config(1, algorithm="blhec-sgd", **fields))
+        assert (exc.value.member, exc.value.sample) == (0, 200)
 
     def test_sgd_stage_with_200_levels_exits_0_or_3(self, tmp_path):
         # 200 code indices do not fit in int8; the run must not end in a traceback

@@ -7,10 +7,12 @@ import pipecal
 
 MODULES = ["adc", "calibration", "correction", "harness", "signals", "spectral"]
 
-# per-record scalar API, replaced by one-row slices of the batch types, and the
-# adaptive kernel's trajectory log, replaced by its checkpoint snapshots
+# per-record scalar API, replaced by one-row slices of the batch types, the
+# adaptive kernel's trajectory log, replaced by its checkpoint snapshots, and
+# the compact multi-converter SGD entry point, replaced by `run_sgd` per member
 REMOVED = ["ConversionRecord", "convert", "SamplePair", "SelectionVector", "selection_vector",
-           "apply_correction", "sgd_step_counted", "SgdTrajectory"]
+           "apply_correction", "sgd_step_counted", "SgdTrajectory", "SgdStream",
+           "run_sgd_population"]
 
 
 @pytest.mark.parametrize("name", MODULES)
