@@ -9,7 +9,6 @@ from .adc import (
     convert_many,
     default_stage_specs,
     quantize_stage,
-    reference_output,
 )
 from .calibration import (
     CalibrationState,
@@ -19,7 +18,6 @@ from .calibration import (
     blhec_wiener,
     hec_wiener,
     run_sgd,
-    sgd_step,
     step_size_bounds,
 )
 from .correction import CorrectionLayout, model_dimension, selection_vectors
@@ -33,6 +31,6 @@ from .harness import (
     run_sweep,
 )
 from .signals import PathConfig, ToneSpec, gen_impure_two_tone, gen_tones, make_pairs
-from .spectral import MetricReport, SpectrumEstimate, error_norm, sfdr, sndr, spectrum
+from .spectral import MetricReport, SpectrumEstimate, error_norm, spectrum
 
 __version__ = "0.1.0"

@@ -27,7 +27,6 @@ __all__ = [
     "lsb_size",
     "quantize_stage",
     "convert_many",
-    "reference_output",
     "build_adc",
     "stage_mismatch_bounds",
     "pipeline_stage_specs",
@@ -43,10 +42,6 @@ def lsb_size(resolution_bits: int) -> float:
 
 class AdcModelError(ValueError):
     """Invalid stage geometry or mismatch configuration."""
-
-
-class RecordMismatchError(RuntimeError):
-    """A conversion batch is inconsistent with the instance that allegedly produced it."""
 
 
 @dataclass(frozen=True)
@@ -250,47 +245,6 @@ def convert_many(adc: AdcInstance, x_in: np.ndarray) -> ConversionBatch:
 
     y = value @ adc.recombination_weights()
     return ConversionBatch(y=y, index=index, x_in=x)
-
-
-def reference_output(adc: AdcInstance, batch: ConversionBatch,
-                     tolerance: float = 1e-9) -> np.ndarray:
-    """Closed-form cross-check of `convert_many`, row by row.
-
-    Evaluates y = beta*x_in - sum_i w_i^T phi_0,i + q_x, where beta folds all
-    gain mismatches, phi_0,i collects each stage's code- and DAC-error terms,
-    and q_x is the weighted back-end digitization error. Raises if any row's
-    output disagrees with the closed form beyond `tolerance` [V].
-    """
-    n = adc.n_stages
-    zetas = adc.mismatches.gain_mismatch
-    weights = adc.recombination_weights()
-
-    # tail products T_i = prod_{l=i..n} (1 + zeta_l)
-    tails = [1.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        tails[i] = tails[i + 1] * (1.0 + zetas[i])
-    beta = tails[0]
-
-    nonideal = np.zeros(len(batch))
-    # back-end digitization error from the recorded selections
-    residue = batch.x_in
-    for i, stage in enumerate(adc.stages):
-        d = stage.code_table[batch.index[:, i]]
-        eda = adc.mismatches.dac_tables[i][batch.index[:, i]]
-        nonideal += weights[i] * ((tails[i] - 1.0) * d + tails[i] * eda)
-        true_gain = stage.gain * (1.0 + zetas[i])
-        residue = true_gain * (residue - d - eda)
-    back_end = residue if adc.flash is None else adc.flash.code_table[batch.index[:, n]]
-    q_x = -(residue - back_end) * weights[n]
-
-    y_ref = beta * batch.x_in - nonideal + q_x
-    bad = np.flatnonzero(~(np.abs(y_ref - batch.y) <= tolerance))
-    if bad.size:
-        k = bad[0]
-        raise RecordMismatchError(
-            f"row {k}: output {batch.y[k]!r} deviates from closed form {y_ref[k]!r}"
-        )
-    return y_ref
 
 
 def pipeline_stage_specs(levels: int = 7, gain: float = 4.0, v_ref: float = 1.0) -> StageSpec:

@@ -13,8 +13,12 @@ regressors; the test signal itself stays unknown. Three routes are provided:
 * `run_sgd`          -- per-sample stochastic-gradient version of the same
                         bi-linear estimator, cheap enough for hardware, run
                         by a compiled C loop (`sgd_kernel.c`, built on first
-                        use) over one converter's pairs; `sgd_step` is one
-                        update with its multiplication budget counted.
+                        use) over one converter's pairs. That loop is the
+                        package's only SGD update; the tests audit its
+                        multiplication budget with an instrumented oracle.
+
+`step_size_bounds` gives the per-sample stability bounds on the two step
+sizes.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import hashlib
 import math
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,11 +41,9 @@ __all__ = [
     "CalibrationState",
     "StepSchedule",
     "BlhecResult",
-    "MultiplicationCount",
     "accumulate_statistics",
     "hec_wiener",
     "blhec_wiener",
-    "sgd_step",
     "run_sgd",
     "step_size_bounds",
 ]
@@ -325,7 +327,8 @@ def blhec_wiener(stats: PairStatistics, max_iterations: int = 50,
 class StepSchedule:
     """Step-size plan: mu_nl halves every `halve_every` samples from
     `mu_nl_init` down to `mu_nl_min`; mu_alpha keeps a fixed ratio to mu_nl.
-    All defaults are powers of two."""
+    A `halve_every` of 0 means a constant step, mu_nl_init throughout. All
+    defaults are powers of two."""
 
     mu_nl_init: float = 2.0 ** -2
     halve_every: int = 12000
@@ -350,72 +353,6 @@ class CalibrationState:
     mu_nl: float = 2.0 ** -6
     mu_alpha: float = 2.0 ** -7
     k: int = 0
-
-    @classmethod
-    def initial(cls, layout: CorrectionLayout, mu_nl: float = 2.0 ** -6,
-                mu_alpha: float = 2.0 ** -7) -> "CalibrationState":
-        return cls(theta_nl=np.zeros(layout.dim), theta_alpha=0.0, mu_nl=mu_nl, mu_alpha=mu_alpha)
-
-
-@dataclass
-class MultiplicationCount:
-    nl: int = 0
-    alpha: int = 0
-
-
-def sgd_step(state: CalibrationState, pair: PairBatch, layout: CorrectionLayout,
-             alpha_d: float) -> tuple[CalibrationState, MultiplicationCount]:
-    """One alternating stochastic-gradient update on a batch of one pair,
-    with its multiplication budget counted hardware-style.
-
-    The scalar parameter moves first using its apriori error; the vector
-    update then uses the *fresh* theta_alpha in both its regressor and its
-    apriori error. `run_sgd` performs the same update in its compiled
-    loop; this single step exists for the hardware audit.
-
-    Counting conventions: step sizes are powers of two, so scaling by mu is a
-    shift; products with the 0/1 indicator entries of the regressors are
-    wiring, not multiplications; the gain-weighted regressor entries are
-    partial recombination sums the digital back end already provides. Under
-    these rules the vector path spends exactly one multiplication per
-    parameter slot (dense multiply-accumulate of the update), and the scalar
-    path adds three: forming its apriori error, the gradient product, and
-    re-scaling the corrected output with the updated factor.
-    """
-    if len(pair) != 1:
-        raise ValueError(f"sgd_step takes a batch of exactly one pair, got {len(pair)}")
-    count = MultiplicationCount()
-    hx = selection_vectors(pair.unscaled, layout).dense()[0]
-    hax = selection_vectors(pair.scaled, layout).dense()[0]
-    theta = state.theta_nl.copy()
-
-    # corrected outputs; indicator slots add for free, weighted slots are sums
-    # the recombination logic already produces
-    yx_hat = float(pair.unscaled.y[0] + hx @ theta)
-    yax_hat = float(pair.scaled.y[0] + hax @ theta)
-
-    # scalar path: 3 multiplications
-    t1 = (alpha_d + state.theta_alpha) * yx_hat
-    count.alpha += 1
-    e_alpha = yax_hat - t1
-    grad = yx_hat * e_alpha
-    count.alpha += 1
-    theta_alpha = state.theta_alpha + state.mu_alpha * grad      # shift
-
-    c = alpha_d + theta_alpha
-    t2 = c * yx_hat
-    count.alpha += 1
-    e_nl = yax_hat - t2
-
-    # vector path: dense multiply-accumulate over all D slots
-    dh = hax - c * hx
-    g = state.mu_nl * e_nl                                       # shift
-    for pos in range(layout.dim):
-        theta[pos] -= g * dh[pos]
-        count.nl += 1
-
-    new_state = replace(state, theta_nl=theta, theta_alpha=theta_alpha, k=state.k + 1)
-    return new_state, count
 
 
 GUARD_EVERY = 200   # samples between the adaptive kernel's divergence checks
@@ -503,11 +440,7 @@ def run_sgd(pairs: PairBatch, layout: CorrectionLayout, alpha_d: float,
     y_x, y_ax = (np.ascontiguousarray(b.y, dtype=float) for b in batches)
     codes_x, codes_ax = (b.index.astype(np.int64, copy=False) for b in batches)
     strides = np.array([*codes_x.strides, *codes_ax.strides], dtype=np.int64) // 8  # elements
-    # per stage, the code value and indicator slot of every code index 0..max(p_i)
-    width = max(layout.sizes) + 1
-    values, slots = np.zeros((q, width)), np.full((q, width), -1, dtype=np.int64)
-    for i, (stage, table) in enumerate(zip(layout.stages, layout.indicator_slots)):
-        values[i, :table.size], slots[i, :table.size] = stage.code_table, table
+    values, slots = layout.code_values, layout.code_slots    # (q, width) stage tables
     prefix = layout.gain_prefix_products()
     weighted = np.array([layout.weighted_position(i) for i in range(q)], dtype=np.int64)
 
@@ -521,8 +454,9 @@ def run_sgd(pairs: PairBatch, layout: CorrectionLayout, alpha_d: float,
     for b in stops:
         tripped = _kernel()(a, b, total, GUARD_EVERY, y_x.ctypes.data, y_ax.ctypes.data,
                             codes_x.ctypes.data, codes_ax.ctypes.data, strides.ctypes.data, q,
-                            width, values.ctypes.data, slots.ctypes.data, prefix.ctypes.data,
-                            weighted.ctypes.data, theta.ctypes.data, layout.dim, ta.ctypes.data,
+                            values.shape[1], values.ctypes.data, slots.ctypes.data,
+                            prefix.ctypes.data, weighted.ctypes.data, theta.ctypes.data,
+                            layout.dim, ta.ctypes.data,
                             alpha_d, schedule.mu_nl(a), schedule.mu_alpha(a), guard)
         if tripped:
             raise DivergenceError(f"||theta_nl||_inf exceeded guard {guard} at sample {tripped}",
@@ -541,6 +475,10 @@ def step_size_bounds(layout: CorrectionLayout, y_max: float,
                      pairs: PairBatch | None = None, alpha_d: float = 1.0,
                      code_bound: float = 1.0) -> tuple[float, float]:
     """Step sizes below which one update step cannot grow its squared error.
+
+    The paper's stability bound on the SGD step sizes, kept in the package as
+    a design aid for choosing a schedule; no config check uses it, since the
+    layout-geometry cap is far below the stable default mu_nl_init.
 
     The scalar bound is 2 / y_max^2 with y_max the largest corrected output.
     The vector bound is 2 / max_k ||h_ax - alpha_d h_x||^2, measured over the

@@ -14,6 +14,7 @@ entries. The correction itself is y_corrected = y + h . theta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,22 +93,31 @@ class CorrectionLayout:
         """Slot of the gain-weighted code sum of stage i (0-based stage)."""
         return self.block_starts[stage]
 
-    @property
-    def indicator_slots(self) -> tuple[np.ndarray, ...]:
-        """Per stage, the slot of each code's indicator by 1-based code index, -1 for none.
+    @cached_property
+    def code_values(self) -> np.ndarray:
+        """(q, max(p_i) + 1) table: row i holds stage i's code values by
+        1-based code index, zero-padded on both sides (`StageSpec.code_table`)."""
+        table = np.zeros((self.q, max(self.sizes) + 1))
+        for i, stage in enumerate(self.stages):
+            table[i, :stage.levels + 1] = stage.code_table
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def code_slots(self) -> np.ndarray:
+        """(q, max(p_i) + 1) table: row i holds the parameter slot of each of
+        stage i's code indicators by 1-based code index, -1 for none.
 
         Code 1 is absorbed by the weighted entry; the last code of every
         stage but the final calibrated one is the eliminated entry. Entry 0
-        of each table is unused and holds -1.
+        and the entries past p_i are unused and hold -1.
         """
-        tables = []
+        table = np.full((self.q, max(self.sizes) + 1), -1, dtype=np.int64)
         for i, (start, p) in enumerate(zip(self.block_starts, self.sizes)):
-            slots = np.arange(start - 1, start + p)      # code j at start + j - 1
-            slots[:2] = -1
-            if i < self.q - 1:
-                slots[p] = -1
-            tables.append(slots)
-        return tuple(tables)
+            last = p if i == self.q - 1 else p - 1
+            table[i, 2:last + 1] = np.arange(start + 1, start + last)   # code j at start + j - 1
+        table.setflags(write=False)
+        return table
 
     def check_codes(self, batch: ConversionBatch) -> None:
         """Raise LayoutError unless `batch.index` has a row for each of its
@@ -137,10 +147,10 @@ class CorrectionLayout:
         `codes` holds 1-based code indices with the q calibrated stages on its
         last axis, after any leading shape; so does the result. Entry i is
         0 + v_0 P[i] + v_1 P[i-1] + ... + v_i P[0], summed in that order, with
-        v_l stage l's code value from its `StageSpec.code_table`.
+        v_l stage l's code value from `code_values`.
         """
         prefix = self.gain_prefix_products()
-        values = [s.code_table.take(codes[..., l]) for l, s in enumerate(self.stages)]
+        values = [self.code_values[l].take(codes[..., l]) for l in range(self.q)]
         out = np.zeros(codes.shape)
         for i in range(self.q):
             for l in range(i + 1):
@@ -195,7 +205,7 @@ def selection_vectors(batch: ConversionBatch, layout: CorrectionLayout) -> Selec
     weighted = layout.weighted_entries(batch.index[:, :q])
 
     indicator_pos = np.empty((len(batch), q), dtype=np.int64)
-    for i, slots in enumerate(layout.indicator_slots):
+    for i, slots in enumerate(layout.code_slots):
         indicator_pos[:, i] = slots[batch.index[:, i]]
 
     return SelectionBatch(layout=layout, weighted=weighted, indicator_pos=indicator_pos)

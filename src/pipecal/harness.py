@@ -198,6 +198,11 @@ class ExperimentConfig:
         # negated comparisons so that NaN fails the checks too
         if not self.mu_nl_init > 0.0 or not self.mu_nl_min > 0.0:
             raise ConfigError("mu_nl_init and mu_nl_min must be positive")
+        if self.mu_nl_min > self.mu_nl_init:
+            raise ConfigError(f"mu_nl_min={self.mu_nl_min:g} exceeds mu_nl_init="
+                              f"{self.mu_nl_init:g}: the floor would replace the initial step")
+        if self.mu_halve_every < 0:
+            raise ConfigError("mu_halve_every must be non-negative (0 keeps the step constant)")
         if not self.mu_alpha_ratio >= 0.0:
             raise ConfigError("mu_alpha_ratio must be non-negative")
         if not self.sgd_guard > 0.0:
@@ -364,7 +369,7 @@ def _wiener(config: ExperimentConfig, pairs, layout) -> tuple[np.ndarray, float,
 def _check_code_coverage(pairs: PairBatch, layout: CorrectionLayout, idx: int) -> None:
     """Raise RankDeficiencyError when the calibration pairs never select a code
     that owns an indicator slot: the adaptive loop would leave that slot at 0."""
-    for i, slots in enumerate(layout.indicator_slots):
+    for i, slots in enumerate(layout.code_slots):
         counts = (np.bincount(pairs.unscaled.index[:, i], minlength=slots.size)
                   + np.bincount(pairs.scaled.index[:, i], minlength=slots.size))
         missing = np.flatnonzero((counts == 0) & (slots >= 0))
@@ -487,11 +492,14 @@ def run_sweep(kind: str, config: ExperimentConfig, grid, workers: int = 1) -> Sw
         raise ConfigError("sweep grid must not be empty")
     if kind not in SWEEP_KINDS:
         raise ConfigError(f"unknown sweep kind {kind!r}, expected one of {SWEEP_KINDS}")
+    points = [int(k) if kind == "convergence" else float(k) for k in grid]
+    if len(set(points)) < len(points):
+        raise ConfigError(f"sweep grid repeats a value: {grid}")
 
     if kind == "convergence":
         if config.algorithm != "blhec-sgd":
             raise ConfigError("convergence sweeps require the blhec-sgd algorithm")
-        checkpoints = sorted(int(k) for k in grid)
+        checkpoints = sorted(points)
         if checkpoints[0] < 1:
             raise ConfigError("sample checkpoints must be positive")
         rows, norms = _run_population(config, workers, checkpoints)
@@ -505,14 +513,14 @@ def run_sweep(kind: str, config: ExperimentConfig, grid, workers: int = 1) -> Sw
                            rows=rows_per_point, error_norms=norms)
 
     rows: dict[float, list[ResultRow]] = {}
-    for value in grid:
+    for value in points:
         cfg = _sweep_config(config, kind, value)
         point_rows = run_experiment(cfg, workers=workers)
         for row in point_rows:
             row.sweep_kind = kind
-            row.sweep_value = float(value)
-        rows[float(value)] = point_rows
-    return SweepResult(kind=kind, points=[float(v) for v in grid], rows=rows)
+            row.sweep_value = value
+        rows[value] = point_rows
+    return SweepResult(kind=kind, points=points, rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,8 @@ def gen_impure_two_tone(tones: list[ToneSpec], harmonic_levels_dbc: dict[int, fl
     harmonic_levels_dbc maps product order (2, 3, 5) to a level relative to
     the strongest tone; quantizer_bits re-quantizes the waveform to a uniform
     grid over [-1, 1]. With no levels and no quantizer this reduces exactly
-    to `gen_tones`.
+    to `gen_tones`. It stays in the package as the paper's impure on-chip
+    calibration source, which homogeneity calibration must tolerate.
     """
     if len(tones) != 2:
         raise ValueError("expected exactly two tones")

@@ -19,8 +19,6 @@ __all__ = [
     "MetricReport",
     "spectrum",
     "analyze",
-    "sfdr",
-    "sndr",
     "error_norm",
     "tone_bin",
     "window_values",
@@ -155,16 +153,6 @@ def analyze(est: SpectrumEstimate, signal_bins) -> MetricReport:
     return MetricReport(sfdr_db=sfdr_db, sndr_db=sndr_db, signal_bins=signal_bins,
                         spur_bin=spur_bin,
                         spur_db=-sfdr_db if math.isfinite(sfdr_db) else -math.inf)
-
-
-def sfdr(est: SpectrumEstimate, signal_bins) -> float:
-    """Spurious-free dynamic range [dB]."""
-    return analyze(est, signal_bins).sfdr_db
-
-
-def sndr(est: SpectrumEstimate, signal_bins) -> float:
-    """Signal to noise-and-distortion ratio [dB]."""
-    return analyze(est, signal_bins).sndr_db
 
 
 def error_norm(theta: np.ndarray, theta_ref: np.ndarray) -> float:

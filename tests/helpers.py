@@ -5,6 +5,8 @@ loops, closed-form least squares) so the production code is checked against
 an independent route.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from pipecal.adc import (
@@ -76,6 +78,51 @@ def searchsorted_convert(adc, x_in):
         index[:, n], value[:, n] = quantize(adc.flash, residue)
     y = np.asfortranarray(value) @ adc.recombination_weights()
     return ConversionBatch(y=y, index=index, x_in=x)
+
+
+class RecordMismatchError(RuntimeError):
+    """A conversion batch is inconsistent with the instance that allegedly produced it."""
+
+
+def reference_output(adc, batch, tolerance=1e-9):
+    """Oracle for `convert_many`: the closed form of each row's output.
+
+    Evaluates y = beta*x_in - sum_i w_i^T phi_0,i + q_x, where beta folds all
+    gain mismatches, phi_0,i collects each stage's code- and DAC-error terms,
+    and q_x is the weighted back-end digitization error. Raises
+    RecordMismatchError if any row's output disagrees with the closed form
+    beyond `tolerance` [V]; returns the closed-form outputs.
+    """
+    n = adc.n_stages
+    zetas = adc.mismatches.gain_mismatch
+    weights = adc.recombination_weights()
+
+    # tail products T_i = prod_{l=i..n} (1 + zeta_l)
+    tails = [1.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        tails[i] = tails[i + 1] * (1.0 + zetas[i])
+    beta = tails[0]
+
+    nonideal = np.zeros(len(batch))
+    # back-end digitization error from the recorded selections
+    residue = batch.x_in
+    for i, stage in enumerate(adc.stages):
+        d = stage.code_table[batch.index[:, i]]
+        eda = adc.mismatches.dac_tables[i][batch.index[:, i]]
+        nonideal += weights[i] * ((tails[i] - 1.0) * d + tails[i] * eda)
+        true_gain = stage.gain * (1.0 + zetas[i])
+        residue = true_gain * (residue - d - eda)
+    back_end = residue if adc.flash is None else adc.flash.code_table[batch.index[:, n]]
+    q_x = -(residue - back_end) * weights[n]
+
+    y_ref = beta * batch.x_in - nonideal + q_x
+    bad = np.flatnonzero(~(np.abs(y_ref - batch.y) <= tolerance))
+    if bad.size:
+        k = bad[0]
+        raise RecordMismatchError(
+            f"row {k}: output {batch.y[k]!r} deviates from closed form {y_ref[k]!r}"
+        )
+    return y_ref
 
 
 def dense_ramp(n=4001, lo=-0.999, hi=0.999):
@@ -284,13 +331,71 @@ def plain_blhec(stats, tolerance=1e-12, max_iterations=100000):
     raise AssertionError(f"plain alternation did not reach {tolerance} in {max_iterations} iterations")
 
 
+class Multiplications(NamedTuple):
+    nl: int         # vector path
+    alpha: int      # scalar path
+
+
+def counted_step(theta_nl, theta_alpha, pair, layout, alpha_d, mu_nl, mu_alpha):
+    """Audit oracle: one BL-HEC SGD update on a one-pair batch, with its
+    multiplication budget counted hardware-style.
+
+    The scalar parameter moves first using its apriori error; the vector
+    update then uses the *fresh* theta_alpha in both its regressor and its
+    apriori error, as in `run_sgd`'s compiled loop.
+
+    Counting conventions: step sizes are powers of two, so scaling by mu is a
+    shift; products with the 0/1 indicator entries of the regressors are
+    wiring, not multiplications; the gain-weighted regressor entries are
+    partial recombination sums the digital back end already provides. Under
+    these rules the vector path spends exactly one multiplication per
+    parameter slot (dense multiply-accumulate of the update), and the scalar
+    path adds three: forming its apriori error, the gradient product, and
+    re-scaling the corrected output with the updated factor.
+
+    Returns (theta_nl, theta_alpha, Multiplications) after the update.
+    """
+    nl = alpha = 0
+    hx = selection_vectors(pair.unscaled, layout).dense()[0]
+    hax = selection_vectors(pair.scaled, layout).dense()[0]
+    theta = np.array(theta_nl, dtype=float)
+
+    # corrected outputs; indicator slots add for free, weighted slots are sums
+    # the recombination logic already produces
+    yx_hat = float(pair.unscaled.y[0] + hx @ theta)
+    yax_hat = float(pair.scaled.y[0] + hax @ theta)
+
+    # scalar path: 3 multiplications
+    t1 = (alpha_d + theta_alpha) * yx_hat
+    alpha += 1
+    e_alpha = yax_hat - t1
+    grad = yx_hat * e_alpha
+    alpha += 1
+    theta_alpha = theta_alpha + mu_alpha * grad      # shift
+
+    c = alpha_d + theta_alpha
+    t2 = c * yx_hat
+    alpha += 1
+    e_nl = yax_hat - t2
+
+    # vector path: dense multiply-accumulate over all D slots
+    dh = hax - c * hx
+    g = mu_nl * e_nl                                 # shift
+    for pos in range(layout.dim):
+        theta[pos] -= g * dh[pos]
+        nl += 1
+    return theta, theta_alpha, Multiplications(nl, alpha)
+
+
 def sgd_loop(pairs, layout, alpha_d, schedule=None, guard=1.0, checkpoints=None):
     """Oracle: the adaptive run as a plain per-sample Python loop over one stream.
 
     Same update order as `run_sgd`'s compiled loop (corrected outputs stage by
     stage, theta_alpha first, then the weighted slots and the scaled-path
-    indicator before the unscaled one) and the same guard cadence; returns
-    (CalibrationState, {k: (theta_nl, theta_alpha)}).
+    indicator before the unscaled one) and the same guard cadence, so the two
+    agree bit for bit; returns (CalibrationState, {k: (theta_nl,
+    theta_alpha)}). `counted_step` is the audit oracle of one update's
+    multiplication budget.
     """
     import math
 

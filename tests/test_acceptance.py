@@ -9,17 +9,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dense_ramp, ls_fit, toy_adc
+from helpers import counted_step, dense_ramp, ls_fit, toy_adc
 
 from pipecal.adc import convert_many
 from pipecal.calibration import (
-    CalibrationState,
     StepSchedule,
     accumulate_statistics,
     blhec_wiener,
     hec_wiener,
     run_sgd,
-    sgd_step,
 )
 from pipecal.correction import CorrectionLayout, selection_vectors
 from pipecal.harness import (
@@ -218,11 +216,11 @@ def test_criterion_9_complexity_audit(mismatched_adc):
     layout = CorrectionLayout.from_adc(mismatched_adc, 3)
     x = gen_tones([ToneSpec(0.677, 0.995)], 3)
     pairs = make_pairs(mismatched_adc, x, PathConfig(ALPHA, ALPHA, None), 0)
-    state = CalibrationState.initial(layout)
-    out, count = sgd_step(state, pairs[1:2], layout, ALPHA)
-    # the production kernel on the same pair, at the state's step sizes
+    theta_nl, _, count = counted_step(np.zeros(layout.dim), 0.0, pairs[1:2], layout, ALPHA,
+                                      2.0 ** -6, 2.0 ** -7)
+    # the production kernel on the same pair, at the same step sizes
     kernel, _ = run_sgd(pairs[1:2], layout, ALPHA, StepSchedule(2.0 ** -6, 0, 2.0 ** -6, 0.5))
-    same = np.allclose(out.theta_nl, kernel.theta_nl, atol=1e-15)
+    same = np.allclose(theta_nl, kernel.theta_nl, atol=1e-15)
     ok = report("9", count.nl == 19 and count.alpha == 3 and same,
                 f"instrumented step: {count.nl} vector-path + {count.alpha} scalar-path "
                 f"multiplications (19 + 3), update unchanged: {same}")

@@ -4,13 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dense_ramp, random_toy, searchsorted_convert, toy_adc, toy_stage, total_gain
+from helpers import (
+    RecordMismatchError,
+    dense_ramp,
+    random_toy,
+    reference_output,
+    searchsorted_convert,
+    toy_adc,
+    toy_stage,
+    total_gain,
+)
 
 from pipecal.adc import (
     AdcModelError,
     ConversionBatch,
     MismatchConfig,
-    RecordMismatchError,
     StageSpec,
     build_adc,
     convert_many,
@@ -18,7 +26,6 @@ from pipecal.adc import (
     lsb_size,
     pipeline_stage_specs,
     quantize_stage,
-    reference_output,
 )
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    counted_step,
     delta_h,
     dense_blhec,
     dense_mse,
@@ -28,7 +29,6 @@ from helpers import (
 from pipecal import calibration
 from pipecal.adc import ConversionBatch, convert_many, lsb_size
 from pipecal.calibration import (
-    CalibrationState,
     DivergenceError,
     KernelBuildError,
     RankDeficiencyError,
@@ -40,7 +40,6 @@ from pipecal.calibration import (
     blhec_wiener,
     hec_wiener,
     run_sgd,
-    sgd_step,
     step_size_bounds,
 )
 from pipecal.correction import CorrectionLayout, LayoutError, selection_vectors
@@ -303,29 +302,37 @@ class TestGramStatistics:
             _solve_spd(np.full((2, 2), np.nan), b)
 
 
-def one_hot_pair(y_x, y_ax, layout):
-    """Fabricated one-pair batch whose regressors are one-hot on the middle code."""
-    row = lambda y: ConversionBatch(np.array([y]), np.array([[2, 1]]), np.zeros(1))
-    return PairBatch(row(y_x), row(y_ax))
+def one_hot_pairs(y_x, y_ax):
+    """Fabricated pair batch for the one-stage toy layout: every conversion
+    selects the middle code, so every regressor is one-hot on slot 1."""
+    def batch(y):
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        return ConversionBatch(y, np.tile([2, 1], (y.size, 1)), np.zeros(y.size))
+    return PairBatch(batch(y_x), batch(y_ax))
+
+
+def constant_steps(mu_nl, mu_alpha):
+    """A schedule that holds mu_nl > 0 and mu_alpha fixed."""
+    return StepSchedule(mu_nl, 0, mu_nl, mu_alpha / mu_nl)
 
 
 class TestSgdStep:
+    """Single updates of `run_sgd`'s compiled loop."""
+
     layout = CorrectionLayout(stages=(toy_stage(),))
 
     def test_zero_step_sizes_freeze_state(self):
-        pair = one_hot_pair(0.5, 0.3, self.layout)
-        state = CalibrationState.initial(self.layout, mu_nl=0.0, mu_alpha=0.0)
-        out, _ = sgd_step(state, pair, self.layout, alpha_d=0.7)
+        pair = one_hot_pairs(0.5, 0.3)
+        out, _ = run_sgd(pair, self.layout, 0.7, StepSchedule(0.0, 0, 0.0, 0.0))
         assert out.theta_alpha == 0.0
-        assert np.array_equal(out.theta_nl, state.theta_nl)
+        assert np.array_equal(out.theta_nl, np.zeros(self.layout.dim))
         assert out.k == 1
 
     def test_hand_fed_scalars_match_symbolic_evaluation(self):
         mu_nl, mu_alpha = 0.25, 0.125
         alpha_d, y_x, y_ax = 0.7, 0.5, 0.3
-        pair = one_hot_pair(y_x, y_ax, self.layout)
-        state = CalibrationState.initial(self.layout, mu_nl=mu_nl, mu_alpha=mu_alpha)
-        out, _ = sgd_step(state, pair, self.layout, alpha_d)
+        pair = one_hot_pairs(y_x, y_ax)
+        out, _ = run_sgd(pair, self.layout, alpha_d, constant_steps(mu_nl, mu_alpha))
 
         e_alpha = y_ax - alpha_d * y_x
         ta = mu_alpha * y_x * e_alpha
@@ -336,23 +343,23 @@ class TestSgdStep:
         assert np.allclose(out.theta_nl, expected, atol=1e-16)
 
     def test_posterior_alpha_error_identity(self):
+        # every step's scalar update scales its apriori error by
+        # 1 - mu_alpha yx_hat^2; each step's prior and posterior state are
+        # consecutive snapshots of one run
         rng = np.random.default_rng(0)
-        layout = self.layout
-        for _ in range(200):
-            y_x, y_ax = rng.normal(size=2)
-            mu_alpha = rng.uniform(0.0, 1.0)
-            pair = one_hot_pair(y_x, y_ax, layout)
-            state = CalibrationState.initial(layout, mu_nl=0.125, mu_alpha=mu_alpha)
-            state.theta_nl = rng.normal(scale=0.01, size=layout.dim)
-            state.theta_alpha = rng.normal(scale=0.01)
-            alpha_d = 0.7
-            out, _ = sgd_step(state, pair, layout, alpha_d)
-
-            hx = selection_vectors(pair.unscaled, layout)
-            yx_hat = y_x + hx.dot(state.theta_nl)[0]
-            yax_hat = y_ax + hx.dot(state.theta_nl)[0]
-            e_prior = yax_hat - (alpha_d + state.theta_alpha) * yx_hat
-            e_post = yax_hat - (alpha_d + out.theta_alpha) * yx_hat
+        n, alpha_d, mu_alpha = 200, 0.7, 0.25
+        y_x, y_ax = rng.normal(size=(2, n))
+        pairs = one_hot_pairs(y_x, y_ax)
+        _, snapshots = run_sgd(pairs, self.layout, alpha_d, constant_steps(0.125, mu_alpha),
+                               guard=1e6, checkpoints=range(n + 1))
+        h = selection_vectors(pairs.unscaled, self.layout).dense()   # = the scaled path's
+        for k in range(n):
+            theta, theta_alpha = snapshots[k]
+            _, theta_alpha_post = snapshots[k + 1]
+            yx_hat = y_x[k] + h[k] @ theta
+            yax_hat = y_ax[k] + h[k] @ theta
+            e_prior = yax_hat - (alpha_d + theta_alpha) * yx_hat
+            e_post = yax_hat - (alpha_d + theta_alpha_post) * yx_hat
             factor = 1.0 - mu_alpha * yx_hat ** 2
             assert e_post == pytest.approx(factor * e_prior, abs=1e-12)
 
@@ -361,22 +368,13 @@ class TestSgdStep:
         x = gen_tones([ToneSpec(0.677, 0.995)], 5)
         pairs = make_pairs(mismatched_adc, x, PathConfig(ALPHA, ALPHA, None), 0)
         pair = pairs[3:4]
-        state = CalibrationState.initial(layout)
-        out, _ = sgd_step(state, pair, layout, ALPHA)
-        touched = set(np.flatnonzero(out.theta_nl != state.theta_nl))
+        out, _ = run_sgd(pair, layout, ALPHA, constant_steps(2.0 ** -6, 2.0 ** -7))
+        touched = set(np.flatnonzero(out.theta_nl))
         allowed = {layout.weighted_position(i) for i in range(layout.q)}
         for conversions in (pair.unscaled, pair.scaled):
             slots = selection_vectors(conversions, layout).indicator_pos[0]
             allowed |= set(slots[slots >= 0].tolist())
         assert touched <= allowed
-
-    @pytest.mark.parametrize("n", [0, 2])
-    def test_takes_exactly_one_pair(self, mismatched_adc, n):
-        layout = CorrectionLayout.from_adc(mismatched_adc, 3)
-        x = gen_tones([ToneSpec(0.677, 0.995)], 5)
-        pairs = make_pairs(mismatched_adc, x, PathConfig(ALPHA, ALPHA, None), 0)
-        with pytest.raises(ValueError):
-            sgd_step(CalibrationState.initial(layout), pairs[1:1 + n], layout, ALPHA)
 
 
 class TestContraction:
@@ -395,28 +393,27 @@ class TestContraction:
         checks = 0
         for k in range(n):
             hx, hax = h_x[k], h_ax[k]
-            state = CalibrationState.initial(layout)
-            state.theta_nl = rng.normal(scale=0.005, size=layout.dim)
-            state.theta_alpha = rng.normal(scale=0.005)
+            theta_nl = rng.normal(scale=0.005, size=layout.dim)
+            theta_alpha = rng.normal(scale=0.005)
 
-            yx_hat = y_x[k] + hx @ state.theta_nl
-            yax_hat = y_ax[k] + hax @ state.theta_nl
+            yx_hat = y_x[k] + hx @ theta_nl
+            yax_hat = y_ax[k] + hax @ theta_nl
 
             # scalar path at its per-sample bound
             bound_alpha = 2.0 / yx_hat ** 2
-            state.mu_alpha = rng.uniform(0.0, bound_alpha)
-            out, _ = sgd_step(state, pairs[k:k + 1], layout, ALPHA)
-            e_prior = yax_hat - (ALPHA + state.theta_alpha) * yx_hat
-            e_post = yax_hat - (ALPHA + out.theta_alpha) * yx_hat
+            mu_alpha = rng.uniform(0.0, bound_alpha)
+            e_prior = yax_hat - (ALPHA + theta_alpha) * yx_hat
+            theta_alpha_post = theta_alpha + mu_alpha * (yx_hat * e_prior)
+            e_post = yax_hat - (ALPHA + theta_alpha_post) * yx_hat
             assert abs(e_post) <= abs(e_prior) + 1e-15
 
             # vector path at its per-sample bound, holding theta_alpha fixed
-            c = ALPHA + out.theta_alpha
+            c = ALPHA + theta_alpha_post
             dh = hax - c * hx
             norm2 = float(dh @ dh)
             mu_nl = rng.uniform(0.0, 2.0 / norm2)
             e_nl = yax_hat - c * yx_hat
-            theta_after = state.theta_nl - mu_nl * dh * e_nl
+            theta_after = theta_nl - mu_nl * dh * e_nl
             e_nl_post = y_ax[k] + hax @ theta_after - c * (y_x[k] + hx @ theta_after)
             assert abs(e_nl_post) <= abs(e_nl) + 1e-15
             checks += 2
@@ -424,11 +421,9 @@ class TestContraction:
 
     def test_above_bound_strictly_grows_error(self):
         layout = CorrectionLayout(stages=(toy_stage(),))
-        pair = one_hot_pair(0.5, 0.3, layout)
-        y_x = 0.5
-        bound = 2.0 / y_x ** 2
-        state = CalibrationState.initial(layout, mu_nl=0.0, mu_alpha=1.5 * bound)
-        out, _ = sgd_step(state, pair, layout, alpha_d=0.7)
+        pair = one_hot_pairs(0.5, 0.3)
+        # mu_alpha = 12, 1.5 times the scalar path's bound 2 / y_x^2 = 8
+        out, _ = run_sgd(pair, layout, 0.7, StepSchedule(1.0, 0, 1.0, 12.0))
         e_prior = 0.3 - 0.7 * 0.5
         e_post = 0.3 - (0.7 + out.theta_alpha) * 0.5
         assert abs(e_post) > abs(e_prior)
@@ -478,19 +473,6 @@ class TestRunSgd:
         assert set(snapshots) == {0}
         assert state.theta_alpha == 0.0
         assert np.all(state.theta_nl == 0.0)
-
-    def test_matches_repeated_single_steps(self):
-        adc = toy_with_mismatch(flash_bits=3)
-        layout = CorrectionLayout.from_adc(adc, 2)
-        pairs, _ = toy_pairs(adc, delta=1e-3, n=200)
-        schedule = StepSchedule(mu_nl_init=2.0 ** -4, halve_every=0)
-        fast, _ = run_sgd(pairs, layout, ALPHA, schedule=schedule)
-
-        state = CalibrationState.initial(layout, mu_nl=2.0 ** -4, mu_alpha=2.0 ** -5)
-        for k in range(len(pairs)):
-            state, _ = sgd_step(state, pairs[k:k + 1], layout, ALPHA)
-        assert state.theta_alpha == pytest.approx(fast.theta_alpha, abs=1e-13)
-        assert np.allclose(state.theta_nl, fast.theta_nl, atol=1e-13)
 
     def test_converges_toward_wiener_reference(self):
         # zero-mean DAC vectors on the exact analysis back end: the Wiener
@@ -638,7 +620,7 @@ class TestSgdPopulation:
         # update the same indicator (-g, then +g*c): 413, 374 and 202 of 1500
         # steps in stages 1, 2 and 3 of member 0
         pairs, layout, _ = default_member_pairs(0, 1500)
-        for i, slots in enumerate(layout.indicator_slots):
+        for i, slots in enumerate(layout.code_slots):
             cx, cax = pairs.unscaled.index[:, i], pairs.scaled.index[:, i]
             assert np.count_nonzero((cx == cax) & (slots[cx] >= 0)) > 100
 
@@ -707,21 +689,21 @@ class TestComplexityAudit:
         layout = CorrectionLayout.from_adc(mismatched_adc, 3)
         x = gen_tones([ToneSpec(0.677, 0.995)], 3)
         pairs = make_pairs(mismatched_adc, x, PathConfig(ALPHA, ALPHA, None), 0)
-        state = CalibrationState.initial(layout)
-        out, count = sgd_step(state, pairs[1:2], layout, ALPHA)
+        theta_nl, theta_alpha, count = counted_step(np.zeros(layout.dim), 0.0, pairs[1:2],
+                                                    layout, ALPHA, 2.0 ** -6, 2.0 ** -7)
         assert count.nl == 19
         assert count.alpha == 3
         # and the counted step computes the production kernel's update
         kernel, _ = run_sgd(pairs[1:2], layout, ALPHA, StepSchedule(2.0 ** -6, 0, 2.0 ** -6, 0.5))
-        assert np.allclose(out.theta_nl, kernel.theta_nl, atol=1e-15)
-        assert out.theta_alpha == pytest.approx(kernel.theta_alpha, abs=1e-16)
+        assert np.allclose(theta_nl, kernel.theta_nl, atol=1e-15)
+        assert theta_alpha == pytest.approx(kernel.theta_alpha, abs=1e-16)
 
     def test_multiplication_budget_matches_dimension(self):
         adc = toy_with_mismatch(flash_bits=3)
         layout = CorrectionLayout.from_adc(adc, 2)
         pairs, _ = toy_pairs(adc, n=30)
-        state = CalibrationState.initial(layout)
-        _, count = sgd_step(state, pairs[0:1], layout, ALPHA)
+        _, _, count = counted_step(np.zeros(layout.dim), 0.0, pairs[0:1], layout, ALPHA,
+                                   2.0 ** -6, 2.0 ** -7)
         assert count.nl == layout.dim == 5
         assert count.alpha == 3
 

@@ -90,6 +90,10 @@ class TestConfig:
         dict(ideal_included_stages=2), dict(snr_db="70"), dict(alpha_d="0.5"),
         # a numpy bool or float in an int field
         dict(q=np.True_), dict(population=np.float64(3.0)),
+        # a step-size floor above the initial step, or a negative halving period
+        dict(mu_nl_init=2.0 ** -6, mu_nl_min=2.0 ** -2),
+        dict(mu_nl_init=2.0 ** -6, mu_nl_min=2.0 ** -2, mu_halve_every=0),
+        dict(mu_halve_every=-1),
     ])
     def test_validation(self, overrides):
         with pytest.raises(ConfigError):
@@ -289,6 +293,14 @@ class TestSweeps:
             run_sweep("voltage", cfg, [1.0])
         with pytest.raises(ConfigError):
             run_sweep("delta", cfg, [])
+        # a repeated grid value would run and write its point twice; -0.0 == 0.0
+        for kind, grid in (("delta", [0.0, 0.0]), ("delta", [0.0, 1e-3, -0.0]),
+                           ("snr", [60, 60.0]), ("alpha", [0.5, 0.5])):
+            with pytest.raises(ConfigError, match="repeats"):
+                run_sweep(kind, cfg, grid)
+        sgd = default_config(7, **SMALL, algorithm="blhec-sgd")
+        with pytest.raises(ConfigError, match="repeats"):
+            run_sweep("convergence", sgd, [2000, 1500, 2000])
 
 
 class TestBaselineNumbers:
@@ -372,6 +384,17 @@ class TestCli:
                      "--config", self._cfg(tmp_path)])
         assert code == 0
         assert (tmp_path / "error_norms.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--kind", "delta", "--grid", "0,-0"],
+        ["convergence", "--checkpoints", "2000,2000"],
+    ])
+    def test_repeated_grid_value_exits_2(self, tmp_path, capsys, command):
+        code = main([*command, "--seed", "3", "--population", "2", "--out", str(tmp_path),
+                     "--config", self._cfg(tmp_path)])
+        assert code == 2
+        assert "repeats" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -8,11 +8,14 @@ import pipecal
 MODULES = ["adc", "calibration", "correction", "harness", "signals", "spectral"]
 
 # per-record scalar API, replaced by one-row slices of the batch types, the
-# adaptive kernel's trajectory log, replaced by its checkpoint snapshots, and
-# the compact multi-converter SGD entry point, replaced by `run_sgd` per member
+# adaptive kernel's trajectory log, replaced by its checkpoint snapshots, the
+# compact multi-converter SGD entry point, replaced by `run_sgd` per member,
+# test oracles, now in tests/helpers.py (the single SGD step as `counted_step`),
+# and the one-line wrappers of `spectral.analyze`
 REMOVED = ["ConversionRecord", "convert", "SamplePair", "SelectionVector", "selection_vector",
            "apply_correction", "sgd_step_counted", "SgdTrajectory", "SgdStream",
-           "run_sgd_population"]
+           "run_sgd_population", "sgd_step", "MultiplicationCount", "reference_output",
+           "RecordMismatchError", "sfdr", "sndr"]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -8,8 +8,6 @@ from pipecal.spectral import (
     MisdeclaredSignalError,
     analyze,
     error_norm,
-    sfdr,
-    sndr,
     spectrum,
     tone_bin,
     window_values,
@@ -76,8 +74,8 @@ class TestSfdrSndr:
         spur_bin = tone_bin(snap_to_odd_bin(1.9, N), N)
         x = coherent_tone() + gen_tones([ToneSpec(2 * math.pi * spur_bin / N, 1e-3)], N)
         est = spectrum(x, "rect", N)
-        assert sfdr(est, [BIN]) == pytest.approx(60.0, abs=0.01)
         report = analyze(est, [BIN])
+        assert report.sfdr_db == pytest.approx(60.0, abs=0.01)
         assert report.spur_bin == spur_bin
         assert report.spur_db == pytest.approx(-60.0, abs=0.01)
 
@@ -87,9 +85,9 @@ class TestSfdrSndr:
         q = np.clip(np.round(x / lsb) * lsb, -1.0, 1.0)
         est = spectrum(q, "rect", 1 << 14)
         bin14 = tone_bin(snap_to_odd_bin(0.6767, 1 << 14), 1 << 14)
-        value = sndr(est, [bin14])
-        assert value == pytest.approx(6.02 * 13 + 1.76, abs=0.5)
-        assert sfdr(est, [bin14]) >= value
+        report = analyze(est, [bin14])
+        assert report.sndr_db == pytest.approx(6.02 * 13 + 1.76, abs=0.5)
+        assert report.sfdr_db >= report.sndr_db
 
     def test_white_noise_at_70db_gives_70db_sndr(self):
         rng = np.random.default_rng(1)
@@ -97,12 +95,12 @@ class TestSfdrSndr:
         x = x + rng.normal(0.0, math.sqrt(0.5e-7), x.size)
         est = spectrum(x, "rect", 1 << 14)
         bin14 = tone_bin(snap_to_odd_bin(0.6767, 1 << 14), 1 << 14)
-        assert sndr(est, [bin14]) == pytest.approx(70.0, abs=0.3)
+        assert analyze(est, [bin14]).sndr_db == pytest.approx(70.0, abs=0.3)
 
     def test_window_invariance_for_coherent_tones(self):
         spur_bin = tone_bin(snap_to_odd_bin(1.9, N), N)
         x = coherent_tone() + gen_tones([ToneSpec(2 * math.pi * spur_bin / N, 10 ** -2.5)], N)
-        values = [sfdr(spectrum(x, w, N), [BIN]) for w in ("rect", "bh4")]
+        values = [analyze(spectrum(x, w, N), [BIN]).sfdr_db for w in ("rect", "bh4")]
         assert abs(values[0] - values[1]) < 0.5
 
     def test_amplitude_scale_invariance(self):
@@ -110,8 +108,9 @@ class TestSfdrSndr:
         x = coherent_tone() + 1e-4 * rng.normal(size=N)
         est1 = spectrum(x, "rect", N)
         est2 = spectrum(3.7 * x, "rect", N)
-        assert sfdr(est1, [BIN]) == pytest.approx(sfdr(est2, [BIN]), abs=1e-9)
-        assert sndr(est1, [BIN]) == pytest.approx(sndr(est2, [BIN]), abs=1e-9)
+        a, b = analyze(est1, [BIN]), analyze(est2, [BIN])
+        assert a.sfdr_db == pytest.approx(b.sfdr_db, abs=1e-9)
+        assert a.sndr_db == pytest.approx(b.sndr_db, abs=1e-9)
 
     def test_zeroing_largest_spur_increases_sfdr(self):
         rng = np.random.default_rng(3)
@@ -119,13 +118,13 @@ class TestSfdrSndr:
         est = spectrum(x, "rect", N)
         before = analyze(est, [BIN])
         est.power[before.spur_bin] = 0.0
-        assert sfdr(est, [BIN]) > before.sfdr_db
+        assert analyze(est, [BIN]).sfdr_db > before.sfdr_db
 
     def test_misdeclared_signal_raises(self):
         x = coherent_tone(amplitude=1e-4) + coherent_tone(amplitude=0.5, omega=snap_to_odd_bin(1.9, N))
         est = spectrum(x, "rect", N)
         with pytest.raises(MisdeclaredSignalError):
-            sfdr(est, [BIN])
+            analyze(est, [BIN])
 
     def test_requires_signal_bins(self):
         est = spectrum(coherent_tone(), "rect", N)
