@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: `simulate` (inspect one converter), `calibrate` (population
-run), `sweep` (grid runs), `convergence` (sample-budget sweep). A JSON config
-file supplies any ExperimentConfig field; command-line flags override it, and
---seed is always required so every run is reproducible.
+run), `sweep` (grid runs) and `convergence` (sample-budget sweep); one handler
+serves the last two, which differ only in how the grid is parsed. A JSON
+config file supplies any ExperimentConfig field; command-line flags override
+it, and --seed is always required so every run is reproducible.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -11,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -78,8 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("convergence", help="adaptive-run sample-budget sweep")
     common(p_conv)
-    p_conv.add_argument("--checkpoints", required=True,
+    p_conv.add_argument("--checkpoints", dest="grid", required=True,
                         help="comma-separated sample counts, e.g. '2000,8000,48000'")
+    p_conv.set_defaults(kind="convergence")
     return parser
 
 
@@ -111,9 +114,9 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(fields)
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str, parse) -> list:
     try:
-        values = [float(v) for v in text.split(",") if v.strip()]
+        values = [parse(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad grid value: {exc}") from exc
     if not values:
@@ -157,7 +160,7 @@ def _warn_if_unconverged(rows) -> None:
 def _cmd_simulate(args) -> int:
     config = _config_from_args(args)
     if args.population is None:
-        config = ExperimentConfig.from_dict({**config.to_dict(), "population": 1})
+        config = dataclasses.replace(config, population=1)
     rows = run_experiment(config, workers=1)
     for row in rows:
         print(f"adc {row.adc_id}: delta={row.delta_true:+.3e}  "
@@ -191,29 +194,14 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _config_from_args(args)
-    sweep = run_sweep(args.kind, config, _parse_grid(args.grid), workers=args.workers)
+    convergence = args.kind == "convergence"
+    if convergence and args.algorithm is None:
+        config = dataclasses.replace(config, algorithm="blhec-sgd")
+    grid = _parse_grid(args.grid, int if convergence else float)
+    sweep = run_sweep(args.kind, config, grid, workers=args.workers)
     paths = emit_sweep_outputs(sweep, args.out, include_timings=args.timings)
     for point in sweep.points:
         print(f"{args.kind} = {point}:")
-        _print_summary(sweep.rows[point])
-    rows = [row for point in sweep.points for row in sweep.rows[point]]
-    _warn_if_worse(rows)
-    _warn_if_unconverged(rows)
-    print("written:", ", ".join(str(p) for p in paths))
-    return EXIT_OK
-
-
-def _cmd_convergence(args) -> int:
-    config = _config_from_args(args)
-    if args.algorithm is None:
-        config = ExperimentConfig.from_dict({**config.to_dict(), "algorithm": "blhec-sgd"})
-    try:
-        checkpoints = [int(v) for v in args.checkpoints.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad checkpoint: {exc}") from exc
-    sweep = run_sweep("convergence", config, checkpoints, workers=args.workers)
-    paths = emit_sweep_outputs(sweep, args.out, include_timings=args.timings)
-    for point in sweep.points:
         _print_summary(sweep.rows[point])
     rows = [row for point in sweep.points for row in sweep.rows[point]]
     _warn_if_worse(rows)
@@ -226,7 +214,7 @@ _COMMANDS = {
     "simulate": _cmd_simulate,
     "calibrate": _cmd_calibrate,
     "sweep": _cmd_sweep,
-    "convergence": _cmd_convergence,
+    "convergence": _cmd_sweep,
 }
 
 

@@ -3,7 +3,9 @@
 Builds seeded converter populations, calibrates each member with the selected
 algorithm, evaluates SFDR/SNDR on a freshly generated clean signal, and emits
 deterministic CSV files. Sweeps rerun the same population over a parameter
-grid (scaling factor, SNR, scaling mismatch, or sample budget).
+grid (scaling factor, SNR, scaling mismatch, or sample budget). Every run is
+one list of member tasks in at most one process pool, and a sweep checks
+every grid value before any member runs.
 """
 
 from __future__ import annotations
@@ -380,15 +382,17 @@ def _check_code_coverage(pairs: PairBatch, layout: CorrectionLayout, idx: int) -
                 f"(indicator slot {slots[code]}); input does not cover all codes")
 
 
-def _run_member(args) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
-    """Build, calibrate and evaluate population member idx.
+def _run_member(task) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
+    """Build, calibrate and evaluate member idx of a task (config, idx, kind, value).
 
-    With `checkpoints` (SGD only), the member gets one row per checkpoint,
-    all evaluated on one conversion of its evaluation signal, and one error
-    norm per checkpoint against its BL-HEC reference. A row's wall_clock_s
-    is its member's build, pair, calibration and evaluation time.
+    kind and value label the rows ("" and None outside a sweep). In a
+    convergence sweep (SGD only), value is the checkpoint list: the member
+    gets one row per checkpoint, all evaluated on one conversion of its
+    evaluation signal, and one error norm per checkpoint against its BL-HEC
+    reference. A row's wall_clock_s is its member's build-to-evaluation time.
     """
-    config, idx, checkpoints = args
+    config, idx, kind, value = task
+    checkpoints = value if kind == "convergence" else None
     start = time.perf_counter()
     adc, path, layout = _build_member(config, idx)
     sgd = config.algorithm == "blhec-sgd"
@@ -420,23 +424,19 @@ def _run_member(args) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
                       algorithm=config.algorithm, pre_sndr_db=pre.sndr_db,
                       pre_sfdr_db=pre.sfdr_db, post_sndr_db=post.sndr_db,
                       post_sfdr_db=post.sfdr_db, theta_alpha=alpha, delta_true=path.delta,
-                      samples=k, wall_clock_s=wall,
-                      sweep_kind="convergence" if checkpoints else "",
-                      sweep_value=float(k) if checkpoints else None,
+                      samples=k, wall_clock_s=wall, sweep_kind=kind,
+                      sweep_value=float(k) if checkpoints else value,
                       blhec_converged=converged)
             for (k, _, alpha), post in zip(points, posts)]
     norms = [(idx, k, error_norm(theta, reference)) for k, theta, _ in points] if checkpoints else []
     return rows, norms
 
 
-def _run_population(config: ExperimentConfig, workers: int,
-                    checkpoints: list[int] | None = None):
-    """Every member through `_run_member`, one member per pool task, so the
-    pool's workers stay evenly loaded. The pool starts no more processes
-    than there are members."""
+def _run_tasks(tasks: list, workers: int):
+    """Every task through `_run_member`, serially or in one pool with no more
+    processes than tasks; rows and norms come back in task order."""
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    tasks = [(config, idx, checkpoints) for idx in range(config.population)]
     if workers == 1 or len(tasks) <= 1:
         outcomes = [_run_member(t) for t in tasks]
     else:
@@ -448,14 +448,13 @@ def _run_population(config: ExperimentConfig, workers: int,
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
-    """Calibrate and evaluate every population member.
+    """Calibrate and evaluate every population member; rows in adc_id order.
 
     Members are independent: each derives its own seed streams from
     (master_seed, adc_id) and is calibrated on its own, so results do not
     depend on the worker count or on which other members are present.
     """
-    rows, _ = _run_population(config, workers)
-    rows.sort(key=lambda r: r.adc_id)
+    rows, _ = _run_tasks([(config, idx, "", None) for idx in range(config.population)], workers)
     return rows
 
 
@@ -470,57 +469,47 @@ class SweepResult:
 def _sweep_config(config: ExperimentConfig, kind: str, value: float) -> ExperimentConfig:
     if kind == "alpha":
         # matched scaling pair alpha_a = alpha_d = value
-        return dataclasses.replace(config, alpha_d=float(value),
-                                   delta_mode="fixed", delta_value=0.0)
+        return dataclasses.replace(config, alpha_d=value, delta_mode="fixed", delta_value=0.0)
     if kind == "snr":
-        return dataclasses.replace(config, snr_db=float(value))
-    if kind == "delta":
-        return dataclasses.replace(config, delta_mode="fixed", delta_value=float(value))
-    raise ConfigError(f"unknown sweep kind {kind!r}")
+        return dataclasses.replace(config, snr_db=value)
+    return dataclasses.replace(config, delta_mode="fixed", delta_value=value)
 
 
 def run_sweep(kind: str, config: ExperimentConfig, grid, workers: int = 1) -> SweepResult:
-    """One averaged population run per grid point.
+    """One population run per grid point, all points' members in one pool.
 
     alpha       -- matched scaling factor sweep (delta = 0)
     snr         -- calibration-signal SNR sweep [dB]
     delta       -- fixed scaling-factor-mismatch sweep
     convergence -- sample-budget checkpoints of the adaptive estimator
+
+    Every grid value is checked before any member runs. Rows come in adc_id
+    order; convergence points and error norms in ascending order.
     """
     grid = list(grid)
     if not grid:
         raise ConfigError("sweep grid must not be empty")
     if kind not in SWEEP_KINDS:
         raise ConfigError(f"unknown sweep kind {kind!r}, expected one of {SWEEP_KINDS}")
-    points = [int(k) if kind == "convergence" else float(k) for k in grid]
+    points = [float(k) for k in grid]
     if len(set(points)) < len(points):
         raise ConfigError(f"sweep grid repeats a value: {grid}")
 
     if kind == "convergence":
         if config.algorithm != "blhec-sgd":
             raise ConfigError("convergence sweeps require the blhec-sgd algorithm")
-        checkpoints = sorted(points)
-        if checkpoints[0] < 1:
-            raise ConfigError("sample checkpoints must be positive")
-        rows, norms = _run_population(config, workers, checkpoints)
-        rows_per_point: dict[float, list[ResultRow]] = {float(k): [] for k in checkpoints}
-        for row in rows:
-            rows_per_point[float(row.samples)].append(row)
-        for point_rows in rows_per_point.values():
-            point_rows.sort(key=lambda r: r.adc_id)
-        norms.sort()
-        return SweepResult(kind=kind, points=[float(k) for k in checkpoints],
-                           rows=rows_per_point, error_norms=norms)
-
-    rows: dict[float, list[ResultRow]] = {}
-    for value in points:
-        cfg = _sweep_config(config, kind, value)
-        point_rows = run_experiment(cfg, workers=workers)
-        for row in point_rows:
-            row.sweep_kind = kind
-            row.sweep_value = value
-        rows[value] = point_rows
-    return SweepResult(kind=kind, points=points, rows=rows)
+        if not all(k.is_integer() and k >= 1 for k in points):
+            raise ConfigError(f"sample checkpoints must be positive integers: {grid}")
+        points.sort()
+        checkpoints = [int(k) for k in points]
+        tasks = [(config, idx, kind, checkpoints) for idx in range(config.population)]
+    else:
+        configs = [_sweep_config(config, kind, value) for value in points]
+        tasks = [(cfg, idx, kind, value) for cfg, value in zip(configs, points)
+                 for idx in range(cfg.population)]
+    rows, norms = _run_tasks(tasks, workers)
+    rows_per_point = {value: [r for r in rows if r.sweep_value == value] for value in points}
+    return SweepResult(kind=kind, points=points, rows=rows_per_point, error_norms=norms)
 
 
 # ---------------------------------------------------------------------------

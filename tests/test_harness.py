@@ -52,6 +52,24 @@ def opened_pools(monkeypatch):
     return opened
 
 
+@pytest.fixture
+def member_calls(monkeypatch):
+    """(adc_id, sweep kind) of every task `_run_member` is given, in call order."""
+    calls = []
+    run_member = harness._run_member
+
+    def counting(task):
+        calls.append((task[1], task[2]))
+        return run_member(task)
+
+    monkeypatch.setattr(harness, "_run_member", counting)
+    return calls
+
+
+def _emitted(sweep, out_dir) -> dict:
+    return {p.name: p.read_bytes() for p in emit_sweep_outputs(sweep, out_dir)}
+
+
 class TestConfig:
     def test_round_trips_through_json(self):
         cfg = default_config(7, population=3)
@@ -301,6 +319,53 @@ class TestSweeps:
         sgd = default_config(7, **SMALL, algorithm="blhec-sgd")
         with pytest.raises(ConfigError, match="repeats"):
             run_sweep("convergence", sgd, [2000, 1500, 2000])
+        # a sample count is a whole number; truncating it would run other checkpoints
+        for grid in ([1500.7], [1500.2, 1500.9]):
+            with pytest.raises(ConfigError, match="positive integers"):
+                run_sweep("convergence", sgd, grid)
+
+    def test_invalid_grid_value_rejected_before_any_member_runs(self, opened_pools,
+                                                                member_calls):
+        cfg = default_config(7, **{**SMALL, "population": 3})
+        with pytest.raises(ConfigError, match="alpha_d must be in"):
+            run_sweep("alpha", cfg, [0.6, 0.7, 1.5], workers=2)
+        assert member_calls == []
+        assert opened_pools == []
+
+    def test_grid_sweep_opens_one_pool(self, opened_pools, member_calls):
+        cfg = default_config(7, algorithm="hec-wiener", **{**SMALL, "population": 3})
+        sweep = run_sweep("delta", cfg, [2e-3, -2e-3, 0.0], workers=2)
+        assert opened_pools == [2]
+        assert len(member_calls) == 9
+        assert sweep.points == [2e-3, -2e-3, 0.0]
+        for point in sweep.points:
+            assert [r.adc_id for r in sweep.rows[point]] == [0, 1, 2]
+            assert all(r.sweep_kind == "delta" and r.sweep_value == point
+                       for r in sweep.rows[point])
+
+    def test_convergence_sweep_opens_one_pool(self, opened_pools, member_calls):
+        # an integral float is a valid checkpoint; points come back ascending
+        cfg = default_config(7, algorithm="blhec-sgd", **{**SMALL, "population": 3})
+        sweep = run_sweep("convergence", cfg, [3000.0, 1500], workers=8)
+        assert opened_pools == [3]
+        assert member_calls == [(0, "convergence"), (1, "convergence"), (2, "convergence")]
+        assert sweep.points == [1500.0, 3000.0]
+        for point in sweep.points:
+            assert [r.adc_id for r in sweep.rows[point]] == [0, 1, 2]
+            assert all(r.samples == point for r in sweep.rows[point])
+        assert [(i, k) for i, k, _ in sweep.error_norms] == [
+            (0, 1500), (0, 3000), (1, 1500), (1, 3000), (2, 1500), (2, 3000)]
+
+    @pytest.mark.parametrize("kind, algorithm, grid", [
+        ("delta", "hec-wiener", [0.0, 2e-3]),
+        ("convergence", "blhec-sgd", [1500, 3000]),
+    ], ids=["delta", "convergence"])
+    def test_workers_do_not_change_sweep_outputs(self, tmp_path, kind, algorithm, grid):
+        cfg = default_config(7, algorithm=algorithm, **{**SMALL, "population": 3})
+        seq = _emitted(run_sweep(kind, cfg, grid, workers=1), tmp_path / "seq")
+        par = _emitted(run_sweep(kind, cfg, grid, workers=2), tmp_path / "par")
+        assert seq == par
+        assert ("error_norms.csv" in seq) == (kind == "convergence")
 
 
 class TestBaselineNumbers:
@@ -378,12 +443,14 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "aggregate.csv").exists()
 
-    def test_convergence_cli(self, tmp_path):
+    def test_convergence_cli(self, tmp_path, capsys):
         code = main(["convergence", "--seed", "7", "--checkpoints", "1500,3000",
                      "--out", str(tmp_path), "--population", "1",
                      "--config", self._cfg(tmp_path)])
         assert code == 0
         assert (tmp_path / "error_norms.csv").exists()
+        out = capsys.readouterr().out
+        assert "convergence = 1500.0:" in out and "convergence = 3000.0:" in out
 
     @pytest.mark.parametrize("command", [
         ["sweep", "--kind", "delta", "--grid", "0,-0"],
@@ -394,6 +461,19 @@ class TestCli:
                      "--config", self._cfg(tmp_path)])
         assert code == 2
         assert "repeats" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("command, message", [
+        (["sweep", "--kind", "alpha", "--grid", "0.6,1.5"], "alpha_d must be in"),
+        (["convergence", "--checkpoints", "1500,2000.5"], "bad grid value"),
+    ], ids=["sweep", "convergence"])
+    def test_invalid_grid_value_exits_2_before_any_member(self, tmp_path, capsys, member_calls,
+                                                          command, message):
+        code = main([*command, "--seed", "3", "--population", "2", "--out", str(tmp_path),
+                     "--config", self._cfg(tmp_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert member_calls == []
         assert not (tmp_path / "results.csv").exists()
 
     def test_config_error_exit_code(self, tmp_path):
