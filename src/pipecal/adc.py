@@ -75,13 +75,13 @@ class StageSpec:
     def code_table(self) -> np.ndarray:     # code value by 1-based index, zero-padded
         return np.concatenate(([0.0], self.codes))
 
-    def max_digitization_error(self, v_min: float = -1.0, v_max: float = 1.0) -> float:
-        """Largest |input - selected code| over [v_min, v_max].
+    def max_digitization_error(self) -> float:
+        """Largest |input - selected code| over the full scale [-1, 1].
 
         The extremes occur at the interval edges and at the thresholds, where
         the selected code flips.
         """
-        probes = [v_min, v_max]
+        probes = [-1.0, 1.0]
         for t in self.thresholds:
             probes.append(t)            # the lower code still selected (x <= t)
             probes.append(math.nextafter(t, math.inf))  # the upper code takes over
@@ -147,7 +147,6 @@ class AdcInstance:
     flash: StageSpec | None
     mismatches: MismatchSet
     resolution_bits: int
-    v_ref: float = 1.0
 
     def __post_init__(self) -> None:
         if len(self.mismatches.gain_mismatch) != len(self.stages):
@@ -159,10 +158,6 @@ class AdcInstance:
     @property
     def n_stages(self) -> int:
         return len(self.stages)
-
-    @property
-    def lsb(self) -> float:
-        return lsb_size(self.resolution_bits)
 
     def recombination_weights(self) -> np.ndarray:
         """Digital weights 1/prod(G_j, j<i) per stage, last entry for the back end."""
@@ -247,21 +242,21 @@ def convert_many(adc: AdcInstance, x_in: np.ndarray) -> ConversionBatch:
     return ConversionBatch(y=y, index=index, x_in=x)
 
 
-def pipeline_stage_specs(levels: int = 7, gain: float = 4.0, v_ref: float = 1.0) -> StageSpec:
+def pipeline_stage_specs(levels: int = 7, gain: float = 4.0) -> StageSpec:
     """Canonical sub-radix quantizing stage: p uniformly spaced codes with
     thresholds at the midpoints (2.5-bit MDAC for levels=7, gain=4)."""
-    pitch = 2.0 * v_ref / (levels + 1)
+    pitch = 2.0 / (levels + 1)
     codes = tuple((j - (levels - 1) / 2.0) * pitch for j in range(levels))
     thresholds = tuple((codes[j] + codes[j + 1]) / 2.0 for j in range(levels - 1))
     return StageSpec(codes=codes, thresholds=thresholds, gain=gain)
 
 
-def flash_stage_spec(bits: int = 3, v_ref: float = 1.0) -> StageSpec:
+def flash_stage_spec(bits: int = 3) -> StageSpec:
     """Mid-rise flash: 2**bits uniform levels over the residue range."""
     p = 2 ** bits
-    step = 2.0 * v_ref / p
-    codes = tuple(-v_ref + (j + 0.5) * step for j in range(p))
-    thresholds = tuple(-v_ref + (j + 1.0) * step for j in range(p - 1))
+    step = 2.0 / p
+    codes = tuple(-1.0 + (j + 0.5) * step for j in range(p))
+    thresholds = tuple(-1.0 + (j + 1.0) * step for j in range(p - 1))
     return StageSpec(codes=codes, thresholds=thresholds, gain=1.0)
 
 

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e12
+BLHEC_TOLERANCE = 1e-7      # blhec_wiener's stop rule on theta_alpha, the paper's value
 
 
 class RankDeficiencyError(RuntimeError):
@@ -232,8 +233,7 @@ def _aitken(a0: float, a1: float, a2: float) -> float | None:
     return step if math.isfinite(step) else None
 
 
-def blhec_wiener(stats: PairStatistics, max_iterations: int = 50,
-                 tolerance: float = 1e-7) -> BlhecResult:
+def blhec_wiener(stats: PairStatistics, max_iterations: int = 50) -> BlhecResult:
     """Alternating Wiener solution of the bi-linear homogeneity cost,
     accelerated by a safeguarded Steffensen step on theta_alpha.
 
@@ -250,7 +250,7 @@ def blhec_wiener(stats: PairStatistics, max_iterations: int = 50,
     its solve and the plain iteration follows. `iterations` counts every
     solve; `mse`, `mse_stderr` and `alpha_trace` list accepted iterates only.
 
-    Iteration stops when an accepted theta_alpha moves less than `tolerance`.
+    Iteration stops when an accepted theta_alpha moves less than BLHEC_TOLERANCE.
     If the covariance turns singular in a plain iteration after the first,
     the previous parameters are returned with a diagnostic instead of
     silently regularizing.
@@ -314,7 +314,7 @@ def blhec_wiener(stats: PairStatistics, max_iterations: int = 50,
         mse.append(mean_sq)
         mse_se.append(math.sqrt(float(dev @ dev)) / sq.size)     # std(sq) / sqrt(n)
         alphas.append(theta_alpha)
-        if m > 1 and abs(theta_alpha - prev_alpha) < tolerance:
+        if m > 1 and abs(theta_alpha - prev_alpha) < BLHEC_TOLERANCE:
             converged = True
             break
 

@@ -17,15 +17,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .calibration import (
-    DivergenceError,
-    NumericalError,
-    RankDeficiencyError,
-    SingularStatisticsError,
-)
 from .harness import (
+    NUMERICAL_FAILURES,
     ConfigError,
     ExperimentConfig,
     aggregate_rows,
@@ -35,14 +28,15 @@ from .harness import (
     run_experiment,
     run_sweep,
 )
-from .spectral import MisdeclaredSignalError, spectrum
+from .spectral import spectrum
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_NUMERICAL_ERRORS = (RankDeficiencyError, SingularStatisticsError, DivergenceError,
-                     NumericalError, MisdeclaredSignalError, np.linalg.LinAlgError)
+# flag (argparse dest) -> ExperimentConfig field; --delta also sets delta_mode
+_FLAG_FIELDS = {"population": "population", "algorithm": "algorithm", "q": "q",
+                "snr": "snr_db", "alpha_d": "alpha_d", "samples": "n_sgd"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,21 +90,11 @@ def _config_from_args(args) -> ExperimentConfig:
         if not isinstance(fields, dict):
             raise ConfigError("config file must contain a JSON object")
     fields["master_seed"] = args.seed
-    if args.population is not None:
-        fields["population"] = args.population
-    if args.algorithm is not None:
-        fields["algorithm"] = args.algorithm
-    if args.q is not None:
-        fields["q"] = args.q
-    if args.snr is not None:
-        fields["snr_db"] = args.snr
-    if args.alpha_d is not None:
-        fields["alpha_d"] = args.alpha_d
+    fields.update({name: getattr(args, flag) for flag, name in _FLAG_FIELDS.items()
+                   if getattr(args, flag) is not None})
     if args.delta is not None:
         fields["delta_mode"] = "fixed"
         fields["delta_value"] = args.delta
-    if args.samples is not None:
-        fields["n_sgd"] = args.samples
     return ExperimentConfig.from_dict(fields)
 
 
@@ -226,7 +210,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
+    except NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

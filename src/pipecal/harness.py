@@ -36,7 +36,9 @@ from .adc import (
 )
 from .calibration import (
     DivergenceError,
+    NumericalError,
     RankDeficiencyError,
+    SingularStatisticsError,
     StepSchedule,
     accumulate_statistics,
     blhec_wiener,
@@ -45,13 +47,14 @@ from .calibration import (
 )
 from .correction import CorrectionLayout, apply_correction_batch, model_dimension, selection_vectors
 from .signals import NOISE_MODES, PairBatch, PathConfig, ToneSpec, gen_tones, make_pairs, snap_to_odd_bin
-from .spectral import WINDOWS, analyze, error_norm, spectrum, tone_bin
+from .spectral import WINDOWS, MisdeclaredSignalError, analyze, error_norm, spectrum, tone_bin
 
 __all__ = [
     "ExperimentConfig",
     "ResultRow",
     "SweepResult",
     "ConfigError",
+    "NUMERICAL_FAILURES",
     "default_config",
     "evaluation_batch",
     "run_experiment",
@@ -66,6 +69,9 @@ AGGREGATE_SCHEMA = "pipecal-aggregate/1"
 
 ALGORITHMS = ("hec-wiener", "blhec-wiener", "blhec-sgd")
 SWEEP_KINDS = ("alpha", "snr", "delta", "convergence")
+# the failures a member can stop with although its configuration was accepted (exit 3)
+NUMERICAL_FAILURES = (RankDeficiencyError, SingularStatisticsError, DivergenceError,
+                      NumericalError, MisdeclaredSignalError, np.linalg.LinAlgError)
 
 # default test tone: 10.77 MHz at 100 MHz sampling
 DEFAULT_TONE_OMEGA = 2.0 * math.pi * 10.77 / 100.0
@@ -315,7 +321,7 @@ def _build_member(config: ExperimentConfig, idx: int):
         rng = np.random.default_rng(_seed_for(config, idx, _ROLE_DELTA))
         delta = float(rng.normal(0.0, config.delta_std))
         if not 0.0 < config.alpha_d + delta < 1.0:
-            raise ConfigError(f"adc {idx}: drawn delta {delta:g} puts the analog scaling factor "
+            raise ConfigError(f"drawn delta {delta:g} puts the analog scaling factor "
                               f"outside (0, 1); delta_std {config.delta_std:g} is too large")
     path = PathConfig(alpha_a=config.alpha_d + delta, alpha_d=config.alpha_d,
                       snr_db=config.snr_db, noise_mode=config.noise_mode)
@@ -368,7 +374,7 @@ def _wiener(config: ExperimentConfig, pairs, layout) -> tuple[np.ndarray, float,
     return res.theta_nl, res.theta_alpha, res.converged
 
 
-def _check_code_coverage(pairs: PairBatch, layout: CorrectionLayout, idx: int) -> None:
+def _check_code_coverage(pairs: PairBatch, layout: CorrectionLayout) -> None:
     """Raise RankDeficiencyError when the calibration pairs never select a code
     that owns an indicator slot: the adaptive loop would leave that slot at 0."""
     for i, slots in enumerate(layout.code_slots):
@@ -378,20 +384,34 @@ def _check_code_coverage(pairs: PairBatch, layout: CorrectionLayout, idx: int) -
         if missing.size:
             code = int(missing[0])
             raise RankDeficiencyError(
-                f"adc {idx}: the calibration input never selects stage {i + 1} code {code} "
+                f"the calibration input never selects stage {i + 1} code {code} "
                 f"(indicator slot {slots[code]}); input does not cover all codes")
 
 
 def _run_member(task) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
-    """Build, calibrate and evaluate member idx of a task (config, idx, kind, value).
+    """`_member_rows` of a task (config, idx, kind, value): the one place a
+    member failure is labeled. A ConfigError or one of NUMERICAL_FAILURES is
+    re-raised as the same object, type, traceback and attributes kept, with
+    its message prefixed `adc <idx>: ` and `member` set to idx."""
+    idx = task[1]
+    try:
+        return _member_rows(*task)
+    except (ConfigError, *NUMERICAL_FAILURES) as exc:
+        exc.args = (f"adc {idx}: {exc}",)
+        exc.member = idx
+        raise
+
+
+def _member_rows(config: ExperimentConfig, idx: int, kind: str, value):
+    """Build, calibrate and evaluate population member idx.
 
     kind and value label the rows ("" and None outside a sweep). In a
     convergence sweep (SGD only), value is the checkpoint list: the member
     gets one row per checkpoint, all evaluated on one conversion of its
     evaluation signal, and one error norm per checkpoint against its BL-HEC
-    reference. A row's wall_clock_s is its member's build-to-evaluation time.
+    reference solved from the first n_cal pairs. A row's wall_clock_s is its
+    member's build-to-evaluation time. Failures are raised unlabeled.
     """
-    config, idx, kind, value = task
     checkpoints = value if kind == "convergence" else None
     start = time.perf_counter()
     adc, path, layout = _build_member(config, idx)
@@ -407,13 +427,10 @@ def _run_member(task) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
     else:
         if checkpoints:
             reference, _, converged = _wiener(config, pairs, layout)
-        _check_code_coverage(pairs, layout, idx)
+        _check_code_coverage(pairs, layout)
         samples = checkpoints or [n_samples]
-        try:
-            _, snapshots = run_sgd(pairs, layout, config.alpha_d, schedule=config.schedule(),
-                                   guard=config.sgd_guard, checkpoints=samples)
-        except DivergenceError as exc:
-            raise DivergenceError(f"adc {idx}: {exc}", member=idx, sample=exc.sample) from exc
+        _, snapshots = run_sgd(pairs, layout, config.alpha_d, schedule=config.schedule(),
+                               guard=config.sgd_guard, checkpoints=samples)
         points = [(k, *snapshots[k]) for k in samples]
     del pairs
 
@@ -502,6 +519,9 @@ def run_sweep(kind: str, config: ExperimentConfig, grid, workers: int = 1) -> Sw
             raise ConfigError(f"sample checkpoints must be positive integers: {grid}")
         points.sort()
         checkpoints = [int(k) for k in points]
+        if checkpoints[-1] < config.n_cal:
+            raise ConfigError(f"the last checkpoint {checkpoints[-1]} is below n_cal={config.n_cal}, "
+                              "the pairs the BL-HEC reference is solved from")
         tasks = [(config, idx, kind, checkpoints) for idx in range(config.population)]
     else:
         configs = [_sweep_config(config, kind, value) for value in points]
@@ -541,8 +561,7 @@ def _write_csv(path: Path, schema: str, header: list[str], rows: list[list]) -> 
             writer.writerow([_fmt(v) for v in row])
 
 
-def emit_outputs(rows: list[ResultRow], out_dir, name: str = "results.csv",
-                 include_timings: bool = False) -> Path:
+def emit_outputs(rows: list[ResultRow], out_dir, include_timings: bool = False) -> Path:
     """Write one CSV row per ResultRow; byte-identical for identical inputs.
 
     Wall-clock timings are excluded unless requested, since they would break
@@ -557,7 +576,7 @@ def emit_outputs(rows: list[ResultRow], out_dir, name: str = "results.csv",
         if include_timings:
             values.append(row.wall_clock_s)
         data.append(values)
-    path = out_dir / name
+    path = out_dir / "results.csv"
     _write_csv(path, RESULTS_SCHEMA, columns, data)
     return path
 

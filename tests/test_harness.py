@@ -7,7 +7,7 @@ import pytest
 
 from helpers import toy_adc
 
-from pipecal.calibration import DivergenceError, accumulate_statistics, blhec_wiener
+from pipecal.calibration import DivergenceError, RankDeficiencyError, accumulate_statistics, blhec_wiener
 from pipecal.cli import main
 from pipecal.correction import CorrectionLayout, apply_correction_batch, selection_vectors
 from pipecal.adc import convert_many
@@ -192,6 +192,13 @@ class TestRunExperiment:
             run_experiment(default_config(7, **SMALL), workers=workers)
         assert opened_pools == []
 
+    def test_member_failure_in_a_pool_names_the_member(self):
+        # a 32-sample tone period never selects every code, so both members fail
+        with pytest.raises(RankDeficiencyError) as exc:
+            run_experiment(default_config(1, n_fft=32, population=2), workers=2)
+        assert exc.value.member == 0
+        assert str(exc.value).startswith("adc 0: regressor covariance rank 18 < 19")
+
     def test_calibration_improves_metrics(self):
         rows = run_experiment(default_config(7, **SMALL))
         for row in rows:
@@ -299,6 +306,14 @@ class TestSweeps:
         cfg = default_config(7, delta_std=5.0, **SMALL)
         with pytest.raises(ConfigError, match="adc 0"):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("grid", [[10], [100, 1000]])
+    def test_checkpoints_below_n_cal_rejected_before_any_member_runs(self, member_calls, grid):
+        # the BL-HEC reference is solved from the first n_cal = 1200 pairs
+        cfg = default_config(7, algorithm="blhec-sgd", **SMALL)
+        with pytest.raises(ConfigError, match="below n_cal=1200"):
+            run_sweep("convergence", cfg, grid)
+        assert member_calls == []
 
     def test_convergence_requires_sgd(self):
         cfg = default_config(7, algorithm="blhec-wiener", **SMALL)
@@ -466,7 +481,8 @@ class TestCli:
     @pytest.mark.parametrize("command, message", [
         (["sweep", "--kind", "alpha", "--grid", "0.6,1.5"], "alpha_d must be in"),
         (["convergence", "--checkpoints", "1500,2000.5"], "bad grid value"),
-    ], ids=["sweep", "convergence"])
+        (["convergence", "--checkpoints", "10"], "below n_cal=1200"),
+    ], ids=["sweep", "convergence", "convergence-below-n_cal"])
     def test_invalid_grid_value_exits_2_before_any_member(self, tmp_path, capsys, member_calls,
                                                           command, message):
         code = main([*command, "--seed", "3", "--population", "2", "--out", str(tmp_path),
@@ -529,15 +545,23 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_sgd_input_missing_a_code_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, message", [
+        (["calibrate", "--algorithm", "hec-wiener"], "regressor covariance rank 18 < 19"),
+        (["calibrate", "--algorithm", "blhec-wiener"], "regressor covariance rank 18 < 19"),
+        (["calibrate", "--algorithm", "blhec-sgd"],
+         "the calibration input never selects stage 3 code 2"),
+        (["sweep", "--kind", "delta", "--grid", "0"], "regressor covariance rank 18 < 19"),
+        # the member's BL-HEC reference is solved before its adaptive run
+        (["convergence", "--checkpoints", "2000"], "regressor covariance rank 18 < 19"),
+    ], ids=["hec-wiener", "blhec-wiener", "blhec-sgd", "sweep", "convergence"])
+    def test_input_missing_a_code_exits_3(self, tmp_path, capsys, command, message):
         # a 32-sample tone period never selects stage 3's code 2; the Wiener
         # algorithms stop on the rank of R_hh, the adaptive one on the code count
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_fft": 32, "population": 1}))
-        code = main(["calibrate", "--seed", "1", "--algorithm", "blhec-sgd",
-                     "--config", str(cfg), "--out", str(tmp_path)])
+        code = main([*command, "--seed", "1", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 3
-        assert "adc 0: the calibration input never selects stage 3 code 2" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"numerical failure: adc 0: {message}")
 
     def test_sgd_divergence_names_member_and_sample(self, tmp_path, capsys):
         # a step size of 64 blows member 0 up at the first guard check
@@ -549,9 +573,11 @@ class TestCli:
         assert code == 3
         assert ("adc 0: ||theta_nl||_inf exceeded guard 1.0 at sample 200"
                 in capsys.readouterr().err)
-        with pytest.raises(DivergenceError) as exc:
-            run_experiment(default_config(1, algorithm="blhec-sgd", **fields))
-        assert (exc.value.member, exc.value.sample) == (0, 200)
+        # the member and the sample survive the trip back from a pool worker
+        for workers in (1, 2):
+            with pytest.raises(DivergenceError) as exc:
+                run_experiment(default_config(1, algorithm="blhec-sgd", **fields), workers=workers)
+            assert (exc.value.member, exc.value.sample) == (0, 200)
 
     def test_sgd_stage_with_200_levels_exits_0_or_3(self, tmp_path):
         # 200 code indices do not fit in int8; the run must not end in a traceback
@@ -566,7 +592,8 @@ class TestCli:
         code = main(["calibrate", "--seed", "1", "--snr", "-10", "--population", "1",
                      "--out", str(tmp_path)])
         assert code == 3
-        assert "not above spur floor" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: adc 0: signal peak") and "not above spur floor" in err
 
     def test_lowered_sndr_warns_but_exits_0(self, tmp_path, capsys):
         # at -10 dB calibration SNR the BL-HEC solve makes the converter worse

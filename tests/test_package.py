@@ -1,3 +1,4 @@
+import ast
 import importlib
 from pathlib import Path
 
@@ -35,3 +36,14 @@ def test_kernel_source_ships_next_to_calibration():
 
     source = Path(calibration.__file__).with_name("sgd_kernel.c")
     assert source.is_file() and calibration._KERNEL_SOURCE == source
+
+
+def test_cli_imports_no_private_name():
+    # the command line goes through the package's public names only
+    from pipecal import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

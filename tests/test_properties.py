@@ -1,7 +1,8 @@
-"""Property test of the configuration contract: a random ExperimentConfig is
-either rejected with ConfigError, or runs to finite metrics, or stops with
-one of the numerical failures the command line maps to exit 3. Nothing else
-(a bare ValueError, an IndexError, NaN metrics) may come out."""
+"""Property tests of the configuration contract: a random ExperimentConfig,
+or a random sweep over a valid one, is either rejected with ConfigError, or
+runs to finite metrics, or stops with one of NUMERICAL_FAILURES, which the
+command line maps to exit 3. Nothing else (a bare ValueError, an IndexError,
+NaN metrics) may come out."""
 
 import math
 
@@ -11,8 +12,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pipecal.cli import _NUMERICAL_ERRORS
-from pipecal.harness import ConfigError, ExperimentConfig, run_experiment
+from pipecal.harness import NUMERICAL_FAILURES, ConfigError, ExperimentConfig, run_experiment, run_sweep
+from pipecal.spectral import WINDOWS
 
 _FIELDS = {
     "resolution_bits": st.integers(6, 16),
@@ -47,7 +48,7 @@ _FIELDS = {
     "mu_alpha_ratio": st.floats(0.0, 1.0),
     "sgd_guard": st.floats(0.01, 4.0),
     "n_fft": st.sampled_from([0, 1, 2, 1000, 1024, 2048]),
-    "window": st.sampled_from(["rect", "blackmanharris", "hamming"]),
+    "window": st.sampled_from(["rect", "hann", "bh4", "blackmanharris", "hamming"]),
     "eval_samples": st.sampled_from([512, 2048, 4096]),
 }
 
@@ -59,11 +60,49 @@ def test_config_is_rejected_or_runs_to_finite_metrics(fields, seed):
     try:
         config = ExperimentConfig(master_seed=seed, population=1, **fields)
         rows = run_experiment(config)
-    except ConfigError:
-        return
-    except _NUMERICAL_ERRORS:
+    except (ConfigError, *NUMERICAL_FAILURES):
         return
     assert len(rows) == 1
-    row = rows[0]
-    for name in ("pre_sndr_db", "pre_sfdr_db", "post_sndr_db", "post_sfdr_db", "theta_alpha"):
-        assert math.isfinite(getattr(row, name)), (name, config)
+    _assert_finite(rows, config)
+
+
+def _assert_finite(rows, context):
+    for row in rows:
+        for name in ("pre_sndr_db", "pre_sfdr_db", "post_sndr_db", "post_sfdr_db", "theta_alpha"):
+            assert math.isfinite(getattr(row, name)), (name, context)
+
+
+# grid values per sweep kind: checkpoints below D = 19, below n_cal and above
+# it, integral floats among them; scaling factors and mismatches in (0, 1)
+# and outside it
+_GRID_VALUES = {
+    "convergence": st.one_of(st.integers(1, 3000), st.integers(1, 3000).map(float)),
+    "alpha": st.one_of(st.floats(0.05, 0.95), st.floats(-0.2, 1.2)),
+    "delta": st.one_of(st.floats(-0.2, 0.2), st.floats(-0.5, 0.5)),
+    "snr": st.one_of(st.floats(-20.0, 120.0), st.sampled_from([math.inf, math.nan])),
+}
+
+
+@st.composite
+def _grids(draw, kind):
+    grid = draw(st.lists(_GRID_VALUES[kind], min_size=1, max_size=3, unique=True))
+    if draw(st.integers(0, 3)) == 0:
+        grid.append(draw(st.sampled_from(grid)))        # a repeated value
+    return grid
+
+
+@pytest.mark.parametrize("kind", sorted(_GRID_VALUES))
+@settings(max_examples=15, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), window=st.sampled_from(WINDOWS), seed=st.integers(0, 2 ** 32 - 1))
+def test_sweep_is_rejected_or_runs_to_finite_rows(kind, data, window, seed):
+    grid = data.draw(_grids(kind), label="grid")
+    algorithm = "blhec-sgd" if kind == "convergence" else "blhec-wiener"
+    config = ExperimentConfig(master_seed=seed, population=1, algorithm=algorithm, n_cal=1200,
+                              n_sgd=3000, n_fft=4096, eval_samples=4096, window=window)
+    try:
+        result = run_sweep(kind, config, grid)
+    except (ConfigError, *NUMERICAL_FAILURES):
+        return
+    assert [len(result.rows[point]) for point in result.points] == [1] * len(grid)
+    _assert_finite([row for rows in result.rows.values() for row in rows], (kind, grid))
