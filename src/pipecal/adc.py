@@ -219,26 +219,27 @@ def quantize_stage(stage: StageSpec, residue_in):
 
 
 def convert_many(adc: AdcInstance, x_in: np.ndarray) -> ConversionBatch:
-    """Run the pipeline recursion for a whole input vector at once."""
+    """Run the pipeline recursion for a whole input vector at once. y is summed as the stages
+    quantize, w_0 * code_0 first and w_S * back end last: one fixed order, with no BLAS."""
     x = np.asarray(x_in, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("ADC input must be finite")
+    w, y = adc.recombination_weights(), np.zeros(x.size)   # before index: no fresh pages per call
     index = np.zeros((x.size, adc.n_stages + 1), dtype=np.int64, order="F")
-    value = np.zeros(index.shape, order="F")    # code values and residue, for y only
 
     residue = x
     for i, stage in enumerate(adc.stages):
-        index[:, i], value[:, i] = quantize_stage(stage, residue)
+        index[:, i], code = quantize_stage(stage, residue)
+        y += w[i] * code
         eda = adc.mismatches.dac_tables[i].take(index[:, i])
         true_gain = stage.gain * (1.0 + adc.mismatches.gain_mismatch[i])
-        residue = true_gain * (residue - value[:, i] - eda)
+        residue = true_gain * (residue - code - eda)
 
     if adc.flash is None:
-        value[:, -1] = residue      # exact back end, zero digitization error
+        back_end = residue      # exact back end, zero digitization error
     else:
-        index[:, -1], value[:, -1] = quantize_stage(adc.flash, residue)
-
-    y = value @ adc.recombination_weights()
+        index[:, -1], back_end = quantize_stage(adc.flash, residue)
+    y += w[-1] * back_end
     return ConversionBatch(y=y, index=index, x_in=x)
 
 

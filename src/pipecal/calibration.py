@@ -387,9 +387,9 @@ def _build_kernel(out_dir: Path) -> Path:
     target = out_dir / f"sgd_kernel-{key}.so"
     if target.exists():
         return target
-    out_dir.mkdir(parents=True, exist_ok=True)
     cc, tmp = _compiler(), out_dir / f"{target.name}.{os.getpid()}.tmp"
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         subprocess.run([*cc, *_KERNEL_FLAGS, "-o", str(tmp), str(_KERNEL_SOURCE)],
                        check=True, capture_output=True, text=True)
         os.replace(tmp, target)
@@ -398,7 +398,8 @@ def _build_kernel(out_dir: Path) -> Path:
                                f"{_KERNEL_SOURCE.name}: {getattr(exc, 'stderr', None) or exc}"
                                ) from exc
     finally:
-        tmp.unlink(missing_ok=True)
+        if tmp.exists():    # false, not an error, where out_dir could not be made
+            tmp.unlink()
     return target
 
 

@@ -6,7 +6,7 @@ serves the last two, which differ only in how the grid is parsed. A JSON
 config file supplies any ExperimentConfig field; command-line flags override
 it, and --seed is always required so every run is reproducible.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 kernel build error.
 """
 
 from __future__ import annotations
@@ -17,8 +17,11 @@ import json
 import sys
 from pathlib import Path
 
+from .calibration import KernelBuildError
 from .harness import (
+    ALGORITHMS,
     NUMERICAL_FAILURES,
+    SWEEP_KINDS,
     ConfigError,
     ExperimentConfig,
     aggregate_rows,
@@ -33,6 +36,7 @@ from .spectral import spectrum
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_KERNEL = 4
 
 # flag (argparse dest) -> ExperimentConfig field; --delta also sets delta_mode
 _FLAG_FIELDS = {"population": "population", "algorithm": "algorithm", "q": "q",
@@ -51,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1, help="parallel population workers")
         p.add_argument("--timings", action="store_true", help="include wall-clock column in CSVs")
         p.add_argument("--population", type=int, help="number of converter instances")
-        p.add_argument("--algorithm", choices=["hec-wiener", "blhec-wiener", "blhec-sgd"])
+        p.add_argument("--algorithm", choices=ALGORITHMS)
         p.add_argument("--q", type=int, help="number of calibrated stages")
         p.add_argument("--snr", type=float, help="calibration-signal SNR [dB]")
         p.add_argument("--alpha-d", type=float, help="digital scaling factor")
@@ -68,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="population runs over a parameter grid")
     common(p_sweep)
-    p_sweep.add_argument("--kind", choices=["alpha", "snr", "delta"], required=True)
+    p_sweep.add_argument("--kind", choices=[k for k in SWEEP_KINDS if k != "convergence"],
+                         required=True)
     p_sweep.add_argument("--grid", required=True,
                          help="comma-separated grid values, e.g. '-5e-3,0,5e-3'")
 
@@ -213,6 +218,9 @@ def main(argv=None) -> int:
     except NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except KernelBuildError as exc:
+        print(f"kernel build error: {exc}", file=sys.stderr)
+        return EXIT_KERNEL
 
 
 if __name__ == "__main__":

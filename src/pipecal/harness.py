@@ -46,10 +46,13 @@ from .calibration import (
     run_sgd,
 )
 from .correction import CorrectionLayout, apply_correction_batch, model_dimension, selection_vectors
-from .signals import NOISE_MODES, PairBatch, PathConfig, ToneSpec, gen_tones, make_pairs, snap_to_odd_bin
+from .signals import (NOISE_MODES, PairBatch, PathConfig, ToneSpec, gen_tones, make_pairs,
+                      noise_sigma, snap_to_odd_bin)
 from .spectral import WINDOWS, MisdeclaredSignalError, analyze, error_norm, spectrum, tone_bin
 
 __all__ = [
+    "ALGORITHMS",
+    "SWEEP_KINDS",
     "ExperimentConfig",
     "ResultRow",
     "SweepResult",
@@ -342,9 +345,9 @@ def evaluation_batch(config: ExperimentConfig, idx: int,
     tones = [ToneSpec(t.omega, t.amplitude, t.phase + EVAL_PHASE_OFFSET)
              for t in config.run_tones(config.eval_amplitude)]
     x_eval = gen_tones(tones, config.eval_samples)
-    if config.eval_snr_db is not None and not math.isinf(config.eval_snr_db):
+    sigma = noise_sigma(x_eval, config.eval_snr_db)
+    if sigma is not None:
         rng = np.random.default_rng(_seed_for(config, idx, _ROLE_EVAL_NOISE))
-        sigma = math.sqrt(float(np.mean(x_eval ** 2)) / 10.0 ** (config.eval_snr_db / 10.0))
         x_eval = x_eval + rng.normal(0.0, sigma, x_eval.size)
     return convert_many(adc, x_eval)
 
@@ -542,6 +545,7 @@ _ROW_COLUMNS = [
 ]
 
 _METRICS = ["pre_sndr_db", "pre_sfdr_db", "post_sndr_db", "post_sfdr_db"]
+_STATS = {"mean": np.mean, "min": np.min, "max": np.max}
 
 
 def _fmt(value) -> str:
@@ -569,13 +573,9 @@ def emit_outputs(rows: list[ResultRow], out_dir, include_timings: bool = False) 
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    columns = list(_ROW_COLUMNS) + (["wall_clock_s"] if include_timings else [])
-    data = []
-    for row in sorted(rows, key=lambda r: (r.sweep_kind, r.sweep_value or 0.0, r.adc_id)):
-        values = [getattr(row, c) for c in _ROW_COLUMNS]
-        if include_timings:
-            values.append(row.wall_clock_s)
-        data.append(values)
+    columns = _ROW_COLUMNS + (["wall_clock_s"] if include_timings else [])
+    data = [[getattr(row, c) for c in columns]
+            for row in sorted(rows, key=lambda r: (r.sweep_kind, r.sweep_value or 0.0, r.adc_id))]
     path = out_dir / "results.csv"
     _write_csv(path, RESULTS_SCHEMA, columns, data)
     return path
@@ -585,15 +585,8 @@ def aggregate_rows(rows: list[ResultRow]) -> dict[str, dict[str, float]]:
     """Mean/min/max per metric over a row set (arithmetic means of dB values)."""
     out: dict[str, dict[str, float]] = {}
     for metric in _METRICS:
-        values = [getattr(r, metric) for r in rows]
-        if values:
-            out[metric] = {
-                "mean": float(np.mean(values)),
-                "min": float(np.min(values)),
-                "max": float(np.max(values)),
-            }
-        else:
-            out[metric] = {"mean": math.nan, "min": math.nan, "max": math.nan}
+        values = [getattr(r, metric) for r in rows] or [math.nan]     # no rows: all NaN
+        out[metric] = {stat: float(reduce(values)) for stat, reduce in _STATS.items()}
     return out
 
 
@@ -607,17 +600,12 @@ def emit_sweep_outputs(sweep: SweepResult, out_dir, include_timings: bool = Fals
     all_rows = [row for point in sweep.points for row in sweep.rows[point]]
     paths.append(emit_outputs(all_rows, out_dir, include_timings=include_timings))
 
-    header = ["sweep_kind", "sweep_value", "n"]
-    for metric in _METRICS:
-        header += [f"{metric}_mean", f"{metric}_min", f"{metric}_max"]
+    header = ["sweep_kind", "sweep_value", "n"] + [f"{m}_{s}" for m in _METRICS for s in _STATS]
     agg_rows = []
     for point in sweep.points:
-        rows = sweep.rows[point]
-        stats = aggregate_rows(rows)
-        line: list = [sweep.kind, point, len(rows)]
-        for metric in _METRICS:
-            line += [stats[metric]["mean"], stats[metric]["min"], stats[metric]["max"]]
-        agg_rows.append(line)
+        stats = aggregate_rows(sweep.rows[point])
+        agg_rows.append([sweep.kind, point, len(sweep.rows[point])]
+                        + [stats[m][s] for m in _METRICS for s in _STATS])
     agg_path = out_dir / "aggregate.csv"
     _write_csv(agg_path, AGGREGATE_SCHEMA, header, agg_rows)
     paths.append(agg_path)

@@ -21,6 +21,7 @@ __all__ = [
     "PairBatch",
     "gen_tones",
     "gen_impure_two_tone",
+    "noise_sigma",
     "make_pairs",
     "snap_to_odd_bin",
 ]
@@ -49,8 +50,8 @@ class PathConfig:
     """Analog/digital scaling pair and the input-noise level.
 
     delta = alpha_a - alpha_d is the scaling factor mismatch the calibrator
-    may have to estimate. snr_db=None (or +inf) means noiseless; otherwise
-    the noise variance is signal_power / 10**(snr_db/10).
+    may have to estimate. snr_db sets the noise level through `noise_sigma`;
+    None (or +inf) means noiseless.
 
     noise_mode selects where the noise enters relative to the analog scaler:
     "held" models noise captured by the sample-and-hold, so the scaled
@@ -72,10 +73,6 @@ class PathConfig:
     @property
     def delta(self) -> float:
         return self.alpha_a - self.alpha_d
-
-    @property
-    def noiseless(self) -> bool:
-        return self.snr_db is None or math.isinf(self.snr_db)
 
 
 class PairBatch:
@@ -166,6 +163,12 @@ def gen_impure_two_tone(tones: list[ToneSpec], harmonic_levels_dbc: dict[int, fl
     return x
 
 
+def noise_sigma(x: np.ndarray, snr_db: float | None) -> float | None:
+    """Std of white noise snr_db below the mean power of x; None (noiseless) for None or +inf."""
+    noiseless = snr_db is None or math.isinf(snr_db)
+    return None if noiseless else math.sqrt(float(np.mean(x ** 2)) / 10.0 ** (snr_db / 10.0))
+
+
 def make_pairs(adc: AdcInstance, x_d: np.ndarray, path: PathConfig, seed) -> PairBatch:
     """Convert every held sample twice: plain and analog-scaled.
 
@@ -175,12 +178,12 @@ def make_pairs(adc: AdcInstance, x_d: np.ndarray, path: PathConfig, seed) -> Pai
     determines the batch.
     """
     x_d = np.asarray(x_d, dtype=float)
-    if path.noiseless:
+    sigma = noise_sigma(x_d, path.snr_db)
+    if sigma is None:
         unscaled_in = x_d
         scaled_in = path.alpha_a * x_d
     else:
         rng = np.random.default_rng(seed)
-        sigma = math.sqrt(float(np.mean(x_d ** 2)) / 10.0 ** (path.snr_db / 10.0))
         n_x = rng.normal(0.0, sigma, x_d.size)
         unscaled_in = x_d + n_x
         if path.noise_mode == "held":

@@ -51,10 +51,10 @@ def random_toy(rng, flash_bits=None, zeta_scale=0.02, dac_scale=0.004):
 def searchsorted_convert(adc, x_in):
     """Oracle for `convert_many`: the same pipeline recursion with a
     `searchsorted` quantizer, row-major (N, n_stages+1) stores and `j - 1`
-    lookups into the stage tuples. Its code-value matrix is local, as in
-    `convert_many`, and y is its product with the recombination weights taken
-    column-major: the product of a row-major copy, or a stage-by-stage sum,
-    rounds differently at a gain that is not a power of two."""
+    lookups into the stage tuples. y is summed from the stored code values
+    column by column, in `convert_many`'s fixed order (stage 0 first, the
+    back end last); a BLAS product of the value matrix would round
+    differently, and by kernel, at a gain that is not a power of two."""
     x = np.asarray(x_in, dtype=float)
     n = adc.n_stages
     index = np.zeros((x.size, n + 1), dtype=np.int64)
@@ -76,7 +76,9 @@ def searchsorted_convert(adc, x_in):
         value[:, n] = residue
     else:
         index[:, n], value[:, n] = quantize(adc.flash, residue)
-    y = np.asfortranarray(value) @ adc.recombination_weights()
+    y = np.zeros(x.size)
+    for w, column in zip(adc.recombination_weights(), value.T):
+        y += w * column
     return ConversionBatch(y=y, index=index, x_in=x)
 
 

@@ -1,5 +1,10 @@
 import dataclasses
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from helpers import (
     total_gain,
 )
 
+import pipecal
 from pipecal.adc import (
     AdcModelError,
     ConversionBatch,
@@ -200,9 +206,9 @@ class TestConvertKernel:
     @pytest.mark.parametrize("n, overrides", [
         pytest.param(2000, {}, id="2000"),
         pytest.param(16384, {}, id="16384"),
-        # weights 1/3**i: a stage-by-stage sum of y, or the product of a
-        # row-major matrix, rounds some rows differently; this pins the
-        # column-major product
+        # weights 1/3**i: a BLAS product of the code values, or a sum in
+        # another order, rounds some rows differently; this pins the fixed
+        # stage order
         pytest.param(16384, {"stage_gain": 3.0, "stage_levels": 5}, id="16384-gain3-levels5"),
     ])
     def test_matches_oracle_on_population_members(self, n, overrides):
@@ -224,6 +230,44 @@ class TestConvertKernel:
                              1.0, np.nextafter(1.0, np.inf), 1.5, 7.0]])
         for adc in (mismatched_adc, ideal_adc):
             self.assert_same(adc if flash else dataclasses.replace(adc, flash=None), x)
+
+
+def _second_blas_kernel_missing() -> str:
+    """Why OPENBLAS_CORETYPE cannot select a second BLAS kernel for numpy
+    here; empty when it can."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "this numpy does not report its BLAS"
+    if "openblas" not in blas.get("name", "").lower():
+        return f"numpy's BLAS is {blas.get('name')!r}, not OpenBLAS: there is no second kernel"
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return "numpy's OpenBLAS is not a DYNAMIC_ARCH build: it has no second kernel"
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return f"the Sandybridge kernel is x86-64's, and this is {platform.machine()}"
+    return ""
+
+
+_NO_SECOND_BLAS_KERNEL = _second_blas_kernel_missing()
+
+
+@pytest.mark.skipif(bool(_NO_SECOND_BLAS_KERNEL), reason=_NO_SECOND_BLAS_KERNEL)
+def test_y_does_not_depend_on_the_blas_kernel():
+    # at gain 3 a BLAS product of the code values rounds some rows by kernel;
+    # OpenBLAS reads OPENBLAS_CORETYPE once, at load, so each kernel gets a process
+    script = ("import hashlib, sys; from pipecal.harness import default_config, evaluation_batch; "
+              "cfg = default_config(11, stage_gain=3.0, stage_levels=5); "
+              "h = hashlib.sha256(); [h.update(evaluation_batch(cfg, i).y) for i in range(4)]; "
+              "sys.stdout.write(h.hexdigest())")
+    src = str(Path(pipecal.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    procs = [subprocess.Popen([sys.executable, "-c", script], env={**env, **extra},
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for extra in ({}, {"OPENBLAS_CORETYPE": "Sandybridge"})]
+    outs = [proc.communicate(timeout=120) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0], outs
+    assert outs[0][0] == outs[1][0]
 
 
 class TestReferenceOutput:

@@ -736,3 +736,11 @@ class TestKernelBuild:
         with pytest.raises(KernelBuildError, match="pipecal-no-such-cc"):
             _build_kernel(tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_cache_directory_that_cannot_be_made_is_a_build_error(self, tmp_path):
+        # a regular file where the cache directory's parent should be
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(KernelBuildError, match="could not build"):
+            _build_kernel(blocker / "cache")
+        assert blocker.read_text() == ""

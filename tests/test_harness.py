@@ -7,6 +7,7 @@ import pytest
 
 from helpers import toy_adc
 
+from pipecal import calibration
 from pipecal.calibration import DivergenceError, RankDeficiencyError, accumulate_statistics, blhec_wiener
 from pipecal.cli import main
 from pipecal.correction import CorrectionLayout, apply_correction_batch, selection_vectors
@@ -578,6 +579,21 @@ class TestCli:
             with pytest.raises(DivergenceError) as exc:
                 run_experiment(default_config(1, algorithm="blhec-sgd", **fields), workers=workers)
             assert (exc.value.member, exc.value.sample) == (0, 200)
+
+    def test_kernel_build_error_exits_4(self, tmp_path, capsys, monkeypatch):
+        # one more flag names a library that is not built yet, and no compiler can build it
+        monkeypatch.setattr(calibration, "_KERNEL_FLAGS", (*calibration._KERNEL_FLAGS, "-DPIPECAL"))
+        monkeypatch.setattr(calibration, "_compiler", lambda: ["pipecal-no-such-cc"])
+        calibration._kernel.cache_clear()   # the loaded library would be reused
+        try:
+            code = main(["calibrate", "--seed", "1", "--algorithm", "blhec-sgd", "--population",
+                         "1", "--samples", "3000", "--out", str(tmp_path)])
+        finally:
+            calibration._kernel.cache_clear()
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("kernel build error: C compiler 'pipecal-no-such-cc'")
+        assert not (tmp_path / "results.csv").exists()
 
     def test_sgd_stage_with_200_levels_exits_0_or_3(self, tmp_path):
         # 200 code indices do not fit in int8; the run must not end in a traceback
