@@ -356,6 +356,13 @@ class CalibrationState:
 
 
 GUARD_EVERY = 200   # samples between the adaptive kernel's divergence checks
+# pairs run_sgd converts and adapts per slice, chosen by measurement on 24
+# default members (2-vCPU Xeon VM): a slice's conversions must fit in what
+# the heap keeps between slices. In a benchmark process a member took about
+# 480 fresh pages at 6144 and 8192 (almost all outside the slices), 870 at
+# 10 000, and 2100 at 16 384, more than whole-batch conversion's 1800;
+# at 2048 and 4096 the per-slice calls cost more than the pages saved.
+SGD_CHUNK = 8192
 
 Snapshots = dict[int, tuple[np.ndarray, float]]    # sample count -> (theta_nl, theta_alpha)
 
@@ -410,37 +417,49 @@ def _kernel():
 
     fn = ctypes.CDLL(str(_build_kernel(_KERNEL_SOURCE.parent / "__pycache__"))).pipecal_sgd
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    fn.argtypes = [i64] * 4 + [ptr] * 5 + [i64] * 2 + [ptr] * 5 + [i64, ptr] + [f64] * 4
+    fn.argtypes = [i64] * 5 + [ptr] * 5 + [i64] * 2 + [ptr] * 5 + [i64, ptr] + [f64] * 4
     fn.restype = i64
     return fn
 
 
-def run_sgd(pairs: PairBatch, layout: CorrectionLayout, alpha_d: float,
+def _chunk_arrays(chunk: PairBatch, layout: CorrectionLayout, base: int) -> tuple:
+    """The kernel's per-chunk arrays, after checking the chunk's codes: y_x
+    and y_ax as float64, both int64 code-index arrays as they lie, and their
+    row and column strides in elements."""
+    batches = (chunk.unscaled, chunk.scaled)
+    for batch in batches:
+        layout.check_codes(batch, base=base)
+    y_x, y_ax = (np.ascontiguousarray(c.y, dtype=float) for c in batches)
+    codes_x, codes_ax = (c.index.astype(np.int64, copy=False) for c in batches)
+    strides = np.array([*codes_x.strides, *codes_ax.strides], dtype=np.int64) // 8
+    return y_x, y_ax, codes_x, codes_ax, strides
+
+
+def run_sgd(pairs, layout: CorrectionLayout, alpha_d: float,
             schedule: StepSchedule | None = None, guard: float = 1.0,
             checkpoints: Sequence[int] | None = None) -> tuple[CalibrationState, Snapshots]:
     """Adapt one converter's correction parameters over its N pairs.
 
+    `pairs` is anything with len() whose row slices are `PairBatch`es: a
+    `PairBatch`, or a `PairSource` that converts a slice when it is taken.
+    The pairs are walked in SGD_CHUNK slices, so the pairs held at one time
+    do not grow with N.
+
     A compiled C loop (`sgd_kernel.c`) performs the operations of the
     per-sample loop (`tests/helpers.py`'s `sgd_loop`) in the same order, so
-    its results are bit-identical to it. It reads the outputs and the int64
-    code-index columns of both batches where they lie, and returns to Python
-    only at checkpoints and at multiples of the schedule's `halve_every`,
-    where the step sizes may change.
+    its results are bit-identical to it whatever the chunk size. It reads the
+    outputs and the int64 code-index columns of both batches where they lie,
+    and returns to Python only at chunk ends, checkpoints and multiples of
+    the schedule's `halve_every`, where the step sizes may change.
 
     Returns the final state and a snapshot of (theta_nl, theta_alpha) at each
     requested sample count up to N. Every GUARD_EVERY samples and at N the
     loop checks the guard: ||theta_nl||_inf above `guard`, or a theta_alpha
     that is no longer finite, raises DivergenceError naming the sample. A code
-    index outside its stage's 1..p_i raises LayoutError before the loop.
+    index outside its stage's 1..p_i raises LayoutError before its chunk runs.
     """
     schedule = schedule or StepSchedule()
     total, q = len(pairs), layout.q
-    batches = (pairs.unscaled, pairs.scaled)
-    for batch in batches:
-        layout.check_codes(batch)
-    y_x, y_ax = (np.ascontiguousarray(b.y, dtype=float) for b in batches)
-    codes_x, codes_ax = (b.index.astype(np.int64, copy=False) for b in batches)
-    strides = np.array([*codes_x.strides, *codes_ax.strides], dtype=np.int64) // 8  # elements
     values, slots = layout.code_values, layout.code_slots    # (q, width) stage tables
     prefix = layout.gain_prefix_products()
     weighted = np.array([layout.weighted_position(i) for i in range(q)], dtype=np.int64)
@@ -448,13 +467,16 @@ def run_sgd(pairs: PairBatch, layout: CorrectionLayout, alpha_d: float,
     checkset = set(checkpoints or [])
     h = schedule.halve_every
     stops = sorted({total} | {k for k in checkset if 0 < k < total}
+                   | set(range(SGD_CHUNK, total, SGD_CHUNK))
                    | (set(range(h, total, h)) if h > 0 else set()))
     theta, ta = np.zeros(layout.dim), np.zeros(1)
     snapshots: Snapshots = {0: (theta.copy(), 0.0)} if 0 in checkset else {}
     a = 0
     for b in stops:
-        tripped = _kernel()(a, b, total, GUARD_EVERY, y_x.ctypes.data, y_ax.ctypes.data,
-                            codes_x.ctypes.data, codes_ax.ctypes.data, strides.ctypes.data, q,
+        if a % SGD_CHUNK == 0:      # a chunk starts at sample a
+            arrays = None           # the last chunk's pairs go before the next is converted
+            arrays, base = _chunk_arrays(pairs[a:min(a + SGD_CHUNK, total)], layout, a), a
+        tripped = _kernel()(a, b, total, base, GUARD_EVERY, *(x.ctypes.data for x in arrays), q,
                             values.shape[1], values.ctypes.data, slots.ctypes.data,
                             prefix.ctypes.data, weighted.ctypes.data, theta.ctypes.data,
                             layout.dim, ta.ctypes.data,

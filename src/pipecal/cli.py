@@ -103,6 +103,15 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(fields)
 
 
+def _make_out_dir(path: Path) -> None:
+    """Make the output directory before any member runs: a path that cannot
+    be one (an existing file, a path under a file) is a ConfigError."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use --out {path} as the output directory: {exc}") from exc
+
+
 def _parse_grid(text: str, parse) -> list:
     try:
         values = [parse(v) for v in text.split(",") if v.strip()]
@@ -211,6 +220,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _make_out_dir(args.out)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

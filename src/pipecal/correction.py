@@ -119,9 +119,10 @@ class CorrectionLayout:
         table.setflags(write=False)
         return table
 
-    def check_codes(self, batch: ConversionBatch) -> None:
+    def check_codes(self, batch: ConversionBatch, base: int = 0) -> None:
         """Raise LayoutError unless `batch.index` has a row for each of its
-        outputs and every calibrated stage i's code index lies in 1..p_i."""
+        outputs and every calibrated stage i's code index lies in 1..p_i.
+        The message numbers the batch's rows from `base`."""
         index = batch.index
         if index.ndim != 2 or index.shape[0] != len(batch) or index.shape[1] - 1 < self.q:
             raise LayoutError(f"batch lacks stage codes for the {self.q} calibrated stages: code "
@@ -131,7 +132,7 @@ class CorrectionLayout:
         codes = index[:, :self.q]
         if len(batch) and ((codes.min(axis=0) < 1) | (codes.max(axis=0) > self.sizes)).any():
             k, i = np.argwhere((codes < 1) | (codes > self.sizes))[0]
-            raise LayoutError(f"stage {i + 1} code index {codes[k, i]} at row {k} "
+            raise LayoutError(f"stage {i + 1} code index {codes[k, i]} at row {base + k} "
                               f"outside 1..{self.sizes[i]}")
 
     def gain_prefix_products(self) -> np.ndarray:

@@ -46,7 +46,7 @@ from .calibration import (
     run_sgd,
 )
 from .correction import CorrectionLayout, apply_correction_batch, model_dimension, selection_vectors
-from .signals import (NOISE_MODES, PairBatch, PathConfig, ToneSpec, gen_tones, make_pairs,
+from .signals import (NOISE_MODES, PairSource, PathConfig, ToneSpec, cached_tones, make_pairs,
                       noise_sigma, snap_to_odd_bin)
 from .spectral import WINDOWS, MisdeclaredSignalError, analyze, error_norm, spectrum, tone_bin
 
@@ -342,9 +342,9 @@ def evaluation_batch(config: ExperimentConfig, idx: int,
     """
     if adc is None:
         adc = _build_member(config, idx)[0]
-    tones = [ToneSpec(t.omega, t.amplitude, t.phase + EVAL_PHASE_OFFSET)
-             for t in config.run_tones(config.eval_amplitude)]
-    x_eval = gen_tones(tones, config.eval_samples)
+    tones = tuple(ToneSpec(t.omega, t.amplitude, t.phase + EVAL_PHASE_OFFSET)
+                  for t in config.run_tones(config.eval_amplitude))
+    x_eval = cached_tones(tones, config.eval_samples)
     sigma = noise_sigma(x_eval, config.eval_snr_db)
     if sigma is not None:
         rng = np.random.default_rng(_seed_for(config, idx, _ROLE_EVAL_NOISE))
@@ -377,18 +377,33 @@ def _wiener(config: ExperimentConfig, pairs, layout) -> tuple[np.ndarray, float,
     return res.theta_nl, res.theta_alpha, res.converged
 
 
-def _check_code_coverage(pairs: PairBatch, layout: CorrectionLayout) -> None:
-    """Raise RankDeficiencyError when the calibration pairs never select a code
-    that owns an indicator slot: the adaptive loop would leave that slot at 0."""
-    for i, slots in enumerate(layout.code_slots):
-        counts = (np.bincount(pairs.unscaled.index[:, i], minlength=slots.size)
-                  + np.bincount(pairs.scaled.index[:, i], minlength=slots.size))
-        missing = np.flatnonzero((counts == 0) & (slots >= 0))
+class _CodeCount:
+    """A pair source that counts, per calibrated stage, the codes of the
+    batches sliced from it. `check` raises RankDeficiencyError when a code
+    that owns an indicator slot was never selected: the adaptive loop would
+    have left that slot at 0."""
+
+    def __init__(self, source: PairSource, layout: CorrectionLayout):
+        self.source, self.slots = source, layout.code_slots
+        self.counts = np.zeros(self.slots.shape, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.source)
+
+    def __getitem__(self, rows: slice):
+        pairs = self.source[rows]
+        for batch in (pairs.unscaled, pairs.scaled):
+            for i, counts in enumerate(self.counts):
+                counts += np.bincount(batch.index[:, i], minlength=counts.size)
+        return pairs
+
+    def check(self) -> None:
+        missing = np.argwhere((self.counts == 0) & (self.slots >= 0))     # stage-major order
         if missing.size:
-            code = int(missing[0])
+            i, code = missing[0]
             raise RankDeficiencyError(
                 f"the calibration input never selects stage {i + 1} code {code} "
-                f"(indicator slot {slots[code]}); input does not cover all codes")
+                f"(indicator slot {self.slots[i, code]}); input does not cover all codes")
 
 
 def _run_member(task) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
@@ -420,20 +435,22 @@ def _member_rows(config: ExperimentConfig, idx: int, kind: str, value):
     adc, path, layout = _build_member(config, idx)
     sgd = config.algorithm == "blhec-sgd"
     n_samples = max(checkpoints) if checkpoints else (config.n_sgd if sgd else config.n_cal)
-    x_cal = gen_tones(config.run_tones(config.cal_amplitude), n_samples)
-    pairs = make_pairs(adc, x_cal, path, _seed_for(config, idx, _ROLE_CAL_NOISE))
+    x_cal = cached_tones(tuple(config.run_tones(config.cal_amplitude)), n_samples)
+    seed = _seed_for(config, idx, _ROLE_CAL_NOISE)
 
     reference, converged = None, None
     if not sgd:
+        pairs = make_pairs(adc, x_cal, path, seed)
         theta_nl, theta_alpha, converged = _wiener(config, pairs, layout)
         points = [(config.n_cal, theta_nl, theta_alpha)]
     else:
+        pairs = _CodeCount(PairSource(adc, x_cal, path, seed), layout)
         if checkpoints:
-            reference, _, converged = _wiener(config, pairs, layout)
-        _check_code_coverage(pairs, layout)
+            reference, _, converged = _wiener(config, pairs.source, layout)
         samples = checkpoints or [n_samples]
         _, snapshots = run_sgd(pairs, layout, config.alpha_d, schedule=config.schedule(),
                                guard=config.sgd_guard, checkpoints=samples)
+        pairs.check()
         points = [(k, *snapshots[k]) for k in samples]
     del pairs
 

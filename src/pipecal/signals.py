@@ -7,6 +7,7 @@ additive white Gaussian input noise; the deterministic part alone is scaled.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,9 @@ __all__ = [
     "PathConfig",
     "NOISE_MODES",
     "PairBatch",
+    "PairSource",
     "gen_tones",
+    "cached_tones",
     "gen_impure_two_tone",
     "noise_sigma",
     "make_pairs",
@@ -103,6 +106,16 @@ def gen_tones(tones: list[ToneSpec], n: int) -> np.ndarray:
     return x
 
 
+@functools.lru_cache(maxsize=4)
+def cached_tones(tones: tuple[ToneSpec, ...], n: int) -> np.ndarray:
+    """`gen_tones(list(tones), n)` as a read-only array, kept for the last four
+    (tones, n) of the process: every member of a run shares its calibration
+    and evaluation tones, and none can write into another's input."""
+    x = gen_tones(list(tones), n)
+    x.flags.writeable = False
+    return x
+
+
 def snap_to_odd_bin(omega: float, n_fft: int) -> float:
     """Nearest odd-bin coherent frequency: omega' = 2*pi*m/n_fft, m odd."""
     m = omega * n_fft / (2.0 * math.pi)
@@ -169,27 +182,48 @@ def noise_sigma(x: np.ndarray, snr_db: float | None) -> float | None:
     return None if noiseless else math.sqrt(float(np.mean(x ** 2)) / 10.0 ** (snr_db / 10.0))
 
 
-def make_pairs(adc: AdcInstance, x_d: np.ndarray, path: PathConfig, seed) -> PairBatch:
-    """Convert every held sample twice: plain and analog-scaled.
+class PairSource:
+    """A converter's calibration pairs, converted a row range at a time.
 
-    In "held" mode one noise draw rides on the held sample and passes through
-    the scaler; in "independent" mode each conversion gets its own draw after
-    the scaler. Draw order is fixed (unscaled first), so a seed fully
-    determines the batch.
+    Every held sample is converted twice: plain and analog-scaled. In "held"
+    mode one noise draw rides on the held sample and passes through the
+    scaler; in "independent" mode each conversion gets its own draw after the
+    scaler. The noise is drawn whole, unscaled first and at a level taken
+    over the whole signal, so a seed fully determines the pairs, and the
+    source holds only the signal and its draws. A slice `source[a:b]` is
+    converted when it is taken: a `PairBatch` bit-identical to rows a..b-1
+    of `source[:]`, since conversion works sample by sample.
     """
-    x_d = np.asarray(x_d, dtype=float)
-    sigma = noise_sigma(x_d, path.snr_db)
-    if sigma is None:
-        unscaled_in = x_d
-        scaled_in = path.alpha_a * x_d
-    else:
-        rng = np.random.default_rng(seed)
-        n_x = rng.normal(0.0, sigma, x_d.size)
-        unscaled_in = x_d + n_x
-        if path.noise_mode == "held":
-            scaled_in = path.alpha_a * (x_d + n_x)
-        else:
-            scaled_in = path.alpha_a * x_d + rng.normal(0.0, sigma, x_d.size)
 
-    return PairBatch(unscaled=convert_many(adc, unscaled_in),
-                     scaled=convert_many(adc, scaled_in))
+    def __init__(self, adc: AdcInstance, x_d: np.ndarray, path: PathConfig, seed):
+        self.adc, self.alpha_a, self.held = adc, path.alpha_a, path.noise_mode == "held"
+        self.x_d = np.asarray(x_d, dtype=float)
+        sigma = noise_sigma(self.x_d, path.snr_db)
+        self.noise = []
+        if sigma is not None:
+            rng = np.random.default_rng(seed)
+            draws = 1 if self.held else 2
+            self.noise = [rng.normal(0.0, sigma, self.x_d.size) for _ in range(draws)]
+
+    def __len__(self) -> int:
+        return self.x_d.size
+
+    def __getitem__(self, rows: slice) -> PairBatch:
+        if not isinstance(rows, slice):
+            raise TypeError(f"pair sources take a slice such as [k:k+1], not {rows!r}")
+        x = self.x_d[rows]
+        if not self.noise:
+            unscaled, scaled = x, self.alpha_a * x
+        elif self.held:
+            unscaled = x + self.noise[0][rows]
+            scaled = self.alpha_a * unscaled
+        else:
+            unscaled = x + self.noise[0][rows]
+            scaled = self.alpha_a * x + self.noise[1][rows]
+        return PairBatch(unscaled=convert_many(self.adc, unscaled),
+                         scaled=convert_many(self.adc, scaled))
+
+
+def make_pairs(adc: AdcInstance, x_d: np.ndarray, path: PathConfig, seed) -> PairBatch:
+    """All of `PairSource`'s pairs in one batch."""
+    return PairSource(adc, x_d, path, seed)[:]

@@ -43,7 +43,7 @@ from pipecal.calibration import (
     step_size_bounds,
 )
 from pipecal.correction import CorrectionLayout, LayoutError, selection_vectors
-from pipecal.signals import PairBatch, PathConfig, ToneSpec, gen_tones, make_pairs
+from pipecal.signals import PairBatch, PairSource, PathConfig, ToneSpec, gen_tones, make_pairs
 
 ALPHA = 1.0 / math.sqrt(2.0)
 
@@ -652,6 +652,95 @@ class TestSgdPopulation:
             run_sgd(pairs, layout, cfg.alpha_d, schedule=cfg.schedule())
         assert got.value.member is None and got.value.sample == sample
         assert str(got.value) == str(want.value)
+
+
+def assert_same_run(got, want):
+    """Equal final states and snapshots of two adaptive runs, bit for bit."""
+    (state, snapshots), (want_state, want_snapshots) = got, want
+    assert np.array_equal(state.theta_nl, want_state.theta_nl)
+    assert (state.theta_alpha, state.k, state.mu_nl, state.mu_alpha) == (
+        want_state.theta_alpha, want_state.k, want_state.mu_nl, want_state.mu_alpha)
+    assert snapshots.keys() == want_snapshots.keys()
+    for k, (theta_k, alpha_k) in want_snapshots.items():
+        assert np.array_equal(snapshots[k][0], theta_k)
+        assert snapshots[k][1] == alpha_k
+
+
+@pytest.fixture(params=[777, 1])
+def small_chunks(request, monkeypatch):
+    """run_sgd's chunk size, set so that chunk ends fall inside guard intervals
+    (every 200 samples) and beside the checkpoints and halving stops."""
+    monkeypatch.setattr(calibration, "SGD_CHUNK", request.param)
+    return request.param
+
+
+class TestChunkedRunSgd:
+    """`run_sgd` over small chunks of a batch or of a lazy pair source,
+    against the per-sample loop over the whole batch."""
+
+    schedule = StepSchedule(halve_every=350, mu_nl_min=2.0 ** -5)
+    checkpoints = [0, 200, 349, 350, 776, 777, 778, 1000, 1554, 1999, 2000]
+
+    @staticmethod
+    def member_source(idx, n):
+        """Member idx's calibration pairs as a lazy source, and as one batch."""
+        from pipecal.harness import _build_member, default_config
+
+        cfg = default_config(11, algorithm="blhec-sgd")
+        adc, path, layout = _build_member(cfg, idx)
+        x = gen_tones(cfg.run_tones(cfg.cal_amplitude), n)
+        seed = np.random.SeedSequence(11, spawn_key=(idx, 2))
+        return PairSource(adc, x, path, seed), make_pairs(adc, x, path, seed), layout, cfg
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["batch", "source"])
+    def test_matches_per_sample_loop(self, small_chunks, lazy):
+        source, pairs, layout, cfg = self.member_source(0, 2000)
+        got = run_sgd(source if lazy else pairs, layout, cfg.alpha_d,
+                      schedule=self.schedule, checkpoints=self.checkpoints)
+        assert_same_run(got, sgd_loop(pairs, layout, cfg.alpha_d, self.schedule,
+                                      checkpoints=self.checkpoints))
+
+    def test_divergence_names_the_global_sample(self, small_chunks):
+        # member 1's ||theta_nl||_inf first exceeds 0.0096 at the check at
+        # 1800, inside the third 777-pair chunk
+        source, pairs, layout, cfg = self.member_source(1, 2000)
+        with pytest.raises(DivergenceError) as want:
+            sgd_loop(pairs, layout, cfg.alpha_d, cfg.schedule(), guard=0.0096)
+        assert str(want.value).endswith("at sample 1800")
+        for stream in (pairs, source):
+            with pytest.raises(DivergenceError) as got:
+                run_sgd(stream, layout, cfg.alpha_d, schedule=cfg.schedule(), guard=0.0096)
+            assert got.value.sample == 1800
+            assert str(got.value) == str(want.value)
+
+    def test_forged_code_in_the_last_chunk(self, small_chunks):
+        # the message numbers the row in the whole stream, as the loop's does
+        _, pairs, layout, cfg = self.member_source(0, 2000)
+        index = pairs.scaled.index.copy(order="F")
+        index[1999, 2] = 9
+        forged = PairBatch(pairs.unscaled, ConversionBatch(pairs.scaled.y, index,
+                                                           pairs.scaled.x_in))
+        with pytest.raises(LayoutError) as want:
+            sgd_loop(forged, layout, cfg.alpha_d, cfg.schedule())
+        with pytest.raises(LayoutError, match="stage 3 code index 9 at row 1999 outside 1..7") as got:
+            run_sgd(forged, layout, cfg.alpha_d, schedule=cfg.schedule())
+        assert str(got.value) == str(want.value)
+
+    def test_convergence_sweep_with_n_cal_above_the_chunk(self, monkeypatch):
+        from pipecal.harness import default_config, run_sweep
+
+        monkeypatch.setattr(calibration, "SGD_CHUNK", 777)
+        cfg = default_config(11, algorithm="blhec-sgd", population=2, n_cal=1600,
+                             n_fft=4096, eval_samples=4096)
+        grid = [500, 1600, 2500]
+        small = run_sweep("convergence", cfg, grid)
+        monkeypatch.setattr(calibration, "SGD_CHUNK", 1 << 20)     # one chunk per member
+        whole = run_sweep("convergence", cfg, grid)
+        assert whole.error_norms == small.error_norms
+        for point in whole.points:
+            for a, b in zip(small.rows[point], whole.rows[point]):
+                assert (a.post_sfdr_db, a.post_sndr_db, a.theta_alpha) == (
+                    b.post_sfdr_db, b.post_sndr_db, b.theta_alpha)
 
 
 class TestMeanConvergence:

@@ -12,7 +12,7 @@ from pipecal.calibration import DivergenceError, RankDeficiencyError, accumulate
 from pipecal.cli import main
 from pipecal.correction import CorrectionLayout, apply_correction_batch, selection_vectors
 from pipecal.adc import convert_many
-from pipecal import harness
+from pipecal import harness, signals
 from pipecal.harness import (
     ConfigError,
     ExperimentConfig,
@@ -199,6 +199,44 @@ class TestRunExperiment:
             run_experiment(default_config(1, n_fft=32, population=2), workers=2)
         assert exc.value.member == 0
         assert str(exc.value).startswith("adc 0: regressor covariance rank 18 < 19")
+
+    def test_members_share_their_tone_signals(self, monkeypatch):
+        # one calibration and one evaluation tone for the whole run, not two per member
+        calls = []
+        gen_tones = signals.gen_tones
+
+        def counting(tones, n):
+            calls.append(n)
+            return gen_tones(tones, n)
+
+        signals.cached_tones.cache_clear()
+        monkeypatch.setattr(signals, "gen_tones", counting)
+        run_experiment(default_config(7, **{**SMALL, "population": 3}))
+        assert sorted(calls) == [1200, 4096]
+
+    def test_noiseless_evaluation_input_is_read_only(self):
+        # the tones are shared by every member, so none may write into them
+        batch = evaluation_batch(default_config(7, **SMALL), 0)
+        with pytest.raises(ValueError, match="read-only"):
+            batch.x_in[0] = 0.0
+
+    def test_sgd_member_working_set_is_bounded(self):
+        # doubling the pairs grows one member's peak by its tone and noise
+        # vectors (16 B per pair), not by the pairs' conversions
+        import tracemalloc
+
+        def peak(n_sgd):
+            config = default_config(11, algorithm="blhec-sgd", population=1, n_sgd=n_sgd)
+            signals.cached_tones.cache_clear()
+            tracemalloc.start()
+            try:
+                harness._run_member((config, 0, "", None))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(3000)      # loads the adaptive kernel
+        assert (peak(96000) - peak(48000)) / 48000 < 32.0
 
     def test_calibration_improves_metrics(self):
         rows = run_experiment(default_config(7, **SMALL))
@@ -492,6 +530,25 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert member_calls == []
         assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["calibrate"],
+        ["simulate"],
+        ["sweep", "--kind", "delta", "--grid", "0,2e-3"],
+        ["convergence", "--checkpoints", "1500,3000"],
+    ], ids=["calibrate", "simulate", "sweep", "convergence"])
+    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+    def test_unusable_out_exits_2_before_any_member(self, tmp_path, capsys, member_calls,
+                                                    command, under_file):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        out = taken / "out" if under_file else taken
+        code = main([*command, "--seed", "1", "--population", "1", "--out", str(out),
+                     "--config", self._cfg(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot use --out {out}")
+        assert member_calls == []
+        assert taken.read_text() == "not a directory"
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -7,6 +7,7 @@ from helpers import toy_adc
 
 from pipecal.adc import convert_many
 from pipecal.signals import (
+    PairSource,
     PathConfig,
     ToneSpec,
     gen_impure_two_tone,
@@ -158,6 +159,23 @@ class TestMakePairs:
         head = pairs[:10]
         assert len(head) == 10
         assert head.unscaled.y[3] == pairs.unscaled.y[3]
+
+    @pytest.mark.parametrize("snr_db, noise_mode", [(None, "held"), (60.0, "held"),
+                                                    (60.0, "independent")])
+    def test_source_slices_equal_the_whole_batch(self, snr_db, noise_mode):
+        adc = self.adc()
+        x = gen_tones([ToneSpec(0.7, 1.0)], 500)
+        path = PathConfig(0.7071, 0.7071, snr_db, noise_mode)
+        source, whole = PairSource(adc, x, path, seed=7), make_pairs(adc, x, path, seed=7)
+        assert len(source) == 500
+        for rows in (slice(0, 7), slice(7, 300), slice(300, None), slice(None, None, 3)):
+            got, want = source[rows], whole[rows]
+            for a, b in ((got.unscaled, want.unscaled), (got.scaled, want.scaled)):
+                assert np.array_equal(a.y, b.y)
+                assert np.array_equal(a.index, b.index)
+                assert np.array_equal(a.x_in, b.x_in)
+        with pytest.raises(TypeError):
+            source[3]
 
     def test_path_validation(self):
         with pytest.raises(ValueError):
