@@ -346,13 +346,15 @@ class StepSchedule:
 
 @dataclass
 class CalibrationState:
-    """Adaptive estimator state: parameters, step sizes, sample counter."""
+    """Adaptive estimator state: parameters, step sizes, sample counter, and
+    `run_sgd`'s (q, width) int64 count of each stage code's selections."""
 
     theta_nl: np.ndarray
     theta_alpha: float = 0.0
     mu_nl: float = 2.0 ** -6
     mu_alpha: float = 2.0 ** -7
     k: int = 0
+    code_counts: np.ndarray | None = None
 
 
 GUARD_EVERY = 200   # samples between the adaptive kernel's divergence checks
@@ -417,22 +419,26 @@ def _kernel():
 
     fn = ctypes.CDLL(str(_build_kernel(_KERNEL_SOURCE.parent / "__pycache__"))).pipecal_sgd
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    fn.argtypes = [i64] * 5 + [ptr] * 5 + [i64] * 2 + [ptr] * 5 + [i64, ptr] + [f64] * 4
+    fn.argtypes = [i64] * 6 + [ptr] * 4 + [i64] * 2 + [ptr] * 5 + [i64, ptr] + [f64] * 4
     fn.restype = i64
     return fn
 
 
-def _chunk_arrays(chunk: PairBatch, layout: CorrectionLayout, base: int) -> tuple:
-    """The kernel's per-chunk arrays, after checking the chunk's codes: y_x
-    and y_ax as float64, both int64 code-index arrays as they lie, and their
-    row and column strides in elements."""
+def _chunk_arrays(chunk: PairBatch, layout: CorrectionLayout, base: int,
+                  counts: np.ndarray) -> tuple:
+    """The kernel's per-chunk arrays, after checking the chunk's codes and
+    adding them to `counts`: y_x and y_ax as float64, and both batches'
+    calibrated code columns as column-major int64 (a copy only for a strided
+    row view)."""
     batches = (chunk.unscaled, chunk.scaled)
     for batch in batches:
         layout.check_codes(batch, base=base)
     y_x, y_ax = (np.ascontiguousarray(c.y, dtype=float) for c in batches)
-    codes_x, codes_ax = (c.index.astype(np.int64, copy=False) for c in batches)
-    strides = np.array([*codes_x.strides, *codes_ax.strides], dtype=np.int64) // 8
-    return y_x, y_ax, codes_x, codes_ax, strides
+    codes_x, codes_ax = (np.asfortranarray(c.index[:, :layout.q], dtype=np.int64) for c in batches)
+    for codes in (codes_x, codes_ax):
+        for stage, column in zip(counts, codes.T):
+            stage += np.bincount(column, minlength=stage.size)
+    return y_x, y_ax, codes_x, codes_ax
 
 
 def run_sgd(pairs, layout: CorrectionLayout, alpha_d: float,
@@ -447,22 +453,24 @@ def run_sgd(pairs, layout: CorrectionLayout, alpha_d: float,
 
     A compiled C loop (`sgd_kernel.c`) performs the operations of the
     per-sample loop (`tests/helpers.py`'s `sgd_loop`) in the same order, so
-    its results are bit-identical to it whatever the chunk size. It reads the
-    outputs and the int64 code-index columns of both batches where they lie,
+    its results are bit-identical to it whatever the chunk size. It reads each
+    chunk's outputs and contiguous code columns and the layout's four tables,
     and returns to Python only at chunk ends, checkpoints and multiples of
     the schedule's `halve_every`, where the step sizes may change.
 
     Returns the final state and a snapshot of (theta_nl, theta_alpha) at each
-    requested sample count up to N. Every GUARD_EVERY samples and at N the
-    loop checks the guard: ||theta_nl||_inf above `guard`, or a theta_alpha
-    that is no longer finite, raises DivergenceError naming the sample. A code
-    index outside its stage's 1..p_i raises LayoutError before its chunk runs.
+    requested sample count up to N. The state's `code_counts` counts each
+    stage code over both conversions of every pair; a code never selected
+    leaves its indicator slot at 0 and is not an error here. Every
+    GUARD_EVERY samples and at N the loop checks the guard: ||theta_nl||_inf
+    above `guard`, or a theta_alpha that is no longer finite, raises
+    DivergenceError naming the sample. A code index outside its stage's
+    1..p_i raises LayoutError before its chunk runs.
     """
     schedule = schedule or StepSchedule()
     total, q = len(pairs), layout.q
     values, slots = layout.code_values, layout.code_slots    # (q, width) stage tables
-    prefix = layout.gain_prefix_products()
-    weighted = np.array([layout.weighted_position(i) for i in range(q)], dtype=np.int64)
+    counts = np.zeros(slots.shape, dtype=np.int64)
 
     checkset = set(checkpoints or [])
     h = schedule.halve_every
@@ -475,12 +483,12 @@ def run_sgd(pairs, layout: CorrectionLayout, alpha_d: float,
     for b in stops:
         if a % SGD_CHUNK == 0:      # a chunk starts at sample a
             arrays = None           # the last chunk's pairs go before the next is converted
-            arrays, base = _chunk_arrays(pairs[a:min(a + SGD_CHUNK, total)], layout, a), a
-        tripped = _kernel()(a, b, total, base, GUARD_EVERY, *(x.ctypes.data for x in arrays), q,
-                            values.shape[1], values.ctypes.data, slots.ctypes.data,
-                            prefix.ctypes.data, weighted.ctypes.data, theta.ctypes.data,
-                            layout.dim, ta.ctypes.data,
-                            alpha_d, schedule.mu_nl(a), schedule.mu_alpha(a), guard)
+            arrays, base = _chunk_arrays(pairs[a:min(a + SGD_CHUNK, total)], layout, a, counts), a
+        tripped = _kernel()(a, b, total, base, len(arrays[0]), GUARD_EVERY,
+                            *(x.ctypes.data for x in arrays), q, values.shape[1],
+                            values.ctypes.data, slots.ctypes.data, layout.prefix.ctypes.data,
+                            layout.weighted_slots.ctypes.data, theta.ctypes.data, layout.dim,
+                            ta.ctypes.data, alpha_d, schedule.mu_nl(a), schedule.mu_alpha(a), guard)
         if tripped:
             raise DivergenceError(f"||theta_nl||_inf exceeded guard {guard} at sample {tripped}",
                                   sample=tripped)
@@ -491,7 +499,8 @@ def run_sgd(pairs, layout: CorrectionLayout, alpha_d: float,
         raise NumericalError("non-finite adaptive parameters")
     last = max(total - 1, 0)
     return CalibrationState(theta_nl=theta, theta_alpha=float(ta[0]), mu_nl=schedule.mu_nl(last),
-                            mu_alpha=schedule.mu_alpha(last), k=total), snapshots
+                            mu_alpha=schedule.mu_alpha(last), k=total,
+                            code_counts=counts), snapshots
 
 
 def step_size_bounds(layout: CorrectionLayout, y_max: float,
@@ -518,9 +527,8 @@ def step_size_bounds(layout: CorrectionLayout, y_max: float,
         dh = sax.dense() - alpha_d * sx.dense()
         worst = float(np.max(np.sum(dh ** 2, axis=1)))
     else:
-        prefix = layout.gain_prefix_products()
         worst = 0.0
         for i in range(layout.q):
-            w_max = code_bound * float(np.sum(prefix[: i + 1]))
+            w_max = code_bound * float(np.sum(layout.prefix[: i + 1]))
             worst += ((1.0 + alpha_d) * w_max) ** 2 + 1.0 + alpha_d ** 2
     return mu_alpha_max, 2.0 / worst

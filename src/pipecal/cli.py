@@ -105,11 +105,16 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def _make_out_dir(path: Path) -> None:
     """Make the output directory before any member runs: a path that cannot
-    be one (an existing file, a path under a file) is a ConfigError."""
+    be one (an existing file, a path under a file), or an output file name
+    taken there by a non-file, is a ConfigError."""
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot use --out {path} as the output directory: {exc}") from exc
+    for name in ("results.csv", "aggregate.csv", "error_norms.csv", "spectrum.csv"):
+        if (path / name).exists() and not (path / name).is_file():
+            raise ConfigError(f"cannot use --out {path} as the output directory: "
+                              f"{path / name} exists and is not a regular file")
 
 
 def _parse_grid(text: str, parse) -> list:

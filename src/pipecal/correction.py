@@ -80,18 +80,25 @@ class CorrectionLayout:
     def dim(self) -> int:
         return model_dimension(self.sizes)
 
-    @property
-    def block_starts(self) -> tuple[int, ...]:
-        starts = []
-        pos = 0
-        for i, p in enumerate(self.sizes):
-            starts.append(pos)
-            pos += (p - 1) if i < self.q - 1 else p
-        return tuple(starts)
+    @cached_property
+    def prefix(self) -> np.ndarray:
+        """(q,) gain prefix products P[t] = G_1 * ... * G_t (P[0] = 1), the
+        weights of the code-weighting sums."""
+        table = np.ones(self.q)
+        for t in range(1, self.q):
+            table[t] = table[t - 1] * self.gains[t - 1]
+        table.setflags(write=False)
+        return table
 
-    def weighted_position(self, stage: int) -> int:
-        """Slot of the gain-weighted code sum of stage i (0-based stage)."""
-        return self.block_starts[stage]
+    @cached_property
+    def weighted_slots(self) -> np.ndarray:
+        """(q,) int64: the parameter slot of each stage's gain-weighted code
+        sum, the first of its block; a block holds p_i - 1 slots, p_q for
+        the last calibrated stage."""
+        table = np.zeros(self.q, dtype=np.int64)
+        table[1:] = np.cumsum(np.subtract(self.sizes[:-1], 1))
+        table.setflags(write=False)
+        return table
 
     @cached_property
     def code_values(self) -> np.ndarray:
@@ -113,7 +120,7 @@ class CorrectionLayout:
         and the entries past p_i are unused and hold -1.
         """
         table = np.full((self.q, max(self.sizes) + 1), -1, dtype=np.int64)
-        for i, (start, p) in enumerate(zip(self.block_starts, self.sizes)):
+        for i, (start, p) in enumerate(zip(self.weighted_slots, self.sizes)):
             last = p if i == self.q - 1 else p - 1
             table[i, 2:last + 1] = np.arange(start + 1, start + last)   # code j at start + j - 1
         table.setflags(write=False)
@@ -135,13 +142,6 @@ class CorrectionLayout:
             raise LayoutError(f"stage {i + 1} code index {codes[k, i]} at row {base + k} "
                               f"outside 1..{self.sizes[i]}")
 
-    def gain_prefix_products(self) -> np.ndarray:
-        """P[t] = G_1 * ... * G_t (P[0] = 1), used by the code-weighting sums."""
-        out = np.ones(self.q)
-        for t in range(1, self.q):
-            out[t] = out[t - 1] * self.gains[t - 1]
-        return out
-
     def weighted_entries(self, codes: np.ndarray) -> np.ndarray:
         """The q gain-weighted code sums of conversions given by their code indices.
 
@@ -150,12 +150,11 @@ class CorrectionLayout:
         0 + v_0 P[i] + v_1 P[i-1] + ... + v_i P[0], summed in that order, with
         v_l stage l's code value from `code_values`.
         """
-        prefix = self.gain_prefix_products()
         values = [self.code_values[l].take(codes[..., l]) for l in range(self.q)]
         out = np.zeros(codes.shape)
         for i in range(self.q):
             for l in range(i + 1):
-                out[..., i] += values[l] * prefix[i - l]
+                out[..., i] += values[l] * self.prefix[i - l]
         return out
 
 
@@ -177,8 +176,7 @@ class SelectionBatch:
     def dense(self) -> np.ndarray:
         n, layout = len(self), self.layout
         h = np.zeros((n, layout.dim))
-        for i in range(layout.q):
-            h[:, layout.weighted_position(i)] = self.weighted[:, i]
+        h[:, layout.weighted_slots] = self.weighted
         rows = np.arange(n)
         for i in range(layout.q):
             pos = self.indicator_pos[:, i]
@@ -193,8 +191,8 @@ class SelectionBatch:
             raise ValueError(f"parameter vector must have length {self.layout.dim}")
         out = np.zeros(len(self))
         padded = np.concatenate([theta, [0.0]])   # slot -1 reads as 0
-        for i in range(self.layout.q):
-            out += self.weighted[:, i] * theta[self.layout.weighted_position(i)]
+        for i, slot in enumerate(self.layout.weighted_slots):
+            out += self.weighted[:, i] * theta[slot]
             out += padded[self.indicator_pos[:, i]]
         return out
 

@@ -147,6 +147,12 @@ class ExperimentConfig:
                 object.__setattr__(self, f.name, int(value))
             elif isinstance(value, np.generic):     # a numpy scalar is kept as its Python value
                 object.__setattr__(self, f.name, value.item())
+            # +inf means noiseless in the SNR fields and no bound in sgd_guard
+            unbounded = f.name in ("snr_db", "eval_snr_db", "sgd_guard")
+            if kind == "float" and not (math.isfinite(value) or unbounded and value == math.inf):
+                raise ConfigError(f"{f.name} must be finite{' or +inf' * unbounded}, not {value!r}")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be non-negative")
         if self.population < 0:
             raise ConfigError("population must be non-negative")
         if not 1 <= self.q <= self.pipeline_stages:
@@ -159,11 +165,6 @@ class ExperimentConfig:
             raise ConfigError("delta_std must be non-negative")
         if self.noise_mode not in NOISE_MODES:
             raise ConfigError(f"unknown noise mode {self.noise_mode!r}")
-        for name in ("snr_db", "eval_snr_db"):
-            value = getattr(self, name)
-            # None and +inf mean noiseless; NaN and -inf mean nothing
-            if value is not None and not value > -math.inf:
-                raise ConfigError(f"{name} must be a number, +inf or None, not {value!r}")
         if not 0.0 < self.alpha_d < 1.0:
             raise ConfigError("alpha_d must be in (0, 1)")
         if self.delta_mode == "fixed" and not 0.0 < self.alpha_d + self.delta_value < 1.0:
@@ -377,33 +378,17 @@ def _wiener(config: ExperimentConfig, pairs, layout) -> tuple[np.ndarray, float,
     return res.theta_nl, res.theta_alpha, res.converged
 
 
-class _CodeCount:
-    """A pair source that counts, per calibrated stage, the codes of the
-    batches sliced from it. `check` raises RankDeficiencyError when a code
-    that owns an indicator slot was never selected: the adaptive loop would
-    have left that slot at 0."""
-
-    def __init__(self, source: PairSource, layout: CorrectionLayout):
-        self.source, self.slots = source, layout.code_slots
-        self.counts = np.zeros(self.slots.shape, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.source)
-
-    def __getitem__(self, rows: slice):
-        pairs = self.source[rows]
-        for batch in (pairs.unscaled, pairs.scaled):
-            for i, counts in enumerate(self.counts):
-                counts += np.bincount(batch.index[:, i], minlength=counts.size)
-        return pairs
-
-    def check(self) -> None:
-        missing = np.argwhere((self.counts == 0) & (self.slots >= 0))     # stage-major order
-        if missing.size:
-            i, code = missing[0]
-            raise RankDeficiencyError(
-                f"the calibration input never selects stage {i + 1} code {code} "
-                f"(indicator slot {self.slots[i, code]}); input does not cover all codes")
+def _check_code_coverage(counts: np.ndarray, layout: CorrectionLayout) -> None:
+    """Raise RankDeficiencyError when `counts`, an adaptive run's code
+    selections per stage (`CalibrationState.code_counts`), never selected a
+    code that owns an indicator slot: the adaptive loop left that slot at 0."""
+    slots = layout.code_slots
+    missing = np.argwhere((counts == 0) & (slots >= 0))     # stage-major order
+    if missing.size:
+        i, code = missing[0]
+        raise RankDeficiencyError(
+            f"the calibration input never selects stage {i + 1} code {code} "
+            f"(indicator slot {slots[i, code]}); input does not cover all codes")
 
 
 def _run_member(task) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
@@ -444,13 +429,13 @@ def _member_rows(config: ExperimentConfig, idx: int, kind: str, value):
         theta_nl, theta_alpha, converged = _wiener(config, pairs, layout)
         points = [(config.n_cal, theta_nl, theta_alpha)]
     else:
-        pairs = _CodeCount(PairSource(adc, x_cal, path, seed), layout)
+        pairs = PairSource(adc, x_cal, path, seed)
         if checkpoints:
-            reference, _, converged = _wiener(config, pairs.source, layout)
+            reference, _, converged = _wiener(config, pairs, layout)
         samples = checkpoints or [n_samples]
-        _, snapshots = run_sgd(pairs, layout, config.alpha_d, schedule=config.schedule(),
-                               guard=config.sgd_guard, checkpoints=samples)
-        pairs.check()
+        state, snapshots = run_sgd(pairs, layout, config.alpha_d, schedule=config.schedule(),
+                                   guard=config.sgd_guard, checkpoints=samples)
+        _check_code_coverage(state.code_counts, layout)
         points = [(k, *snapshots[k]) for k in samples]
     del pairs
 

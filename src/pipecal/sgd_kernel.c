@@ -2,23 +2,23 @@
  * at fixed step sizes: tests/helpers.py::sgd_loop's operations in its order,
  * so bit-identical to it when built with -ffp-contract=off (a fused
  * multiply-add rounds once where the loop rounds twice). The arrays hold the
- * stream's samples from `base` on, so sample k sits at row k - base; k0, k1,
- * `total`, the guard cadence and the returned sample count are global.
- * `codes_x`/`codes_ax` are the pair batches' int64 code-index arrays; sample
- * k's stage-i code is codes[(k - base) * rows + i * cols], with `strides` =
- * {rows_x, cols_x, rows_ax, cols_ax} in elements. `values`/`slots` give each
- * stage's code value and indicator slot (-1: none) by code index, `width`
- * entries per stage. Returns 0, or the sample count at which a guard check
- * found ||theta||_inf > guard or theta_alpha not finite.
+ * `rows` samples of the stream from `base` on, so sample k sits at row
+ * k - base; k0, k1, `total`, the guard cadence and the returned sample count
+ * are global. `codes_x`/`codes_ax` are the pair batches' calibrated int64
+ * code-index columns, column-major: sample k's stage-i code is
+ * codes[i * rows + (k - base)]. `values`/`slots` give each stage's code value
+ * and indicator slot (-1: none) by code index, `width` entries per stage.
+ * Returns 0, or the sample count at which a guard check found
+ * ||theta||_inf > guard or theta_alpha not finite.
  */
 #include <math.h>
 #include <stdint.h>
 
-int64_t pipecal_sgd(int64_t k0, int64_t k1, int64_t total, int64_t base,
+int64_t pipecal_sgd(int64_t k0, int64_t k1, int64_t total, int64_t base, int64_t rows,
                     int64_t guard_every, const double *y_x, const double *y_ax,
-                    const int64_t *codes_x, const int64_t *codes_ax, const int64_t *strides,
-                    int64_t q, int64_t width, const double *values, const int64_t *slots,
-                    const double *prefix, const int64_t *weighted, double *theta, int64_t dim,
+                    const int64_t *codes_x, const int64_t *codes_ax, int64_t q, int64_t width,
+                    const double *values, const int64_t *slots, const double *prefix,
+                    const int64_t *weighted, double *theta, int64_t dim,
                     double *theta_alpha, double alpha_d, double mu_nl, double mu_alpha, double guard)
 {
     const double *outputs[2] = {y_x, y_ax};
@@ -31,7 +31,7 @@ int64_t pipecal_sgd(int64_t k0, int64_t k1, int64_t total, int64_t base,
         for (int p = 0; p < 2; p++) {
             y[p] = outputs[p][k - base];
             for (int64_t i = 0; i < q; i++) {
-                int64_t code = codes[p][(k - base) * strides[2 * p] + i * strides[2 * p + 1]];
+                int64_t code = codes[p][i * rows + (k - base)];
                 v[i] = values[i * width + code];
                 ind[p][i] = slots[i * width + code];
                 w[p][i] = 0.0;

@@ -415,7 +415,7 @@ def sgd_loop(pairs, layout, alpha_d, schedule=None, guard=1.0, checkpoints=None)
     sax = selection_vectors(pairs.scaled, layout)
 
     q = layout.q
-    first_pos = [layout.weighted_position(i) for i in range(q)]
+    first_pos = [layout.weighted_slots[i] for i in range(q)]
     y_x = pairs.unscaled.y.tolist()
     y_ax = pairs.scaled.y.tolist()
     w_x = sx.weighted.tolist()

@@ -1,5 +1,6 @@
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -370,7 +371,7 @@ class TestSgdStep:
         pair = pairs[3:4]
         out, _ = run_sgd(pair, layout, ALPHA, constant_steps(2.0 ** -6, 2.0 ** -7))
         touched = set(np.flatnonzero(out.theta_nl))
-        allowed = {layout.weighted_position(i) for i in range(layout.q)}
+        allowed = {layout.weighted_slots[i] for i in range(layout.q)}
         for conversions in (pair.unscaled, pair.scaled):
             slots = selection_vectors(conversions, layout).indicator_pos[0]
             allowed |= set(slots[slots >= 0].tolist())
@@ -700,6 +701,36 @@ class TestChunkedRunSgd:
         assert_same_run(got, sgd_loop(pairs, layout, cfg.alpha_d, self.schedule,
                                       checkpoints=self.checkpoints))
 
+    @staticmethod
+    def stream_code_counts(pairs, layout):
+        """Per-stage bincount of both batches' calibrated code columns."""
+        width = layout.code_slots.shape[1]
+        return np.array([np.bincount(pairs.unscaled.index[:, i], minlength=width)
+                         + np.bincount(pairs.scaled.index[:, i], minlength=width)
+                         for i in range(layout.q)])
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["batch", "source"])
+    def test_code_counts_cover_the_whole_stream(self, small_chunks, lazy):
+        source, pairs, layout, cfg = self.member_source(0, 2000)
+        state, _ = run_sgd(source if lazy else pairs, layout, cfg.alpha_d, schedule=self.schedule)
+        assert state.code_counts.dtype == np.int64
+        assert np.array_equal(state.code_counts, self.stream_code_counts(pairs, layout))
+        assert state.code_counts.sum() == 2 * layout.q * 2000
+
+    def test_strided_view_matches_its_contiguous_copy(self, small_chunks):
+        # the view's code columns are copied to contiguous slices for the kernel
+        _, pairs, layout, cfg = self.member_source(0, 2000)
+        view = pairs[::2]
+        copy = PairBatch(*(ConversionBatch(c.y.copy(), c.index.copy(order="F"), c.x_in.copy())
+                           for c in (view.unscaled, view.scaled)))
+        got = run_sgd(view, layout, cfg.alpha_d, schedule=self.schedule,
+                      checkpoints=self.checkpoints)
+        want = run_sgd(copy, layout, cfg.alpha_d, schedule=self.schedule,
+                       checkpoints=self.checkpoints)
+        assert_same_run(got, want)
+        assert np.array_equal(got[0].code_counts, want[0].code_counts)
+        assert np.array_equal(got[0].code_counts, self.stream_code_counts(copy, layout))
+
     def test_divergence_names_the_global_sample(self, small_chunks):
         # member 1's ||theta_nl||_inf first exceeds 0.0096 at the check at
         # 1800, inside the third 777-pair chunk
@@ -815,6 +846,9 @@ class TestKernelBuild:
         assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
 
     def test_source_compiles_without_warnings(self, tmp_path):
+        # -Wextra names a parameter that a signature change leaves unused
+        if shutil.which(calibration._compiler()[0]) is None:
+            pytest.skip(f"no C compiler {calibration._compiler()[0]!r} on this host")
         cmd = [*calibration._compiler(), *calibration._KERNEL_FLAGS, "-Wall", "-Wextra",
                "-Werror", "-o", str(tmp_path / "sgd_kernel.so"), str(calibration._KERNEL_SOURCE)]
         done = subprocess.run(cmd, capture_output=True, text=True)

@@ -39,9 +39,9 @@ class TestSelectionVector:
         batch = convert_many(mismatched_adc, [0.37])
         h = selection_vectors(batch, layout).dense()[0]
         v = [s.codes[j - 1] for s, j in zip(layout.stages, batch.index[0])]
-        assert h[layout.weighted_position(0)] == pytest.approx(v[0])
-        assert h[layout.weighted_position(1)] == pytest.approx(4.0 * v[0] + v[1])
-        assert h[layout.weighted_position(2)] == pytest.approx(16.0 * v[0] + 4.0 * v[1] + v[2])
+        assert h[layout.weighted_slots[0]] == pytest.approx(v[0])
+        assert h[layout.weighted_slots[1]] == pytest.approx(4.0 * v[0] + v[1])
+        assert h[layout.weighted_slots[2]] == pytest.approx(16.0 * v[0] + 4.0 * v[1] + v[2])
 
     def test_weighted_entries_sum_stages_in_order(self):
         # at gain 3 the products round, so only 0 + v_0 P[i] + ... + v_i P[0],
@@ -54,7 +54,7 @@ class TestSelectionVector:
         weighted = selection_vectors(batch, layout).weighted
         for k in range(len(batch)):
             h = naive_selection_dense(batch[k:k + 1], layout)
-            assert weighted[k].tolist() == [h[layout.weighted_position(i)] for i in range(3)]
+            assert weighted[k].tolist() == [h[layout.weighted_slots[i]] for i in range(3)]
 
     def test_eliminated_top_code_has_no_indicator(self):
         adc = toy_adc(zetas=(0.0, 0.0), flash_bits=None)
@@ -66,7 +66,7 @@ class TestSelectionVector:
         positions = layout.q + np.count_nonzero(h.indicator_pos[0] >= 0)
         # only weighted-code entries may be nonzero in the stage-1 block
         assert dense[1] == 0.0
-        assert positions == 2 + 2 or dense[layout.weighted_position(1)] != 0.0
+        assert positions == 2 + 2 or dense[layout.weighted_slots[1]] != 0.0
 
     def test_first_code_absorbed_by_weighted_entry(self):
         adc = toy_adc(zetas=(0.0, 0.0), flash_bits=None)
@@ -74,7 +74,7 @@ class TestSelectionVector:
         batch = convert_many(adc, [-0.9])
         assert batch.index[0, 0] == 1
         dense = selection_vectors(batch, layout).dense()[0]
-        block = dense[:layout.block_starts[1]]
+        block = dense[:layout.weighted_slots[1]]
         assert np.count_nonzero(block[1:]) == 0
 
     def test_sparsity_at_most_two_per_stage(self, mismatched_adc):

@@ -113,10 +113,24 @@ class TestConfig:
         dict(mu_nl_init=2.0 ** -6, mu_nl_min=2.0 ** -2),
         dict(mu_nl_init=2.0 ** -6, mu_nl_min=2.0 ** -2, mu_halve_every=0),
         dict(mu_halve_every=-1),
+        # a non-finite value where only a finite one means anything
+        dict(delta_std=math.inf), dict(mu_nl_init=math.inf, mu_nl_min=1.0),
+        dict(mu_alpha_ratio=math.inf), dict(stage_gain=-math.inf),
+        dict(gain_error_reference=math.inf), dict(delta_value=math.nan),
     ])
     def test_validation(self, overrides):
         with pytest.raises(ConfigError):
             default_config(7, **overrides)
+
+    def test_rejects_negative_seed(self):
+        # np.random.SeedSequence takes non-negative integers only
+        with pytest.raises(ConfigError, match="master_seed must be non-negative"):
+            default_config(-1)
+
+    def test_infinite_snr_and_guard_are_accepted(self):
+        # +inf means noiseless in the SNR fields and no bound in sgd_guard
+        cfg = default_config(7, snr_db=math.inf, eval_snr_db=math.inf, sgd_guard=math.inf)
+        assert cfg.sgd_guard == math.inf
 
     def test_float_fields_take_any_real_number(self):
         # ints and numpy scalars are real numbers; a numpy scalar is stored as
@@ -550,6 +564,23 @@ class TestCli:
         assert member_calls == []
         assert taken.read_text() == "not a directory"
 
+    @pytest.mark.parametrize("command, name", [
+        (["calibrate"], "results.csv"),
+        (["sweep", "--kind", "delta", "--grid", "0,2e-3"], "aggregate.csv"),
+        (["convergence", "--checkpoints", "1500,3000"], "error_norms.csv"),
+        (["simulate", "--dump-spectrum"], "spectrum.csv"),
+    ], ids=["results", "aggregate", "error_norms", "spectrum"])
+    def test_output_name_taken_by_a_directory_exits_2_before_any_member(
+            self, tmp_path, capsys, member_calls, command, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        code = main([*command, "--seed", "1", "--out", str(out), "--config", self._cfg(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot use --out {out} as the output directory: {out / name} exists")
+        assert member_calls == []
+        assert sorted(p.name for p in out.iterdir()) == [name]
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"algorithm": "nope"}))
@@ -594,6 +625,11 @@ class TestCli:
         ({"coherent_snap": 1}, []),
         # a boolean is not an integer, although Python counts it as one
         ({"q": True}, []),
+        # a negative seed, and non-finite values that used to fail inside a member
+        ({}, ["--seed", "-1"]),
+        ({"delta_std": math.inf}, []),
+        ({"mu_nl_init": math.inf, "mu_nl_min": 1}, ["--algorithm", "blhec-sgd"]),
+        ({"mu_alpha_ratio": math.inf}, ["--algorithm", "blhec-sgd"]),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, fields, flags):
         cfg = tmp_path / "cfg.json"
