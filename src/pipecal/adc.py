@@ -37,7 +37,10 @@ __all__ = [
 
 def lsb_size(resolution_bits: int) -> float:
     """One LSB of the composite converter: full scale 2.0 over 2**bits."""
-    return 2.0 / (2 ** resolution_bits)
+    try:
+        return 2.0 / (2 ** resolution_bits)
+    except (OverflowError, ZeroDivisionError):     # 2**bits is not a float
+        raise AdcModelError(f"resolution_bits={resolution_bits} has no float LSB") from None
 
 
 class AdcModelError(ValueError):
@@ -66,6 +69,8 @@ class StageSpec:
             raise AdcModelError("thresholds must be strictly increasing")
         if not all(a < b for a, b in zip(self.codes, self.codes[1:])):
             raise AdcModelError("codes must be strictly increasing")
+        if not self.gain > 0.0:
+            raise AdcModelError(f"stage gain must be positive, not {self.gain!r}")
 
     @property
     def levels(self) -> int:

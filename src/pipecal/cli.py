@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 kernel buil
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -85,16 +84,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> ExperimentConfig:
+def _config_from_args(args, **defaults) -> ExperimentConfig:
+    """The one config of a command: file fields, then the command's defaults, then flags."""
     fields: dict = {}
     if args.config is not None:
         try:
             fields = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:    # unreadable, not JSON, or an int over 4300 digits
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(fields, dict):
             raise ConfigError("config file must contain a JSON object")
-    fields["master_seed"] = args.seed
+    fields.update(defaults, master_seed=args.seed)
     fields.update({name: getattr(args, flag) for flag, name in _FLAG_FIELDS.items()
                    if getattr(args, flag) is not None})
     if args.delta is not None:
@@ -161,9 +161,7 @@ def _warn_if_unconverged(rows) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    config = _config_from_args(args)
-    if args.population is None:
-        config = dataclasses.replace(config, population=1)
+    config = _config_from_args(args, population=1)
     rows = run_experiment(config, workers=1)
     for row in rows:
         print(f"adc {row.adc_id}: delta={row.delta_true:+.3e}  "
@@ -196,10 +194,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _config_from_args(args)
     convergence = args.kind == "convergence"
-    if convergence and args.algorithm is None:
-        config = dataclasses.replace(config, algorithm="blhec-sgd")
+    config = _config_from_args(args, **({"algorithm": "blhec-sgd"} if convergence else {}))
     grid = _parse_grid(args.grid, int if convergence else float)
     sweep = run_sweep(args.kind, config, grid, workers=args.workers)
     paths = emit_sweep_outputs(sweep, args.out, include_timings=args.timings)

@@ -46,8 +46,8 @@ from .calibration import (
     run_sgd,
 )
 from .correction import CorrectionLayout, apply_correction_batch, model_dimension, selection_vectors
-from .signals import (NOISE_MODES, PairSource, PathConfig, ToneSpec, cached_tones, make_pairs,
-                      noise_sigma, snap_to_odd_bin)
+from .signals import (PairSource, PathConfig, ToneSpec, cached_tones, make_pairs, noise_sigma,
+                      snap_to_odd_bin)
 from .spectral import WINDOWS, MisdeclaredSignalError, analyze, error_norm, spectrum, tone_bin
 
 __all__ = [
@@ -91,6 +91,16 @@ class ConfigError(ValueError):
 # accepted values by field annotation; None only where the annotation adds "| None"
 _FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a real number"),
                 "bool": (bool, "true or false"), "str": (str, "a string")}
+
+
+def _real(value, name: str) -> float:
+    """`value` as a Python float under the float-field rule: a real number, not a bool or a str."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is an integer too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -149,7 +159,8 @@ class ExperimentConfig:
                 object.__setattr__(self, f.name, value.item())
             # +inf means noiseless in the SNR fields and no bound in sgd_guard
             unbounded = f.name in ("snr_db", "eval_snr_db", "sgd_guard")
-            if kind == "float" and not (math.isfinite(value) or unbounded and value == math.inf):
+            if kind == "float" and not (math.isfinite(_real(value, f.name))
+                                        or unbounded and value == math.inf):
                 raise ConfigError(f"{f.name} must be finite{' or +inf' * unbounded}, not {value!r}")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
@@ -163,21 +174,23 @@ class ExperimentConfig:
             raise ConfigError(f"unknown delta mode {self.delta_mode!r}")
         if not self.delta_std >= 0.0:
             raise ConfigError("delta_std must be non-negative")
-        if self.noise_mode not in NOISE_MODES:
-            raise ConfigError(f"unknown noise mode {self.noise_mode!r}")
         if not 0.0 < self.alpha_d < 1.0:
             raise ConfigError("alpha_d must be in (0, 1)")
-        if self.delta_mode == "fixed" and not 0.0 < self.alpha_d + self.delta_value < 1.0:
-            raise ConfigError(f"alpha_d + delta_value = {self.alpha_d + self.delta_value:g} "
-                              "puts the analog scaling factor outside (0, 1)")
-        if not self.tones:
-            raise ConfigError("need at least one test tone")
-        for tone in self.tones:
+        # every member's scaling path, drawn deltas included: no member fails on its config
+        for idx in range(max(self.population, 1) if self.delta_mode == "normal" else 1):
             try:
-                omega, amp, phase = tone
+                _scaling_path(self, idx)
+            except ValueError as exc:
+                raise ConfigError(f"adc {idx}: {exc}") from exc
+        try:
+            tones = tuple(tuple(_real(v, "a tone value") for v in tone) for tone in self.tones)
+            for omega, amp, phase in tones:
                 ToneSpec(omega, amp, phase)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"invalid tone {tone!r}: {exc}") from exc
+        except (TypeError, ValueError) as exc:      # a ConfigError is a ValueError
+            raise ConfigError(f"invalid tones: {exc}") from exc
+        if not tones:
+            raise ConfigError("need at least one test tone")
+        object.__setattr__(self, "tones", tones)
         if self.eval_samples < self.n_fft:
             raise ConfigError("eval_samples must be at least n_fft")
         if not 0.0 < self.cal_amplitude <= 1.0 or not 0.0 < self.eval_amplitude <= 1.0:
@@ -227,19 +240,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        d = dict(d)
-        if "tones" in d:
-            try:
-                d["tones"] = tuple(tuple(float(v) for v in t) for t in d["tones"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"tones must be lists of numbers: {exc}") from exc
         try:
             return cls(**d)
-        except TypeError as exc:
+        except TypeError as exc:        # an unknown or a missing field
             raise ConfigError(str(exc)) from exc
 
     def digest(self) -> str:
@@ -266,7 +269,7 @@ class ExperimentConfig:
 
 
 def default_config(master_seed: int, **overrides) -> ExperimentConfig:
-    return dataclasses.replace(ExperimentConfig(master_seed=master_seed), **overrides)
+    return ExperimentConfig(master_seed=master_seed, **overrides)
 
 
 @dataclass
@@ -312,25 +315,24 @@ def _converter_model(config: ExperimentConfig):
     return stages, flash, mismatch
 
 
+def _scaling_path(config: ExperimentConfig, idx: int) -> PathConfig:
+    """Member idx's PathConfig: alpha_a = alpha_d + delta, delta fixed or drawn from its stream."""
+    if config.delta_mode == "fixed":
+        delta = config.delta_value
+    else:
+        delta = float(np.random.default_rng(_seed_for(config, idx, _ROLE_DELTA))
+                      .normal(0.0, config.delta_std))
+    return PathConfig(alpha_a=config.alpha_d + delta, alpha_d=config.alpha_d,
+                      snr_db=config.snr_db, noise_mode=config.noise_mode)
+
+
 def _build_member(config: ExperimentConfig, idx: int):
     """Converter instance, scaling path, and layout for population member idx."""
     stages, flash, mismatch = _converter_model(config)
     adc = build_adc(stages, flash, mismatch, _seed_for(config, idx, _ROLE_MISMATCH),
                     resolution_bits=config.resolution_bits,
                     ideal_stages=config.q if config.ideal_included_stages else 0)
-
-    if config.delta_mode == "fixed":
-        delta = config.delta_value
-    else:
-        rng = np.random.default_rng(_seed_for(config, idx, _ROLE_DELTA))
-        delta = float(rng.normal(0.0, config.delta_std))
-        if not 0.0 < config.alpha_d + delta < 1.0:
-            raise ConfigError(f"drawn delta {delta:g} puts the analog scaling factor "
-                              f"outside (0, 1); delta_std {config.delta_std:g} is too large")
-    path = PathConfig(alpha_a=config.alpha_d + delta, alpha_d=config.alpha_d,
-                      snr_db=config.snr_db, noise_mode=config.noise_mode)
-    layout = CorrectionLayout.from_adc(adc, config.q)
-    return adc, path, layout
+    return adc, _scaling_path(config, idx), CorrectionLayout.from_adc(adc, config.q)
 
 
 def evaluation_batch(config: ExperimentConfig, idx: int,
@@ -393,13 +395,14 @@ def _check_code_coverage(counts: np.ndarray, layout: CorrectionLayout) -> None:
 
 def _run_member(task) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
     """`_member_rows` of a task (config, idx, kind, value): the one place a
-    member failure is labeled. A ConfigError or one of NUMERICAL_FAILURES is
-    re-raised as the same object, type, traceback and attributes kept, with
-    its message prefixed `adc <idx>: ` and `member` set to idx."""
+    member failure is labeled. A constructed config's members all build, so
+    only NUMERICAL_FAILURES come out: each is re-raised as the same object,
+    type, traceback and attributes kept, with its message prefixed
+    `adc <idx>: ` and `member` set to idx."""
     idx = task[1]
     try:
         return _member_rows(*task)
-    except (ConfigError, *NUMERICAL_FAILURES) as exc:
+    except NUMERICAL_FAILURES as exc:
         exc.args = (f"adc {idx}: {exc}",)
         exc.member = idx
         raise
@@ -505,8 +508,8 @@ def run_sweep(kind: str, config: ExperimentConfig, grid, workers: int = 1) -> Sw
     delta       -- fixed scaling-factor-mismatch sweep
     convergence -- sample-budget checkpoints of the adaptive estimator
 
-    Every grid value is checked before any member runs. Rows come in adc_id
-    order; convergence points and error norms in ascending order.
+    All grid values and scaling paths are checked before any member runs. Rows
+    come in adc_id order; convergence points and error norms in ascending order.
     """
     grid = list(grid)
     if not grid:

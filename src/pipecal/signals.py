@@ -43,6 +43,8 @@ class ToneSpec:
             raise ValueError(f"omega must be in (0, pi), got {self.omega}")
         if not 0.0 <= self.amplitude <= 1.0:
             raise ValueError("tone amplitude must be in [0, 1]")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"tone phase must be finite, got {self.phase}")
 
 
 NOISE_MODES = ("held", "independent")
@@ -69,7 +71,7 @@ class PathConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha_a < 1.0:
-            raise ValueError("analog scaling factor must be in (0, 1)")
+            raise ValueError(f"delta {self.delta:g} puts alpha_a = {self.alpha_a:g} outside (0, 1)")
         if self.noise_mode not in NOISE_MODES:
             raise ValueError(f"unknown noise mode {self.noise_mode!r}")
 

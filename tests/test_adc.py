@@ -83,6 +83,24 @@ class TestStageValidation:
         with pytest.raises(AdcModelError):
             StageSpec(codes=(0.5, 0.0, -0.5), thresholds=(-0.25, 0.25))
 
+    @pytest.mark.parametrize("gain", [0.0, -4.0, math.nan])
+    def test_rejects_non_positive_gain(self, gain):
+        # the digital weights divide by the gain
+        with pytest.raises(AdcModelError, match="stage gain must be positive"):
+            StageSpec(codes=(-0.5, 0.0, 0.5), thresholds=(-0.25, 0.25), gain=gain)
+
+
+class TestLsbSize:
+    def test_exact_power_of_two_up_to_1023_bits(self):
+        for bits in (0, 1, 13, 52, 1022, 1023):
+            assert lsb_size(bits) == 2 / 2 ** bits
+
+    @pytest.mark.parametrize("bits", [1024, 2000, -1075])
+    def test_no_float_lsb_is_a_model_error(self, bits):
+        # 2**bits overflows a float, or underflows to 0
+        with pytest.raises(AdcModelError, match=f"resolution_bits={bits} has no float LSB"):
+            lsb_size(bits)
+
 
 class TestBuildAdc:
     def test_zero_bounds_give_exactly_zero_mismatch(self):

@@ -117,10 +117,31 @@ class TestConfig:
         dict(delta_std=math.inf), dict(mu_nl_init=math.inf, mu_nl_min=1.0),
         dict(mu_alpha_ratio=math.inf), dict(stage_gain=-math.inf),
         dict(gain_error_reference=math.inf), dict(delta_value=math.nan),
+        # a stage gain of 0 or below (0 divided the digital weights, -4 ran)
+        dict(stage_gain=0), dict(stage_gain=-4.0),
+        # an integer too large for a float, in a float field or a tone
+        dict(stage_gain=10 ** 400), dict(tones=((0.6766, 0.5, 10 ** 400),)),
+        # a non-finite tone phase, a bool or a str in a tone, and no float LSB
+        dict(tones=((0.6766, 0.5, math.nan),)), dict(tones=((0.6766, True, 0.0),)),
+        dict(tones=(("0.6766", 0.5, 0.0),)), dict(resolution_bits=2000),
+        # a scaling path is checked at least once, also with no member
+        dict(population=0, delta_std=5.0),
     ])
     def test_validation(self, overrides):
         with pytest.raises(ConfigError):
             default_config(7, **overrides)
+
+    def test_every_member_scaling_path_is_checked_before_any_member_runs(self, member_calls):
+        # members 0-9 draw deltas that keep alpha_a in (0, 1), member 10 does not
+        with pytest.raises(ConfigError, match=r"^adc 10: delta 0\.365904 puts alpha_a"):
+            default_config(1, population=30, delta_std=0.3, algorithm="blhec-wiener")
+        assert member_calls == []
+
+    def test_tones_are_stored_as_python_floats(self):
+        cfg = default_config(7, tones=[[np.float32(0.5), 1, 0]])
+        assert cfg.tones == ((0.5, 1.0, 0.0),)
+        assert [type(v) for v in cfg.tones[0]] == [float, float, float]
+        assert cfg.digest() == default_config(7, tones=((0.5, 1.0, 0.0),)).digest()
 
     def test_rejects_negative_seed(self):
         # np.random.SeedSequence takes non-negative integers only
@@ -356,8 +377,8 @@ class TestSweeps:
 
     def test_drawn_scaling_factor_outside_range_is_a_config_error(self):
         # with a huge delta_std, member 0's draw leaves (0, 1)
-        cfg = default_config(7, delta_std=5.0, **SMALL)
         with pytest.raises(ConfigError, match="adc 0"):
+            cfg = default_config(7, delta_std=5.0, **SMALL)
             run_experiment(cfg)
 
     @pytest.mark.parametrize("grid", [[10], [100, 1000]])
@@ -580,6 +601,38 @@ class TestCli:
             f"config error: cannot use --out {out} as the output directory: {out / name} exists")
         assert member_calls == []
         assert sorted(p.name for p in out.iterdir()) == [name]
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"stage_gain": 0}', "stage gain must be positive, not 0"),
+        ('{"stage_gain": -4.0}', "stage gain must be positive, not -4.0"),
+        ('{"stage_gain": 1%s}' % ("0" * 400), "stage_gain is an integer too large for a float"),
+        ('{"tones": [[0.6766, 0.5, 1%s]]}' % ("0" * 400), "a tone value is an integer too large"),
+        ('{"tones": [[0.6766, 0.5, NaN]]}', "invalid tones: tone phase must be finite"),
+        ('{"tones": [["0.6766", 0.5, 0.0]]}', "a tone value must be a real number, not '0.6766'"),
+        ('{"resolution_bits": 2000}', "resolution_bits=2000 has no float LSB"),
+        ('{"population": 30, "delta_std": 0.3}', "adc 10: delta 0.365904"),
+        ('{"stage_gain": 1%s}' % ("0" * 5000), "Exceeds the limit (4300 digits)"),
+    ], ids=["gain-0", "gain-negative", "huge-int", "huge-int-tone", "nan-phase", "str-tone",
+            "resolution-2000", "drawn-delta", "int-over-4300-digits"])
+    def test_invalid_member_input_exits_2_before_any_member(self, tmp_path, capsys, member_calls,
+                                                            text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = main(["calibrate", "--seed", "1", "--population", "30", "--config", str(cfg),
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert member_calls == []
+
+    def test_simulate_checks_only_the_member_it_runs(self, tmp_path, capsys):
+        # simulate runs member 0 alone; at 100 members, member 10's delta would leave (0, 1)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta_std": 0.3, "n_cal": 1200, "n_fft": 4096,
+                                   "eval_samples": 4096}))
+        assert main(["simulate", "--seed", "1", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.count("adc ") == 1
+        assert main(["calibrate", "--seed", "1", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,10 +1,12 @@
 """Property tests of the configuration contract: a random ExperimentConfig,
-or a random sweep over a valid one, is either rejected with ConfigError, or
-runs to finite metrics, or stops with one of NUMERICAL_FAILURES, which the
-command line maps to exit 3. Nothing else (a bare ValueError, an IndexError,
-NaN metrics) may come out."""
+or a random sweep over a valid one, is either rejected with ConfigError
+before any member runs, or runs to finite metrics, or stops with one of
+NUMERICAL_FAILURES, which the command line maps to exit 3. A config that
+constructs never fails on its configuration, and nothing else (a bare
+ValueError, an IndexError, NaN metrics) may come out."""
 
 import math
+from unittest import mock
 
 import pytest
 
@@ -12,6 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pipecal import harness
 from pipecal.harness import NUMERICAL_FAILURES, ConfigError, ExperimentConfig, run_experiment, run_sweep
 from pipecal.spectral import WINDOWS
 
@@ -59,8 +62,11 @@ _FIELDS = {
 def test_config_is_rejected_or_runs_to_finite_metrics(fields, seed):
     try:
         config = ExperimentConfig(master_seed=seed, population=1, **fields)
+    except ConfigError:
+        return
+    try:
         rows = run_experiment(config)
-    except (ConfigError, *NUMERICAL_FAILURES):
+    except NUMERICAL_FAILURES:
         return
     assert len(rows) == 1
     _assert_finite(rows, config)
@@ -100,9 +106,16 @@ def test_sweep_is_rejected_or_runs_to_finite_rows(kind, data, window, seed):
     algorithm = "blhec-sgd" if kind == "convergence" else "blhec-wiener"
     config = ExperimentConfig(master_seed=seed, population=1, algorithm=algorithm, n_cal=1200,
                               n_sgd=3000, n_fft=4096, eval_samples=4096, window=window)
+    members = []
+    run_member = harness._run_member
     try:
-        result = run_sweep(kind, config, grid)
-    except (ConfigError, *NUMERICAL_FAILURES):
+        with mock.patch.object(harness, "_run_member",
+                               lambda task: members.append(task[1]) or run_member(task)):
+            result = run_sweep(kind, config, grid)
+    except ConfigError:
+        assert members == [], grid      # a grid is rejected whole, before any member runs
+        return
+    except NUMERICAL_FAILURES:
         return
     assert [len(result.rows[point]) for point in result.points] == [1] * len(grid)
     _assert_finite([row for rows in result.rows.values() for row in rows], (kind, grid))

@@ -43,6 +43,12 @@ class TestGenTones:
         with pytest.raises(ValueError):
             ToneSpec(omega=0.5, amplitude=1.5)
 
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_phase(self, phase):
+        # a non-finite phase makes every sample non-finite
+        with pytest.raises(ValueError, match="tone phase must be finite"):
+            ToneSpec(omega=0.5, amplitude=1.0, phase=phase)
+
     def test_requires_at_least_one_sample(self):
         with pytest.raises(ValueError):
             gen_tones([ToneSpec(0.5)], 0)
