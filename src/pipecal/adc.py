@@ -38,7 +38,7 @@ __all__ = [
 def lsb_size(resolution_bits: int) -> float:
     """One LSB of the composite converter: full scale 2.0 over 2**bits."""
     try:
-        return 2.0 / (2 ** resolution_bits)
+        return 2.0 / math.ldexp(1.0, resolution_bits)
     except (OverflowError, ZeroDivisionError):     # 2**bits is not a float
         raise AdcModelError(f"resolution_bits={resolution_bits} has no float LSB") from None
 

@@ -119,12 +119,9 @@ def _make_out_dir(path: Path) -> None:
 
 def _parse_grid(text: str, parse) -> list:
     try:
-        values = [parse(v) for v in text.split(",") if v.strip()]
+        return [parse(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad grid value: {exc}") from exc
-    if not values:
-        raise ConfigError("grid must not be empty")
-    return values
 
 
 def _print_summary(rows) -> None:

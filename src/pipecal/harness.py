@@ -46,8 +46,8 @@ from .calibration import (
     run_sgd,
 )
 from .correction import CorrectionLayout, apply_correction_batch, model_dimension, selection_vectors
-from .signals import (PairSource, PathConfig, ToneSpec, cached_tones, make_pairs, noise_sigma,
-                      snap_to_odd_bin)
+from .signals import (SNR_DB_RANGE, PairSource, PathConfig, ToneSpec, cached_tones, make_pairs,
+                      noise_sigma, snap_to_odd_bin)
 from .spectral import WINDOWS, MisdeclaredSignalError, analyze, error_norm, spectrum, tone_bin
 
 __all__ = [
@@ -104,49 +104,80 @@ def _real(value, name: str) -> float:
 
 
 @dataclass(frozen=True)
+class _Range:
+    """A config field's declared values: the numbers from lo to hi, each end closed "[" or
+    open "(", finite unless `inf` admits +inf too; or one of `choices`; or, where `owner`
+    names the code that checks the field's range, any finite number or value of its kind."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    ends: str = "()"
+    inf: bool = False
+    choices: tuple = ()
+    owner: str = ""
+
+    def admits(self, value) -> bool:
+        if self.choices or isinstance(value, str):
+            return value in self.choices or bool(self.owner)
+        above = self.lo < value if self.ends[0] == "(" else self.lo <= value
+        below = value < self.hi if self.ends[1] == ")" else value <= self.hi
+        return value == math.inf and self.inf or -math.inf < value < math.inf and above and below
+
+    def __str__(self) -> str:
+        interval = f"in {self.ends[0]}{self.lo}, {self.hi}{self.ends[1]}" + " or +inf" * self.inf
+        return f"one of {self.choices}" if self.choices else interval
+
+
+def _field(default, *bounds, **declared):
+    """A config field and its one declared `_Range`, checked by __post_init__."""
+    return field(default=default, metadata={"range": _Range(*bounds, **declared)})
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one experiment; defaults reproduce the reference
     simulation study (13-bit converter, q=3, SNR 70 dB, alpha_d = 1/sqrt(2),
-    delta ~ N(0, 1e-4))."""
+    delta ~ N(0, 1e-4)). Each field declares its range."""
 
-    master_seed: int
-    population: int = 100
-    resolution_bits: int = 13
-    pipeline_stages: int = 5
-    stage_levels: int = 7
-    stage_gain: float = 4.0
-    flash_bits: int = 3
-    gain_bound_lsb: float = 25.0
-    dac_bound_lsb: float = 34.0
-    gain_error_reference: float | None = 1.0
-    ideal_included_stages: bool = False
-    q: int = 3
-    tones: tuple[tuple[float, float, float], ...] = ((DEFAULT_TONE_OMEGA, 1.0, 0.0),)
-    cal_amplitude: float = 0.995
-    eval_amplitude: float = 0.95
-    coherent_snap: bool = True
-    snr_db: float | None = 70.0
-    noise_mode: str = "held"
-    eval_snr_db: float | None = None
-    alpha_d: float = 1.0 / math.sqrt(2.0)
-    delta_mode: str = "normal"          # "normal" -> N(0, delta_std^2), "fixed" -> delta_value
-    delta_value: float = 0.0
-    delta_std: float = 0.01
-    algorithm: str = "blhec-wiener"
-    n_cal: int = 2000
-    n_sgd: int = 48000
-    mu_nl_init: float = 2.0 ** -2
-    mu_halve_every: int = 12000
-    mu_nl_min: float = 2.0 ** -6
-    mu_alpha_ratio: float = 0.5
-    sgd_guard: float = 1.0
-    n_fft: int = 16384
-    window: str = "rect"
-    eval_samples: int = 16384
+    master_seed: int = _field(dataclasses.MISSING, 0, math.inf, "[)")
+    population: int = _field(100, 0, 10 ** 5, "[]")    # a task each; construction draws each delta
+    resolution_bits: int = _field(13, owner="adc.lsb_size")
+    pipeline_stages: int = _field(5, 1, 32, "[]")   # at gain 4, 2 bits each: past a double's 53
+    stage_levels: int = _field(7, 2, 256, "[]")     # 8 bits; the statistics grow as (q x levels)^2
+    stage_gain: float = _field(4.0, owner="adc.StageSpec")
+    flash_bits: int = _field(3, 1, 16, "[]")        # 2**bits codes, one pass each per conversion
+    gain_bound_lsb: float = _field(25.0, owner="adc.MismatchConfig")
+    dac_bound_lsb: float = _field(34.0, owner="adc.MismatchConfig")
+    gain_error_reference: float | None = _field(1.0, owner="adc.MismatchConfig")
+    ideal_included_stages: bool = _field(False, choices=(False, True))
+    q: int = _field(3, 1, 32, "[]")                 # and at most pipeline_stages
+    tones: tuple[tuple[float, float, float], ...] = _field(((DEFAULT_TONE_OMEGA, 1.0, 0.0),),
+                                                           owner="signals.ToneSpec")
+    cal_amplitude: float = _field(0.995, 0, 1, "(]")
+    eval_amplitude: float = _field(0.95, 0, 1, "(]")
+    coherent_snap: bool = _field(True, choices=(False, True))
+    snr_db: float | None = _field(70.0, *SNR_DB_RANGE, "[]", inf=True)     # None, +inf: noiseless
+    noise_mode: str = _field("held", owner="signals.PathConfig")
+    eval_snr_db: float | None = _field(None, *SNR_DB_RANGE, "[]", inf=True)
+    alpha_d: float = _field(1.0 / math.sqrt(2.0), 0, 1, "()")
+    delta_mode: str = _field("normal", choices=("normal", "fixed"))
+    delta_value: float = _field(0.0, owner="signals.PathConfig")     # the delta of "fixed"
+    delta_std: float = _field(0.01, 0, math.inf, "[)")      # "normal" draws N(0, delta_std^2)
+    algorithm: str = _field("blhec-wiener", choices=ALGORITHMS)
+    n_cal: int = _field(2000, 2, 10 ** 6, "[]")     # converted at once, 2(D+1) statistics a pair
+    n_sgd: int = _field(48000, 0, 10 ** 7, "[]")    # the noise is drawn whole, 8 bytes a sample
+    mu_nl_init: float = _field(2.0 ** -2, 0, math.inf, "()")
+    mu_halve_every: int = _field(12000, 0, math.inf, "[)")     # 0 keeps the step constant
+    mu_nl_min: float = _field(2.0 ** -6, 0, math.inf, "()")
+    mu_alpha_ratio: float = _field(0.5, 0, math.inf, "[)")
+    sgd_guard: float = _field(1.0, 0, math.inf, "()", inf=True)    # +inf: no bound
+    n_fft: int = _field(16384, 4, 2 ** 22, "[]")    # 4 has an odd bin below Nyquist; one FFT
+    window: str = _field("rect", choices=WINDOWS)
+    eval_samples: int = _field(16384, 4, 2 ** 22, "[]")     # converted in one batch
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
+            value, declared = getattr(self, f.name), f.metadata["range"]
             kind = f.type.removesuffix(" | None")
             if kind not in _FIELD_KINDS or (value is None and kind != f.type):
                 continue
@@ -154,28 +185,13 @@ class ExperimentConfig:
             if isinstance(value, bool) != (kind == "bool") or not isinstance(value, cls):
                 raise ConfigError(f"{f.name} must be {what}, not {value!r}")
             if kind == "int":       # any integer type is kept as a Python int
-                object.__setattr__(self, f.name, int(value))
+                object.__setattr__(self, f.name, value := int(value))
             elif isinstance(value, np.generic):     # a numpy scalar is kept as its Python value
                 object.__setattr__(self, f.name, value.item())
-            # +inf means noiseless in the SNR fields and no bound in sgd_guard
-            unbounded = f.name in ("snr_db", "eval_snr_db", "sgd_guard")
-            if kind == "float" and not (math.isfinite(_real(value, f.name))
-                                        or unbounded and value == math.inf):
-                raise ConfigError(f"{f.name} must be finite{' or +inf' * unbounded}, not {value!r}")
-        if self.master_seed < 0:
-            raise ConfigError("master_seed must be non-negative")
-        if self.population < 0:
-            raise ConfigError("population must be non-negative")
-        if not 1 <= self.q <= self.pipeline_stages:
+            if not declared.admits(_real(value, f.name) if kind == "float" else value):
+                raise ConfigError(f"{f.name} must be {declared}, not {value!r}")
+        if self.q > self.pipeline_stages:
             raise ConfigError(f"q={self.q} outside 1..{self.pipeline_stages}")
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
-        if self.delta_mode not in ("normal", "fixed"):
-            raise ConfigError(f"unknown delta mode {self.delta_mode!r}")
-        if not self.delta_std >= 0.0:
-            raise ConfigError("delta_std must be non-negative")
-        if not 0.0 < self.alpha_d < 1.0:
-            raise ConfigError("alpha_d must be in (0, 1)")
         # every member's scaling path, drawn deltas included: no member fails on its config
         for idx in range(max(self.population, 1) if self.delta_mode == "normal" else 1):
             try:
@@ -193,16 +209,13 @@ class ExperimentConfig:
         object.__setattr__(self, "tones", tones)
         if self.eval_samples < self.n_fft:
             raise ConfigError("eval_samples must be at least n_fft")
-        if not 0.0 < self.cal_amplitude <= 1.0 or not 0.0 < self.eval_amplitude <= 1.0:
-            raise ConfigError("amplitude backoffs must be in (0, 1]")
         peak = sum(amp for _, amp, _ in self.tones) * max(self.cal_amplitude, self.eval_amplitude)
         if peak > 1.0:
             raise ConfigError(f"tone amplitudes sum to a peak of {peak:g} full scale after the "
                               "backoff; the converter input would clip")
         try:
-            stages, _, mismatch = _converter_model(self)
-            for stage in stages:
-                stage_mismatch_bounds(stage, mismatch, lsb_size(self.resolution_bits))
+            stages, _, mismatch = _converter_model(self)     # the quantizing stages are identical
+            stage_mismatch_bounds(stages[0], mismatch, lsb_size(self.resolution_bits))
         except AdcModelError as exc:
             raise ConfigError(f"converter model: {exc}") from exc
         # voltages are normalized to v_ref = 1; the default stage sits exactly at the limit
@@ -210,33 +223,19 @@ class ExperimentConfig:
         if not residue <= 1.0:
             raise ConfigError(f"stage_gain x largest digitization error = {residue:g} exceeds "
                               "v_ref = 1: the residue would overload the next stage")
-        # below 4 bins no odd bin lies strictly between DC and Nyquist
-        if self.n_fft < 4 or self.n_fft & (self.n_fft - 1):
-            raise ConfigError("n_fft must be a power of two and at least 4")
-        if self.window not in WINDOWS:
-            raise ConfigError(f"unknown window {self.window!r}, expected one of {WINDOWS}")
+        if self.n_fft & (self.n_fft - 1):
+            raise ConfigError("n_fft must be a power of two")
         dim = model_dimension((self.stage_levels,) * self.q)
         if self.n_cal < dim:
             raise ConfigError(f"n_cal={self.n_cal} is below the D={dim} correction parameters")
-        if self.n_sgd < 0 or (self.algorithm == "blhec-sgd" and self.n_sgd < 1):
-            raise ConfigError("n_sgd must be non-negative, and positive for blhec-sgd")
-        # negated comparisons so that NaN fails the checks too
-        if not self.mu_nl_init > 0.0 or not self.mu_nl_min > 0.0:
-            raise ConfigError("mu_nl_init and mu_nl_min must be positive")
+        if self.algorithm == "blhec-sgd" and self.n_sgd < 1:
+            raise ConfigError("n_sgd must be positive for blhec-sgd")
         if self.mu_nl_min > self.mu_nl_init:
             raise ConfigError(f"mu_nl_min={self.mu_nl_min:g} exceeds mu_nl_init="
                               f"{self.mu_nl_init:g}: the floor would replace the initial step")
-        if self.mu_halve_every < 0:
-            raise ConfigError("mu_halve_every must be non-negative (0 keeps the step constant)")
-        if not self.mu_alpha_ratio >= 0.0:
-            raise ConfigError("mu_alpha_ratio must be non-negative")
-        if not self.sgd_guard > 0.0:
-            raise ConfigError("sgd_guard must be positive")
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["tones"] = [list(t) for t in self.tones]
-        return d
+        return {**dataclasses.asdict(self), "tones": [list(t) for t in self.tones]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -260,12 +259,8 @@ class ExperimentConfig:
         are exercised; evaluation backs off further so the metrics are not
         dominated by edge-of-range residue overload.
         """
-        specs = []
-        for omega, amp, phase in self.tones:
-            if self.coherent_snap:
-                omega = snap_to_odd_bin(omega, self.n_fft)
-            specs.append(ToneSpec(omega=omega, amplitude=amp * scale, phase=phase))
-        return specs
+        return [ToneSpec(snap_to_odd_bin(omega, self.n_fft) if self.coherent_snap else omega,
+                         amp * scale, phase) for omega, amp, phase in self.tones]
 
 
 def default_config(master_seed: int, **overrides) -> ExperimentConfig:
@@ -516,15 +511,16 @@ def run_sweep(kind: str, config: ExperimentConfig, grid, workers: int = 1) -> Sw
         raise ConfigError("sweep grid must not be empty")
     if kind not in SWEEP_KINDS:
         raise ConfigError(f"unknown sweep kind {kind!r}, expected one of {SWEEP_KINDS}")
-    points = [float(k) for k in grid]
+    points = [_real(k, "a sweep grid value") for k in grid]
     if len(set(points)) < len(points):
         raise ConfigError(f"sweep grid repeats a value: {grid}")
 
     if kind == "convergence":
         if config.algorithm != "blhec-sgd":
             raise ConfigError("convergence sweeps require the blhec-sgd algorithm")
-        if not all(k.is_integer() and k >= 1 for k in points):
-            raise ConfigError(f"sample checkpoints must be positive integers: {grid}")
+        longest = ExperimentConfig.__dataclass_fields__["n_sgd"].metadata["range"].hi
+        if not all(k.is_integer() and 1 <= k <= longest for k in points):
+            raise ConfigError(f"checkpoints must be positive integers up to {longest}: {grid}")
         points.sort()
         checkpoints = [int(k) for k in points]
         if checkpoints[-1] < config.n_cal:

@@ -19,6 +19,7 @@ __all__ = [
     "ToneSpec",
     "PathConfig",
     "NOISE_MODES",
+    "SNR_DB_RANGE",
     "PairBatch",
     "PairSource",
     "gen_tones",
@@ -176,6 +177,11 @@ def gen_impure_two_tone(tones: list[ToneSpec], harmonic_levels_dbc: dict[int, fl
         step = 2.0 / (2 ** quantizer_bits)
         x = np.clip(np.round(x / step) * step, -1.0, 1.0)
     return x
+
+
+# noise_sigma is finite at these SNRs for every signal of mean power up to 1 (full scale):
+# 10 ** (snr_db / 10) overflows above about 3082 dB, and the power over it below -3082 dB
+SNR_DB_RANGE = (-3000.0, 3000.0)
 
 
 def noise_sigma(x: np.ndarray, snr_db: float | None) -> float | None:

@@ -1,6 +1,10 @@
 import csv
 import json
+import functools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -126,6 +130,12 @@ class TestConfig:
         dict(tones=(("0.6766", 0.5, 0.0),)), dict(resolution_bits=2000),
         # a scaling path is checked at least once, also with no member
         dict(population=0, delta_std=5.0),
+        # an SNR at which the noise level overflows or divides by zero
+        dict(snr_db=4000.0), dict(snr_db=-4000.0), dict(snr_db=1e308),
+        dict(eval_snr_db=4000.0), dict(eval_snr_db=-4000.0), dict(eval_snr_db=1e308),
+        # a size no array can take, and a stage size that divided by zero or was no int
+        dict(n_cal=10 ** 30), dict(algorithm="blhec-sgd", n_sgd=10 ** 30),
+        dict(n_fft=2 ** 62, eval_samples=2 ** 62), dict(stage_levels=-1), dict(flash_bits=-1),
     ])
     def test_validation(self, overrides):
         with pytest.raises(ConfigError):
@@ -137,6 +147,29 @@ class TestConfig:
             default_config(1, population=30, delta_std=0.3, algorithm="blhec-wiener")
         assert member_calls == []
 
+    def test_sizes_without_end_are_rejected_under_a_memory_limit(self):
+        # each used to run out of memory or never return while the config was built;
+        # the child gets 2 GB of address space (as `ulimit -v`) and 60 s
+        resource = pytest.importorskip("resource")
+        script = ("from pipecal.harness import ConfigError, default_config\n"
+                  "for fields in [dict(population=10 ** 400), dict(pipeline_stages=10 ** 400),\n"
+                  "               dict(flash_bits=60), dict(resolution_bits=10 ** 18)]:\n"
+                  "    try:\n"
+                  "        default_config(1, **fields)\n"
+                  "    except ConfigError as exc:\n"
+                  "        print(str(exc)[:60])\n")
+        limit = functools.partial(resource.setrlimit, resource.RLIMIT_AS, (2 * 10 ** 9,) * 2)
+        child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               timeout=60, preexec_fn=limit,
+                               env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert child.returncode == 0, child.stderr
+        want = ["population must be in [0, 100000], not 1000",
+                "pipeline_stages must be in [1, 32], not 1000",
+                "flash_bits must be in [1, 16], not 60",
+                "converter model: resolution_bits=1000000000000000000 has no"]
+        lines = child.stdout.splitlines()
+        assert len(lines) == len(want) and all(map(str.startswith, lines, want)), lines
+
     def test_tones_are_stored_as_python_floats(self):
         cfg = default_config(7, tones=[[np.float32(0.5), 1, 0]])
         assert cfg.tones == ((0.5, 1.0, 0.0),)
@@ -145,7 +178,7 @@ class TestConfig:
 
     def test_rejects_negative_seed(self):
         # np.random.SeedSequence takes non-negative integers only
-        with pytest.raises(ConfigError, match="master_seed must be non-negative"):
+        with pytest.raises(ConfigError, match=r"master_seed must be in \[0, inf\), not -1"):
             default_config(-1)
 
     def test_infinite_snr_and_guard_are_accepted(self):
@@ -409,9 +442,12 @@ class TestSweeps:
         with pytest.raises(ConfigError, match="repeats"):
             run_sweep("convergence", sgd, [2000, 1500, 2000])
         # a sample count is a whole number; truncating it would run other checkpoints
-        for grid in ([1500.7], [1500.2, 1500.9]):
+        # ... and at most n_sgd's upper end
+        for grid in ([1500.7], [1500.2, 1500.9], [1500, 10 ** 30]):
             with pytest.raises(ConfigError, match="positive integers"):
                 run_sweep("convergence", sgd, grid)
+        with pytest.raises(ConfigError, match="grid value is an integer too large for a float"):
+            run_sweep("convergence", sgd, [1500, 10 ** 400])
 
     def test_invalid_grid_value_rejected_before_any_member_runs(self, opened_pools,
                                                                 member_calls):
@@ -556,7 +592,9 @@ class TestCli:
         (["sweep", "--kind", "alpha", "--grid", "0.6,1.5"], "alpha_d must be in"),
         (["convergence", "--checkpoints", "1500,2000.5"], "bad grid value"),
         (["convergence", "--checkpoints", "10"], "below n_cal=1200"),
-    ], ids=["sweep", "convergence", "convergence-below-n_cal"])
+        (["convergence", "--checkpoints", "1500,1" + "0" * 30], "positive integers up to 10000000"),
+        (["sweep", "--kind", "snr", "--grid=70,4000"], "snr_db must be in [-3000.0, 3000.0] or"),
+    ], ids=["sweep", "convergence", "convergence-below-n_cal", "checkpoint-1e30", "snr-4000"])
     def test_invalid_grid_value_exits_2_before_any_member(self, tmp_path, capsys, member_calls,
                                                           command, message):
         code = main([*command, "--seed", "3", "--population", "2", "--out", str(tmp_path),
@@ -612,8 +650,9 @@ class TestCli:
         ('{"resolution_bits": 2000}', "resolution_bits=2000 has no float LSB"),
         ('{"population": 30, "delta_std": 0.3}', "adc 10: delta 0.365904"),
         ('{"stage_gain": 1%s}' % ("0" * 5000), "Exceeds the limit (4300 digits)"),
+        ('{"snr_db": 4000}', "snr_db must be in [-3000.0, 3000.0] or +inf, not 4000"),
     ], ids=["gain-0", "gain-negative", "huge-int", "huge-int-tone", "nan-phase", "str-tone",
-            "resolution-2000", "drawn-delta", "int-over-4300-digits"])
+            "resolution-2000", "drawn-delta", "int-over-4300-digits", "snr-4000"])
     def test_invalid_member_input_exits_2_before_any_member(self, tmp_path, capsys, member_calls,
                                                             text, message):
         cfg = tmp_path / "cfg.json"

@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,26 @@ def test_cli_imports_no_private_name():
                if isinstance(node, ast.ImportFrom) and node.level > 0
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_every_config_field_declares_one_range_listed_in_the_readme():
+    # a field cannot land without a range: each declares one, or names the
+    # owner that checks it and copies no bound from it; README's range table
+    # lists every field with its kind and its range or owner
+    from pipecal.harness import ExperimentConfig, _Range
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        cells = [c.strip().replace("\\|", "|") for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+        if len(cells) == 4 and re.fullmatch(r"`\w+`", cells[0]):
+            rows[cells[0].strip("`")] = (cells[1].strip("`"), cells[2], cells[3].strip("`"))
+    declared = {}
+    for f in dataclasses.fields(ExperimentConfig):
+        entry = f.metadata["range"]
+        if entry.owner:
+            assert entry == _Range(owner=entry.owner), f.name
+            declared[f.name] = (f.type, rows.get(f.name, ("", ""))[1], entry.owner)
+        else:
+            declared[f.name] = (f.type, str(entry), "")
+    assert rows == declared
