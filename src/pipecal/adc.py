@@ -13,10 +13,13 @@ All voltages are normalized to v_ref = 1, full scale is [-1, +1].
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from . import kernels
 
 __all__ = [
     "StageSpec",
@@ -35,12 +38,22 @@ __all__ = [
 ]
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message. repr refuses an int of more digits than
+    sys.get_int_max_str_digits(), alone or inside a container: that shows as a count."""
+    try:
+        return repr(value)
+    except ValueError:
+        held = "" if isinstance(value, int) else f"a {type(value).__name__} holding "
+        return f"{held}an integer of more than {sys.get_int_max_str_digits()} digits"
+
+
 def lsb_size(resolution_bits: int) -> float:
     """One LSB of the composite converter: full scale 2.0 over 2**bits."""
     try:
         return 2.0 / math.ldexp(1.0, resolution_bits)
     except (OverflowError, ZeroDivisionError):     # 2**bits is not a float
-        raise AdcModelError(f"resolution_bits={resolution_bits} has no float LSB") from None
+        raise AdcModelError(f"resolution_bits={_shown(resolution_bits)} has no float LSB") from None
 
 
 class AdcModelError(ValueError):
@@ -174,6 +187,22 @@ class AdcInstance:
         w[self.n_stages] = acc
         return w
 
+    @cached_property
+    def conversion_tables(self) -> tuple[np.ndarray, ...]:
+        """`convert_many`'s stage tables, the back end last: the levels (0 for the exact
+        back end, int64), then, each stage's entries after the last's, the thresholds, the
+        code values and the DAC errors by 1-based code index, the true gains
+        G_i * (1 + zeta_i) and the recombination weights."""
+        back_end = () if self.flash is None else (self.flash,)
+        specs = (*self.stages, *back_end)
+        levels = np.array([s.levels for s in specs] + [0] * (self.flash is None), dtype=np.int64)
+        thresholds = np.array([t for s in specs for t in s.thresholds], dtype=float)
+        values = np.concatenate([s.code_table for s in specs])
+        dac = np.concatenate(self.mismatches.dac_tables)
+        gains = np.array([s.gain * (1.0 + z)
+                          for s, z in zip(self.stages, self.mismatches.gain_mismatch)])
+        return levels, thresholds, values, dac, gains, self.recombination_weights()
+
 
 class ConversionBatch:
     """Column-oriented store for many conversions of one instance.
@@ -224,27 +253,17 @@ def quantize_stage(stage: StageSpec, residue_in):
 
 
 def convert_many(adc: AdcInstance, x_in: np.ndarray) -> ConversionBatch:
-    """Run the pipeline recursion for a whole input vector at once. y is summed as the stages
-    quantize, w_0 * code_0 first and w_S * back end last: one fixed order, with no BLAS."""
-    x = np.asarray(x_in, dtype=float)
+    """Run the pipeline recursion for a whole input vector at once, in the compiled
+    `kernels.c`. y is summed as the stages quantize, w_0 * code_0 first and w_S * back end
+    last: one fixed order, with no BLAS, so it is `tests/helpers.py`'s numpy oracle's y."""
+    x = np.ascontiguousarray(x_in, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("ADC input must be finite")
-    w, y = adc.recombination_weights(), np.zeros(x.size)   # before index: no fresh pages per call
-    index = np.zeros((x.size, adc.n_stages + 1), dtype=np.int64, order="F")
-
-    residue = x
-    for i, stage in enumerate(adc.stages):
-        index[:, i], code = quantize_stage(stage, residue)
-        y += w[i] * code
-        eda = adc.mismatches.dac_tables[i].take(index[:, i])
-        true_gain = stage.gain * (1.0 + adc.mismatches.gain_mismatch[i])
-        residue = true_gain * (residue - code - eda)
-
-    if adc.flash is None:
-        back_end = residue      # exact back end, zero digitization error
-    else:
-        index[:, -1], back_end = quantize_stage(adc.flash, residue)
-    y += w[-1] * back_end
+    y = np.empty(x.size)    # before index: no fresh pages per call
+    index = np.empty((x.size, adc.n_stages + 1), dtype=np.int64, order="F")
+    kernels.library().pipecal_convert(x.size, x.ctypes.data, adc.n_stages,
+                                      *(t.ctypes.data for t in adc.conversion_tables),
+                                      y.ctypes.data, index.ctypes.data)
     return ConversionBatch(y=y, index=index, x_in=x)
 
 

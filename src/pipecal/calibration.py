@@ -12,7 +12,7 @@ regressors; the test signal itself stays unknown. Three routes are provided:
                         parameter block but bi-linear in both).
 * `run_sgd`          -- per-sample stochastic-gradient version of the same
                         bi-linear estimator, cheap enough for hardware, run
-                        by a compiled C loop (`sgd_kernel.c`, built on first
+                        by a compiled C loop (`kernels.c`, built on first
                         use) over one converter's pairs. That loop is the
                         package's only SGD update; the tests audit its
                         multiplication budget with an instrumented oracle.
@@ -23,16 +23,13 @@ sizes.
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import math
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from . import kernels
 from .correction import CorrectionLayout, selection_vectors
 from .signals import PairBatch
 
@@ -368,61 +365,6 @@ SGD_CHUNK = 8192
 
 Snapshots = dict[int, tuple[np.ndarray, float]]    # sample count -> (theta_nl, theta_alpha)
 
-_KERNEL_SOURCE = Path(__file__).with_name("sgd_kernel.c")
-# no contraction: a fused multiply-add would round differently from the per-sample loop
-_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-
-
-class KernelBuildError(RuntimeError):
-    """The adaptive kernel's C source could not be compiled."""
-
-
-def _compiler() -> list[str]:
-    """The C compiler command Python was built with (sysconfig's CC)."""
-    import sysconfig
-
-    return (sysconfig.get_config_var("CC") or "cc").split()
-
-
-def _build_kernel(out_dir: Path) -> Path:
-    """The adaptive kernel's shared library in `out_dir`, named by the sha256
-    of the source and the flags and compiled if missing: under a temporary
-    name, then moved into place, so processes that build at the same moment
-    never load a partial file."""
-    import subprocess
-
-    source = _KERNEL_SOURCE.read_bytes()
-    key = hashlib.sha256(source + " ".join(_KERNEL_FLAGS).encode()).hexdigest()[:16]
-    target = out_dir / f"sgd_kernel-{key}.so"
-    if target.exists():
-        return target
-    cc, tmp = _compiler(), out_dir / f"{target.name}.{os.getpid()}.tmp"
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        subprocess.run([*cc, *_KERNEL_FLAGS, "-o", str(tmp), str(_KERNEL_SOURCE)],
-                       check=True, capture_output=True, text=True)
-        os.replace(tmp, target)
-    except (OSError, subprocess.CalledProcessError) as exc:
-        raise KernelBuildError(f"C compiler {cc[0]!r} could not build the adaptive kernel "
-                               f"{_KERNEL_SOURCE.name}: {getattr(exc, 'stderr', None) or exc}"
-                               ) from exc
-    finally:
-        if tmp.exists():    # false, not an error, where out_dir could not be made
-            tmp.unlink()
-    return target
-
-
-@functools.cache
-def _kernel():
-    """The compiled per-member loop, built into the package's __pycache__ on first use."""
-    import ctypes
-
-    fn = ctypes.CDLL(str(_build_kernel(_KERNEL_SOURCE.parent / "__pycache__"))).pipecal_sgd
-    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    fn.argtypes = [i64] * 6 + [ptr] * 4 + [i64] * 2 + [ptr] * 5 + [i64, ptr] + [f64] * 4
-    fn.restype = i64
-    return fn
-
 
 def _chunk_arrays(chunk: PairBatch, layout: CorrectionLayout, base: int,
                   counts: np.ndarray) -> tuple:
@@ -451,7 +393,7 @@ def run_sgd(pairs, layout: CorrectionLayout, alpha_d: float,
     The pairs are walked in SGD_CHUNK slices, so the pairs held at one time
     do not grow with N.
 
-    A compiled C loop (`sgd_kernel.c`) performs the operations of the
+    A compiled C loop (`kernels.c`) performs the operations of the
     per-sample loop (`tests/helpers.py`'s `sgd_loop`) in the same order, so
     its results are bit-identical to it whatever the chunk size. It reads each
     chunk's outputs and contiguous code columns and the layout's four tables,
@@ -484,11 +426,11 @@ def run_sgd(pairs, layout: CorrectionLayout, alpha_d: float,
         if a % SGD_CHUNK == 0:      # a chunk starts at sample a
             arrays = None           # the last chunk's pairs go before the next is converted
             arrays, base = _chunk_arrays(pairs[a:min(a + SGD_CHUNK, total)], layout, a, counts), a
-        tripped = _kernel()(a, b, total, base, len(arrays[0]), GUARD_EVERY,
-                            *(x.ctypes.data for x in arrays), q, values.shape[1],
-                            values.ctypes.data, slots.ctypes.data, layout.prefix.ctypes.data,
-                            layout.weighted_slots.ctypes.data, theta.ctypes.data, layout.dim,
-                            ta.ctypes.data, alpha_d, schedule.mu_nl(a), schedule.mu_alpha(a), guard)
+        tripped = kernels.library().pipecal_sgd(
+            a, b, total, base, len(arrays[0]), GUARD_EVERY, *(x.ctypes.data for x in arrays), q,
+            values.shape[1], values.ctypes.data, slots.ctypes.data, layout.prefix.ctypes.data,
+            layout.weighted_slots.ctypes.data, theta.ctypes.data, layout.dim, ta.ctypes.data,
+            alpha_d, schedule.mu_nl(a), schedule.mu_alpha(a), guard)
         if tripped:
             raise DivergenceError(f"||theta_nl||_inf exceeded guard {guard} at sample {tripped}",
                                   sample=tripped)

@@ -16,7 +16,6 @@ import json
 import sys
 from pathlib import Path
 
-from .calibration import KernelBuildError
 from .harness import (
     ALGORITHMS,
     NUMERICAL_FAILURES,
@@ -30,6 +29,7 @@ from .harness import (
     run_experiment,
     run_sweep,
 )
+from .kernels import KernelBuildError
 from .spectral import spectrum
 
 EXIT_OK = 0

@@ -28,6 +28,7 @@ from .adc import (
     AdcModelError,
     ConversionBatch,
     MismatchConfig,
+    _shown,
     build_adc,
     convert_many,
     default_stage_specs,
@@ -80,6 +81,11 @@ NUMERICAL_FAILURES = (RankDeficiencyError, SingularStatisticsError, DivergenceEr
 DEFAULT_TONE_OMEGA = 2.0 * math.pi * 10.77 / 100.0
 EVAL_PHASE_OFFSET = math.pi / 4.0
 
+# the largest correction dimension D = q x levels - (q - 1). The statistics hold D x D and
+# (2D + 2)^2 matrices, 34 MB at D = 1024 where D = 8161 needs 508 MB for each R_hh; the
+# largest D a test, a README example or a benchmark workload runs is 766 (q = 3, 256 levels)
+MAX_DIMENSION = 1024
+
 # seed-stream roles per population member
 _ROLE_MISMATCH, _ROLE_DELTA, _ROLE_CAL_NOISE, _ROLE_EVAL_NOISE = 0, 1, 2, 3
 
@@ -96,7 +102,7 @@ _FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real,
 def _real(value, name: str) -> float:
     """`value` as a Python float under the float-field rule: a real number, not a bool or a str."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a real number, not {value!r}")
+        raise ConfigError(f"{name} must be a real number, not {_shown(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -183,13 +189,13 @@ class ExperimentConfig:
                 continue
             cls, what = _FIELD_KINDS[kind]
             if isinstance(value, bool) != (kind == "bool") or not isinstance(value, cls):
-                raise ConfigError(f"{f.name} must be {what}, not {value!r}")
+                raise ConfigError(f"{f.name} must be {what}, not {_shown(value)}")
             if kind == "int":       # any integer type is kept as a Python int
                 object.__setattr__(self, f.name, value := int(value))
             elif isinstance(value, np.generic):     # a numpy scalar is kept as its Python value
                 object.__setattr__(self, f.name, value.item())
             if not declared.admits(_real(value, f.name) if kind == "float" else value):
-                raise ConfigError(f"{f.name} must be {declared}, not {value!r}")
+                raise ConfigError(f"{f.name} must be {declared}, not {_shown(value)}")
         if self.q > self.pipeline_stages:
             raise ConfigError(f"q={self.q} outside 1..{self.pipeline_stages}")
         # every member's scaling path, drawn deltas included: no member fails on its config
@@ -226,6 +232,9 @@ class ExperimentConfig:
         if self.n_fft & (self.n_fft - 1):
             raise ConfigError("n_fft must be a power of two")
         dim = model_dimension((self.stage_levels,) * self.q)
+        if dim > MAX_DIMENSION:
+            raise ConfigError(f"q={self.q} stages of {self.stage_levels} levels give D={dim} "
+                              f"correction parameters, more than {MAX_DIMENSION}")
         if self.n_cal < dim:
             raise ConfigError(f"n_cal={self.n_cal} is below the D={dim} correction parameters")
         if self.algorithm == "blhec-sgd" and self.n_sgd < 1:
@@ -510,7 +519,7 @@ def run_sweep(kind: str, config: ExperimentConfig, grid, workers: int = 1) -> Sw
     if not grid:
         raise ConfigError("sweep grid must not be empty")
     if kind not in SWEEP_KINDS:
-        raise ConfigError(f"unknown sweep kind {kind!r}, expected one of {SWEEP_KINDS}")
+        raise ConfigError(f"unknown sweep kind {_shown(kind)}, expected one of {SWEEP_KINDS}")
     points = [_real(k, "a sweep grid value") for k in grid]
     if len(set(points)) < len(points):
         raise ConfigError(f"sweep grid repeats a value: {grid}")

@@ -49,12 +49,13 @@ def random_toy(rng, flash_bits=None, zeta_scale=0.02, dac_scale=0.004):
 
 
 def searchsorted_convert(adc, x_in):
-    """Oracle for `convert_many`: the same pipeline recursion with a
-    `searchsorted` quantizer, row-major (N, n_stages+1) stores and `j - 1`
-    lookups into the stage tuples. y is summed from the stored code values
-    column by column, in `convert_many`'s fixed order (stage 0 first, the
-    back end last); a BLAS product of the value matrix would round
-    differently, and by kernel, at a gain that is not a power of two."""
+    """Oracle for the compiled `convert_many`: the pipeline recursion in numpy,
+    one whole-vector pass per stage, with a `searchsorted` quantizer,
+    row-major (N, n_stages+1) stores and `j - 1` lookups into the stage
+    tuples. y is summed from the stored code values column by column, in
+    `convert_many`'s fixed order (stage 0 first, the back end last); a BLAS
+    product of the value matrix would round differently, and by kernel, at a
+    gain that is not a power of two."""
     x = np.asarray(x_in, dtype=float)
     n = adc.n_stages
     index = np.zeros((x.size, n + 1), dtype=np.int64)

@@ -21,10 +21,12 @@ from helpers import (
 )
 
 import pipecal
+from pipecal import kernels
 from pipecal.adc import (
     AdcModelError,
     ConversionBatch,
     MismatchConfig,
+    MismatchSet,
     StageSpec,
     build_adc,
     convert_many,
@@ -216,7 +218,8 @@ class TestConvertKernel:
     @staticmethod
     def assert_same(adc, x):
         got, want = convert_many(adc, x), searchsorted_convert(adc, x)
-        for field in ("y", "index", "x_in"):
+        assert np.array_equal(got.y.view(np.uint64), want.y.view(np.uint64)), "y bits"
+        for field in ("index", "x_in"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
         assert got.index.dtype == np.int64
         assert got.index.flags.f_contiguous
@@ -248,6 +251,42 @@ class TestConvertKernel:
                              1.0, np.nextafter(1.0, np.inf), 1.5, 7.0]])
         for adc in (mismatched_adc, ideal_adc):
             self.assert_same(adc if flash else dataclasses.replace(adc, flash=None), x)
+
+
+    @pytest.fixture(params=["clones", "plain"])
+    def kernel_build(self, request, monkeypatch):
+        """`convert_many` on each build of the one source: with the per-ISA clones, and
+        as the plain function that the source's guard leaves where ifunc is missing."""
+        if request.param == "plain":
+            monkeypatch.setattr(kernels, "_KERNEL_FLAGS",
+                                (*kernels._KERNEL_FLAGS, "-DPIPECAL_PLAIN"))
+        kernels.library.cache_clear()
+        yield request.param
+        kernels.library.cache_clear()     # before the flags are restored
+
+    @pytest.mark.parametrize("overrides, n_random", [
+        ({}, 16384), ({"stage_gain": 3.0, "stage_levels": 5}, 16384), ({"stage_levels": 9}, 16384),
+        ({"flash_bits": 1}, 16384),
+        # 65 535 flash thresholds, each one pass over the samples
+        ({"flash_bits": 16}, 1024),
+    ], ids=["default", "gain3-levels5", "levels9", "flash1", "flash16"])
+    def test_each_build_matches_oracle_on_every_layout(self, kernel_build, overrides, n_random):
+        from pipecal.harness import _build_member, default_config
+
+        adc = _build_member(default_config(11, **overrides), 0)[0]
+        ideal = dataclasses.replace(adc, mismatches=MismatchSet(
+            (0.0,) * adc.n_stages, tuple((0.0,) * s.levels for s in adc.stages)))
+        # stage-1 thresholds, and the same divided by G**k, where an ideal
+        # converter's stage k sees them again; then one ulp either side, and +-1
+        first = adc.stages[0]
+        on = np.concatenate([np.asarray(first.thresholds) / first.gain ** k
+                             for k in range(adc.n_stages)])
+        x = np.concatenate([on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf),
+                            [-1.0, 1.0, np.nextafter(-1.0, -np.inf), np.nextafter(1.0, np.inf)],
+                            np.random.default_rng(11).uniform(-1.0, 1.0, n_random)])
+        for converter in (adc, ideal, dataclasses.replace(adc, flash=None)):
+            for n in sorted({0, 1, 3, 257, min(16384, x.size), x.size}):
+                self.assert_same(converter, x[:n])
 
 
 def _second_blas_kernel_missing() -> str:

@@ -27,15 +27,13 @@ from helpers import (
     total_gain,
 )
 
-from pipecal import calibration
+from pipecal import calibration, kernels
 from pipecal.adc import ConversionBatch, convert_many, lsb_size
 from pipecal.calibration import (
     DivergenceError,
-    KernelBuildError,
     RankDeficiencyError,
     SingularStatisticsError,
     StepSchedule,
-    _build_kernel,
     _solve_spd,
     accumulate_statistics,
     blhec_wiener,
@@ -44,6 +42,7 @@ from pipecal.calibration import (
     step_size_bounds,
 )
 from pipecal.correction import CorrectionLayout, LayoutError, selection_vectors
+from pipecal.kernels import KernelBuildError, _build_kernel
 from pipecal.signals import PairBatch, PairSource, PathConfig, ToneSpec, gen_tones, make_pairs
 
 ALPHA = 1.0 / math.sqrt(2.0)
@@ -832,9 +831,10 @@ class TestKernelBuild:
     def test_two_processes_build_and_load_at_once(self, tmp_path):
         # both may compile; each renames a finished file into place
         script = ("import ctypes, sys; from pathlib import Path; "
-                  "from pipecal.calibration import _build_kernel; "
-                  "ctypes.CDLL(str(_build_kernel(Path(sys.argv[1])))).pipecal_sgd; print('loaded')")
-        src = str(Path(calibration.__file__).parents[1])
+                  "from pipecal.kernels import _build_kernel; "
+                  "lib = ctypes.CDLL(str(_build_kernel(Path(sys.argv[1])))); "
+                  "lib.pipecal_sgd, lib.pipecal_convert; print('loaded')")
+        src = str(Path(kernels.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         procs = [subprocess.Popen([sys.executable, "-c", script, str(tmp_path)], env=env,
                                   stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
@@ -846,16 +846,19 @@ class TestKernelBuild:
         assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
 
     def test_source_compiles_without_warnings(self, tmp_path):
-        # -Wextra names a parameter that a signature change leaves unused
-        if shutil.which(calibration._compiler()[0]) is None:
-            pytest.skip(f"no C compiler {calibration._compiler()[0]!r} on this host")
-        cmd = [*calibration._compiler(), *calibration._KERNEL_FLAGS, "-Wall", "-Wextra",
-               "-Werror", "-o", str(tmp_path / "sgd_kernel.so"), str(calibration._KERNEL_SOURCE)]
-        done = subprocess.run(cmd, capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
+        # -Wextra names a parameter that a signature change leaves unused;
+        # both builds: the clones, and the plain function of the guard's other side
+        if shutil.which(kernels._compiler()[0]) is None:
+            pytest.skip(f"no C compiler {kernels._compiler()[0]!r} on this host")
+        for build, extra in (("clones", []), ("plain", ["-DPIPECAL_PLAIN"])):
+            cmd = [*kernels._compiler(), *kernels._KERNEL_FLAGS, *extra, "-Wall", "-Wextra",
+                   "-Werror", "-o", str(tmp_path / f"kernels-{build}.so"),
+                   str(kernels._KERNEL_SOURCE)]
+            done = subprocess.run(cmd, capture_output=True, text=True)
+            assert done.returncode == 0, (build, done.stderr)
 
     def test_missing_compiler_is_named(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(calibration, "_compiler", lambda: ["pipecal-no-such-cc"])
+        monkeypatch.setattr(kernels, "_compiler", lambda: ["pipecal-no-such-cc"])
         with pytest.raises(KernelBuildError, match="pipecal-no-such-cc"):
             _build_kernel(tmp_path)
         assert list(tmp_path.iterdir()) == []

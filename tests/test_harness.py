@@ -11,7 +11,7 @@ import pytest
 
 from helpers import toy_adc
 
-from pipecal import calibration
+from pipecal import kernels
 from pipecal.calibration import DivergenceError, RankDeficiencyError, accumulate_statistics, blhec_wiener
 from pipecal.cli import main
 from pipecal.correction import CorrectionLayout, apply_correction_batch, selection_vectors
@@ -176,6 +176,31 @@ class TestConfig:
         assert [type(v) for v in cfg.tones[0]] == [float, float, float]
         assert cfg.digest() == default_config(7, tones=((0.5, 1.0, 0.0),)).digest()
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(population=10 ** 5000),
+         "population must be in [0, 100000], not an integer of more than 4300 digits"),
+        (dict(snr_db=10 ** 5000), "snr_db is an integer too large for a float"),
+        (dict(tones=((0.6766, 0.5, [10 ** 5000]),)), "invalid tones: a tone value must be a "
+         "real number, not a list holding an integer of more than 4300 digits"),
+    ], ids=["int-field", "float-field", "tone-value"])
+    def test_integer_too_long_to_print_is_a_config_error(self, fields, message):
+        # repr refuses an int of more than 4300 digits (sys.get_int_max_str_digits())
+        if getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300:
+            pytest.skip("the interpreter's int string limit is not the default 4300 digits")
+        with pytest.raises(ConfigError) as exc:
+            default_config(1, **fields)
+        assert str(exc.value) == message
+
+    def test_correction_dimension_has_an_upper_end(self):
+        # each field at its upper end constructs, but together they gave D = 8161,
+        # which exhausted memory in member 0
+        with pytest.raises(ConfigError, match=r"give D=8161 correction parameters, more than 1024"):
+            default_config(1, pipeline_stages=32, q=32, stage_levels=256, stage_gain=1.0,
+                           gain_bound_lsb=0, dac_bound_lsb=0, n_cal=8161, n_fft=4096,
+                           eval_samples=4096, population=1)
+        # the largest D the tests run, 766 at 256 levels and q = 3, stays valid
+        default_config(1, stage_levels=256, stage_gain=1.0, gain_bound_lsb=0, dac_bound_lsb=0)
+
     def test_rejects_negative_seed(self):
         # np.random.SeedSequence takes non-negative integers only
         with pytest.raises(ConfigError, match=r"master_seed must be in \[0, inf\), not -1"):
@@ -303,7 +328,7 @@ class TestRunExperiment:
             finally:
                 tracemalloc.stop()
 
-        peak(3000)      # loads the adaptive kernel
+        peak(3000)      # loads the compiled kernels
         assert (peak(96000) - peak(48000)) / 48000 < 32.0
 
     def test_calibration_improves_metrics(self):
@@ -766,19 +791,22 @@ class TestCli:
             assert (exc.value.member, exc.value.sample) == (0, 200)
 
     def test_kernel_build_error_exits_4(self, tmp_path, capsys, monkeypatch):
-        # one more flag names a library that is not built yet, and no compiler can build it
-        monkeypatch.setattr(calibration, "_KERNEL_FLAGS", (*calibration._KERNEL_FLAGS, "-DPIPECAL"))
-        monkeypatch.setattr(calibration, "_compiler", lambda: ["pipecal-no-such-cc"])
-        calibration._kernel.cache_clear()   # the loaded library would be reused
+        # one more flag names a library that is not built yet, and no compiler can
+        # build it; every algorithm converts through it
+        monkeypatch.setattr(kernels, "_KERNEL_FLAGS", (*kernels._KERNEL_FLAGS, "-DPIPECAL"))
+        monkeypatch.setattr(kernels, "_compiler", lambda: ["pipecal-no-such-cc"])
+        kernels.library.cache_clear()   # the loaded library would be reused
         try:
-            code = main(["calibrate", "--seed", "1", "--algorithm", "blhec-sgd", "--population",
-                         "1", "--samples", "3000", "--out", str(tmp_path)])
+            for algorithm in harness.ALGORITHMS:
+                out = tmp_path / algorithm
+                code = main(["calibrate", "--seed", "1", "--algorithm", algorithm,
+                             "--population", "1", "--samples", "3000", "--out", str(out)])
+                assert code == 4, algorithm
+                err = capsys.readouterr().err
+                assert err.startswith("kernel build error: C compiler 'pipecal-no-such-cc'"), err
+                assert not (out / "results.csv").exists()
         finally:
-            calibration._kernel.cache_clear()
-        assert code == 4
-        err = capsys.readouterr().err
-        assert err.startswith("kernel build error: C compiler 'pipecal-no-such-cc'")
-        assert not (tmp_path / "results.csv").exists()
+            kernels.library.cache_clear()
 
     def test_sgd_stage_with_200_levels_exits_0_or_3(self, tmp_path):
         # 200 code indices do not fit in int8; the run must not end in a traceback

@@ -1,14 +1,18 @@
 import ast
 import dataclasses
 import importlib
+import os
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import pipecal
 
-MODULES = ["adc", "calibration", "correction", "harness", "signals", "spectral"]
+MODULES = ["adc", "calibration", "correction", "harness", "kernels", "signals", "spectral"]
 
 # per-record scalar API, replaced by one-row slices of the batch types, the
 # adaptive kernel's trajectory log, replaced by its checkpoint snapshots, the
@@ -33,11 +37,33 @@ def test_package_exposes_no_removed_name():
 
 
 def test_kernel_source_ships_next_to_calibration():
-    # the adaptive kernel is compiled from this file on first use
-    from pipecal import calibration
+    # the compiled kernels, the SGD loop and the conversion, are built from this file on first use
+    from pipecal import calibration, kernels
 
-    source = Path(calibration.__file__).with_name("sgd_kernel.c")
-    assert source.is_file() and calibration._KERNEL_SOURCE == source
+    source = Path(calibration.__file__).with_name("kernels.c")
+    assert source.is_file() and kernels._KERNEL_SOURCE == source
+
+
+def test_setup_builds_and_loads_no_kernel(tmp_path):
+    # a benchmark process sets up by importing the package and building its
+    # workload's config, and that time is measured on its own: the compiled
+    # kernels are built and loaded at the first conversion, never before
+    perfbench = Path(pipecal.__file__).parents[2] / "perfbench"
+    if not (perfbench / "child.py").is_file():
+        pytest.skip("the benchmark is not next to this package")
+    package = tmp_path / "pipecal"      # a copy, so its kernel cache starts empty
+    shutil.copytree(Path(pipecal.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    script = ("import sys; sys.path.insert(1, sys.argv[1]); import child; "
+              "from pipecal import kernels; "
+              "[wl.config(11) for wl in child.WORKLOADS.values()]; "
+              "print(kernels.__file__, kernels.library.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+    done = subprocess.run([sys.executable, "-c", script, str(perfbench)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(package / "kernels.py"), "0"]
+    assert list(package.glob("__pycache__/kernels-*")) == []
 
 
 def test_cli_imports_no_private_name():
