@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .correction import CorrectionLayout, selection_vectors
+from .correction import CorrectionLayout, _select, selection_vectors
 from .signals import PairBatch
 
 __all__ = [
@@ -369,18 +369,17 @@ Snapshots = dict[int, tuple[np.ndarray, float]]    # sample count -> (theta_nl, 
 def _chunk_arrays(chunk: PairBatch, layout: CorrectionLayout, base: int,
                   counts: np.ndarray) -> tuple:
     """The kernel's per-chunk arrays, after checking the chunk's codes and
-    adding them to `counts`: y_x and y_ax as float64, and both batches'
-    calibrated code columns as column-major int64 (a copy only for a strided
-    row view)."""
+    adding them to `counts`: y_x and y_ax as float64, both batches' table
+    keys, and the unscaled then the scaled batch's two (K, q) tables."""
     batches = (chunk.unscaled, chunk.scaled)
     for batch in batches:
         layout.check_codes(batch, base=base)
-    y_x, y_ax = (np.ascontiguousarray(c.y, dtype=float) for c in batches)
-    codes_x, codes_ax = (np.asfortranarray(c.index[:, :layout.q], dtype=np.int64) for c in batches)
-    for codes in (codes_x, codes_ax):
-        for stage, column in zip(counts, codes.T):
+        for stage, column in zip(counts, batch.index.T):
             stage += np.bincount(column, minlength=stage.size)
-    return y_x, y_ax, codes_x, codes_ax
+    sel_x, sel_ax = (_select(batch, layout) for batch in batches)
+    y_x, y_ax = (np.ascontiguousarray(c.y, dtype=float) for c in batches)
+    return (y_x, y_ax, sel_x.keys, sel_ax.keys, sel_x.table_weighted, sel_x.table_slots,
+            sel_ax.table_weighted, sel_ax.table_slots)
 
 
 def run_sgd(pairs, layout: CorrectionLayout, alpha_d: float,
@@ -410,9 +409,8 @@ def run_sgd(pairs, layout: CorrectionLayout, alpha_d: float,
     1..p_i raises LayoutError before its chunk runs.
     """
     schedule = schedule or StepSchedule()
-    total, q = len(pairs), layout.q
-    values, slots = layout.code_values, layout.code_slots    # (q, width) stage tables
-    counts = np.zeros(slots.shape, dtype=np.int64)
+    total = len(pairs)
+    counts = np.zeros(layout.code_slots.shape, dtype=np.int64)
 
     checkset = set(checkpoints or [])
     h = schedule.halve_every
@@ -427,8 +425,7 @@ def run_sgd(pairs, layout: CorrectionLayout, alpha_d: float,
             arrays = None           # the last chunk's pairs go before the next is converted
             arrays, base = _chunk_arrays(pairs[a:min(a + SGD_CHUNK, total)], layout, a, counts), a
         tripped = kernels.library().pipecal_sgd(
-            a, b, total, base, len(arrays[0]), GUARD_EVERY, *(x.ctypes.data for x in arrays), q,
-            values.shape[1], values.ctypes.data, slots.ctypes.data, layout.prefix.ctypes.data,
+            a, b, total, base, GUARD_EVERY, *(x.ctypes.data for x in arrays), layout.q,
             layout.weighted_slots.ctypes.data, theta.ctypes.data, layout.dim, ta.ctypes.data,
             alpha_d, schedule.mu_nl(a), schedule.mu_alpha(a), guard)
         if tripped:

@@ -9,10 +9,16 @@ indicator of every stage except stage q is dropped, leaving
     D = sum(p_i, i=1..q) - (q - 1)
 
 entries. The correction itself is y_corrected = y + h . theta.
+
+h depends only on the q calibrated code indices, so each conversion reads h
+from a table by a key over them: every code combination, built once per layout,
+or the batch's own rows where those are fewer. The SGD loop reads the same.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -101,16 +107,6 @@ class CorrectionLayout:
         return table
 
     @cached_property
-    def code_values(self) -> np.ndarray:
-        """(q, max(p_i) + 1) table: row i holds stage i's code values by
-        1-based code index, zero-padded on both sides (`StageSpec.code_table`)."""
-        table = np.zeros((self.q, max(self.sizes) + 1))
-        for i, stage in enumerate(self.stages):
-            table[i, :stage.levels + 1] = stage.code_table
-        table.setflags(write=False)
-        return table
-
-    @cached_property
     def code_slots(self) -> np.ndarray:
         """(q, max(p_i) + 1) table: row i holds the parameter slot of each of
         stage i's code indicators by 1-based code index, -1 for none.
@@ -142,15 +138,24 @@ class CorrectionLayout:
             raise LayoutError(f"stage {i + 1} code index {codes[k, i]} at row {base + k} "
                               f"outside 1..{self.sizes[i]}")
 
+    def table_rows(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The regressor rows of conversions given by their (K, q) code indices,
+        as two (K, q) arrays: the gain-weighted code sums (`weighted_entries`)
+        and the indicator slots (`code_slots`, -1 for none)."""
+        slots = np.empty(codes.shape, dtype=np.int64)
+        for i, stage_slots in enumerate(self.code_slots):
+            slots[:, i] = stage_slots[codes[:, i]]
+        return self.weighted_entries(codes), slots
+
     def weighted_entries(self, codes: np.ndarray) -> np.ndarray:
         """The q gain-weighted code sums of conversions given by their code indices.
 
         `codes` holds 1-based code indices with the q calibrated stages on its
         last axis, after any leading shape; so does the result. Entry i is
         0 + v_0 P[i] + v_1 P[i-1] + ... + v_i P[0], summed in that order, with
-        v_l stage l's code value from `code_values`.
+        v_l stage l's code value from its `StageSpec.code_table`.
         """
-        values = [self.code_values[l].take(codes[..., l]) for l in range(self.q)]
+        values = [stage.code_table.take(codes[..., l]) for l, stage in enumerate(self.stages)]
         out = np.zeros(codes.shape)
         for i in range(self.q):
             for l in range(i + 1):
@@ -159,55 +164,82 @@ class CorrectionLayout:
 
 
 class SelectionBatch:
-    """Selection vectors for a whole conversion batch, kept sparse.
+    """Selection vectors for a whole conversion batch, kept sparse: sample k's
+    regressor is row keys[k] of a table (`selection_vectors` says which rows).
 
-    weighted[k, i]      -- value of stage i's code-weighting sum for sample k
-    indicator_pos[k, i] -- parameter slot of stage i's indicator, -1 if none
+    table_weighted[r, i] -- value of stage i's code-weighting sum in table row r
+    table_slots[r, i]    -- parameter slot of stage i's indicator in row r, -1 if none
+    keys[k]              -- sample k's table row
     """
 
-    def __init__(self, layout: CorrectionLayout, weighted: np.ndarray, indicator_pos: np.ndarray):
+    def __init__(self, layout: CorrectionLayout, table_weighted: np.ndarray,
+                 table_slots: np.ndarray, keys: np.ndarray):
         self.layout = layout
-        self.weighted = weighted
-        self.indicator_pos = indicator_pos
+        self.table_weighted = table_weighted
+        self.table_slots = table_slots
+        self.keys = keys
 
     def __len__(self) -> int:
-        return self.weighted.shape[0]
+        return self.keys.shape[0]
+
+    @property
+    def weighted(self) -> np.ndarray:       # (N, q): each sample's code-weighting sums
+        return self.table_weighted[self.keys]
+
+    @property
+    def indicator_pos(self) -> np.ndarray:  # (N, q): each sample's indicator slots
+        return self.table_slots[self.keys]
 
     def dense(self) -> np.ndarray:
-        n, layout = len(self), self.layout
-        h = np.zeros((n, layout.dim))
-        h[:, layout.weighted_slots] = self.weighted
-        rows = np.arange(n)
-        for i in range(layout.q):
-            pos = self.indicator_pos[:, i]
-            mask = pos >= 0
-            h[rows[mask], pos[mask]] = 1.0
-        return h
+        layout = self.layout
+        h = np.zeros((len(self.table_weighted), layout.dim))
+        h[:, layout.weighted_slots] = self.table_weighted
+        rows, stages = np.nonzero(self.table_slots >= 0)
+        h[rows, self.table_slots[rows, stages]] = 1.0
+        return h[self.keys]
 
     def dot(self, theta: np.ndarray) -> np.ndarray:
-        """h_k . theta for every sample, without densifying."""
+        """h_k . theta for every sample, without densifying: once per table row."""
         theta = np.asarray(theta)
         if theta.shape != (self.layout.dim,):
             raise ValueError(f"parameter vector must have length {self.layout.dim}")
-        out = np.zeros(len(self))
+        out = np.zeros(len(self.table_weighted))
         padded = np.concatenate([theta, [0.0]])   # slot -1 reads as 0
         for i, slot in enumerate(self.layout.weighted_slots):
-            out += self.weighted[:, i] * theta[slot]
-            out += padded[self.indicator_pos[:, i]]
-        return out
+            out += self.table_weighted[:, i] * theta[slot]
+            out += padded[self.table_slots[:, i]]
+        return out[self.keys]
+
+
+@functools.lru_cache(maxsize=16)
+def _combination_table(layout: CorrectionLayout) -> tuple[np.ndarray, np.ndarray]:
+    """`CorrectionLayout.table_rows` of every code combination, in key order,
+    read-only; built on first use, once per distinct layout."""
+    rows = layout.table_rows(np.indices(layout.sizes).reshape(layout.q, -1).T + 1)
+    for table in rows:
+        table.setflags(write=False)
+    return rows
+
+
+def _select(batch: ConversionBatch, layout: CorrectionLayout) -> SelectionBatch:
+    """`selection_vectors` of a batch whose codes were checked."""
+    codes, sizes = batch.index[:, :layout.q], layout.sizes
+    if math.prod(sizes) > len(batch):
+        return SelectionBatch(layout, *layout.table_rows(codes), np.arange(len(batch)))
+    keys = codes[:, 0].astype(np.int64)
+    for p, column in zip(sizes[1:], codes.T[1:]):
+        keys *= p
+        keys += column
+    keys -= functools.reduce(lambda offset, p: offset * p + 1, sizes[1:], 1)     # codes from 1
+    return SelectionBatch(layout, *_combination_table(layout), keys)
 
 
 def selection_vectors(batch: ConversionBatch, layout: CorrectionLayout) -> SelectionBatch:
-    """Build the sparse regressors for every conversion in a batch."""
-    q = layout.q
+    """Build the sparse regressors for every conversion in a batch: its mixed-radix
+    key over its q code indices, stage 1 most significant, into the table of every
+    code combination while Π p_i <= N, else the batch's own rows with keys 0..N-1."""
     layout.check_codes(batch)
-    weighted = layout.weighted_entries(batch.index[:, :q])
-
-    indicator_pos = np.empty((len(batch), q), dtype=np.int64)
-    for i, slots in enumerate(layout.code_slots):
-        indicator_pos[:, i] = slots[batch.index[:, i]]
-
-    return SelectionBatch(layout=layout, weighted=weighted, indicator_pos=indicator_pos)
+    return _select(batch, layout)
 
 
 def apply_correction_batch(y: np.ndarray, sel: SelectionBatch, theta: np.ndarray) -> np.ndarray:

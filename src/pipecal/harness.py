@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -85,6 +86,11 @@ EVAL_PHASE_OFFSET = math.pi / 4.0
 # (2D + 2)^2 matrices, 34 MB at D = 1024 where D = 8161 needs 508 MB for each R_hh; the
 # largest D a test, a README example or a benchmark workload runs is 766 (q = 3, 256 levels)
 MAX_DIMENSION = 1024
+# the largest dense statistics buffer C, n_cal x 2(D + 1) doubles, that a config may ask for;
+# its regressor blocks are filled through one (n_cal, D) temporary. The largest C any test,
+# README example or workload builds is 48 MB (n_cal = 10^6 at D = 2, the declared-range test);
+# the default's is 0.64 MB and D = 766 at the default n_cal takes 24.5 MB
+MAX_STATISTICS_BYTES = 2 ** 30
 
 # seed-stream roles per population member
 _ROLE_MISMATCH, _ROLE_DELTA, _ROLE_CAL_NOISE, _ROLE_EVAL_NOISE = 0, 1, 2, 3
@@ -237,6 +243,10 @@ class ExperimentConfig:
                               f"correction parameters, more than {MAX_DIMENSION}")
         if self.n_cal < dim:
             raise ConfigError(f"n_cal={self.n_cal} is below the D={dim} correction parameters")
+        if self.n_cal * 2 * (dim + 1) * 8 > MAX_STATISTICS_BYTES:
+            raise ConfigError(f"n_cal={self.n_cal} pairs at D={dim} need a statistics buffer of "
+                              f"{self.n_cal * 2 * (dim + 1) * 8} bytes, more than "
+                              f"{MAX_STATISTICS_BYTES}")
         if self.algorithm == "blhec-sgd" and self.n_sgd < 1:
             raise ConfigError("n_sgd must be positive for blhec-sgd")
         if self.mu_nl_min > self.mu_nl_init:
@@ -254,6 +264,10 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
     def digest(self) -> str:
+        return self._digest
+
+    @functools.cached_property
+    def _digest(self) -> str:       # computed on first use: every member row names it
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

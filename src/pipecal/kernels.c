@@ -20,6 +20,10 @@
 
 /* samples converted together, stage by stage: their residues stay in L1 */
 #define CONVERT_BLOCK 512
+/* a stage with more thresholds than this counts them by bisection, not one pass each.
+ * Measured on a 2-vCPU Xeon, 16 384 samples: at 63 flash thresholds the passes were
+ * faster, at 127 the two about tied, and from 255 on bisection won, by 10x at 4095 */
+#define BISECT_ABOVE 100
 
 /* The pipeline recursion of tests/helpers.py::searchsorted_convert for the n
  * inputs x, stage-major over blocks of samples. Stage i (0..stages, the last
@@ -28,7 +32,9 @@
  * tables follow each other in one array each: levels[i] - 1 thresholds,
  * levels[i] + 1 code values and (quantizing stages only) DAC errors by
  * 1-based code index, entry 0 unused. A stage's code index is 1 plus the
- * number of thresholds below the residue; its next residue is
+ * number of thresholds below the residue, counted in one pass per threshold
+ * or, above BISECT_ABOVE, by bisection of the increasing thresholds (a NaN
+ * residue is below none either way); its next residue is
  * gains[i] * ((residue - code) - dac), with the true gain. y is summed as the
  * stages quantize, weights[0] * code first and the back end last, from 0.0.
  * index is the (n, stages + 1) column-major int64 code-index array.
@@ -60,11 +66,21 @@ void pipecal_convert(int64_t n, const double *restrict x, int64_t stages,
                 }
                 break;
             }
-            for (int64_t s = 0; s < m; s++)
-                j[s] = 1;
-            for (int64_t k = 0; k < levels[i] - 1; k++)
+            if (levels[i] - 1 > BISECT_ABOVE) {
+                for (int64_t s = 0; s < m; s++) {
+                    /* the thresholds below r[s] are those below b, and maybe b[0] */
+                    const double *b = t;
+                    for (int64_t len = levels[i] - 1; len > 1; len -= len / 2)
+                        b = r[s] > b[len / 2] ? b + len / 2 : b;
+                    j[s] = 1 + (b - t) + (r[s] > b[0]);
+                }
+            } else {
                 for (int64_t s = 0; s < m; s++)
-                    j[s] += r[s] > t[k];
+                    j[s] = 1;
+                for (int64_t k = 0; k < levels[i] - 1; k++)
+                    for (int64_t s = 0; s < m; s++)
+                        j[s] += r[s] > t[k];
+            }
             if (i == stages) {          /* the flash back end */
                 for (int64_t s = 0; s < m; s++)
                     yb[s] += w * v[j[s]];
@@ -85,38 +101,38 @@ void pipecal_convert(int64_t n, const double *restrict x, int64_t stages,
 
 /* BL-HEC SGD over samples k0..k1-1 of one converter's stream of `total` pairs
  * at fixed step sizes: tests/helpers.py::sgd_loop's operations in its order,
- * so bit-identical to it. The arrays hold the `rows` samples of the stream
- * from `base` on, so sample k sits at row k - base; k0, k1, `total`, the
- * guard cadence and the returned sample count are global. `codes_x`/`codes_ax`
- * are the pair batches' calibrated int64 code-index columns, column-major:
- * sample k's stage-i code is codes[i * rows + (k - base)]. `values`/`slots`
- * give each stage's code value and indicator slot (-1: none) by code index,
- * `width` entries per stage. Returns 0, or the sample count at which a guard
- * check found ||theta||_inf > guard or theta_alpha not finite.
+ * so bit-identical to it. The arrays hold the samples of the stream from
+ * `base` on, so sample k sits at row k - base; k0, k1, `total`, the guard
+ * cadence and the returned sample count are global. Sample k's unscaled
+ * conversion reads row keys_x[k - base] of the row-major (K, q) tables
+ * weighted_x (its gain-weighted code sums) and slots_x (its indicator slots,
+ * -1: none); the scaled one reads keys_ax, weighted_ax and slots_ax. Returns
+ * 0, or the sample count at which a guard check found ||theta||_inf > guard
+ * or theta_alpha not finite.
  */
-int64_t pipecal_sgd(int64_t k0, int64_t k1, int64_t total, int64_t base, int64_t rows,
-                    int64_t guard_every, const double *y_x, const double *y_ax,
-                    const int64_t *codes_x, const int64_t *codes_ax, int64_t q, int64_t width,
-                    const double *values, const int64_t *slots, const double *prefix,
-                    const int64_t *weighted, double *theta, int64_t dim,
-                    double *theta_alpha, double alpha_d, double mu_nl, double mu_alpha, double guard)
+int64_t pipecal_sgd(int64_t k0, int64_t k1, int64_t total, int64_t base, int64_t guard_every,
+                    const double *y_x, const double *y_ax, const int64_t *keys_x,
+                    const int64_t *keys_ax, const double *restrict weighted_x,
+                    const int64_t *restrict slots_x, const double *restrict weighted_ax,
+                    const int64_t *restrict slots_ax, int64_t q, const int64_t *weighted,
+                    double *restrict theta, int64_t dim, double *theta_alpha, double alpha_d,
+                    double mu_nl, double mu_alpha, double guard)
 {
-    const double *outputs[2] = {y_x, y_ax};
-    const int64_t *codes[2] = {codes_x, codes_ax};
-    double w[2][q], v[q], y[2], ta = *theta_alpha;
-    int64_t ind[2][q], status = 0;
+    const double *outputs[2] = {y_x, y_ax}, *tables[2] = {weighted_x, weighted_ax};
+    const int64_t *keys[2] = {keys_x, keys_ax}, *slot_tables[2] = {slots_x, slots_ax};
+    const double *w[2];
+    const int64_t *ind[2];
+    double y[2], ta = *theta_alpha;
+    int64_t status = 0;
 
     for (int64_t k = k0; k < k1 && !status; k++) {
         /* y + h . theta of the unscaled (p = 0) and the scaled (p = 1) conversion */
         for (int p = 0; p < 2; p++) {
+            int64_t row = keys[p][k - base] * q;
+            w[p] = tables[p] + row;
+            ind[p] = slot_tables[p] + row;
             y[p] = outputs[p][k - base];
             for (int64_t i = 0; i < q; i++) {
-                int64_t code = codes[p][i * rows + (k - base)];
-                v[i] = values[i * width + code];
-                ind[p][i] = slots[i * width + code];
-                w[p][i] = 0.0;
-                for (int64_t l = 0; l <= i; l++)
-                    w[p][i] += v[l] * prefix[i - l];
                 y[p] += w[p][i] * theta[weighted[i]];
                 if (ind[p][i] >= 0)
                     y[p] += theta[ind[p][i]];

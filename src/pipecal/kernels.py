@@ -74,6 +74,6 @@ def library() -> ctypes.CDLL:
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.pipecal_convert.argtypes = [i64, ptr, i64] + [ptr] * 8
     lib.pipecal_convert.restype = None
-    lib.pipecal_sgd.argtypes = [i64] * 6 + [ptr] * 4 + [i64] * 2 + [ptr] * 5 + [i64, ptr] + [f64] * 4
+    lib.pipecal_sgd.argtypes = [i64] * 5 + [ptr] * 8 + [i64] + [ptr] * 2 + [i64, ptr] + [f64] * 4
     lib.pipecal_sgd.restype = i64
     return lib

@@ -141,6 +141,40 @@ def ls_fit(adc, layout, x):
     return float(coef[0]), coef[1:]
 
 
+class RowSelection:
+    """Oracle for `selection_vectors`: the regressors built row by row, one row
+    per conversion, from the layout's `weighted_entries` and `code_slots`, with
+    the same `weighted`, `indicator_pos`, `dense` and `dot`; what the package
+    did before it read each conversion's row from a code-combination table."""
+
+    def __init__(self, batch, layout):
+        codes = batch.index[:, :layout.q]
+        self.layout = layout
+        self.weighted = layout.weighted_entries(codes)
+        self.indicator_pos = np.empty(codes.shape, dtype=np.int64)
+        for i, slots in enumerate(layout.code_slots):
+            self.indicator_pos[:, i] = slots[codes[:, i]]
+
+    def dense(self):
+        n, layout = len(self.weighted), self.layout
+        h = np.zeros((n, layout.dim))
+        h[:, layout.weighted_slots] = self.weighted
+        rows = np.arange(n)
+        for i in range(layout.q):
+            pos = self.indicator_pos[:, i]
+            mask = pos >= 0
+            h[rows[mask], pos[mask]] = 1.0
+        return h
+
+    def dot(self, theta):
+        out = np.zeros(len(self.weighted))
+        padded = np.concatenate([theta, [0.0]])   # slot -1 reads as 0
+        for i, slot in enumerate(self.layout.weighted_slots):
+            out += self.weighted[:, i] * theta[slot]
+            out += padded[self.indicator_pos[:, i]]
+        return out
+
+
 def naive_selection_dense(row, layout):
     """Direct, loop-based regressor construction straight from the definition,
     for the one conversion of a one-row batch; code values come from the
@@ -359,8 +393,8 @@ def counted_step(theta_nl, theta_alpha, pair, layout, alpha_d, mu_nl, mu_alpha):
     Returns (theta_nl, theta_alpha, Multiplications) after the update.
     """
     nl = alpha = 0
-    hx = selection_vectors(pair.unscaled, layout).dense()[0]
-    hax = selection_vectors(pair.scaled, layout).dense()[0]
+    hx = RowSelection(pair.unscaled, layout).dense()[0]
+    hax = RowSelection(pair.scaled, layout).dense()[0]
     theta = np.array(theta_nl, dtype=float)
 
     # corrected outputs; indicator slots add for free, weighted slots are sums
@@ -412,8 +446,10 @@ def sgd_loop(pairs, layout, alpha_d, schedule=None, guard=1.0, checkpoints=None)
 
     schedule = schedule or StepSchedule()
     n = len(pairs)
-    sx = selection_vectors(pairs.unscaled, layout)
-    sax = selection_vectors(pairs.scaled, layout)
+    for batch in (pairs.unscaled, pairs.scaled):
+        layout.check_codes(batch)
+    sx = RowSelection(pairs.unscaled, layout)
+    sax = RowSelection(pairs.scaled, layout)
 
     q = layout.q
     first_pos = [layout.weighted_slots[i] for i in range(q)]

@@ -266,10 +266,12 @@ class TestConvertKernel:
 
     @pytest.mark.parametrize("overrides, n_random", [
         ({}, 16384), ({"stage_gain": 3.0, "stage_levels": 5}, 16384), ({"stage_levels": 9}, 16384),
-        ({"flash_bits": 1}, 16384),
-        # 65 535 flash thresholds, each one pass over the samples
-        ({"flash_bits": 16}, 1024),
-    ], ids=["default", "gain3-levels5", "levels9", "flash1", "flash16"])
+        ({"flash_bits": 1}, 16384), ({"flash_bits": 16}, 16384),
+        # stages on either side of the kernel's BISECT_ABOVE = 100 thresholds: a 3-bit flash
+        # (7) and the 6-threshold stages scan them, a 12-bit flash (4095) and a 200-level
+        # pipeline stage (199, each seen exactly at its thresholds) bisect them
+        ({"flash_bits": 12}, 16384), ({"stage_levels": 200, "dac_bound_lsb": 10.0}, 16384),
+    ], ids=["default", "gain3-levels5", "levels9", "flash1", "flash16", "flash12", "levels200"])
     def test_each_build_matches_oracle_on_every_layout(self, kernel_build, overrides, n_random):
         from pipecal.harness import _build_member, default_config
 

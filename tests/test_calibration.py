@@ -682,11 +682,11 @@ class TestChunkedRunSgd:
     checkpoints = [0, 200, 349, 350, 776, 777, 778, 1000, 1554, 1999, 2000]
 
     @staticmethod
-    def member_source(idx, n):
+    def member_source(idx, n, **overrides):
         """Member idx's calibration pairs as a lazy source, and as one batch."""
         from pipecal.harness import _build_member, default_config
 
-        cfg = default_config(11, algorithm="blhec-sgd")
+        cfg = default_config(11, algorithm="blhec-sgd", **overrides)
         adc, path, layout = _build_member(cfg, idx)
         x = gen_tones(cfg.run_tones(cfg.cal_amplitude), n)
         seed = np.random.SeedSequence(11, spawn_key=(idx, 2))
@@ -699,6 +699,31 @@ class TestChunkedRunSgd:
                       schedule=self.schedule, checkpoints=self.checkpoints)
         assert_same_run(got, sgd_loop(pairs, layout, cfg.alpha_d, self.schedule,
                                       checkpoints=self.checkpoints))
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["batch", "source"])
+    def test_chunks_on_both_sides_of_the_table_rule(self, small_chunks, lazy):
+        # 5 levels at q = 4 give 625 code combinations: the 777-pair chunks read
+        # them from the combination table and the last, 446-pair chunk from its
+        # own rows; so does every chunk at chunk size 1
+        source, pairs, layout, cfg = self.member_source(0, 2000, stage_gain=3.0, stage_levels=5, q=4)
+        assert math.prod(layout.sizes) == 625
+        got = run_sgd(source if lazy else pairs, layout, cfg.alpha_d,
+                      schedule=self.schedule, checkpoints=self.checkpoints)
+        assert_same_run(got, sgd_loop(pairs, layout, cfg.alpha_d, self.schedule,
+                                      checkpoints=self.checkpoints))
+
+    def test_more_combinations_than_a_chunk_match_loop(self):
+        # 9 levels at q = 6: 531 441 code combinations, more than SGD_CHUNK pairs,
+        # so each chunk, a full one too, reads its own rows; the default step
+        # diverges at this D = 49, a quarter of it does not
+        n = calibration.SGD_CHUNK + 500
+        source, pairs, layout, cfg = self.member_source(0, n, stage_levels=9, pipeline_stages=6, q=6)
+        assert math.prod(layout.sizes) > calibration.SGD_CHUNK
+        schedule = StepSchedule(mu_nl_init=2.0 ** -6, halve_every=0)
+        checkpoints = [1000, calibration.SGD_CHUNK, n]
+        got = run_sgd(source, layout, cfg.alpha_d, schedule=schedule, checkpoints=checkpoints)
+        assert_same_run(got, sgd_loop(pairs, layout, cfg.alpha_d, schedule,
+                                      checkpoints=checkpoints))
 
     @staticmethod
     def stream_code_counts(pairs, layout):
@@ -717,7 +742,7 @@ class TestChunkedRunSgd:
         assert state.code_counts.sum() == 2 * layout.q * 2000
 
     def test_strided_view_matches_its_contiguous_copy(self, small_chunks):
-        # the view's code columns are copied to contiguous slices for the kernel
+        # the view's rows get the keys and tables of a contiguous copy's
         _, pairs, layout, cfg = self.member_source(0, 2000)
         view = pairs[::2]
         copy = PairBatch(*(ConversionBatch(c.y.copy(), c.index.copy(order="F"), c.x_in.copy())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    RowSelection,
     dense_ramp,
     fold_eliminated_entries,
     ls_fit,
@@ -128,6 +129,63 @@ class TestSelectionVector:
             CorrectionLayout.from_adc(mismatched_adc, 6)
         with pytest.raises(LayoutError):
             CorrectionLayout.from_adc(mismatched_adc, 0)
+
+
+def bits(values):
+    """A float array's bit patterns, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+class TestCombinationTable:
+    """`selection_vectors` reads each conversion's row from a table: of every
+    code combination while they are no more than the batch's conversions,
+    else of the batch's own rows. Both sides against the per-row oracle, bit
+    for bit."""
+
+    @staticmethod
+    def assert_matches_oracle(batch, layout, table_rows):
+        sel, want = selection_vectors(batch, layout), RowSelection(batch, layout)
+        assert sel.table_weighted.shape == sel.table_slots.shape == (table_rows, layout.q)
+        assert np.array_equal(bits(sel.weighted), bits(want.weighted))
+        assert np.array_equal(sel.indicator_pos, want.indicator_pos)
+        assert np.array_equal(bits(sel.dense()), bits(want.dense()))
+        theta = np.random.default_rng(5).normal(scale=1e-3, size=layout.dim)
+        assert np.array_equal(bits(sel.dot(theta)), bits(want.dot(theta)))
+        assert np.array_equal(bits(apply_correction_batch(batch.y, sel, theta)),
+                              bits(batch.y + want.dot(theta)))
+
+    @staticmethod
+    def member(idx, **overrides):
+        from pipecal.harness import _build_member, default_config, evaluation_batch
+
+        cfg = default_config(11, **overrides)
+        adc, _, layout = _build_member(cfg, idx)
+        return evaluation_batch(cfg, idx, adc), layout
+
+    @pytest.mark.parametrize("n", [343, 2000, 16384])
+    def test_default_layout_reads_every_combination(self, n):
+        # 7^3 = 343 code combinations, at 343 conversions and more
+        for idx in range(3):
+            batch, layout = self.member(idx)
+            self.assert_matches_oracle(batch[:n], layout, 343)
+
+    @pytest.mark.parametrize("n", [1, 342])
+    def test_default_layout_below_343_conversions_reads_their_rows(self, n):
+        batch, layout = self.member(0)
+        self.assert_matches_oracle(batch[:n], layout, n)
+
+    def test_more_combinations_than_any_batch_reads_its_rows(self):
+        # the property test's largest layout: 9 levels at q = 6, 531 441 combinations
+        batch, layout = self.member(0, stage_levels=9, pipeline_stages=6, q=6)
+        self.assert_matches_oracle(batch, layout, len(batch))
+        self.assert_matches_oracle(batch[5:6], layout, 1)
+
+    def test_equal_layouts_share_one_read_only_table(self):
+        (batch, layout), (_, other) = self.member(0), self.member(1)
+        assert other == layout and other is not layout
+        first, second = selection_vectors(batch, layout), selection_vectors(batch[:400], other)
+        assert second.table_weighted is first.table_weighted
+        assert not first.table_weighted.flags.writeable and not first.table_slots.flags.writeable
 
 
 class TestApplyCorrection:

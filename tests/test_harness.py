@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import functools
 import math
@@ -87,6 +88,17 @@ class TestConfig:
         a = default_config(7)
         b = default_config(7, q=2)
         assert a.digest() != b.digest()
+
+    def test_digest_is_kept_per_instance(self):
+        # computed once per config, on first use: a replaced copy gets its own,
+        # and a copy through to_dict and from_dict the same one
+        cfg = default_config(7)
+        first = cfg.digest()
+        assert cfg.digest() is first
+        copy = dataclasses.replace(cfg, q=2)
+        assert copy.digest() == default_config(7, q=2).digest() != first
+        assert ExperimentConfig.from_dict(cfg.to_dict()).digest() == first
+        assert dataclasses.replace(copy, q=3).digest() == first
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
@@ -200,6 +212,24 @@ class TestConfig:
                            eval_samples=4096, population=1)
         # the largest D the tests run, 766 at 256 levels and q = 3, stays valid
         default_config(1, stage_levels=256, stage_gain=1.0, gain_bound_lsb=0, dac_bound_lsb=0)
+
+    def test_statistics_buffer_has_an_upper_end(self, member_calls, tmp_path, capsys):
+        # at D = 766 an in-range n_cal of 10^6 asked for an 11.4 GiB buffer C and
+        # exited 1 in member 0; now it exits 2 before any member runs
+        fields = dict(stage_levels=256, stage_gain=1.0, gain_bound_lsb=0, dac_bound_lsb=0,
+                      n_cal=10 ** 6, population=1)
+        message = "n_cal=1000000 pairs at D=766 need a statistics buffer of 12272000000 bytes"
+        with pytest.raises(ConfigError, match=message):
+            default_config(1, **fields)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        assert main(["calibrate", "--seed", "1", "--algorithm", "hec-wiener", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert member_calls == []
+        # the largest buffer a test builds, n_cal = 10^6 at D = 2, stays valid
+        largest = default_config(1, n_cal=10 ** 6, q=1, stage_levels=2, stage_gain=1.0)
+        assert largest.n_cal * 2 * (2 + 1) * 8 <= harness.MAX_STATISTICS_BYTES
 
     def test_rejects_negative_seed(self):
         # np.random.SeedSequence takes non-negative integers only

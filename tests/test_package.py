@@ -47,7 +47,8 @@ def test_kernel_source_ships_next_to_calibration():
 def test_setup_builds_and_loads_no_kernel(tmp_path):
     # a benchmark process sets up by importing the package and building its
     # workload's config, and that time is measured on its own: the compiled
-    # kernels are built and loaded at the first conversion, never before
+    # kernels are built and loaded at the first conversion, never before, and
+    # the code-combination tables at the first selection
     perfbench = Path(pipecal.__file__).parents[2] / "perfbench"
     if not (perfbench / "child.py").is_file():
         pytest.skip("the benchmark is not next to this package")
@@ -55,14 +56,15 @@ def test_setup_builds_and_loads_no_kernel(tmp_path):
     shutil.copytree(Path(pipecal.__file__).parent, package,
                     ignore=shutil.ignore_patterns("__pycache__"))
     script = ("import sys; sys.path.insert(1, sys.argv[1]); import child; "
-              "from pipecal import kernels; "
+              "from pipecal import correction, kernels; "
               "[wl.config(11) for wl in child.WORKLOADS.values()]; "
-              "print(kernels.__file__, kernels.library.cache_info().currsize)")
+              "print(kernels.__file__, kernels.library.cache_info().currsize, "
+              "correction._combination_table.cache_info().currsize)")
     env = {**os.environ, "PYTHONPATH": str(tmp_path)}
     done = subprocess.run([sys.executable, "-c", script, str(perfbench)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == [str(package / "kernels.py"), "0"]
+    assert done.stdout.split() == [str(package / "kernels.py"), "0", "0"]
     assert list(package.glob("__pycache__/kernels-*")) == []
 
 
@@ -98,3 +100,38 @@ def test_every_config_field_declares_one_range_listed_in_the_readme():
         else:
             declared[f.name] = (f.type, str(entry), "")
     assert rows == declared
+
+
+def test_every_layer_the_benchmark_traces_resolves(monkeypatch):
+    # perfbench/tracing.py wraps each (module, function) of LAYER_FUNCTIONS
+    # where the binding modules import it, and reads the buffers of the
+    # accumulate_statistics result; a renamed layer fails here, not in a traced run
+    import importlib.util
+
+    import numpy as np
+
+    path = Path(pipecal.__file__).parents[2] / "perfbench" / "tracing.py"
+    if not path.is_file():
+        pytest.skip("the benchmark is not next to this package")
+    spec = importlib.util.spec_from_file_location("pipecal_benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)     # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    layers = {(mod, fn): getattr(importlib.import_module(f"pipecal.{mod}"), fn, None)
+              for mod, fn in tracing.LAYER_FUNCTIONS}
+    assert [layer for layer, function in layers.items() if not callable(function)] == []
+    # each is wrapped where a binding module holds it
+    bindings = [vars(importlib.import_module(name)) for name in tracing.BINDING_MODULES]
+    assert [layer for layer, function in layers.items()
+            if not any(b.get(layer[1]) is function for b in bindings)] == []
+
+    from pipecal.calibration import accumulate_statistics
+    from pipecal.harness import _build_member, default_config
+    from pipecal.signals import gen_tones, make_pairs
+
+    cfg = default_config(11)
+    adc, path_config, layout = _build_member(cfg, 0)
+    pairs = make_pairs(adc, gen_tones(cfg.run_tones(cfg.cal_amplitude), 400), path_config, 11)
+    stats = accumulate_statistics(pairs, layout, cfg.alpha_d)
+    work = tracing._work("calibration.accumulate_statistics", stats)
+    assert work == {"bytes": 400 * 2 * (layout.dim + 1) * np.dtype(float).itemsize}
