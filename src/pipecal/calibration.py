@@ -374,9 +374,11 @@ def _chunk_arrays(chunk: PairBatch, layout: CorrectionLayout, base: int,
     batches = (chunk.unscaled, chunk.scaled)
     for batch in batches:
         layout.check_codes(batch, base=base)
-        for stage, column in zip(counts, batch.index.T):
-            stage += np.bincount(column, minlength=stage.size)
     sel_x, sel_ax = (_select(batch, layout) for batch in batches)
+    for sel in (sel_x, sel_ax):     # each table row's codes, as often as a key selects it
+        selected = np.bincount(sel.keys, minlength=len(sel.table_codes))
+        for stage, column in zip(counts, sel.table_codes.T):
+            stage += np.bincount(column, selected, stage.size).astype(np.int64)
     y_x, y_ax = (np.ascontiguousarray(c.y, dtype=float) for c in batches)
     return (y_x, y_ax, sel_x.keys, sel_ax.keys, sel_x.table_weighted, sel_x.table_slots,
             sel_ax.table_weighted, sel_ax.table_slots)

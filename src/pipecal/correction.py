@@ -169,14 +169,16 @@ class SelectionBatch:
 
     table_weighted[r, i] -- value of stage i's code-weighting sum in table row r
     table_slots[r, i]    -- parameter slot of stage i's indicator in row r, -1 if none
+    table_codes[r, i]    -- stage i's 1-based code index in row r
     keys[k]              -- sample k's table row
     """
 
     def __init__(self, layout: CorrectionLayout, table_weighted: np.ndarray,
-                 table_slots: np.ndarray, keys: np.ndarray):
+                 table_slots: np.ndarray, table_codes: np.ndarray, keys: np.ndarray):
         self.layout = layout
         self.table_weighted = table_weighted
         self.table_slots = table_slots
+        self.table_codes = table_codes
         self.keys = keys
 
     def __len__(self) -> int:
@@ -212,10 +214,12 @@ class SelectionBatch:
 
 
 @functools.lru_cache(maxsize=16)
-def _combination_table(layout: CorrectionLayout) -> tuple[np.ndarray, np.ndarray]:
+def _combination_table(layout: CorrectionLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`CorrectionLayout.table_rows` of every code combination, in key order,
-    read-only; built on first use, once per distinct layout."""
-    rows = layout.table_rows(np.indices(layout.sizes).reshape(layout.q, -1).T + 1)
+    and the combinations' code indices, read-only; built on first use, once
+    per distinct layout."""
+    codes = np.indices(layout.sizes).reshape(layout.q, -1).T + 1
+    rows = (*layout.table_rows(codes), codes)
     for table in rows:
         table.setflags(write=False)
     return rows
@@ -225,7 +229,7 @@ def _select(batch: ConversionBatch, layout: CorrectionLayout) -> SelectionBatch:
     """`selection_vectors` of a batch whose codes were checked."""
     codes, sizes = batch.index[:, :layout.q], layout.sizes
     if math.prod(sizes) > len(batch):
-        return SelectionBatch(layout, *layout.table_rows(codes), np.arange(len(batch)))
+        return SelectionBatch(layout, *layout.table_rows(codes), codes, np.arange(len(batch)))
     keys = codes[:, 0].astype(np.int64)
     for p, column in zip(sizes[1:], codes.T[1:]):
         keys *= p

@@ -735,11 +735,19 @@ class TestChunkedRunSgd:
 
     @pytest.mark.parametrize("lazy", [False, True], ids=["batch", "source"])
     def test_code_counts_cover_the_whole_stream(self, small_chunks, lazy):
-        source, pairs, layout, cfg = self.member_source(0, 2000)
-        state, _ = run_sgd(source if lazy else pairs, layout, cfg.alpha_d, schedule=self.schedule)
-        assert state.code_counts.dtype == np.int64
-        assert np.array_equal(state.code_counts, self.stream_code_counts(pairs, layout))
-        assert state.code_counts.sum() == 2 * layout.q * 2000
+        # the default layout's 777-pair chunks count through its 343-row
+        # combination table; 9 levels at q = 6, like every chunk of one pair,
+        # through the chunk's own rows
+        per_row = dict(stage_levels=9, pipeline_stages=6, q=6)
+        for overrides, schedule in [({}, self.schedule),
+                                    (per_row, StepSchedule(mu_nl_init=2.0 ** -6, halve_every=0))]:
+            source, pairs, layout, cfg = self.member_source(0, 2000, **overrides)
+            assert (math.prod(layout.sizes) > calibration.SGD_CHUNK) == (
+                bool(overrides) or small_chunks == 1)
+            state, _ = run_sgd(source if lazy else pairs, layout, cfg.alpha_d, schedule=schedule)
+            assert state.code_counts.dtype == np.int64
+            assert np.array_equal(state.code_counts, self.stream_code_counts(pairs, layout))
+            assert state.code_counts.sum() == 2 * layout.q * 2000
 
     def test_strided_view_matches_its_contiguous_copy(self, small_chunks):
         # the view's rows get the keys and tables of a contiguous copy's

@@ -3,9 +3,11 @@ import dataclasses
 import json
 import functools
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -37,13 +39,14 @@ SMALL = dict(population=4, n_cal=1200, n_fft=4096, eval_samples=4096)
 
 @pytest.fixture
 def opened_pools(monkeypatch):
-    """Sizes of the process pools the harness opens. The stand-in pool runs
-    its tasks in this process and starts none."""
+    """(workers, chunk size) of each process pool the harness opens and maps
+    its tasks through. The stand-in pool runs its tasks in this process and
+    starts none."""
     opened = []
 
     class RecordingPool:
         def __init__(self, max_workers):
-            opened.append(max_workers)
+            self.workers = max_workers
 
         def __enter__(self):
             return self
@@ -51,7 +54,8 @@ def opened_pools(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
+        def map(self, fn, tasks, chunksize=1):
+            opened.append((self.workers, chunksize))
             return map(fn, tasks)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
@@ -293,7 +297,7 @@ class TestRunExperiment:
         ("blhec-sgd", {"n_sgd": 3000}),
     ], ids=["blhec-wiener", "blhec-sgd"])
     def test_workers_do_not_change_results(self, algorithm, extra):
-        # two workers take the members one at a time, in no fixed order
+        # two workers take the members in runs of consecutive tasks, in no fixed order
         cfg = default_config(7, algorithm=algorithm, **SMALL, **extra)
         seq = run_experiment(cfg, workers=1)
         par = run_experiment(cfg, workers=2)
@@ -307,7 +311,7 @@ class TestRunExperiment:
         # three SGD members at eight workers are three one-member tasks
         cfg = default_config(7, algorithm="blhec-sgd", n_sgd=3000, **{**SMALL, "population": 3})
         rows = run_experiment(cfg, workers=8)
-        assert opened_pools == [3]
+        assert opened_pools == [(3, 1)]
         assert [r.adc_id for r in rows] == [0, 1, 2]
 
     @pytest.mark.parametrize("workers", [0, -1])
@@ -315,6 +319,40 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="workers"):
             run_experiment(default_config(7, **SMALL), workers=workers)
         assert opened_pools == []
+
+    @pytest.mark.parametrize("tasks, workers, opened, one_at_a_time", [
+        (500, 2, 2, False),     # a 5-point sweep of 100 short members
+        (24, 2, 2, True),       # a convergence sweep's few long members
+        (3, 8, 3, True),        # fewer tasks than workers: a worker and a task each
+    ], ids=["sweep", "few-tasks", "fewer-tasks-than-workers"])
+    def test_pool_hands_out_runs_of_tasks(self, monkeypatch, opened_pools,
+                                          tasks, workers, opened, one_at_a_time):
+        monkeypatch.setattr(harness, "_run_member", lambda task: ([task[1]], []))
+        rows, _ = harness._run_tasks([(None, idx, "", None) for idx in range(tasks)], workers)
+        [(pool_workers, chunk)] = opened_pools
+        assert pool_workers == opened
+        assert (chunk == 1) == one_at_a_time
+        assert rows == list(range(tasks))
+
+    def test_first_failing_member_in_task_order_is_labeled(self, monkeypatch):
+        # members 3 and 7 of 40 fail and member 3 fails last, in time; the pool
+        # reads the run holding it first, so its failure is the one raised
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the pool's workers see the patched member only when forked")
+
+        def member_rows(config, idx, kind, value):
+            if idx == 3:
+                time.sleep(0.5)
+            if idx in (3, 7):
+                raise DivergenceError(f"diverged at sample {100 * idx}", sample=100 * idx)
+            return [idx], []
+
+        monkeypatch.setattr(harness, "_member_rows", member_rows)
+        with pytest.raises(DivergenceError) as exc:
+            harness._run_tasks([(None, idx, "", None) for idx in range(40)], workers=2)
+        assert type(exc.value) is DivergenceError
+        assert (exc.value.member, exc.value.sample) == (3, 300)
+        assert str(exc.value) == "adc 3: diverged at sample 300"
 
     def test_member_failure_in_a_pool_names_the_member(self):
         # a 32-sample tone period never selects every code, so both members fail
@@ -515,7 +553,7 @@ class TestSweeps:
     def test_grid_sweep_opens_one_pool(self, opened_pools, member_calls):
         cfg = default_config(7, algorithm="hec-wiener", **{**SMALL, "population": 3})
         sweep = run_sweep("delta", cfg, [2e-3, -2e-3, 0.0], workers=2)
-        assert opened_pools == [2]
+        assert opened_pools == [(2, 1)]
         assert len(member_calls) == 9
         assert sweep.points == [2e-3, -2e-3, 0.0]
         for point in sweep.points:
@@ -527,7 +565,7 @@ class TestSweeps:
         # an integral float is a valid checkpoint; points come back ascending
         cfg = default_config(7, algorithm="blhec-sgd", **{**SMALL, "population": 3})
         sweep = run_sweep("convergence", cfg, [3000.0, 1500], workers=8)
-        assert opened_pools == [3]
+        assert opened_pools == [(3, 1)]
         assert member_calls == [(0, "convergence"), (1, "convergence"), (2, "convergence")]
         assert sweep.points == [1500.0, 3000.0]
         for point in sweep.points:
