@@ -8,7 +8,6 @@ from .adc import (
     build_adc,
     convert_many,
     default_stage_specs,
-    quantize_stage,
 )
 from .calibration import (
     CalibrationState,

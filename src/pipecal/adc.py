@@ -28,7 +28,6 @@ __all__ = [
     "AdcInstance",
     "ConversionBatch",
     "lsb_size",
-    "quantize_stage",
     "convert_many",
     "build_adc",
     "stage_mismatch_bounds",
@@ -96,15 +95,11 @@ class StageSpec:
     def max_digitization_error(self) -> float:
         """Largest |input - selected code| over the full scale [-1, 1].
 
-        The extremes occur at the interval edges and at the thresholds, where
-        the selected code flips.
+        The extremes occur at the interval edges and where the selected code
+        flips: at a threshold (still the lower code) and one ulp above it.
         """
-        probes = [-1.0, 1.0]
-        for t in self.thresholds:
-            probes.append(t)            # the lower code still selected (x <= t)
-            probes.append(math.nextafter(t, math.inf))  # the upper code takes over
-        x = np.array(probes)
-        _, code = quantize_stage(self, x)
+        x = np.array([-1.0, 1.0, *self.thresholds, *np.nextafter(self.thresholds, math.inf)])
+        code = self.code_table[np.searchsorted(self.thresholds, x) + 1]
         return float(np.max(np.abs(x - code)))
 
 
@@ -212,13 +207,12 @@ class ConversionBatch:
     stage, index 0 when the exact sampler is used). A code's value is read
     from its stage's `StageSpec.code_table`, never stored. `index` is
     column-major (order="F"), so each stage's column is one contiguous
-    array. `x_in` is simulation-side truth and never visible to calibrators.
+    array. It holds no input: calibrators see outputs and codes only.
     """
 
-    def __init__(self, y: np.ndarray, index: np.ndarray, x_in: np.ndarray):
+    def __init__(self, y: np.ndarray, index: np.ndarray):
         self.y = y
         self.index = index          # (N, n_stages+1), 1-based codes, 0 = exact back end
-        self.x_in = x_in
 
     def __len__(self) -> int:
         return self.y.shape[0]
@@ -227,29 +221,7 @@ class ConversionBatch:
         """The selected rows as a batch of their own; one conversion is `batch[k:k+1]`."""
         if not isinstance(rows, slice):
             raise TypeError(f"batches take a slice such as [k:k+1], not {rows!r}")
-        return ConversionBatch(self.y[rows], self.index[rows], self.x_in[rows])
-
-
-def quantize_stage(stage: StageSpec, residue_in):
-    """Select the stage code for each input value (a scalar or an array).
-
-    Total function: j=1 for x <= v_1, the unique j with v_{j-1} < x <= v_j in
-    between, j=p for x > v_{p-1}. Out-of-range inputs therefore clip to the
-    outermost codes. Returns the 1-based code index, in the smallest unsigned
-    type that holds p, and the code value.
-
-    The index is 1 plus the number of thresholds strictly below the input.
-    Inputs must be finite: NaN compares greater than no threshold and so
-    selects code 1, not code p where NumPy's sort order would place it.
-    """
-    x = np.asarray(residue_in, dtype=float)
-    j = np.ones(x.shape, dtype=np.min_scalar_type(stage.levels))
-    above = np.empty(x.shape, dtype=bool)
-    step = above.view(np.uint8)     # the comparisons as 0/1 counts
-    for t in stage.thresholds:
-        np.greater(x, t, out=above)
-        j += step
-    return j, stage.code_table.take(j)
+        return ConversionBatch(self.y[rows], self.index[rows])
 
 
 def convert_many(adc: AdcInstance, x_in: np.ndarray) -> ConversionBatch:
@@ -264,7 +236,7 @@ def convert_many(adc: AdcInstance, x_in: np.ndarray) -> ConversionBatch:
     kernels.library().pipecal_convert(x.size, x.ctypes.data, adc.n_stages,
                                       *(t.ctypes.data for t in adc.conversion_tables),
                                       y.ctypes.data, index.ctypes.data)
-    return ConversionBatch(y=y, index=index, x_in=x)
+    return ConversionBatch(y=y, index=index)
 
 
 def pipeline_stage_specs(levels: int = 7, gain: float = 4.0) -> StageSpec:

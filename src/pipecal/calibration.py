@@ -139,10 +139,6 @@ class PairStatistics:
         u = _augment(theta_nl)
         return float(u @ self.s_ab @ u)
 
-    def mse(self, theta_alpha: float, theta_nl: np.ndarray) -> float:
-        u = _augment(theta_nl)
-        return float(u @ self.homogeneity_gram(theta_alpha) @ u)
-
     def errors(self, theta_alpha: float, theta_nl: np.ndarray) -> np.ndarray:
         """Per-sample homogeneity errors at the given parameters (one pass over C)."""
         u = _augment(theta_nl)
@@ -168,9 +164,9 @@ def accumulate_statistics(pairs: PairBatch, layout: CorrectionLayout,
     k = layout.dim + 1
     columns = np.empty((n, 2 * k), order="F")
     columns[:, 0] = pairs.scaled.y
-    columns[:, 1:k] = selection_vectors(pairs.scaled, layout).dense()
+    selection_vectors(pairs.scaled, layout).dense(out=columns[:, 1:k].T)
     columns[:, k] = pairs.unscaled.y
-    columns[:, k + 1:] = selection_vectors(pairs.unscaled, layout).dense()
+    selection_vectors(pairs.unscaled, layout).dense(out=columns[:, k + 1:].T)
     stats = PairStatistics(columns=columns, alpha_d=alpha_d, layout=layout)
 
     # numerical rank with matrix_rank's default tolerance, from the eigenvalues

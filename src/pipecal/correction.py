@@ -184,21 +184,15 @@ class SelectionBatch:
     def __len__(self) -> int:
         return self.keys.shape[0]
 
-    @property
-    def weighted(self) -> np.ndarray:       # (N, q): each sample's code-weighting sums
-        return self.table_weighted[self.keys]
-
-    @property
-    def indicator_pos(self) -> np.ndarray:  # (N, q): each sample's indicator slots
-        return self.table_slots[self.keys]
-
-    def dense(self) -> np.ndarray:
+    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The (N, D) dense regressors, gathered by key from the table's rows made dense;
+        `out`, a C-ordered (D, N) buffer, takes them transposed ("clip" copies no buffer)."""
         layout = self.layout
-        h = np.zeros((len(self.table_weighted), layout.dim))
-        h[:, layout.weighted_slots] = self.table_weighted
+        h = np.zeros((layout.dim, len(self.table_weighted)))
+        h[layout.weighted_slots] = self.table_weighted.T
         rows, stages = np.nonzero(self.table_slots >= 0)
-        h[rows, self.table_slots[rows, stages]] = 1.0
-        return h[self.keys]
+        h[self.table_slots[rows, stages], rows] = 1.0
+        return h.T[self.keys] if out is None else np.take(h, self.keys, axis=1, out=out, mode="clip")
 
     def dot(self, theta: np.ndarray) -> np.ndarray:
         """h_k . theta for every sample, without densifying: once per table row."""

@@ -87,9 +87,9 @@ EVAL_PHASE_OFFSET = math.pi / 4.0
 # largest D a test, a README example or a benchmark workload runs is 766 (q = 3, 256 levels)
 MAX_DIMENSION = 1024
 # the largest dense statistics buffer C, n_cal x 2(D + 1) doubles, that a config may ask for;
-# its regressor blocks are filled through one (n_cal, D) temporary. The largest C any test,
-# README example or workload builds is 48 MB (n_cal = 10^6 at D = 2, the declared-range test);
-# the default's is 0.64 MB and D = 766 at the default n_cal takes 24.5 MB
+# its regressor blocks are gathered by key from a min(prod p_i, n_cal) x D dense table. The
+# largest C any test, README example or workload builds is 48 MB (n_cal = 10^6 at D = 2, the
+# declared-range test); the default's is 0.64 MB and D = 766 at the default n_cal takes 24.5 MB
 MAX_STATISTICS_BYTES = 2 ** 30
 
 # runs of consecutive tasks per pool worker, by measurement (2 workers, 2-vCPU Xeon VM):

@@ -70,6 +70,10 @@ def _build_kernel(out_dir: Path) -> Path:
 def library() -> ctypes.CDLL:
     """The compiled kernels, built into the package's __pycache__ on first use,
     with both functions' signatures declared."""
+    libc = ctypes.CDLL(None)    # glibc: a converting process keeps its freed memory (README)
+    if hasattr(libc, "mallopt"):
+        libc.mallopt(-1, 128 << 20)     # M_TRIM_THRESHOLD: no trim below 128 MB free
+        libc.mallopt(-3, 32 << 20)      # M_MMAP_THRESHOLD: no block below 32 MB mapped alone
     lib = ctypes.CDLL(str(_build_kernel(_KERNEL_SOURCE.parent / "__pycache__")))
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.pipecal_convert.argtypes = [i64, ptr, i64] + [ptr] * 8

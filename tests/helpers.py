@@ -80,15 +80,16 @@ def searchsorted_convert(adc, x_in):
     y = np.zeros(x.size)
     for w, column in zip(adc.recombination_weights(), value.T):
         y += w * column
-    return ConversionBatch(y=y, index=index, x_in=x)
+    return ConversionBatch(y=y, index=index)
 
 
 class RecordMismatchError(RuntimeError):
     """A conversion batch is inconsistent with the instance that allegedly produced it."""
 
 
-def reference_output(adc, batch, tolerance=1e-9):
-    """Oracle for `convert_many`: the closed form of each row's output.
+def reference_output(adc, x_in, batch, tolerance=1e-9):
+    """Oracle for `convert_many`: the closed form of each row's output, given
+    the inputs x_in the batch converted (a batch holds no input).
 
     Evaluates y = beta*x_in - sum_i w_i^T phi_0,i + q_x, where beta folds all
     gain mismatches, phi_0,i collects each stage's code- and DAC-error terms,
@@ -108,7 +109,8 @@ def reference_output(adc, batch, tolerance=1e-9):
 
     nonideal = np.zeros(len(batch))
     # back-end digitization error from the recorded selections
-    residue = batch.x_in
+    x_in = np.asarray(x_in, dtype=float)
+    residue = x_in
     for i, stage in enumerate(adc.stages):
         d = stage.code_table[batch.index[:, i]]
         eda = adc.mismatches.dac_tables[i][batch.index[:, i]]
@@ -118,7 +120,7 @@ def reference_output(adc, batch, tolerance=1e-9):
     back_end = residue if adc.flash is None else adc.flash.code_table[batch.index[:, n]]
     q_x = -(residue - back_end) * weights[n]
 
-    y_ref = beta * batch.x_in - nonideal + q_x
+    y_ref = beta * x_in - nonideal + q_x
     bad = np.flatnonzero(~(np.abs(y_ref - batch.y) <= tolerance))
     if bad.size:
         k = bad[0]
@@ -144,8 +146,9 @@ def ls_fit(adc, layout, x):
 class RowSelection:
     """Oracle for `selection_vectors`: the regressors built row by row, one row
     per conversion, from the layout's `weighted_entries` and `code_slots`, with
-    the same `weighted`, `indicator_pos`, `dense` and `dot`; what the package
-    did before it read each conversion's row from a code-combination table."""
+    the same `dense` and `dot`, and each row's `weighted` and `indicator_pos`
+    (the package's `table_weighted[keys]` and `table_slots[keys]`); what the
+    package did before it read each conversion's row from a code-combination table."""
 
     def __init__(self, batch, layout):
         codes = batch.index[:, :layout.q]
@@ -206,7 +209,7 @@ def unreduced_transformed_matrix(adc, layout, x):
     ht = np.zeros((n, cols))
     off = 0
     for i, p in enumerate(layout.sizes):
-        ht[:, off] = sel.weighted[:, i]
+        ht[:, off] = sel.table_weighted[sel.keys, i]
         for code in range(2, p + 1):
             ht[:, off + code - 1] = batch.index[:, i] == code
         off += p
@@ -278,6 +281,13 @@ def dense_r_yya(stats, theta_nl):
 def dense_mse(stats, theta_alpha, theta_nl):
     yx, yax = dense_corrected(stats, theta_nl)
     return float(np.mean((yax - (stats.alpha_d + theta_alpha) * yx) ** 2))
+
+
+def gram_mse(stats, theta_alpha, theta_nl):
+    """The homogeneity MSE as the quadratic form u^T M(c) u, u = [1, theta_nl],
+    of the Gram matrices alone: O(D^2) whatever N is."""
+    u = np.concatenate(([1.0], theta_nl))
+    return float(u @ stats.homogeneity_gram(theta_alpha) @ u)
 
 
 def dense_solve_spd(r, b, cond_limit=1e12):

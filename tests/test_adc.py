@@ -23,6 +23,7 @@ from helpers import (
 import pipecal
 from pipecal import kernels
 from pipecal.adc import (
+    AdcInstance,
     AdcModelError,
     ConversionBatch,
     MismatchConfig,
@@ -32,44 +33,51 @@ from pipecal.adc import (
     convert_many,
     default_stage_specs,
     lsb_size,
+    flash_stage_spec,
     pipeline_stage_specs,
-    quantize_stage,
 )
 
 
+def stage_one_codes(stage, x):
+    """Stage 1's code indices and code values for the inputs x, read from
+    `convert_many` on a one-stage converter with the exact back end."""
+    adc = AdcInstance(stages=(stage,), flash=None, resolution_bits=13,
+                      mismatches=MismatchSet((0.0,), ((0.0,) * stage.levels,)))
+    j = convert_many(adc, np.atleast_1d(x)).index[:, 0]
+    return j, stage.code_table[j]
+
+
 class TestQuantizeStage:
+    """The stage rule: code 1 up to the first threshold, code p above the last."""
     stage = StageSpec(codes=(-0.5, 0.0, 0.5), thresholds=(-0.25, 0.25))
 
+    def select(self, x):
+        j, code = stage_one_codes(self.stage, x)
+        return list(zip(j.tolist(), code.tolist()))
+
     def test_above_last_threshold_clips_to_top_code(self):
-        assert quantize_stage(self.stage, 0.3) == (3, 0.5)
+        assert self.select(0.3) == [(3, 0.5)]
 
     def test_boundary_belongs_to_lower_code(self):
-        assert quantize_stage(self.stage, -0.25) == (1, -0.5)
+        assert self.select(-0.25) == [(1, -0.5)]
 
     def test_middle_interval(self):
-        assert quantize_stage(self.stage, 0.0) == (2, 0.0)
+        assert self.select(0.0) == [(2, 0.0)]
 
     def test_total_function_far_out_of_range(self):
-        assert quantize_stage(self.stage, -7.0) == (1, -0.5)
-        assert quantize_stage(self.stage, 7.0) == (3, 0.5)
-
+        assert self.select([-7.0, 7.0]) == [(1, -0.5), (3, 0.5)]
 
     @pytest.mark.parametrize("levels", [7, 200, 300])
     def test_threshold_count_matches_searchsorted(self, levels):
-        # 200 and 300 levels overflow a signed or an 8-bit counter
+        # 7 levels count in one pass per threshold, 200 and 300 by bisection
         stage = pipeline_stage_specs(levels)
         t = np.asarray(stage.thresholds)
         x = np.concatenate([t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf),
                             np.random.default_rng(11).uniform(-1.5, 1.5, 5000),
-                            [-np.inf, -1.0, 0.0, 1.0, np.inf]])
-        j, code = quantize_stage(stage, x)
-        assert j.dtype == np.min_scalar_type(levels)
+                            [-1.0, 0.0, 1.0]])
+        j, code = stage_one_codes(stage, x)
         assert np.array_equal(j, np.searchsorted(t, x, side="left") + 1)
-        assert np.array_equal(code, np.asarray(stage.codes)[j.astype(np.int64) - 1])
-
-    def test_nan_selects_the_first_code(self):
-        # documented: inputs must be finite; NaN is above no threshold
-        assert quantize_stage(self.stage, float("nan")) == (1, -0.5)
+        assert np.array_equal(code, np.asarray(stage.codes)[j - 1])
 
 
 class TestStageValidation:
@@ -209,7 +217,6 @@ class TestConvert:
         assert len(index) == 6
         assert all(1 <= j <= 7 for j in index[:5])
         assert 1 <= index[5] <= 8
-        assert batch.x_in[0] == 0.33
 
 
 class TestConvertKernel:
@@ -219,8 +226,7 @@ class TestConvertKernel:
     def assert_same(adc, x):
         got, want = convert_many(adc, x), searchsorted_convert(adc, x)
         assert np.array_equal(got.y.view(np.uint64), want.y.view(np.uint64)), "y bits"
-        for field in ("index", "x_in"):
-            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert np.array_equal(got.index, want.index), "index"
         assert got.index.dtype == np.int64
         assert got.index.flags.f_contiguous
 
@@ -332,9 +338,9 @@ def test_y_does_not_depend_on_the_blas_kernel():
 class TestReferenceOutput:
     def test_ideal_adc_reference_is_input_minus_weighted_flash_error(self, ideal_adc):
         batch = convert_many(ideal_adc, [0.41])
-        ref = reference_output(ideal_adc, batch)[0]
+        ref = reference_output(ideal_adc, [0.41], batch)[0]
         assert ref == pytest.approx(batch.y[0], abs=1e-15)
-        # beta == 1, so the deviation from x_in is purely the back-end term
+        # beta == 1, so the deviation from the input is purely the back-end term
         assert abs(ref - 0.41) <= 0.125 / 1024.0
 
     def test_two_stage_beta_formula(self):
@@ -349,25 +355,41 @@ class TestReferenceOutput:
         for _ in range(100):
             adc = random_toy(rng, flash_bits=3 if rng.random() < 0.5 else None)
             batch = convert_many(adc, x)[::40]
-            worst = max(worst, np.max(np.abs(reference_output(adc, batch) - batch.y)))
+            worst = max(worst, np.max(np.abs(reference_output(adc, x[::40], batch) - batch.y)))
         assert worst < 1e-12
 
     def test_equivalence_on_default_instance(self, mismatched_adc):
-        batch = convert_many(mismatched_adc, dense_ramp(2001))[::97]
-        ref = reference_output(mismatched_adc, batch)
+        x = dense_ramp(2001)[::97]
+        batch = convert_many(mismatched_adc, x)
+        ref = reference_output(mismatched_adc, x, batch)
         assert np.all(np.abs(ref - batch.y) < 1e-12)
 
     def test_flags_inconsistent_record(self, mismatched_adc):
-        batch = convert_many(mismatched_adc, np.linspace(-0.9, 0.9, 100))
-        reference_output(mismatched_adc, batch)
+        x = np.linspace(-0.9, 0.9, 100)
+        batch = convert_many(mismatched_adc, x)
+        reference_output(mismatched_adc, x, batch)
         y = batch.y.copy()
         y[57] += 1e-3
-        forged = ConversionBatch(y, batch.index, batch.x_in)
+        forged = ConversionBatch(y, batch.index)
         with pytest.raises(RecordMismatchError, match="row 57"):
-            reference_output(mismatched_adc, forged)
+            reference_output(mismatched_adc, x, forged)
 
 
 def test_max_digitization_error_default_stage():
     stage = toy_stage(levels=7, gain=4.0, span=0.75)
     # midpoint thresholds: half pitch inside, full overload excursion at +-1
     assert stage.max_digitization_error() == pytest.approx(0.25, abs=1e-12)
+
+
+def test_max_digitization_error_is_the_largest_error_at_the_code_flips():
+    # pipeline stages of 2-256 levels at four gains and flash stages of 1-16
+    # bits: the error at -1, +1, every threshold and one ulp above it, with the
+    # codes convert_many selects there
+    specs = [pipeline_stage_specs(levels, gain) for gain in (2.0, 3.0, 4.0, 7.5)
+             for levels in range(2, 257)] + [flash_stage_spec(bits) for bits in range(1, 17)]
+    assert len(specs) == 1036
+    for stage in specs:
+        t = np.asarray(stage.thresholds)
+        x = np.concatenate([[-1.0, 1.0], t, np.nextafter(t, np.inf)])
+        _, code = stage_one_codes(stage, x)
+        assert stage.max_digitization_error() == np.max(np.abs(x - code)), stage.levels

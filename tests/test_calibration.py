@@ -18,6 +18,7 @@ from helpers import (
     dense_r_yy,
     dense_r_yya,
     dense_ramp,
+    gram_mse,
     ls_fit,
     naive_selection_dense,
     plain_blhec,
@@ -174,7 +175,7 @@ class TestBlhecWiener:
         profile = []
         for ta in grid:
             theta = -np.linalg.solve(stats.r_hh(ta), stats.r_hy(ta))
-            profile.append(stats.mse(ta, theta))
+            profile.append(gram_mse(stats, ta, theta))
         best = grid[int(np.argmin(profile))]
         assert abs(res.theta_alpha - best) <= 1e-5
 
@@ -190,7 +191,7 @@ class TestBlhecWiener:
         stats = accumulate_statistics(pairs, layout, 0.5)
 
         grid = np.arange(-0.8, 0.4001, 0.01)
-        profile = np.array([stats.mse(ta, -np.linalg.solve(stats.r_hh(ta), stats.r_hy(ta)))
+        profile = np.array([gram_mse(stats, ta, -np.linalg.solve(stats.r_hh(ta), stats.r_hy(ta)))
                             for ta in grid])
         minima = [float(grid[i]) for i in range(1, len(grid) - 1)
                   if profile[i] < profile[i - 1] and profile[i] < profile[i + 1]]
@@ -286,8 +287,8 @@ class TestGramStatistics:
                 assert np.max(np.abs(stats.r_hy(ta) - dense_r_hy(stats, ta))) < 1e-12
                 assert abs(stats.r_yy(theta) - dense_r_yy(stats, theta)) < 1e-12
                 assert abs(stats.r_yya(theta) - dense_r_yya(stats, theta)) < 1e-12
-                assert abs(stats.mse(ta, theta) - dense_mse(stats, ta, theta)) < 1e-12
-                assert stats.mse(ta, theta) == pytest.approx(
+                assert abs(gram_mse(stats, ta, theta) - dense_mse(stats, ta, theta)) < 1e-12
+                assert gram_mse(stats, ta, theta) == pytest.approx(
                     float(np.mean(stats.errors(ta, theta) ** 2)), rel=1e-6)
 
     def test_solve_spd_checks_definiteness_and_condition(self):
@@ -307,7 +308,7 @@ def one_hot_pairs(y_x, y_ax):
     selects the middle code, so every regressor is one-hot on slot 1."""
     def batch(y):
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        return ConversionBatch(y, np.tile([2, 1], (y.size, 1)), np.zeros(y.size))
+        return ConversionBatch(y, np.tile([2, 1], (y.size, 1)))
     return PairBatch(batch(y_x), batch(y_ax))
 
 
@@ -372,7 +373,8 @@ class TestSgdStep:
         touched = set(np.flatnonzero(out.theta_nl))
         allowed = {layout.weighted_slots[i] for i in range(layout.q)}
         for conversions in (pair.unscaled, pair.scaled):
-            slots = selection_vectors(conversions, layout).indicator_pos[0]
+            sel = selection_vectors(conversions, layout)
+            slots = sel.table_slots[sel.keys[0]]
             allowed |= set(slots[slots >= 0].tolist())
         assert touched <= allowed
 
@@ -545,8 +547,8 @@ def default_member_pairs(idx, n):
 def scaled_outputs(pairs, factor):
     """The same pairs with both outputs scaled: large enough errors diverge."""
     u, s = pairs.unscaled, pairs.scaled
-    return PairBatch(ConversionBatch(u.y * factor, u.index, u.x_in),
-                     ConversionBatch(s.y * factor, s.index, s.x_in))
+    return PairBatch(ConversionBatch(u.y * factor, u.index),
+                     ConversionBatch(s.y * factor, s.index))
 
 
 @pytest.mark.parametrize("caller", ["run_sgd", "selection_vectors"])
@@ -557,7 +559,7 @@ def test_code_index_outside_stage_is_rejected(code, caller):
     pairs, layout, cfg = default_member_pairs(0, 300)
     index = pairs.scaled.index.copy(order="F")
     index[150, 1] = code
-    forged = ConversionBatch(pairs.scaled.y, index, pairs.scaled.x_in)
+    forged = ConversionBatch(pairs.scaled.y, index)
     with pytest.raises(LayoutError, match=f"stage 2 code index {code} at row 150 outside 1..7"):
         if caller == "run_sgd":
             run_sgd(PairBatch(pairs.unscaled, forged), layout, cfg.alpha_d)
@@ -753,7 +755,7 @@ class TestChunkedRunSgd:
         # the view's rows get the keys and tables of a contiguous copy's
         _, pairs, layout, cfg = self.member_source(0, 2000)
         view = pairs[::2]
-        copy = PairBatch(*(ConversionBatch(c.y.copy(), c.index.copy(order="F"), c.x_in.copy())
+        copy = PairBatch(*(ConversionBatch(c.y.copy(), c.index.copy(order="F"))
                            for c in (view.unscaled, view.scaled)))
         got = run_sgd(view, layout, cfg.alpha_d, schedule=self.schedule,
                       checkpoints=self.checkpoints)
@@ -781,8 +783,7 @@ class TestChunkedRunSgd:
         _, pairs, layout, cfg = self.member_source(0, 2000)
         index = pairs.scaled.index.copy(order="F")
         index[1999, 2] = 9
-        forged = PairBatch(pairs.unscaled, ConversionBatch(pairs.scaled.y, index,
-                                                           pairs.scaled.x_in))
+        forged = PairBatch(pairs.unscaled, ConversionBatch(pairs.scaled.y, index))
         with pytest.raises(LayoutError) as want:
             sgd_loop(forged, layout, cfg.alpha_d, cfg.schedule())
         with pytest.raises(LayoutError, match="stage 3 code index 9 at row 1999 outside 1..7") as got:

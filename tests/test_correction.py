@@ -52,7 +52,8 @@ class TestSelectionVector:
         adc = _build_member(default_config(11, stage_gain=3.0, stage_levels=5), 0)[0]
         layout = CorrectionLayout.from_adc(adc, 3)
         batch = convert_many(adc, dense_ramp(301))
-        weighted = selection_vectors(batch, layout).weighted
+        sel = selection_vectors(batch, layout)
+        weighted = sel.table_weighted[sel.keys]
         for k in range(len(batch)):
             h = naive_selection_dense(batch[k:k + 1], layout)
             assert weighted[k].tolist() == [h[layout.weighted_slots[i]] for i in range(3)]
@@ -64,7 +65,7 @@ class TestSelectionVector:
         assert batch.index[0, 0] == 3
         h = selection_vectors(batch, layout)
         dense = h.dense()[0]
-        positions = layout.q + np.count_nonzero(h.indicator_pos[0] >= 0)
+        positions = layout.q + np.count_nonzero(h.table_slots[h.keys[0]] >= 0)
         # only weighted-code entries may be nonzero in the stage-1 block
         assert dense[1] == 0.0
         assert positions == 2 + 2 or dense[layout.weighted_slots[1]] != 0.0
@@ -82,7 +83,7 @@ class TestSelectionVector:
         layout = CorrectionLayout.from_adc(mismatched_adc, 3)
         batch = convert_many(mismatched_adc, dense_ramp(501))[::13]
         h = selection_vectors(batch, layout)
-        positions = layout.q + np.count_nonzero(h.indicator_pos >= 0, axis=1)
+        positions = layout.q + np.count_nonzero(h.table_slots[h.keys] >= 0, axis=1)
         assert np.all(positions <= 2 * layout.q)
 
     def test_batch_matches_single_and_naive(self, mismatched_adc):
@@ -120,7 +121,7 @@ class TestSelectionVector:
     def test_rejects_malformed_code_indices(self, malformed, match):
         adc = toy_adc(zetas=(0.0, 0.0), flash_bits=None)
         batch = convert_many(adc, [0.1, 0.2, 0.3])
-        forged = ConversionBatch(batch.y, malformed(batch.index), batch.x_in)
+        forged = ConversionBatch(batch.y, malformed(batch.index))
         with pytest.raises(LayoutError, match=match):
             selection_vectors(forged, CorrectionLayout.from_adc(adc, 2))
 
@@ -146,9 +147,12 @@ class TestCombinationTable:
     def assert_matches_oracle(batch, layout, table_rows):
         sel, want = selection_vectors(batch, layout), RowSelection(batch, layout)
         assert sel.table_weighted.shape == sel.table_slots.shape == (table_rows, layout.q)
-        assert np.array_equal(bits(sel.weighted), bits(want.weighted))
-        assert np.array_equal(sel.indicator_pos, want.indicator_pos)
+        assert np.array_equal(bits(sel.table_weighted[sel.keys]), bits(want.weighted))
+        assert np.array_equal(sel.table_slots[sel.keys], want.indicator_pos)
         assert np.array_equal(bits(sel.dense()), bits(want.dense()))
+        transposed = np.empty((layout.dim, len(batch)))     # accumulate_statistics' gather
+        sel.dense(out=transposed)
+        assert np.array_equal(bits(transposed.T), bits(want.dense()))
         theta = np.random.default_rng(5).normal(scale=1e-3, size=layout.dim)
         assert np.array_equal(bits(sel.dot(theta)), bits(want.dot(theta)))
         assert np.array_equal(bits(apply_correction_batch(batch.y, sel, theta)),

@@ -375,11 +375,41 @@ class TestRunExperiment:
         run_experiment(default_config(7, **{**SMALL, "population": 3}))
         assert sorted(calls) == [1200, 4096]
 
-    def test_noiseless_evaluation_input_is_read_only(self):
+    def test_noiseless_evaluation_input_is_read_only(self, monkeypatch):
         # the tones are shared by every member, so none may write into them
-        batch = evaluation_batch(default_config(7, **SMALL), 0)
+        tones = []
+
+        def recording(*args):
+            tones.append(signals.cached_tones(*args))
+            return tones[-1]
+
+        monkeypatch.setattr(harness, "cached_tones", recording)
+        evaluation_batch(default_config(7, **SMALL), 0)
+        assert len(tones) == 1
         with pytest.raises(ValueError, match="read-only"):
-            batch.x_in[0] = 0.0
+            tones[0][0] = 0.0
+
+    @pytest.mark.parametrize("algorithm", ["blhec-wiener", "blhec-sgd"])
+    def test_serial_members_refault_no_freed_memory(self, algorithm):
+        # kernels.library() stops glibc trimming the heap between members:
+        # trimmed, each member refaults about 385 pages that the last one freed
+        import ctypes
+
+        if not hasattr(ctypes.CDLL(None), "mallopt"):
+            pytest.skip("the C library has no glibc mallopt")
+        script = ("import resource, sys\n"
+                  "from pipecal.harness import _run_member, default_config\n"
+                  "cfg = default_config(11, algorithm=sys.argv[1], population=40)\n"
+                  "for idx in range(40):\n"
+                  "    if idx == 10:\n"
+                  "        start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                  "    _run_member((cfg, idx, '', None))\n"
+                  "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / 30)\n")
+        child = subprocess.run([sys.executable, "-c", script, algorithm], capture_output=True,
+                               text=True, timeout=120,
+                               env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert child.returncode == 0, child.stderr
+        assert float(child.stdout) < 5
 
     def test_sgd_member_working_set_is_bounded(self):
         # doubling the pairs grows one member's peak by its tone and noise

@@ -18,11 +18,12 @@ MODULES = ["adc", "calibration", "correction", "harness", "kernels", "signals", 
 # adaptive kernel's trajectory log, replaced by its checkpoint snapshots, the
 # compact multi-converter SGD entry point, replaced by `run_sgd` per member,
 # test oracles, now in tests/helpers.py (the single SGD step as `counted_step`),
-# and the one-line wrappers of `spectral.analyze`
+# the one-line wrappers of `spectral.analyze`, and the numpy copy of the
+# conversion kernel's stage rule
 REMOVED = ["ConversionRecord", "convert", "SamplePair", "SelectionVector", "selection_vector",
            "apply_correction", "sgd_step_counted", "SgdTrajectory", "SgdStream",
            "run_sgd_population", "sgd_step", "MultiplicationCount", "reference_output",
-           "RecordMismatchError", "sfdr", "sndr"]
+           "RecordMismatchError", "sfdr", "sndr", "quantize_stage"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -34,6 +35,24 @@ def test_all_names_resolve_and_none_was_removed(name):
 
 def test_package_exposes_no_removed_name():
     assert [name for name in REMOVED if hasattr(pipecal, name)] == []
+
+
+def test_calibration_data_holds_no_input_and_no_second_form():
+    # the estimators see output pairs and codes, never the test signal; the
+    # per-sample selection gathers and the quadratic-form MSE have one form each
+    from pipecal.calibration import accumulate_statistics
+    from pipecal.correction import selection_vectors
+    from pipecal.harness import _build_member, default_config
+    from pipecal.signals import gen_tones, make_pairs
+
+    cfg = default_config(11)
+    adc, path_config, layout = _build_member(cfg, 0)
+    pairs = make_pairs(adc, gen_tones(cfg.run_tones(cfg.cal_amplitude), 400), path_config, 11)
+    removed = [(pairs.unscaled, ["x_in"]),
+               (selection_vectors(pairs.unscaled, layout), ["weighted", "indicator_pos"]),
+               (accumulate_statistics(pairs, layout, cfg.alpha_d), ["mse"])]
+    assert [(type(obj).__name__, name) for obj, names in removed for name in names
+            if hasattr(obj, name)] == []
 
 
 def test_kernel_source_ships_next_to_calibration():

@@ -101,8 +101,8 @@ class TestMakePairs:
         x = gen_tones([ToneSpec(0.7, 0.9)], 500)
         path = PathConfig(alpha_a=0.7071, alpha_d=0.7071, snr_db=None)
         pairs = make_pairs(adc, x, path, seed=0)
-        assert np.array_equal(pairs.unscaled.x_in, x)
-        assert np.array_equal(pairs.scaled.x_in, 0.7071 * x)
+        assert np.array_equal(pairs.unscaled.y, convert_many(adc, x).y)
+        assert np.array_equal(pairs.scaled.y, convert_many(adc, 0.7071 * x).y)
 
     def test_infinite_snr_equals_none(self):
         adc = self.adc()
@@ -116,7 +116,8 @@ class TestMakePairs:
         x = gen_tones([ToneSpec(0.7, 1.0)], 10 ** 6)
         path = PathConfig(alpha_a=0.7071, alpha_d=0.7071, snr_db=70.0, noise_mode="independent")
         pairs = make_pairs(adc, x, path, seed=2)
-        noise = pairs.unscaled.x_in - x
+        noise = PairSource(adc, x, path, seed=2).noise[0]
+        assert np.array_equal(pairs.unscaled.y, convert_many(adc, x + noise).y)
         target = 0.5e-7
         measured = float(np.mean(noise ** 2))
         # +-0.2 dB band around the target variance
@@ -128,8 +129,9 @@ class TestMakePairs:
         x = gen_tones([ToneSpec(0.7, 1.0)], n)
         path = PathConfig(alpha_a=0.7071, alpha_d=0.7071, snr_db=40.0, noise_mode="independent")
         pairs = make_pairs(adc, x, path, seed=3)
-        n_x = pairs.unscaled.x_in - x
-        n_ax = pairs.scaled.x_in - 0.7071 * x
+        n_x, n_ax = PairSource(adc, x, path, seed=3).noise
+        assert np.array_equal(pairs.unscaled.y, convert_many(adc, x + n_x).y)
+        assert np.array_equal(pairs.scaled.y, convert_many(adc, 0.7071 * x + n_ax).y)
         corr = float(np.corrcoef(n_x, n_ax)[0, 1])
         assert abs(corr) < 3.0 / math.sqrt(n)
 
@@ -138,7 +140,9 @@ class TestMakePairs:
         x = gen_tones([ToneSpec(0.7, 1.0)], 1000)
         path = PathConfig(alpha_a=0.7071, alpha_d=0.7071, snr_db=60.0, noise_mode="held")
         pairs = make_pairs(adc, x, path, seed=4)
-        assert np.allclose(pairs.scaled.x_in, 0.7071 * pairs.unscaled.x_in, atol=1e-15)
+        [noise] = PairSource(adc, x, path, seed=4).noise     # one draw, before the scaler
+        assert np.array_equal(pairs.unscaled.y, convert_many(adc, x + noise).y)
+        assert np.array_equal(pairs.scaled.y, convert_many(adc, 0.7071 * (x + noise)).y)
 
     def test_deterministic_per_seed(self):
         adc = self.adc()
@@ -156,7 +160,7 @@ class TestMakePairs:
         assert len(pairs) == 50
         pair = pairs[7:8]
         assert len(pair) == 1 and pair.scaled.y[0] == pairs.scaled.y[7]
-        assert pair.unscaled.x_in[0] == pytest.approx(x[7])
+        assert pair.unscaled.y[0] == convert_many(adc, x[7:8]).y[0]
         # an int index and the iteration protocol built on it fail fast
         with pytest.raises(TypeError):
             pairs[3]
@@ -179,7 +183,6 @@ class TestMakePairs:
             for a, b in ((got.unscaled, want.unscaled), (got.scaled, want.scaled)):
                 assert np.array_equal(a.y, b.y)
                 assert np.array_equal(a.index, b.index)
-                assert np.array_equal(a.x_in, b.x_in)
         with pytest.raises(TypeError):
             source[3]
 
