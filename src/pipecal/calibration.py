@@ -23,14 +23,16 @@ sizes.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import kernels
-from .correction import CorrectionLayout, _select, selection_vectors
+from .correction import CorrectionLayout, SelectionBatch, _select, selection_vectors
 from .signals import PairBatch
 
 __all__ = [
@@ -75,50 +77,82 @@ class NumericalError(RuntimeError):
     """A non-finite intermediate value appeared."""
 
 
-@dataclass
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 class PairStatistics:
-    """Second-order sample statistics of a pair batch.
+    """Second-order sample statistics of a pair batch, and its Wiener solve.
 
-    With A = [y_ax, h_ax] and B = [y_x, h_x] (N x (D+1) each), every
-    statistic the estimators need is a quadratic form of the Gram matrix
-    G = C^T C / n of C = [A, B], built once:
+    With A = [y_ax, h_ax] and B = [y_x, h_x] (N x (D+1) each), the statistics
+    are the Gram matrix G = C^T C / n of C = [A, B] (`gram`), built by the
+    compiled `pipecal_gram` from both sides' keys, (K, q) tables and outputs,
+    without forming C. Its blocks give
 
-        M(c) = (A - cB)^T (A - cB) / n = S_AA - c (S_AB + S_BA) + c^2 S_BB
+        M(c) = (A - cB)^T (A - cB) / n = S_AA - c (S_AB + S_BA) + c^2 S_BB,
 
-    holds R_hh(c) and r_hy(c) as blocks, and with u = [1, theta_nl] the
-    output powers and the MSE are u^T S_BB u, u^T S_AB u and u^T M(c) u, so
-    an estimator iteration costs O(D^2) whatever N is. The dense buffers stay
-    available, as column views of C, for per-sample quantities.
+    which holds R_hh(c) and r_hy(c), and with u = [1, theta_nl] the output
+    powers u^T S_BB u and u^T S_AB u (`output_powers`). `solve` is one kernel
+    call: M(c), a Cholesky solve of R_hh(c), and the homogeneity MSE from one
+    pass over the pairs through the key tables. Every sum has a fixed order,
+    so no result depends on the BLAS kernel. The dense regressors `h_ax` and
+    `h_x` are built only when read; no estimator reads them. The kernels work
+    in buffers the object owns, so one thread at a time may call its methods.
     """
 
-    columns: np.ndarray    # (N, 2(D+1)) column-major C = [y_ax, h_ax, y_x, h_x]
-    alpha_d: float
-    layout: CorrectionLayout
-    # column views of C; h_ax and h_x are the (N, D) dense regressors
-    y_ax: np.ndarray = field(init=False, repr=False)
-    h_ax: np.ndarray = field(init=False, repr=False)
-    y_x: np.ndarray = field(init=False, repr=False)
-    h_x: np.ndarray = field(init=False, repr=False)
-    # (D+1) x (D+1) blocks of G, and S_AB + S_BA
-    s_aa: np.ndarray = field(init=False, repr=False)
-    s_ab: np.ndarray = field(init=False, repr=False)
-    s_bb: np.ndarray = field(init=False, repr=False)
-    s_cross: np.ndarray = field(init=False, repr=False)
+    def __init__(self, sel_ax: SelectionBatch, sel_x: SelectionBatch, y_ax: np.ndarray,
+                 y_x: np.ndarray, alpha_d: float):
+        self.sel_ax, self.sel_x, self.alpha_d = sel_ax, sel_x, alpha_d
+        self.y_ax, self.y_x = (np.ascontiguousarray(y, dtype=float) for y in (y_ax, y_x))
+        self.layout, self.n = sel_ax.layout, len(sel_ax)
+        if not len(sel_x) == self.y_ax.size == self.y_x.size == self.n:
+            raise ValueError(f"pair sides differ in length: {len(sel_ax)} and {len(sel_x)} "
+                             f"selections, {self.y_ax.size} and {self.y_x.size} outputs")
+        self.dim = d = self.layout.dim
+        k = d + 1
+        sides = (sel_ax, sel_x)
+        rows = [len(sel.table_weighted) for sel in sides]
+        for sel, r in zip(sides, rows):     # the kernels read these arrays by address
+            arrays = ((sel.keys, np.int64, (self.n,)), (sel.table_weighted, np.float64,
+                      (r, self.layout.q)), (sel.table_slots, np.int64, (r, self.layout.q)))
+            if not all(a.dtype == t and a.shape == shape and a.flags.c_contiguous
+                       for a, t, shape in arrays):
+                raise ValueError("a selection's keys and (K, q) tables must be C-contiguous "
+                                 "int64, float64 and int64 arrays")
+        self.gram = np.empty((2 * k, 2 * k))
+        self.s_cross = np.empty((k, k))         # S_AB + S_BA
+        # the kernels' buffers: the last solve's R_hh(c) then r_hy(c), its Cholesky factor
+        # and one vector, and T theta per table row of each side; then the solve's outputs
+        r = np.empty(d * d + d)
+        self._r_hh = r[:d * d].reshape(d, d)
+        self._work = (np.empty(d * d + d), np.empty(sum(rows)))
+        self._theta, self._moments, self._powers = np.empty(d), np.empty(2), np.empty(2)
+        self._pairs = kernels.Pairs(
+            self.n, d, self.layout.q, self.layout.weighted_slots.ctypes.data,
+            (self.y_ax.ctypes.data, self.y_x.ctypes.data),
+            tuple(sel.keys.ctypes.data for sel in sides), tuple(rows),
+            tuple(sel.table_weighted.ctypes.data for sel in sides),
+            tuple(sel.table_slots.ctypes.data for sel in sides),
+            *(x.ctypes.data for x in (self.gram, self.s_cross, r, *self._work)))
+        self._ref = ctypes.addressof(self._pairs)
+        self._outputs = (self._theta.ctypes.data, self._moments.ctypes.data)
+        self._powers_at = self._powers.ctypes.data
+        hist, work = np.zeros(3 * sum(rows) + rows[1]), np.empty(sum(rows) + self.n, dtype=np.int64)
+        kernels.library().pipecal_gram(self._ref, hist.ctypes.data, work.ctypes.data)
+        for block in (self.gram, self.s_cross):
+            block.setflags(write=False)
+        self.s_aa, self.s_ab, self.s_bb = self.gram[:k, :k], self.gram[:k, k:], self.gram[k:, k:]
 
-    def __post_init__(self) -> None:
-        k, c = self.dim + 1, self.columns
-        self.y_ax, self.h_ax, self.y_x, self.h_x = c[:, 0], c[:, 1:k], c[:, k], c[:, k + 1:]
-        gram = c.T @ c / self.n
-        self.s_aa, self.s_ab, self.s_bb = gram[:k, :k], gram[:k, k:], gram[k:, k:]
-        self.s_cross = self.s_ab + self.s_ab.T
+    @cached_property
+    def h_ax(self) -> np.ndarray:
+        """The (N, D) dense scaled-side regressors, read-only, built on first read."""
+        return _read_only(self.sel_ax.dense())
 
-    @property
-    def n(self) -> int:
-        return self.columns.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.layout.dim
+    @cached_property
+    def h_x(self) -> np.ndarray:
+        """The (N, D) dense unscaled-side regressors, read-only, built on first read."""
+        return _read_only(self.sel_x.dense())
 
     def homogeneity_gram(self, theta_alpha: float = 0.0) -> np.ndarray:
         """M(c) at c = alpha_d + theta_alpha: the Gram matrix of [dy, dh]."""
@@ -131,28 +165,29 @@ class PairStatistics:
     def r_hy(self, theta_alpha: float = 0.0) -> np.ndarray:
         return self.homogeneity_gram(theta_alpha)[1:, 0]
 
-    def r_yy(self, theta_nl: np.ndarray) -> float:
-        u = _augment(theta_nl)
-        return float(u @ self.s_bb @ u)
+    def output_powers(self, theta_nl: np.ndarray) -> tuple[float, float]:
+        """(r_yy, r_yya): the mean of the corrected y_x^2 and of y_x * y_ax."""
+        theta = np.ascontiguousarray(theta_nl, dtype=float)
+        if theta.shape != (self.dim,):
+            raise ValueError(f"parameter vector must have length {self.dim}")
+        kernels.library().pipecal_output_powers(self._ref, theta.ctypes.data, self._powers_at)
+        r_yy, r_yya = self._powers.tolist()
+        return r_yy, r_yya
 
-    def r_yya(self, theta_nl: np.ndarray) -> float:
-        u = _augment(theta_nl)
-        return float(u @ self.s_ab @ u)
-
-    def errors(self, theta_alpha: float, theta_nl: np.ndarray) -> np.ndarray:
-        """Per-sample homogeneity errors at the given parameters (one pass over C)."""
-        u = _augment(theta_nl)
-        return self.columns @ np.concatenate((u, -(self.alpha_d + theta_alpha) * u))
-
-
-def _augment(theta_nl: np.ndarray) -> np.ndarray:
-    """u = [1, theta_nl]: corrected outputs are A u and B u."""
-    return np.concatenate(([1.0], theta_nl))
+    def solve(self, theta_alpha: float) -> tuple[np.ndarray, float, float]:
+        """theta_nl = -R_hh(c)^-1 r_hy(c) at c = alpha_d + theta_alpha, the
+        homogeneity MSE at (theta_alpha, theta_nl) and its standard error.
+        Raises SingularStatisticsError as `_accept` decides."""
+        status = kernels.library().pipecal_wiener_solve(
+            self._ref, self.alpha_d + theta_alpha, COND_LIMIT, *self._outputs)
+        _accept(status, self._r_hh)
+        mse, stderr = self._moments.tolist()
+        return self._theta.copy(), mse, stderr
 
 
 def accumulate_statistics(pairs: PairBatch, layout: CorrectionLayout,
                           alpha_d: float) -> PairStatistics:
-    """Stack the pairs into C and form its Gram matrix.
+    """Select both sides' regressors and form their Gram matrix.
 
     Raises RankDeficiencyError when the input failed to exercise every
     regressor direction (e.g. a constant input selecting one code forever).
@@ -161,13 +196,9 @@ def accumulate_statistics(pairs: PairBatch, layout: CorrectionLayout,
     if n < layout.dim:
         raise ValueError(f"need at least D={layout.dim} pairs, got {n}")
 
-    k = layout.dim + 1
-    columns = np.empty((n, 2 * k), order="F")
-    columns[:, 0] = pairs.scaled.y
-    selection_vectors(pairs.scaled, layout).dense(out=columns[:, 1:k].T)
-    columns[:, k] = pairs.unscaled.y
-    selection_vectors(pairs.unscaled, layout).dense(out=columns[:, k + 1:].T)
-    stats = PairStatistics(columns=columns, alpha_d=alpha_d, layout=layout)
+    stats = PairStatistics(selection_vectors(pairs.scaled, layout),
+                           selection_vectors(pairs.unscaled, layout),
+                           pairs.scaled.y, pairs.unscaled.y, alpha_d)
 
     # numerical rank with matrix_rank's default tolerance, from the eigenvalues
     w = np.abs(np.linalg.eigvalsh(stats.r_hh(0.0)))
@@ -179,14 +210,23 @@ def accumulate_statistics(pairs: PairBatch, layout: CorrectionLayout,
     return stats
 
 
-def _solve_spd(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve r x = b for symmetric positive-definite r.
+_FACTORIZATION_FAILED = 1   # the kernels' solve status for a pivot that is not positive
 
-    One eigendecomposition gives the definiteness check, the 2-norm condition
-    number (largest over smallest eigenvalue) and the solution.
+
+def _accept(status: int, r: np.ndarray) -> None:
+    """Raise SingularStatisticsError unless the symmetric r passes.
+
+    Status 0 passes: the Cholesky factorization succeeded and its bound
+    ||r||_inf ||L^-1||_F^2 <= COND_LIMIT proves cond_2(r) <= COND_LIMIT.
+    Otherwise the eigenvalues decide: r must be positive definite with a
+    2-norm condition number (largest over smallest eigenvalue) of at most
+    COND_LIMIT, and its factorization must have succeeded. LAPACK decides pass
+    or fail only; no number it computes enters a result.
     """
+    if status == 0:
+        return
     try:
-        w, v = np.linalg.eigh(r)
+        w = np.linalg.eigvalsh(r)
     except np.linalg.LinAlgError as exc:
         raise SingularStatisticsError(f"covariance eigendecomposition failed: {exc}") from exc
     # negated comparisons so that NaN eigenvalues fail the checks too
@@ -195,12 +235,25 @@ def _solve_spd(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     cond = w[-1] / w[0]
     if not cond <= COND_LIMIT:
         raise SingularStatisticsError(f"covariance condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
-    return v @ ((v.T @ b) / w)
+    if status == _FACTORIZATION_FAILED:
+        raise SingularStatisticsError("covariance Cholesky factorization failed")
+
+
+def _solve_spd(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve r x = b for symmetric positive-definite r by the kernels' Cholesky
+    solve, under `PairStatistics.solve`'s acceptance rule (`_accept`)."""
+    r = np.ascontiguousarray(r, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    x, work = np.empty(b.size), np.empty(b.size * (b.size + 1))
+    status = kernels.library().pipecal_spd_solve(b.size, r.ctypes.data, b.ctypes.data,
+                                                  work.ctypes.data, x.ctypes.data, COND_LIMIT)
+    _accept(status, r)
+    return x
 
 
 def hec_wiener(stats: PairStatistics) -> np.ndarray:
     """Wiener solution theta = -R_hh^{-1} r_hy at theta_alpha = 0."""
-    return -_solve_spd(stats.r_hh(0.0), stats.r_hy(0.0))
+    return stats.solve(0.0)[0]
 
 
 @dataclass
@@ -248,15 +301,11 @@ def blhec_wiener(stats: PairStatistics, max_iterations: int = 50) -> BlhecResult
     the previous parameters are returned with a diagnostic instead of
     silently regularizing.
 
-    Both updates read the Gram matrices of `PairStatistics` (O(D^2) per
-    iteration); the only pass over the N samples is the error vector behind
-    each MSE and its standard error, a fourth moment the Gram matrices do not
-    hold.
+    Each solve is one `PairStatistics.solve` kernel call (O(D^3) for the
+    factorization, plus one pass over the N pairs for the MSE and its standard
+    error, a fourth moment the Gram matrix does not hold); each plain update
+    of theta_alpha reads the output powers, O(D^2).
     """
-    def solve(theta_alpha: float) -> np.ndarray:
-        gram = stats.homogeneity_gram(theta_alpha)
-        return -_solve_spd(gram[1:, 1:], gram[1:, 0])
-
     theta_nl = np.zeros(stats.dim)
     theta_alpha = 0.0
     mse: list[float] = []
@@ -275,22 +324,21 @@ def blhec_wiener(stats: PairStatistics, max_iterations: int = 50) -> BlhecResult
             chain = chain[-1:]
         if step is not None:
             try:
-                nl = solve(step)
+                nl, cost, stderr = stats.solve(step)
             except SingularStatisticsError:
                 continue
-            sq = stats.errors(step, nl) ** 2
             # negated comparison so that a NaN error rejects the candidate
-            if not np.mean(sq) <= mse[-1]:
+            if not cost <= mse[-1]:
                 continue
             theta_alpha, theta_nl = step, nl
             chain = [step]
         else:
-            r_yy = stats.r_yy(theta_nl)
+            r_yy, r_yya = stats.output_powers(theta_nl)
             if r_yy <= 0.0 or not math.isfinite(r_yy):
                 raise NumericalError(f"non-positive output power {r_yy!r}")
-            theta_alpha = stats.r_yya(theta_nl) / r_yy - stats.alpha_d
+            theta_alpha = r_yya / r_yy - stats.alpha_d
             try:
-                theta_nl = solve(theta_alpha)
+                theta_nl, cost, stderr = stats.solve(theta_alpha)
             except SingularStatisticsError as exc:
                 if m == 1:
                     raise
@@ -299,13 +347,10 @@ def blhec_wiener(stats: PairStatistics, max_iterations: int = 50) -> BlhecResult
                 break
             if not np.all(np.isfinite(theta_nl)) or not math.isfinite(theta_alpha):
                 raise NumericalError("non-finite calibration parameters")
-            sq = stats.errors(theta_alpha, theta_nl) ** 2
             chain.append(theta_alpha)
 
-        mean_sq = float(np.mean(sq))
-        dev = sq - mean_sq
-        mse.append(mean_sq)
-        mse_se.append(math.sqrt(float(dev @ dev)) / sq.size)     # std(sq) / sqrt(n)
+        mse.append(cost)
+        mse_se.append(stderr)       # std(e^2) / sqrt(n)
         alphas.append(theta_alpha)
         if m > 1 and abs(theta_alpha - prev_alpha) < BLHEC_TOLERANCE:
             converged = True

@@ -184,15 +184,14 @@ class SelectionBatch:
     def __len__(self) -> int:
         return self.keys.shape[0]
 
-    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The (N, D) dense regressors, gathered by key from the table's rows made dense;
-        `out`, a C-ordered (D, N) buffer, takes them transposed ("clip" copies no buffer)."""
+    def dense(self) -> np.ndarray:
+        """The (N, D) dense regressors, gathered by key from the table's rows made dense."""
         layout = self.layout
-        h = np.zeros((layout.dim, len(self.table_weighted)))
-        h[layout.weighted_slots] = self.table_weighted.T
+        h = np.zeros((len(self.table_weighted), layout.dim))
+        h[:, layout.weighted_slots] = self.table_weighted
         rows, stages = np.nonzero(self.table_slots >= 0)
-        h[self.table_slots[rows, stages], rows] = 1.0
-        return h.T[self.keys] if out is None else np.take(h, self.keys, axis=1, out=out, mode="clip")
+        h[rows, self.table_slots[rows, stages]] = 1.0
+        return h[self.keys]
 
     def dot(self, theta: np.ndarray) -> np.ndarray:
         """h_k . theta for every sample, without densifying: once per table row."""

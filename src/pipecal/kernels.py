@@ -1,10 +1,12 @@
 """The package's compiled kernels: one C source, `kernels.c`, built on first use.
 
-It holds the pipeline conversion behind `adc.convert_many` and the BL-HEC SGD
-loop behind `calibration.run_sgd`. This module owns everything between that
-source and its callers: the compiler lookup, the build into a cache keyed by
-the source and the flags, the error a failed build raises, and the ctypes
-signatures of both functions. Importing it builds and loads nothing; the first
+It holds the pipeline conversion behind `adc.convert_many`, the BL-HEC SGD
+loop behind `calibration.run_sgd`, and the Wiener path behind
+`calibration.PairStatistics`: its Gram matrix, its Cholesky solve and its
+output powers. This module owns everything between that source and its
+callers: the compiler lookup, the build into a cache keyed by the source and
+the flags, the error a failed build raises, the ctypes signatures of the
+functions, and `Pairs`, the C struct of one statistics object's arrays. Importing it builds and loads nothing; the first
 call of `library()` does, once per process.
 """
 
@@ -16,7 +18,7 @@ import hashlib
 import os
 from pathlib import Path
 
-__all__ = ["KernelBuildError", "library"]
+__all__ = ["KernelBuildError", "Pairs", "library"]
 
 _KERNEL_SOURCE = Path(__file__).with_name("kernels.c")
 # no contraction: a fused multiply-add would round differently from the numpy oracles.
@@ -25,6 +27,18 @@ _KERNEL_SOURCE = Path(__file__).with_name("kernels.c")
 # workers build on first use, so the compiler's peak is also a worker's
 _KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "--param=ggc-min-expand=10",
                  "--param=ggc-min-heapsize=2048", "-fPIC", "-shared")
+
+
+class Pairs(ctypes.Structure):
+    """`struct pipecal_pairs`: the addresses and sizes of one statistics object's
+    arrays, index 0 the scaled side and 1 the unscaled one (see kernels.c)."""
+
+    _fields_ = [("n", ctypes.c_int64), ("dim", ctypes.c_int64), ("q", ctypes.c_int64),
+                ("weighted", ctypes.c_void_p), ("y", ctypes.c_void_p * 2),
+                ("keys", ctypes.c_void_p * 2), ("rows", ctypes.c_int64 * 2),
+                ("table_weighted", ctypes.c_void_p * 2), ("table_slots", ctypes.c_void_p * 2),
+                ("g", ctypes.c_void_p), ("s_cross", ctypes.c_void_p), ("r", ctypes.c_void_p),
+                ("l", ctypes.c_void_p), ("p", ctypes.c_void_p)]
 
 
 class KernelBuildError(RuntimeError):
@@ -69,7 +83,7 @@ def _build_kernel(out_dir: Path) -> Path:
 @functools.cache
 def library() -> ctypes.CDLL:
     """The compiled kernels, built into the package's __pycache__ on first use,
-    with both functions' signatures declared."""
+    with every function's signature declared."""
     libc = ctypes.CDLL(None)    # glibc: a converting process keeps its freed memory (README)
     if hasattr(libc, "mallopt"):
         libc.mallopt(-1, 128 << 20)     # M_TRIM_THRESHOLD: no trim below 128 MB free
@@ -80,4 +94,12 @@ def library() -> ctypes.CDLL:
     lib.pipecal_convert.restype = None
     lib.pipecal_sgd.argtypes = [i64] * 5 + [ptr] * 8 + [i64] + [ptr] * 2 + [i64, ptr] + [f64] * 4
     lib.pipecal_sgd.restype = i64
+    lib.pipecal_gram.argtypes = [ptr] * 3
+    lib.pipecal_gram.restype = None
+    lib.pipecal_spd_solve.argtypes = [i64] + [ptr] * 4 + [f64]
+    lib.pipecal_spd_solve.restype = i64
+    lib.pipecal_wiener_solve.argtypes = [ptr, f64, f64, ptr, ptr]
+    lib.pipecal_wiener_solve.restype = i64
+    lib.pipecal_output_powers.argtypes = [ptr] * 3
+    lib.pipecal_output_powers.restype = None
     return lib

@@ -5,6 +5,8 @@ loops, closed-form least squares) so the production code is checked against
 an independent route.
 """
 
+import math
+import platform
 from typing import NamedTuple
 
 import numpy as np
@@ -247,40 +249,51 @@ def total_gain(adc):
     return beta
 
 
-def delta_h(stats, theta_alpha=0.0):
+class DenseStatistics:
+    """Oracle buffers of a pair batch, what the dense formulas below read: both
+    sides' outputs and (N, D) dense regressors, from `selection_vectors(...).dense()`."""
+
+    def __init__(self, pairs, layout, alpha_d):
+        self.alpha_d, self.n, self.dim = alpha_d, len(pairs), layout.dim
+        self.y_ax, self.y_x = pairs.scaled.y, pairs.unscaled.y
+        self.h_ax = selection_vectors(pairs.scaled, layout).dense()
+        self.h_x = selection_vectors(pairs.unscaled, layout).dense()
+
+
+def delta_h(dense, theta_alpha=0.0):
     """Dense homogeneity regressors h_ax - (alpha_d + theta_alpha) h_x, (N, D)."""
-    return stats.h_ax - (stats.alpha_d + theta_alpha) * stats.h_x
+    return dense.h_ax - (dense.alpha_d + theta_alpha) * dense.h_x
 
 
-def dense_r_hh(stats, theta_alpha=0.0):
+def dense_r_hh(dense, theta_alpha=0.0):
     """R_hh from the dense regressor buffers: mean of dh dh^T."""
-    dh = delta_h(stats, theta_alpha)
-    return dh.T @ dh / stats.n
+    dh = delta_h(dense, theta_alpha)
+    return dh.T @ dh / dense.n
 
 
-def dense_r_hy(stats, theta_alpha=0.0):
+def dense_r_hy(dense, theta_alpha=0.0):
     """r_hy from the dense buffers: mean of dh * dy."""
-    c = stats.alpha_d + theta_alpha
-    return delta_h(stats, theta_alpha).T @ (stats.y_ax - c * stats.y_x) / stats.n
+    c = dense.alpha_d + theta_alpha
+    return delta_h(dense, theta_alpha).T @ (dense.y_ax - c * dense.y_x) / dense.n
 
 
-def dense_corrected(stats, theta_nl):
-    return stats.y_x + stats.h_x @ theta_nl, stats.y_ax + stats.h_ax @ theta_nl
+def dense_corrected(dense, theta_nl):
+    return dense.y_x + dense.h_x @ theta_nl, dense.y_ax + dense.h_ax @ theta_nl
 
 
-def dense_r_yy(stats, theta_nl):
-    yx, _ = dense_corrected(stats, theta_nl)
+def dense_r_yy(dense, theta_nl):
+    yx, _ = dense_corrected(dense, theta_nl)
     return float(np.mean(yx ** 2))
 
 
-def dense_r_yya(stats, theta_nl):
-    yx, yax = dense_corrected(stats, theta_nl)
+def dense_r_yya(dense, theta_nl):
+    yx, yax = dense_corrected(dense, theta_nl)
     return float(np.mean(yx * yax))
 
 
-def dense_mse(stats, theta_alpha, theta_nl):
-    yx, yax = dense_corrected(stats, theta_nl)
-    return float(np.mean((yax - (stats.alpha_d + theta_alpha) * yx) ** 2))
+def dense_mse(dense, theta_alpha, theta_nl):
+    yx, yax = dense_corrected(dense, theta_nl)
+    return float(np.mean((yax - (dense.alpha_d + theta_alpha) * yx) ** 2))
 
 
 def gram_mse(stats, theta_alpha, theta_nl):
@@ -288,6 +301,180 @@ def gram_mse(stats, theta_alpha, theta_nl):
     of the Gram matrices alone: O(D^2) whatever N is."""
     u = np.concatenate(([1.0], theta_nl))
     return float(u @ stats.homogeneity_gram(theta_alpha) @ u)
+
+
+def _table_entries(sel, layout, row):
+    """Table row `row`'s nonzero regressor entries as (slot, value), stage by
+    stage the weighted entry, then the indicator if any."""
+    out = []
+    for i, slot in enumerate(layout.weighted_slots.tolist()):
+        out.append((slot, float(sel.table_weighted[row, i])))
+        indicator = int(sel.table_slots[row, i])
+        if indicator >= 0:
+            out.append((indicator, 1.0))
+    return out
+
+
+def gram_oracle(stats):
+    """Oracle for `PairStatistics.gram` and `.s_cross`: the Gram matrix of
+    [y_ax, h_ax, y_x, h_x] over n, summed in plain Python in the compiled
+    `pipecal_gram`'s order (see kernels.c): y.y pair by pair; a same-side
+    entry key by key as (T[r,s] * T[r,t]) * count; a y.h entry key by key of
+    h's side as ysum * T[r,s]; a cross entry by distinct key pairs, scaled key
+    ascending, then unscaled keys in order of first appearance."""
+    layout, n, d = stats.layout, stats.n, stats.dim
+    m, b = 2 * d + 2, d + 1
+    g = [[0.0] * m for _ in range(m)]
+    y = (stats.y_ax.tolist(), stats.y_x.tolist())
+    sides = (stats.sel_ax, stats.sel_x)
+    keys = [sel.keys.tolist() for sel in sides]
+    for k in range(n):
+        g[0][0] += y[0][k] * y[0][k]
+        g[0][b] += y[0][k] * y[1][k]
+        g[b][b] += y[1][k] * y[1][k]
+    for side, sel in enumerate(sides):
+        off, rows = 1 if side == 0 else b + 1, len(sel.table_weighted)
+        count, sum_ax, sum_x = [0.0] * rows, [0.0] * rows, [0.0] * rows
+        for k in range(n):
+            r = keys[side][k]
+            count[r] += 1.0
+            sum_ax[r] += y[0][k]
+            sum_x[r] += y[1][k]
+        for r in range(rows):
+            if count[r] == 0.0:
+                continue
+            entries = _table_entries(sel, layout, r)
+            for s, v in entries:
+                u = off + s
+                g[0][u] += sum_ax[r] * v
+                if side == 0:
+                    g[u][b] += sum_x[r] * v
+                else:
+                    g[b][u] += sum_x[r] * v
+                for t, w in entries:
+                    if s <= t:
+                        g[u][off + t] += (v * w) * count[r]
+    buckets = {}
+    for a, x in zip(*keys):
+        tally = buckets.setdefault(a, {})
+        tally[x] = tally.get(x, 0.0) + 1.0
+    for a in sorted(buckets):
+        for x, times in buckets[a].items():
+            for s, v in _table_entries(sides[0], layout, a):
+                for t, w in _table_entries(sides[1], layout, x):
+                    g[1 + s][b + 1 + t] += (v * w) * times
+    for i in range(m):
+        for j in range(i, m):
+            g[i][j] /= n
+            g[j][i] = g[i][j]
+    gram = np.array(g)
+    return gram, gram[:b, b:] + gram[:b, b:].T
+
+
+def cholesky_solve_oracle(r, rhs):
+    """Oracle for the kernels' Cholesky solve of r x = rhs, in plain Python in
+    its order: L row by row, each sum from r's lower-triangle entry down over k
+    ascending, then L v = rhs and L^T x = v. Raises ValueError at a pivot that
+    is not positive."""
+    r, rhs = np.asarray(r, dtype=float).tolist(), np.asarray(rhs, dtype=float).tolist()
+    d = len(rhs)
+    low = [[0.0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1):
+            t = r[i][j]
+            for k in range(j):
+                t -= low[i][k] * low[j][k]
+            if i > j:
+                low[i][j] = t / low[j][j]
+            elif t > 0.0:
+                low[i][i] = math.sqrt(t)
+            else:
+                raise ValueError(f"pivot {i} is {t!r}")
+    v = [0.0] * d
+    for i in range(d):
+        t = rhs[i]
+        for k in range(i):
+            t -= low[i][k] * v[k]
+        v[i] = t / low[i][i]
+    x = [0.0] * d
+    for i in range(d - 1, -1, -1):
+        t = v[i]
+        for k in range(i + 1, d):
+            t -= low[k][i] * x[k]
+        x[i] = t / low[i][i]
+    return np.array(x)
+
+
+def wiener_solve_oracle(stats, theta_alpha):
+    """Oracle for `PairStatistics.solve`, from the statistics' `gram` and
+    `s_cross`, in plain Python in the kernel's order: M(c) = (S_AA - c s_cross)
+    + (c c) S_BB entry by entry, theta = -x of `cholesky_solve_oracle`, T theta
+    per table row of each side, then per pair e = (y_ax + p_ax) - c (y_x + p_x),
+    mse = sum(e^2) / n and stderr = sqrt(sum((e^2 - mse)^2)) / n."""
+    c, d, n = stats.alpha_d + theta_alpha, stats.dim, stats.n
+    b = d + 1
+    g, cross = stats.gram.tolist(), stats.s_cross.tolist()
+
+    def entry(i, j):
+        return (g[i][j] - c * cross[i][j]) + (c * c) * g[b + i][b + j]
+
+    r = [[entry(i, j) for j in range(1, b)] for i in range(1, b)]
+    theta = (-cholesky_solve_oracle(r, [entry(i, 0) for i in range(1, b)])).tolist()
+    p = []
+    for sel in (stats.sel_ax, stats.sel_x):
+        row_dot = []
+        for row in range(len(sel.table_weighted)):
+            t = 0.0
+            for i, slot in enumerate(stats.layout.weighted_slots.tolist()):
+                t += float(sel.table_weighted[row, i]) * theta[slot]
+                if sel.table_slots[row, i] >= 0:
+                    t += theta[int(sel.table_slots[row, i])]
+            row_dot.append(t)
+        p.append(row_dot)
+    y_ax, y_x = stats.y_ax.tolist(), stats.y_x.tolist()
+    keys_ax, keys_x = stats.sel_ax.keys.tolist(), stats.sel_x.keys.tolist()
+    sq = [((y_ax[k] + p[0][keys_ax[k]]) - c * (y_x[k] + p[1][keys_x[k]])) ** 2 for k in range(n)]
+    total = 0.0
+    for e2 in sq:
+        total += e2
+    mse = total / n
+    dev = 0.0
+    for e2 in sq:
+        dev += (e2 - mse) * (e2 - mse)
+    return np.array(theta), mse, math.sqrt(dev) / n
+
+
+def output_powers_oracle(stats, theta_nl):
+    """Oracle for `PairStatistics.output_powers`: u^T S_BB u and u^T S_AB u at
+    u = [1, theta_nl], each sum_i u_i (sum_j S[i, j] u_j) from 0.0 in index order."""
+    g, b = stats.gram.tolist(), stats.dim + 1
+    u = [1.0] + np.asarray(theta_nl, dtype=float).tolist()
+    powers = []
+    for rows, cols in ((b, b), (0, b)):
+        outer = 0.0
+        for i in range(b):
+            inner = 0.0
+            for j in range(b):
+                inner += g[rows + i][cols + j] * u[j]
+            outer += u[i] * inner
+        powers.append(outer)
+    return tuple(powers)
+
+
+def second_blas_kernel_missing() -> str:
+    """Why OPENBLAS_CORETYPE cannot select a second BLAS kernel for numpy
+    here; empty when it can."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "this numpy does not report its BLAS"
+    if "openblas" not in blas.get("name", "").lower():
+        return f"numpy's BLAS is {blas.get('name')!r}, not OpenBLAS: there is no second kernel"
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return "numpy's OpenBLAS is not a DYNAMIC_ARCH build: it has no second kernel"
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return f"the Sandybridge kernel is x86-64's, and this is {platform.machine()}"
+    return ""
 
 
 def dense_solve_spd(r, b, cond_limit=1e12):
@@ -304,9 +491,9 @@ def dense_solve_spd(r, b, cond_limit=1e12):
     return np.linalg.solve(r, b)
 
 
-def dense_blhec(stats, max_iterations=50, tolerance=1e-7):
+def dense_blhec(dense, max_iterations=50, tolerance=1e-7):
     """Oracle: the safeguarded BL-HEC solve re-evaluated from the dense
-    buffers at every iteration.
+    buffers (`DenseStatistics`) at every iteration.
 
     Same map, extrapolation schedule, acceptance rule, stop rule and
     singular-matrix fallback as `blhec_wiener`; returns (theta_nl,
@@ -315,9 +502,9 @@ def dense_blhec(stats, max_iterations=50, tolerance=1e-7):
     from pipecal.calibration import SingularStatisticsError
 
     def solve(theta_alpha):
-        return -dense_solve_spd(dense_r_hh(stats, theta_alpha), dense_r_hy(stats, theta_alpha))
+        return -dense_solve_spd(dense_r_hh(dense, theta_alpha), dense_r_hy(dense, theta_alpha))
 
-    theta_nl = np.zeros(stats.dim)
+    theta_nl = np.zeros(dense.dim)
     theta_alpha = 0.0
     mse = []
     converged = False
@@ -336,7 +523,7 @@ def dense_blhec(stats, max_iterations=50, tolerance=1e-7):
                     nl = solve(candidate)
                 except SingularStatisticsError:
                     continue
-                cost = dense_mse(stats, candidate, nl)
+                cost = dense_mse(dense, candidate, nl)
                 if cost <= mse[-1]:
                     theta_alpha, theta_nl = candidate, nl
                     mse.append(cost)
@@ -345,7 +532,7 @@ def dense_blhec(stats, max_iterations=50, tolerance=1e-7):
                         converged = True
                         break
                 continue
-        theta_alpha = dense_r_yya(stats, theta_nl) / dense_r_yy(stats, theta_nl) - stats.alpha_d
+        theta_alpha = dense_r_yya(dense, theta_nl) / dense_r_yy(dense, theta_nl) - dense.alpha_d
         try:
             theta_nl = solve(theta_alpha)
         except SingularStatisticsError:
@@ -353,7 +540,7 @@ def dense_blhec(stats, max_iterations=50, tolerance=1e-7):
                 raise
             theta_alpha = prev_alpha
             break
-        mse.append(dense_mse(stats, theta_alpha, theta_nl))
+        mse.append(dense_mse(dense, theta_alpha, theta_nl))
         plain.append(theta_alpha)
         pending += 1
         if m > 1 and abs(theta_alpha - prev_alpha) < tolerance:
@@ -371,7 +558,8 @@ def plain_blhec(stats, tolerance=1e-12, max_iterations=100000):
     theta_alpha = 0.0
     for m in range(1, max_iterations + 1):
         prev_alpha = theta_alpha
-        theta_alpha = stats.r_yya(theta_nl) / stats.r_yy(theta_nl) - stats.alpha_d
+        r_yy, r_yya = stats.output_powers(theta_nl)
+        theta_alpha = r_yya / r_yy - stats.alpha_d
         theta_nl = -np.linalg.solve(stats.r_hh(theta_alpha), stats.r_hy(theta_alpha))
         if m > 1 and abs(theta_alpha - prev_alpha) < tolerance:
             return theta_nl, theta_alpha, m
@@ -444,8 +632,6 @@ def sgd_loop(pairs, layout, alpha_d, schedule=None, guard=1.0, checkpoints=None)
     theta_alpha)}). `counted_step` is the audit oracle of one update's
     multiplication budget.
     """
-    import math
-
     from pipecal.calibration import (
         GUARD_EVERY,
         CalibrationState,

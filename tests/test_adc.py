@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import os
-import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +14,7 @@ from helpers import (
     random_toy,
     reference_output,
     searchsorted_convert,
+    second_blas_kernel_missing,
     toy_adc,
     toy_stage,
     total_gain,
@@ -297,23 +297,7 @@ class TestConvertKernel:
                 self.assert_same(converter, x[:n])
 
 
-def _second_blas_kernel_missing() -> str:
-    """Why OPENBLAS_CORETYPE cannot select a second BLAS kernel for numpy
-    here; empty when it can."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):
-        return "this numpy does not report its BLAS"
-    if "openblas" not in blas.get("name", "").lower():
-        return f"numpy's BLAS is {blas.get('name')!r}, not OpenBLAS: there is no second kernel"
-    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
-        return "numpy's OpenBLAS is not a DYNAMIC_ARCH build: it has no second kernel"
-    if platform.machine().lower() not in ("x86_64", "amd64"):
-        return f"the Sandybridge kernel is x86-64's, and this is {platform.machine()}"
-    return ""
-
-
-_NO_SECOND_BLAS_KERNEL = _second_blas_kernel_missing()
+_NO_SECOND_BLAS_KERNEL = second_blas_kernel_missing()
 
 
 @pytest.mark.skipif(bool(_NO_SECOND_BLAS_KERNEL), reason=_NO_SECOND_BLAS_KERNEL)

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    DenseStatistics,
+    cholesky_solve_oracle,
     counted_step,
     delta_h,
     dense_blhec,
@@ -19,19 +21,24 @@ from helpers import (
     dense_r_yya,
     dense_ramp,
     gram_mse,
+    gram_oracle,
     ls_fit,
     naive_selection_dense,
+    output_powers_oracle,
     plain_blhec,
+    second_blas_kernel_missing,
     sgd_loop,
     toy_adc,
     toy_stage,
     total_gain,
+    wiener_solve_oracle,
 )
 
 from pipecal import calibration, kernels
 from pipecal.adc import ConversionBatch, convert_many, lsb_size
 from pipecal.calibration import (
     DivergenceError,
+    PairStatistics,
     RankDeficiencyError,
     SingularStatisticsError,
     StepSchedule,
@@ -42,7 +49,7 @@ from pipecal.calibration import (
     run_sgd,
     step_size_bounds,
 )
-from pipecal.correction import CorrectionLayout, LayoutError, selection_vectors
+from pipecal.correction import CorrectionLayout, LayoutError, SelectionBatch, selection_vectors
 from pipecal.kernels import KernelBuildError, _build_kernel
 from pipecal.signals import PairBatch, PairSource, PathConfig, ToneSpec, gen_tones, make_pairs
 
@@ -98,6 +105,19 @@ class TestAccumulateStatistics:
         assert np.max(np.abs(stats.r_hh(0.0) - r_hh / n)) < 1e-12
         assert np.max(np.abs(stats.r_hy(0.0) - r_hy / n)) < 1e-12
 
+    def test_statistics_check_the_arrays_the_kernels_read(self):
+        adc = toy_with_mismatch()
+        layout = CorrectionLayout.from_adc(adc, 2)
+        pairs, _ = toy_pairs(adc, n=401)
+        sel_ax, sel_x = (selection_vectors(b, layout) for b in (pairs.scaled, pairs.unscaled))
+        with pytest.raises(ValueError, match="differ in length"):
+            PairStatistics(sel_ax, selection_vectors(pairs.unscaled[:400], layout),
+                           pairs.scaled.y, pairs.unscaled.y[:400], ALPHA)
+        narrow = SelectionBatch(layout, sel_x.table_weighted, sel_x.table_slots,
+                                sel_x.table_codes, sel_x.keys.astype(np.int32))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            PairStatistics(sel_ax, narrow, pairs.scaled.y, pairs.unscaled.y, ALPHA)
+
     def test_requires_enough_samples(self):
         adc = toy_with_mismatch()
         layout = CorrectionLayout.from_adc(adc, 2)
@@ -139,7 +159,7 @@ class TestHecWiener:
         stats = accumulate_statistics(pairs, layout, ALPHA)
         theta = hec_wiener(stats)
         _, theta0 = ls_fit(adc, layout, x)
-        r_hx = delta_h(stats, 0.0).T @ (total_gain(adc) * x) / stats.n
+        r_hx = delta_h(DenseStatistics(pairs, layout, ALPHA), 0.0).T @ (total_gain(adc) * x) / stats.n
         predicted = theta0 - delta * np.linalg.solve(stats.r_hh(0.0), r_hx)
         assert np.max(np.abs(theta - predicted)) < 1e-9
 
@@ -258,8 +278,9 @@ class TestGramStatistics:
         for idx in range(10):
             adc, path, layout = _build_member(cfg, idx)
             x = gen_tones(cfg.run_tones(cfg.cal_amplitude), cfg.n_cal)
-            pairs = make_pairs(adc, x, path, _seed_for(cfg, idx, _ROLE_CAL_NOISE))
-            out.append(accumulate_statistics(pairs[:cfg.n_cal], layout, cfg.alpha_d))
+            pairs = make_pairs(adc, x, path, _seed_for(cfg, idx, _ROLE_CAL_NOISE))[:cfg.n_cal]
+            out.append((accumulate_statistics(pairs, layout, cfg.alpha_d),
+                        DenseStatistics(pairs, layout, cfg.alpha_d)))
         return out
 
     def test_blhec_matches_dense_oracle(self, member_stats):
@@ -267,9 +288,9 @@ class TestGramStatistics:
         # every default member converges within 8 solves; a cap of 4 stops
         # each one right after its first extrapolated candidate
         for cap in (50, 4):
-            for stats in member_stats:
+            for stats, dense in member_stats:
                 res = blhec_wiener(stats, max_iterations=cap)
-                theta_nl, theta_alpha, mse, iterations, converged = dense_blhec(stats, cap)
+                theta_nl, theta_alpha, mse, iterations, converged = dense_blhec(dense, cap)
                 assert res.iterations == iterations
                 assert res.converged == converged
                 assert np.max(np.abs(res.theta_nl - theta_nl)) <= 1e-8 * np.max(np.abs(theta_nl))
@@ -280,20 +301,23 @@ class TestGramStatistics:
         assert outcomes == {True, False}
 
     def test_statistics_match_dense_formulas(self, member_stats):
-        for stats in member_stats:
+        for stats, dense in member_stats:
             res = blhec_wiener(stats)
             for ta, theta in ((0.0, np.zeros(stats.dim)), (res.theta_alpha, res.theta_nl)):
-                assert np.max(np.abs(stats.r_hh(ta) - dense_r_hh(stats, ta))) < 1e-12
-                assert np.max(np.abs(stats.r_hy(ta) - dense_r_hy(stats, ta))) < 1e-12
-                assert abs(stats.r_yy(theta) - dense_r_yy(stats, theta)) < 1e-12
-                assert abs(stats.r_yya(theta) - dense_r_yya(stats, theta)) < 1e-12
-                assert abs(gram_mse(stats, ta, theta) - dense_mse(stats, ta, theta)) < 1e-12
-                assert gram_mse(stats, ta, theta) == pytest.approx(
-                    float(np.mean(stats.errors(ta, theta) ** 2)), rel=1e-6)
+                assert np.max(np.abs(stats.r_hh(ta) - dense_r_hh(dense, ta))) < 1e-12
+                assert np.max(np.abs(stats.r_hy(ta) - dense_r_hy(dense, ta))) < 1e-12
+                r_yy, r_yya = stats.output_powers(theta)
+                assert abs(r_yy - dense_r_yy(dense, theta)) < 1e-12
+                assert abs(r_yya - dense_r_yya(dense, theta)) < 1e-12
+                assert abs(gram_mse(stats, ta, theta) - dense_mse(dense, ta, theta)) < 1e-12
+            theta, mse, _ = stats.solve(res.theta_alpha)
+            assert mse == pytest.approx(dense_mse(dense, res.theta_alpha, theta), rel=1e-9)
+            assert mse == pytest.approx(gram_mse(stats, res.theta_alpha, theta), rel=1e-6)
 
     def test_solve_spd_checks_definiteness_and_condition(self):
         r = np.array([[4.0, 1.0], [1.0, 3.0]])
         b = np.array([1.0, 2.0])
+        assert np.array_equal(_solve_spd(r, b), cholesky_solve_oracle(r, b))
         assert np.allclose(_solve_spd(r, b), np.linalg.solve(r, b), rtol=1e-14, atol=0.0)
         with pytest.raises(SingularStatisticsError):
             _solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), b)      # indefinite
@@ -301,6 +325,80 @@ class TestGramStatistics:
             _solve_spd(np.diag([1.0, 1e-13]), b)                    # cond 1e13
         with pytest.raises(SingularStatisticsError):
             _solve_spd(np.full((2, 2), np.nan), b)
+        # ||r||_inf ||L^-1||_F^2 = 1 + 2 / 1.5e-12 exceeds COND_LIMIT, cond_2 = 6.7e11
+        # does not: the factorization's bound cannot accept r, the eigenvalues do
+        r = np.diag([1.0, 1.5e-12, 1.5e-12])
+        assert np.linalg.cond(r) <= calibration.COND_LIMIT < 1.0 + 2.0 / 1.5e-12
+        b = np.array([1.0, 2.0, 3.0])
+        assert np.array_equal(_solve_spd(r, b), cholesky_solve_oracle(r, b))
+
+
+class TestWienerKernels:
+    """The compiled Gram matrix, solve and output powers against the plain-Python
+    oracles of tests/helpers.py, bit for bit: the default layout, a gain-3
+    layout whose sums round, and one whose Π p_i exceeds n_cal (per-row tables)."""
+
+    @pytest.fixture(scope="class", params=[{}, {"stage_gain": 3.0, "stage_levels": 5}, {"q": 4}],
+                    ids=["default", "gain3-levels5", "per-row"])
+    def stats(self, request):
+        from pipecal.harness import _ROLE_CAL_NOISE, _build_member, _seed_for, default_config
+
+        cfg = default_config(11, **request.param)
+        adc, path, layout = _build_member(cfg, 0)
+        x = gen_tones(cfg.run_tones(cfg.cal_amplitude), cfg.n_cal)
+        pairs = make_pairs(adc, x, path, _seed_for(cfg, 0, _ROLE_CAL_NOISE))[:cfg.n_cal]
+        stats = accumulate_statistics(pairs, layout, cfg.alpha_d)
+        per_row = math.prod(layout.sizes) > cfg.n_cal
+        assert len(stats.sel_ax.table_weighted) == (cfg.n_cal if per_row else math.prod(layout.sizes))
+        assert per_row == (request.param == {"q": 4})
+        return stats
+
+    def test_gram_matches_oracle(self, stats):
+        gram, cross = gram_oracle(stats)
+        assert np.array_equal(stats.gram.view(np.uint64), gram.view(np.uint64))
+        assert np.array_equal(stats.s_cross.view(np.uint64), cross.view(np.uint64))
+
+    def test_solve_and_output_powers_match_oracle(self, stats):
+        res = blhec_wiener(stats)
+        for ta in (0.0, res.theta_alpha, -3e-3):
+            theta, mse, stderr = stats.solve(ta)
+            want, want_mse, want_stderr = wiener_solve_oracle(stats, ta)
+            assert np.array_equal(theta.view(np.uint64), want.view(np.uint64))
+            assert (mse, stderr) == (want_mse, want_stderr)
+            assert stats.output_powers(theta) == output_powers_oracle(stats, theta)
+        assert np.array_equal(hec_wiener(stats), stats.solve(0.0)[0])
+        assert res.mse[-1] == stats.solve(res.theta_alpha)[1]
+
+    def test_dense_regressors_are_read_only_views_built_on_read(self, stats):
+        assert "h_ax" not in vars(stats) and "h_x" not in vars(stats)
+        for h, sel in ((stats.h_ax, stats.sel_ax), (stats.h_x, stats.sel_x)):
+            assert np.array_equal(h, sel.dense())
+            assert not h.flags.writeable
+
+
+_NO_SECOND_BLAS_KERNEL = second_blas_kernel_missing()
+
+
+@pytest.mark.skipif(bool(_NO_SECOND_BLAS_KERNEL), reason=_NO_SECOND_BLAS_KERNEL)
+def test_wiener_results_do_not_depend_on_the_blas_kernel():
+    # every number of the Wiener path is summed in the kernels' fixed order;
+    # LAPACK only decides pass or fail. OpenBLAS reads OPENBLAS_CORETYPE once,
+    # at load, so each kernel gets a process
+    script = ("import hashlib, struct, sys; from pipecal.harness import default_config, "
+              "run_experiment; h = hashlib.sha256(); "
+              "[h.update(struct.pack('<4d', r.theta_alpha, r.post_sfdr_db, r.post_sndr_db, "
+              "r.pre_sfdr_db)) for a in ('hec-wiener', 'blhec-wiener') "
+              "for r in run_experiment(default_config(11, population=20, algorithm=a))]; "
+              "sys.stdout.write(h.hexdigest())")
+    src = str(Path(kernels.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    procs = [subprocess.Popen([sys.executable, "-c", script], env={**env, **extra},
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for extra in ({}, {"OPENBLAS_CORETYPE": "Sandybridge"})]
+    outs = [proc.communicate(timeout=120) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0], outs
+    assert outs[0][0] == outs[1][0]
 
 
 def one_hot_pairs(y_x, y_ax):
@@ -823,8 +921,8 @@ class TestMeanConvergence:
         for seed in range(100):
             pairs = make_pairs(adc, x, PathConfig(ALPHA + 2e-3, ALPHA, 40.0, "independent"), seed)
             stats = accumulate_statistics(pairs, layout, ALPHA)
-            zero = np.zeros(layout.dim)
-            targets.append(stats.r_yya(zero) / stats.r_yy(zero) - ALPHA)
+            r_yy, r_yya = stats.output_powers(np.zeros(layout.dim))
+            targets.append(r_yya / r_yy - ALPHA)
             trace = np.empty(n)
             ta = 0.0
             y_x, y_ax = pairs.unscaled.y.tolist(), pairs.scaled.y.tolist()

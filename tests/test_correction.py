@@ -150,9 +150,6 @@ class TestCombinationTable:
         assert np.array_equal(bits(sel.table_weighted[sel.keys]), bits(want.weighted))
         assert np.array_equal(sel.table_slots[sel.keys], want.indicator_pos)
         assert np.array_equal(bits(sel.dense()), bits(want.dense()))
-        transposed = np.empty((layout.dim, len(batch)))     # accumulate_statistics' gather
-        sel.dense(out=transposed)
-        assert np.array_equal(bits(transposed.T), bits(want.dense()))
         theta = np.random.default_rng(5).normal(scale=1e-3, size=layout.dim)
         assert np.array_equal(bits(sel.dot(theta)), bits(want.dot(theta)))
         assert np.array_equal(bits(apply_correction_batch(batch.y, sel, theta)),
