@@ -82,6 +82,35 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _pairs(sel_ax: SelectionBatch, sel_x: SelectionBatch, y_ax: np.ndarray, y_x: np.ndarray,
+           *buffers: np.ndarray) -> kernels.Pairs:
+    """The `kernels.Pairs` of the pairs (y_ax, y_x) with their selections and the Wiener
+    kernels' `buffers` (g, r, l, p) if any, holding every array it points at. Raises
+    ValueError unless both sides have one length and the kernels can read each array by
+    address: C-contiguous float64 outputs, int64 keys, float64 and int64 (K, q) tables."""
+    y_ax, y_x = (np.ascontiguousarray(y, dtype=float) for y in (y_ax, y_x))
+    layout, n, sides = sel_ax.layout, len(sel_ax), (sel_ax, sel_x)
+    if not len(sel_x) == y_ax.size == y_x.size == n:
+        raise ValueError(f"pair sides differ in length: {len(sel_ax)} and {len(sel_x)} "
+                         f"selections, {y_ax.size} and {y_x.size} outputs")
+    rows = tuple(len(sel.table_weighted) for sel in sides)
+    for sel, r in zip(sides, rows):
+        arrays = ((sel.keys, np.int64, (n,)), (sel.table_weighted, np.float64, (r, layout.q)),
+                  (sel.table_slots, np.int64, (r, layout.q)))
+        if not all(a.dtype == t and a.shape == shape and a.flags.c_contiguous
+                   for a, t, shape in arrays):
+            raise ValueError("a selection's keys and (K, q) tables must be C-contiguous "
+                             "int64, float64 and int64 arrays")
+    pairs = kernels.Pairs(n, layout.dim, layout.q, layout.weighted_slots.ctypes.data,
+                          (y_ax.ctypes.data, y_x.ctypes.data),
+                          tuple(sel.keys.ctypes.data for sel in sides), rows,
+                          tuple(sel.table_weighted.ctypes.data for sel in sides),
+                          tuple(sel.table_slots.ctypes.data for sel in sides),
+                          *(b.ctypes.data for b in buffers))
+    pairs.arrays = (sides, y_ax, y_x, buffers)
+    return pairs
+
+
 class PairStatistics:
     """Second-order sample statistics of a pair batch, and its Wiener solve.
 
@@ -105,43 +134,23 @@ class PairStatistics:
                  y_x: np.ndarray, alpha_d: float):
         self.sel_ax, self.sel_x, self.alpha_d = sel_ax, sel_x, alpha_d
         self.y_ax, self.y_x = (np.ascontiguousarray(y, dtype=float) for y in (y_ax, y_x))
-        self.layout, self.n = sel_ax.layout, len(sel_ax)
-        if not len(sel_x) == self.y_ax.size == self.y_x.size == self.n:
-            raise ValueError(f"pair sides differ in length: {len(sel_ax)} and {len(sel_x)} "
-                             f"selections, {self.y_ax.size} and {self.y_x.size} outputs")
-        self.dim = d = self.layout.dim
-        k = d + 1
-        sides = (sel_ax, sel_x)
-        rows = [len(sel.table_weighted) for sel in sides]
-        for sel, r in zip(sides, rows):     # the kernels read these arrays by address
-            arrays = ((sel.keys, np.int64, (self.n,)), (sel.table_weighted, np.float64,
-                      (r, self.layout.q)), (sel.table_slots, np.int64, (r, self.layout.q)))
-            if not all(a.dtype == t and a.shape == shape and a.flags.c_contiguous
-                       for a, t, shape in arrays):
-                raise ValueError("a selection's keys and (K, q) tables must be C-contiguous "
-                                 "int64, float64 and int64 arrays")
+        self.layout, self.n, self.dim = sel_ax.layout, len(sel_ax), sel_ax.layout.dim
+        d, k = self.dim, self.dim + 1
+        rows = [len(sel.table_weighted) for sel in (sel_ax, sel_x)]
         self.gram = np.empty((2 * k, 2 * k))
-        self.s_cross = np.empty((k, k))         # S_AB + S_BA
         # the kernels' buffers: the last solve's R_hh(c) then r_hy(c), its Cholesky factor
         # and one vector, and T theta per table row of each side; then the solve's outputs
         r = np.empty(d * d + d)
         self._r_hh = r[:d * d].reshape(d, d)
-        self._work = (np.empty(d * d + d), np.empty(sum(rows)))
         self._theta, self._moments, self._powers = np.empty(d), np.empty(2), np.empty(2)
-        self._pairs = kernels.Pairs(
-            self.n, d, self.layout.q, self.layout.weighted_slots.ctypes.data,
-            (self.y_ax.ctypes.data, self.y_x.ctypes.data),
-            tuple(sel.keys.ctypes.data for sel in sides), tuple(rows),
-            tuple(sel.table_weighted.ctypes.data for sel in sides),
-            tuple(sel.table_slots.ctypes.data for sel in sides),
-            *(x.ctypes.data for x in (self.gram, self.s_cross, r, *self._work)))
+        self._pairs = _pairs(sel_ax, sel_x, self.y_ax, self.y_x, self.gram, r,
+                             np.empty(d * d + d), np.empty(sum(rows)))
         self._ref = ctypes.addressof(self._pairs)
         self._outputs = (self._theta.ctypes.data, self._moments.ctypes.data)
         self._powers_at = self._powers.ctypes.data
         hist, work = np.zeros(3 * sum(rows) + rows[1]), np.empty(sum(rows) + self.n, dtype=np.int64)
         kernels.library().pipecal_gram(self._ref, hist.ctypes.data, work.ctypes.data)
-        for block in (self.gram, self.s_cross):
-            block.setflags(write=False)
+        self.gram.setflags(write=False)
         self.s_aa, self.s_ab, self.s_bb = self.gram[:k, :k], self.gram[:k, k:], self.gram[k:, k:]
 
     @cached_property
@@ -157,13 +166,10 @@ class PairStatistics:
     def homogeneity_gram(self, theta_alpha: float = 0.0) -> np.ndarray:
         """M(c) at c = alpha_d + theta_alpha: the Gram matrix of [dy, dh]."""
         c = self.alpha_d + theta_alpha
-        return self.s_aa - c * self.s_cross + (c * c) * self.s_bb
+        return self.s_aa - c * (self.s_ab + self.s_ab.T) + (c * c) * self.s_bb
 
     def r_hh(self, theta_alpha: float = 0.0) -> np.ndarray:
         return self.homogeneity_gram(theta_alpha)[1:, 1:]
-
-    def r_hy(self, theta_alpha: float = 0.0) -> np.ndarray:
-        return self.homogeneity_gram(theta_alpha)[1:, 0]
 
     def output_powers(self, theta_nl: np.ndarray) -> tuple[float, float]:
         """(r_yy, r_yya): the mean of the corrected y_x^2 and of y_x * y_ax."""
@@ -237,18 +243,6 @@ def _accept(status: int, r: np.ndarray) -> None:
         raise SingularStatisticsError(f"covariance condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
     if status == _FACTORIZATION_FAILED:
         raise SingularStatisticsError("covariance Cholesky factorization failed")
-
-
-def _solve_spd(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve r x = b for symmetric positive-definite r by the kernels' Cholesky
-    solve, under `PairStatistics.solve`'s acceptance rule (`_accept`)."""
-    r = np.ascontiguousarray(r, dtype=float)
-    b = np.ascontiguousarray(b, dtype=float)
-    x, work = np.empty(b.size), np.empty(b.size * (b.size + 1))
-    status = kernels.library().pipecal_spd_solve(b.size, r.ctypes.data, b.ctypes.data,
-                                                  work.ctypes.data, x.ctypes.data, COND_LIMIT)
-    _accept(status, r)
-    return x
 
 
 def hec_wiener(stats: PairStatistics) -> np.ndarray:
@@ -407,22 +401,18 @@ SGD_CHUNK = 8192
 Snapshots = dict[int, tuple[np.ndarray, float]]    # sample count -> (theta_nl, theta_alpha)
 
 
-def _chunk_arrays(chunk: PairBatch, layout: CorrectionLayout, base: int,
-                  counts: np.ndarray) -> tuple:
-    """The kernel's per-chunk arrays, after checking the chunk's codes and
-    adding them to `counts`: y_x and y_ax as float64, both batches' table
-    keys, and the unscaled then the scaled batch's two (K, q) tables."""
-    batches = (chunk.unscaled, chunk.scaled)
-    for batch in batches:
+def _chunk_pairs(chunk: PairBatch, layout: CorrectionLayout, base: int,
+                 counts: np.ndarray) -> kernels.Pairs:
+    """The kernel's `_pairs` of one chunk, after checking the chunk's codes and
+    adding them to `counts`."""
+    for batch in (chunk.unscaled, chunk.scaled):
         layout.check_codes(batch, base=base)
-    sel_x, sel_ax = (_select(batch, layout) for batch in batches)
-    for sel in (sel_x, sel_ax):     # each table row's codes, as often as a key selects it
+    sides = [_select(batch, layout) for batch in (chunk.scaled, chunk.unscaled)]
+    for sel in sides:       # each table row's codes, as often as a key selects it
         selected = np.bincount(sel.keys, minlength=len(sel.table_codes))
         for stage, column in zip(counts, sel.table_codes.T):
             stage += np.bincount(column, selected, stage.size).astype(np.int64)
-    y_x, y_ax = (np.ascontiguousarray(c.y, dtype=float) for c in batches)
-    return (y_x, y_ax, sel_x.keys, sel_ax.keys, sel_x.table_weighted, sel_x.table_slots,
-            sel_ax.table_weighted, sel_ax.table_slots)
+    return _pairs(*sides, chunk.scaled.y, chunk.unscaled.y)
 
 
 def run_sgd(pairs, layout: CorrectionLayout, alpha_d: float,
@@ -465,12 +455,11 @@ def run_sgd(pairs, layout: CorrectionLayout, alpha_d: float,
     a = 0
     for b in stops:
         if a % SGD_CHUNK == 0:      # a chunk starts at sample a
-            arrays = None           # the last chunk's pairs go before the next is converted
-            arrays, base = _chunk_arrays(pairs[a:min(a + SGD_CHUNK, total)], layout, a, counts), a
+            chunk = None            # the last chunk's pairs go before the next is converted
+            chunk, base = _chunk_pairs(pairs[a:min(a + SGD_CHUNK, total)], layout, a, counts), a
         tripped = kernels.library().pipecal_sgd(
-            a, b, total, base, GUARD_EVERY, *(x.ctypes.data for x in arrays), layout.q,
-            layout.weighted_slots.ctypes.data, theta.ctypes.data, layout.dim, ta.ctypes.data,
-            alpha_d, schedule.mu_nl(a), schedule.mu_alpha(a), guard)
+            ctypes.addressof(chunk), a, b, total, base, GUARD_EVERY, theta.ctypes.data,
+            ta.ctypes.data, alpha_d, schedule.mu_nl(a), schedule.mu_alpha(a), guard)
         if tripped:
             raise DivergenceError(f"||theta_nl||_inf exceeded guard {guard} at sample {tripped}",
                                   sample=tripped)

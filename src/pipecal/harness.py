@@ -50,7 +50,8 @@ from .calibration import (
 from .correction import CorrectionLayout, apply_correction_batch, model_dimension, selection_vectors
 from .signals import (SNR_DB_RANGE, PairSource, PathConfig, ToneSpec, cached_tones, make_pairs,
                       noise_sigma, snap_to_odd_bin)
-from .spectral import WINDOWS, MisdeclaredSignalError, analyze, error_norm, spectrum, tone_bin
+from .spectral import (WINDOWS, MisdeclaredSignalError, analyze, error_norm, signal_regions,
+                       spectrum, tone_bin)
 
 __all__ = [
     "ALGORITHMS",
@@ -191,9 +192,9 @@ class ExperimentConfig:
     mu_nl_min: float = _field(2.0 ** -6, 0, math.inf, "()")
     mu_alpha_ratio: float = _field(0.5, 0, math.inf, "[)")
     sgd_guard: float = _field(1.0, 0, math.inf, "()", inf=True)    # +inf: no bound
-    n_fft: int = _field(16384, 4, 2 ** 22, "[]")    # 4 has an odd bin below Nyquist; one FFT
+    n_fft: int = _field(16384, 8, 2 ** 22, "[]")    # 8 leaves a spur bin under rect and hann
     window: str = _field("rect", choices=WINDOWS)
-    eval_samples: int = _field(16384, 4, 2 ** 22, "[]")     # converted in one batch
+    eval_samples: int = _field(16384, 8, 2 ** 22, "[]")     # converted in one batch
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
@@ -245,6 +246,10 @@ class ExperimentConfig:
                               "v_ref = 1: the residue would overload the next stage")
         if self.n_fft & (self.n_fft - 1):
             raise ConfigError("n_fft must be a power of two")
+        try:
+            signal_regions(self.eval_bins(), self.window, self.n_fft)
+        except ValueError as exc:
+            raise ConfigError(f"evaluation at {self.window}, n_fft={self.n_fft}: {exc}") from exc
         dim = model_dimension((self.stage_levels,) * self.q)
         if dim > MAX_DIMENSION:
             raise ConfigError(f"q={self.q} stages of {self.stage_levels} levels give D={dim} "
@@ -292,6 +297,10 @@ class ExperimentConfig:
         """
         return [ToneSpec(snap_to_odd_bin(omega, self.n_fft) if self.coherent_snap else omega,
                          amp * scale, phase) for omega, amp, phase in self.tones]
+
+    def eval_bins(self) -> list[int]:
+        """The FFT bins of the evaluation tones, the signal bins of every metric."""
+        return [tone_bin(t.omega, self.n_fft) for t in self.run_tones(self.eval_amplitude)]
 
 
 def default_config(master_seed: int, **overrides) -> ExperimentConfig:
@@ -386,7 +395,7 @@ def _evaluate(config: ExperimentConfig, adc, layout, idx: int, thetas):
     member's freshly generated evaluation signal, converted once."""
     batch = evaluation_batch(config, idx, adc)
     sel = selection_vectors(batch, layout)
-    bins = [tone_bin(t.omega, config.n_fft) for t in config.run_tones(config.eval_amplitude)]
+    bins = config.eval_bins()
 
     pre = analyze(spectrum(batch.y, config.window, config.n_fft), bins)
     posts = [analyze(spectrum(apply_correction_batch(batch.y, sel, theta), config.window,

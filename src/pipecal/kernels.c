@@ -99,44 +99,65 @@ void pipecal_convert(int64_t n, const double *restrict x, int64_t stages,
     }
 }
 
+/* The pairs of one converter, the one form in which pairs reach the kernels,
+ * built by calibration._pairs. Side 0 is the scaled conversion (ax), side 1 the
+ * unscaled one (x). Pair k's side-p regressor is row keys[p][k] of that side's
+ * row-major (rows[p], q) tables: table_weighted (gain-weighted code sums, at
+ * parameter slots weighted[0..q-1]) and table_slots (indicator slots, -1: none).
+ * The Wiener kernels' buffers, row-major (NULL where only pipecal_sgd reads):
+ * g (2 dim + 2)^2, r dim^2 + dim, l dim^2 + dim, p rows[0] + rows[1].
+ */
+struct pipecal_pairs {
+    int64_t n, dim, q;
+    const int64_t *weighted;
+    const double *y[2];
+    const int64_t *keys[2];
+    int64_t rows[2];
+    const double *table_weighted[2];
+    const int64_t *table_slots[2];
+    double *g, *r, *l, *p;
+};
+
+/* t + T theta of row `row` of a side's table, summed like SelectionBatch.dot:
+ * stage by stage the weighted entry, then the indicator if any */
+static inline double row_dot(const struct pipecal_pairs *s, int side, int64_t row,
+                             const double *theta, double t)
+{
+    const double *w = s->table_weighted[side] + row * s->q;
+    const int64_t *ind = s->table_slots[side] + row * s->q;
+    for (int64_t i = 0; i < s->q; i++) {
+        t += w[i] * theta[s->weighted[i]];
+        if (ind[i] >= 0)
+            t += theta[ind[i]];
+    }
+    return t;
+}
+
 /* BL-HEC SGD over samples k0..k1-1 of one converter's stream of `total` pairs
  * at fixed step sizes: tests/helpers.py::sgd_loop's operations in its order,
- * so bit-identical to it. The arrays hold the samples of the stream from
- * `base` on, so sample k sits at row k - base; k0, k1, `total`, the guard
- * cadence and the returned sample count are global. Sample k's unscaled
- * conversion reads row keys_x[k - base] of the row-major (K, q) tables
- * weighted_x (its gain-weighted code sums) and slots_x (its indicator slots,
- * -1: none); the scaled one reads keys_ax, weighted_ax and slots_ax. Returns
- * 0, or the sample count at which a guard check found ||theta||_inf > guard
- * or theta_alpha not finite.
+ * so bit-identical to it. s holds the pairs of the stream from `base` on, so
+ * sample k is its pair k - base; k0, k1, `total`, the guard cadence and the
+ * returned sample count are global. Returns 0, or the sample count at which a
+ * guard check found ||theta||_inf > guard or theta_alpha not finite.
  */
-int64_t pipecal_sgd(int64_t k0, int64_t k1, int64_t total, int64_t base, int64_t guard_every,
-                    const double *y_x, const double *y_ax, const int64_t *keys_x,
-                    const int64_t *keys_ax, const double *restrict weighted_x,
-                    const int64_t *restrict slots_x, const double *restrict weighted_ax,
-                    const int64_t *restrict slots_ax, int64_t q, const int64_t *weighted,
-                    double *restrict theta, int64_t dim, double *theta_alpha, double alpha_d,
-                    double mu_nl, double mu_alpha, double guard)
+int64_t pipecal_sgd(const struct pipecal_pairs *s, int64_t k0, int64_t k1, int64_t total,
+                    int64_t base, int64_t guard_every, double *restrict theta,
+                    double *theta_alpha, double alpha_d, double mu_nl, double mu_alpha,
+                    double guard)
 {
-    const double *outputs[2] = {y_x, y_ax}, *tables[2] = {weighted_x, weighted_ax};
-    const int64_t *keys[2] = {keys_x, keys_ax}, *slot_tables[2] = {slots_x, slots_ax};
+    const int64_t q = s->q, *weighted = s->weighted;
     const double *w[2];
     const int64_t *ind[2];
     double y[2], ta = *theta_alpha;
     int64_t status = 0;
 
     for (int64_t k = k0; k < k1 && !status; k++) {
-        /* y + h . theta of the unscaled (p = 0) and the scaled (p = 1) conversion */
+        /* y + h . theta of the unscaled (p = 0, side 1) and the scaled (p = 1) conversion */
         for (int p = 0; p < 2; p++) {
-            int64_t row = keys[p][k - base] * q;
-            w[p] = tables[p] + row;
-            ind[p] = slot_tables[p] + row;
-            y[p] = outputs[p][k - base];
-            for (int64_t i = 0; i < q; i++) {
-                y[p] += w[p][i] * theta[weighted[i]];
-                if (ind[p][i] >= 0)
-                    y[p] += theta[ind[p][i]];
-            }
+            int64_t key = s->keys[1 - p][k - base];
+            w[p] = s->table_weighted[1 - p] + key * q;
+            ind[p] = s->table_slots[1 - p] + key * q;
+            y[p] = row_dot(s, 1 - p, key, theta, s->y[1 - p][k - base]);
         }
         double e_alpha = y[1] - (alpha_d + ta) * y[0];
         ta += mu_alpha * y[0] * e_alpha;
@@ -156,33 +177,14 @@ int64_t pipecal_sgd(int64_t k0, int64_t k1, int64_t total, int64_t base, int64_t
         if (kk % guard_every == 0 || kk == total) {
             /* negated comparisons so that NaN fails the check too */
             status = isfinite(ta) ? 0 : kk;
-            for (int64_t s = 0; s < dim; s++)
-                if (!(fabs(theta[s]) <= guard))
+            for (int64_t i = 0; i < s->dim; i++)
+                if (!(fabs(theta[i]) <= guard))
                     status = kk;
         }
     }
     *theta_alpha = ta;
     return status;
 }
-
-/* The pairs of one Wiener statistics object and its buffers, all owned by
- * calibration.PairStatistics. Side 0 is the scaled conversion (ax), side 1 the
- * unscaled one (x). Pair k's side-p regressor is row keys[p][k] of that side's
- * row-major (rows[p], q) tables: table_weighted (gain-weighted code sums, at
- * parameter slots weighted[0..q-1]) and table_slots (indicator slots, -1: none).
- * Buffers, row-major: g (2 dim + 2)^2, s_cross (dim + 1)^2, r dim^2 + dim,
- * l dim^2 + dim, p rows[0] + rows[1].
- */
-struct pipecal_pairs {
-    int64_t n, dim, q;
-    const int64_t *weighted;
-    const double *y[2];
-    const int64_t *keys[2];
-    int64_t rows[2];
-    const double *table_weighted[2];
-    const int64_t *table_slots[2];
-    double *g, *s_cross, *r, *l, *p;
-};
 
 /* Row `row` of a side's table as its nonzero entries, stage by stage the
  * weighted entry and then the indicator if any: their parameter slots and
@@ -204,8 +206,7 @@ static int64_t row_entries(const struct pipecal_pairs *s, int side, int64_t row,
     return count;
 }
 
-/* g = C^T C / n for C = [y_ax, h_ax, y_x, h_x], without forming C, and
- * s_cross = S_AB + S_BA of its (dim + 1)^2 blocks. A table row's entries sit at
+/* g = C^T C / n for C = [y_ax, h_ax, y_x, h_x], without forming C. A table row's entries sit at
  * distinct slots, so each sum below takes one term per pair, key or key pair. Each
  * entry on or above the diagonal is summed from 0.0 in a fixed order, which
  * tests/helpers.py::gram_oracle repeats bit for bit:
@@ -296,9 +297,6 @@ void pipecal_gram(const struct pipecal_pairs *s, double *hist, int64_t *work)
     for (int64_t i = 0; i < m; i++)
         for (int64_t j = i; j < m; j++)
             g[j * m + i] = g[i * m + j] /= (double)n;
-    for (int64_t i = 0; i < b; i++)
-        for (int64_t j = 0; j < b; j++)
-            s->s_cross[i * b + j] = g[i * m + b + j] + g[j * m + b + i];
 }
 
 /* Cholesky solve of r x = rhs for the d x d row-major symmetric r, reading its
@@ -363,14 +361,6 @@ static int64_t cholesky_solve(int64_t d, const double *r, const double *rhs, dou
     return 0;
 }
 
-/* cholesky_solve for calibration._solve_spd: the same factorization and status
- * for a given matrix; l holds d^2 + d doubles. */
-int64_t pipecal_spd_solve(int64_t d, const double *r, const double *rhs, double *l, double *x,
-                          double limit)
-{
-    return cholesky_solve(d, r, rhs, l, x, limit);
-}
-
 /* Pair k's homogeneity error, read through p (T theta of each side's table rows) */
 static double homogeneity_error(const struct pipecal_pairs *s, double *const p[2], double c,
                                 int64_t k)
@@ -378,13 +368,13 @@ static double homogeneity_error(const struct pipecal_pairs *s, double *const p[2
     return (s->y[0][k] + p[0][s->keys[0][k]]) - c * (s->y[1][k] + p[1][s->keys[1][k]]);
 }
 
-/* One Wiener solve at scaling factor c. Forms M(c) = (S_AA - c s_cross) + (c c) S_BB
- * entry by entry and takes R_hh(c) (its lower right dim x dim block) into r and
- * r_hy(c) (its first column below the corner) after it; solves R_hh(c) x =
- * r_hy(c) by cholesky_solve and writes theta = -x. Returns cholesky_solve's
+/* One Wiener solve at scaling factor c. Forms M(c) = (S_AA - c (S_AB + S_AB^T))
+ * + (c c) S_BB entry by entry, the cross term summed in place, and takes R_hh(c)
+ * (its lower right dim x dim block) into r and r_hy(c) (its first column below
+ * the corner) after it; solves R_hh(c) x = r_hy(c) by cholesky_solve and
+ * writes theta = -x. Returns cholesky_solve's
  * status. Unless that is 1 it writes the homogeneity MSE and its standard error
- * to moments: T theta once per table row of each side into p, summed like
- * SelectionBatch.dot, then per pair
+ * to moments: T theta once per table row of each side into p (row_dot), then per pair
  * e = (y_ax + p_ax[key]) - c (y_x + p_x[key]), mse = (sum of e^2) / n and
  * stderr = sqrt(sum of (e^2 - mse)^2) / n, both sums from 0.0 pair by pair.
  */
@@ -396,7 +386,7 @@ int64_t pipecal_wiener_solve(const struct pipecal_pairs *s, double c, double lim
 
     for (int64_t i = 1; i <= d; i++)
         for (int64_t j = 0; j <= d; j++) {
-            double v = (s->g[i * m + j] - c * s->s_cross[i * b + j])
+            double v = (s->g[i * m + j] - c * (s->g[i * m + b + j] + s->g[j * m + b + i]))
                        + (c * c) * s->g[(b + i) * m + b + j];
             if (j == 0)
                 rhs[i - 1] = v;
@@ -411,17 +401,8 @@ int64_t pipecal_wiener_solve(const struct pipecal_pairs *s, double c, double lim
 
     double *p[2] = {s->p, s->p + s->rows[0]};
     for (int side = 0; side < 2; side++)
-        for (int64_t row = 0; row < s->rows[side]; row++) {
-            const double *w = s->table_weighted[side] + row * s->q;
-            const int64_t *ind = s->table_slots[side] + row * s->q;
-            double t = 0.0;
-            for (int64_t i = 0; i < s->q; i++) {
-                t += w[i] * theta[s->weighted[i]];
-                if (ind[i] >= 0)
-                    t += theta[ind[i]];
-            }
-            p[side][row] = t;
-        }
+        for (int64_t row = 0; row < s->rows[side]; row++)
+            p[side][row] = row_dot(s, side, row, theta, 0.0);
     double sum = 0.0, dev = 0.0;
     for (int64_t k = 0; k < s->n; k++) {
         double e = homogeneity_error(s, p, c, k);

@@ -2,12 +2,12 @@
 
 It holds the pipeline conversion behind `adc.convert_many`, the BL-HEC SGD
 loop behind `calibration.run_sgd`, and the Wiener path behind
-`calibration.PairStatistics`: its Gram matrix, its Cholesky solve and its
-output powers. This module owns everything between that source and its
-callers: the compiler lookup, the build into a cache keyed by the source and
-the flags, the error a failed build raises, the ctypes signatures of the
-functions, and `Pairs`, the C struct of one statistics object's arrays. Importing it builds and loads nothing; the first
-call of `library()` does, once per process.
+`calibration.PairStatistics`: its Gram matrix, its solve and its output
+powers. This module owns everything between that source and its callers: the
+compiler lookup, the build into a cache keyed by the source and the flags,
+the error a failed build raises, the ctypes signatures of the functions, and
+`Pairs`, the C struct in which every pair kernel reads its pairs. Importing it
+builds and loads nothing; the first call of `library()` does, once per process.
 """
 
 from __future__ import annotations
@@ -30,15 +30,15 @@ _KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "--param=ggc-min-expand=10",
 
 
 class Pairs(ctypes.Structure):
-    """`struct pipecal_pairs`: the addresses and sizes of one statistics object's
-    arrays, index 0 the scaled side and 1 the unscaled one (see kernels.c)."""
+    """`struct pipecal_pairs`: the addresses and sizes of one batch of pairs' arrays,
+    index 0 the scaled side and 1 the unscaled one (see kernels.c)."""
 
     _fields_ = [("n", ctypes.c_int64), ("dim", ctypes.c_int64), ("q", ctypes.c_int64),
                 ("weighted", ctypes.c_void_p), ("y", ctypes.c_void_p * 2),
                 ("keys", ctypes.c_void_p * 2), ("rows", ctypes.c_int64 * 2),
                 ("table_weighted", ctypes.c_void_p * 2), ("table_slots", ctypes.c_void_p * 2),
-                ("g", ctypes.c_void_p), ("s_cross", ctypes.c_void_p), ("r", ctypes.c_void_p),
-                ("l", ctypes.c_void_p), ("p", ctypes.c_void_p)]
+                ("g", ctypes.c_void_p), ("r", ctypes.c_void_p), ("l", ctypes.c_void_p),
+                ("p", ctypes.c_void_p)]
 
 
 class KernelBuildError(RuntimeError):
@@ -92,12 +92,10 @@ def library() -> ctypes.CDLL:
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.pipecal_convert.argtypes = [i64, ptr, i64] + [ptr] * 8
     lib.pipecal_convert.restype = None
-    lib.pipecal_sgd.argtypes = [i64] * 5 + [ptr] * 8 + [i64] + [ptr] * 2 + [i64, ptr] + [f64] * 4
+    lib.pipecal_sgd.argtypes = [ptr] + [i64] * 5 + [ptr] * 2 + [f64] * 4
     lib.pipecal_sgd.restype = i64
     lib.pipecal_gram.argtypes = [ptr] * 3
     lib.pipecal_gram.restype = None
-    lib.pipecal_spd_solve.argtypes = [i64] + [ptr] * 4 + [f64]
-    lib.pipecal_spd_solve.restype = i64
     lib.pipecal_wiener_solve.argtypes = [ptr, f64, f64, ptr, ptr]
     lib.pipecal_wiener_solve.restype = i64
     lib.pipecal_output_powers.argtypes = [ptr] * 3

@@ -19,6 +19,7 @@ __all__ = [
     "MetricReport",
     "spectrum",
     "analyze",
+    "signal_regions",
     "error_norm",
     "tone_bin",
     "window_values",
@@ -60,10 +61,6 @@ class SpectrumEstimate:
     window: str
     segments: int
     coherent_gain: float
-
-    @property
-    def exclusion_halfwidth(self) -> int:
-        return _EXCLUSION[self.window]
 
 
 def tone_bin(omega: float, n_fft: int) -> int:
@@ -112,10 +109,13 @@ class MetricReport:
     spur_db: float          # spur level relative to the signal peak [dBc]
 
 
-def _regions(est: SpectrumEstimate, signal_bins) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean masks (signal region, spur/noise search region)."""
-    n_bins = est.power.size
-    hw = est.exclusion_halfwidth
+def signal_regions(signal_bins, window: str, n_fft: int) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean masks (signal region, spur/noise search region) over the bins of an
+    n_fft-point spectrum under `window`. Raises ValueError unless some signal bin is
+    given, each lies in 1..n_fft/2, and some bin is left to search."""
+    if not signal_bins:
+        raise ValueError("need at least one signal bin")
+    n_bins, hw = n_fft // 2 + 1, _EXCLUSION[window]
     signal = np.zeros(n_bins, dtype=bool)
     for b in signal_bins:
         if not 0 < b < n_bins:
@@ -123,20 +123,18 @@ def _regions(est: SpectrumEstimate, signal_bins) -> tuple[np.ndarray, np.ndarray
         signal[max(b - hw, 0): min(b + hw + 1, n_bins)] = True
     excluded = signal.copy()
     excluded[: hw + 1] = True       # DC region
+    if excluded.all():
+        raise ValueError("no bins left to search for spurs")
     return signal, ~excluded
 
 
 def analyze(est: SpectrumEstimate, signal_bins) -> MetricReport:
     """SFDR and SNDR of a spectrum with the given wanted bins."""
     signal_bins = tuple(int(b) for b in signal_bins)
-    if not signal_bins:
-        raise ValueError("need at least one signal bin")
-    signal_mask, search_mask = _regions(est, signal_bins)
+    signal_mask, search_mask = signal_regions(signal_bins, est.window, est.n_fft)
 
     peak_signal = float(max(est.power[b] for b in signal_bins))
     search = est.power[search_mask]
-    if search.size == 0:
-        raise ValueError("no bins left to search for spurs")
     spur_idx_local = int(np.argmax(search))
     spur_bin = int(np.flatnonzero(search_mask)[spur_idx_local])
     peak_spur = float(search[spur_idx_local])

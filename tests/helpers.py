@@ -303,6 +303,13 @@ def gram_mse(stats, theta_alpha, theta_nl):
     return float(u @ stats.homogeneity_gram(theta_alpha) @ u)
 
 
+def gram_lu_solve(stats, theta_alpha):
+    """theta_nl = -R_hh^-1 r_hy at theta_alpha by an LU solve of the Gram-matrix
+    statistics: R_hh and r_hy are M(c)'s lower right block and the column left of it."""
+    gram = stats.homogeneity_gram(theta_alpha)
+    return -np.linalg.solve(gram[1:, 1:], gram[1:, 0])
+
+
 def _table_entries(sel, layout, row):
     """Table row `row`'s nonzero regressor entries as (slot, value), stage by
     stage the weighted entry, then the indicator if any."""
@@ -316,7 +323,7 @@ def _table_entries(sel, layout, row):
 
 
 def gram_oracle(stats):
-    """Oracle for `PairStatistics.gram` and `.s_cross`: the Gram matrix of
+    """Oracle for `PairStatistics.gram` and S_AB + S_BA: the Gram matrix of
     [y_ax, h_ax, y_x, h_x] over n, summed in plain Python in the compiled
     `pipecal_gram`'s order (see kernels.c): y.y pair by pair; a same-side
     entry key by key as (T[r,s] * T[r,t]) * count; a y.h entry key by key of
@@ -406,17 +413,17 @@ def cholesky_solve_oracle(r, rhs):
 
 
 def wiener_solve_oracle(stats, theta_alpha):
-    """Oracle for `PairStatistics.solve`, from the statistics' `gram` and
-    `s_cross`, in plain Python in the kernel's order: M(c) = (S_AA - c s_cross)
-    + (c c) S_BB entry by entry, theta = -x of `cholesky_solve_oracle`, T theta
+    """Oracle for `PairStatistics.solve`, from the statistics' `gram`, in plain
+    Python in the kernel's order: M(c) = (S_AA - c (S_AB + S_AB^T)) + (c c) S_BB
+    entry by entry, theta = -x of `cholesky_solve_oracle`, T theta
     per table row of each side, then per pair e = (y_ax + p_ax) - c (y_x + p_x),
     mse = sum(e^2) / n and stderr = sqrt(sum((e^2 - mse)^2)) / n."""
     c, d, n = stats.alpha_d + theta_alpha, stats.dim, stats.n
     b = d + 1
-    g, cross = stats.gram.tolist(), stats.s_cross.tolist()
+    g = stats.gram.tolist()
 
     def entry(i, j):
-        return (g[i][j] - c * cross[i][j]) + (c * c) * g[b + i][b + j]
+        return (g[i][j] - c * (g[i][b + j] + g[j][b + i])) + (c * c) * g[b + i][b + j]
 
     r = [[entry(i, j) for j in range(1, b)] for i in range(1, b)]
     theta = (-cholesky_solve_oracle(r, [entry(i, 0) for i in range(1, b)])).tolist()
@@ -560,7 +567,7 @@ def plain_blhec(stats, tolerance=1e-12, max_iterations=100000):
         prev_alpha = theta_alpha
         r_yy, r_yya = stats.output_powers(theta_nl)
         theta_alpha = r_yya / r_yy - stats.alpha_d
-        theta_nl = -np.linalg.solve(stats.r_hh(theta_alpha), stats.r_hy(theta_alpha))
+        theta_nl = gram_lu_solve(stats, theta_alpha)
         if m > 1 and abs(theta_alpha - prev_alpha) < tolerance:
             return theta_nl, theta_alpha, m
     raise AssertionError(f"plain alternation did not reach {tolerance} in {max_iterations} iterations")

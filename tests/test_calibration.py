@@ -20,6 +20,7 @@ from helpers import (
     dense_r_yy,
     dense_r_yya,
     dense_ramp,
+    gram_lu_solve,
     gram_mse,
     gram_oracle,
     ls_fit,
@@ -42,7 +43,6 @@ from pipecal.calibration import (
     RankDeficiencyError,
     SingularStatisticsError,
     StepSchedule,
-    _solve_spd,
     accumulate_statistics,
     blhec_wiener,
     hec_wiener,
@@ -103,7 +103,7 @@ class TestAccumulateStatistics:
             r_hh += np.outer(dh, dh)
             r_hy += dh * dy
         assert np.max(np.abs(stats.r_hh(0.0) - r_hh / n)) < 1e-12
-        assert np.max(np.abs(stats.r_hy(0.0) - r_hy / n)) < 1e-12
+        assert np.max(np.abs(stats.homogeneity_gram(0.0)[1:, 0] - r_hy / n)) < 1e-12
 
     def test_statistics_check_the_arrays_the_kernels_read(self):
         adc = toy_with_mismatch()
@@ -194,8 +194,7 @@ class TestBlhecWiener:
         grid = np.arange(res.theta_alpha - 2e-3, res.theta_alpha + 2e-3, 1e-5)
         profile = []
         for ta in grid:
-            theta = -np.linalg.solve(stats.r_hh(ta), stats.r_hy(ta))
-            profile.append(gram_mse(stats, ta, theta))
+            profile.append(gram_mse(stats, ta, gram_lu_solve(stats, ta)))
         best = grid[int(np.argmin(profile))]
         assert abs(res.theta_alpha - best) <= 1e-5
 
@@ -211,8 +210,7 @@ class TestBlhecWiener:
         stats = accumulate_statistics(pairs, layout, 0.5)
 
         grid = np.arange(-0.8, 0.4001, 0.01)
-        profile = np.array([gram_mse(stats, ta, -np.linalg.solve(stats.r_hh(ta), stats.r_hy(ta)))
-                            for ta in grid])
+        profile = np.array([gram_mse(stats, ta, gram_lu_solve(stats, ta)) for ta in grid])
         minima = [float(grid[i]) for i in range(1, len(grid) - 1)
                   if profile[i] < profile[i - 1] and profile[i] < profile[i + 1]]
         assert any(abs(m - 0.1) <= 0.02 for m in minima)
@@ -305,7 +303,7 @@ class TestGramStatistics:
             res = blhec_wiener(stats)
             for ta, theta in ((0.0, np.zeros(stats.dim)), (res.theta_alpha, res.theta_nl)):
                 assert np.max(np.abs(stats.r_hh(ta) - dense_r_hh(dense, ta))) < 1e-12
-                assert np.max(np.abs(stats.r_hy(ta) - dense_r_hy(dense, ta))) < 1e-12
+                assert np.max(np.abs(stats.homogeneity_gram(ta)[1:, 0] - dense_r_hy(dense, ta))) < 1e-12
                 r_yy, r_yya = stats.output_powers(theta)
                 assert abs(r_yy - dense_r_yy(dense, theta)) < 1e-12
                 assert abs(r_yya - dense_r_yya(dense, theta)) < 1e-12
@@ -314,23 +312,43 @@ class TestGramStatistics:
             assert mse == pytest.approx(dense_mse(dense, res.theta_alpha, theta), rel=1e-9)
             assert mse == pytest.approx(gram_mse(stats, res.theta_alpha, theta), rel=1e-6)
 
+    @staticmethod
+    def statistics_holding(r, b):
+        """PairStatistics of a one-stage layout with D = len(b), its Gram matrix
+        rewritten so that M(0) = S_AA holds r and b: solve(-alpha_d), at c = 0,
+        solves r x = b by the kernels' Cholesky solve and returns -x."""
+        d = len(b)
+        layout = CorrectionLayout(stages=(toy_stage(levels=d),))
+        codes = np.arange(1, d + 1)
+        batch = ConversionBatch(np.linspace(-0.5, 0.5, d),
+                                np.asfortranarray(np.stack([codes, np.zeros(d, dtype=int)], 1)))
+        sel = selection_vectors(batch, layout)
+        stats = PairStatistics(sel, sel, batch.y, batch.y, ALPHA)
+        stats.gram.setflags(write=True)
+        stats.gram[1:d + 1, 0] = stats.gram[0, 1:d + 1] = b
+        stats.gram[1:d + 1, 1:d + 1] = r
+        return stats
+
     def test_solve_spd_checks_definiteness_and_condition(self):
+        def solve(r, b):
+            return -self.statistics_holding(r, b).solve(-ALPHA)[0]
+
         r = np.array([[4.0, 1.0], [1.0, 3.0]])
         b = np.array([1.0, 2.0])
-        assert np.array_equal(_solve_spd(r, b), cholesky_solve_oracle(r, b))
-        assert np.allclose(_solve_spd(r, b), np.linalg.solve(r, b), rtol=1e-14, atol=0.0)
+        assert np.array_equal(solve(r, b), cholesky_solve_oracle(r, b))
+        assert np.allclose(solve(r, b), np.linalg.solve(r, b), rtol=1e-14, atol=0.0)
         with pytest.raises(SingularStatisticsError):
-            _solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), b)      # indefinite
+            solve(np.array([[1.0, 2.0], [2.0, 1.0]]), b)        # indefinite
         with pytest.raises(SingularStatisticsError):
-            _solve_spd(np.diag([1.0, 1e-13]), b)                    # cond 1e13
+            solve(np.diag([1.0, 1e-13]), b)                      # cond 1e13
         with pytest.raises(SingularStatisticsError):
-            _solve_spd(np.full((2, 2), np.nan), b)
+            solve(np.full((2, 2), np.nan), b)
         # ||r||_inf ||L^-1||_F^2 = 1 + 2 / 1.5e-12 exceeds COND_LIMIT, cond_2 = 6.7e11
         # does not: the factorization's bound cannot accept r, the eigenvalues do
         r = np.diag([1.0, 1.5e-12, 1.5e-12])
         assert np.linalg.cond(r) <= calibration.COND_LIMIT < 1.0 + 2.0 / 1.5e-12
         b = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(_solve_spd(r, b), cholesky_solve_oracle(r, b))
+        assert np.array_equal(solve(r, b), cholesky_solve_oracle(r, b))
 
 
 class TestWienerKernels:
@@ -356,7 +374,7 @@ class TestWienerKernels:
     def test_gram_matches_oracle(self, stats):
         gram, cross = gram_oracle(stats)
         assert np.array_equal(stats.gram.view(np.uint64), gram.view(np.uint64))
-        assert np.array_equal(stats.s_cross.view(np.uint64), cross.view(np.uint64))
+        assert np.array_equal((stats.s_ab + stats.s_ab.T).view(np.uint64), cross.view(np.uint64))
 
     def test_solve_and_output_powers_match_oracle(self, stats):
         res = blhec_wiener(stats)
@@ -887,6 +905,25 @@ class TestChunkedRunSgd:
         with pytest.raises(LayoutError, match="stage 3 code index 9 at row 1999 outside 1..7") as got:
             run_sgd(forged, layout, cfg.alpha_d, schedule=cfg.schedule())
         assert str(got.value) == str(want.value)
+
+    def test_uneven_slice_is_rejected_before_the_kernel_reads_it(self, small_chunks):
+        # the kernel reads both sides of a slice by address: a pair source whose
+        # last slice has one conversion fewer on its scaled side is stopped by
+        # the length check PairStatistics makes, not read past its end
+        _, pairs, layout, cfg = self.member_source(0, 2000)
+
+        class Uneven:
+            def __len__(self):
+                return len(pairs)
+
+            def __getitem__(self, rows):
+                chunk = pairs[rows]
+                if rows.stop == len(pairs):
+                    chunk.scaled = chunk.scaled[:-1]
+                return chunk
+
+        with pytest.raises(ValueError, match="pair sides differ in length"):
+            run_sgd(Uneven(), layout, cfg.alpha_d, schedule=cfg.schedule())
 
     def test_convergence_sweep_with_n_cal_above_the_chunk(self, monkeypatch):
         from pipecal.harness import default_config, run_sweep

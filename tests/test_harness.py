@@ -845,6 +845,12 @@ class TestCli:
         ({"delta_std": math.inf}, []),
         ({"mu_nl_init": math.inf, "mu_nl_min": 1}, ["--algorithm", "blhec-sgd"]),
         ({"mu_alpha_ratio": math.inf}, ["--algorithm", "blhec-sgd"]),
+        # evaluation bins that used to fail each member after it had calibrated: an
+        # unsnapped tone in bin 0 of a 4-point FFT, and a tone whose bh4 region and
+        # the DC region leave no bin of an 8-point FFT to search for spurs
+        ({"n_fft": 4, "eval_samples": 4, "coherent_snap": False, "algorithm": "hec-wiener"}, []),
+        ({"n_fft": 8, "eval_samples": 8, "window": "bh4", "coherent_snap": False,
+          "algorithm": "hec-wiener"}, []),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, fields, flags):
         cfg = tmp_path / "cfg.json"

@@ -39,7 +39,8 @@ def test_package_exposes_no_removed_name():
 
 def test_calibration_data_holds_no_input_and_no_second_form():
     # the estimators see output pairs and codes, never the test signal; the
-    # per-sample selection gathers and the quadratic-form MSE have one form each
+    # per-sample selection gathers, the quadratic-form MSE, r_hy and the cross
+    # term S_AB + S_BA have one form each
     from pipecal.calibration import accumulate_statistics
     from pipecal.correction import selection_vectors
     from pipecal.harness import _build_member, default_config
@@ -50,7 +51,7 @@ def test_calibration_data_holds_no_input_and_no_second_form():
     pairs = make_pairs(adc, gen_tones(cfg.run_tones(cfg.cal_amplitude), 400), path_config, 11)
     removed = [(pairs.unscaled, ["x_in"]),
                (selection_vectors(pairs.unscaled, layout), ["weighted", "indicator_pos"]),
-               (accumulate_statistics(pairs, layout, cfg.alpha_d), ["mse"])]
+               (accumulate_statistics(pairs, layout, cfg.alpha_d), ["mse", "r_hy", "s_cross"])]
     assert [(type(obj).__name__, name) for obj, names in removed for name in names
             if hasattr(obj, name)] == []
 
@@ -61,6 +62,26 @@ def test_kernel_source_ships_next_to_calibration():
 
     source = Path(calibration.__file__).with_name("kernels.c")
     assert source.is_file() and kernels._KERNEL_SOURCE == source
+
+
+def test_kernel_exports_are_declared_and_called():
+    # every non-static function of kernels.c has a ctypes signature in
+    # kernels.library() and a caller in the package; an export that nothing
+    # declares would be called with ctypes' default int arguments
+    from pipecal import kernels
+
+    source = kernels._KERNEL_SOURCE.read_text()
+    exported = set(re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(pipecal_\w+)\s*\(",
+                              source, re.M))
+    declaring = Path(kernels.__file__).read_text()
+    declared = [set(re.findall(rf"lib\.(pipecal_\w+)\.{attr} = ", declaring))
+                for attr in ("argtypes", "restype")]
+    callers = "".join(path.read_text() for path in Path(kernels.__file__).parent.glob("*.py")
+                      if path.name != "kernels.py")
+    assert exported == {"pipecal_convert", "pipecal_sgd", "pipecal_gram", "pipecal_wiener_solve",
+                        "pipecal_output_powers"}
+    assert declared == [exported, exported]
+    assert [name for name in sorted(exported) if f".{name}(" not in callers] == []
 
 
 def test_setup_builds_and_loads_no_kernel(tmp_path):

@@ -8,6 +8,7 @@ from pipecal.spectral import (
     MisdeclaredSignalError,
     analyze,
     error_norm,
+    signal_regions,
     spectrum,
     tone_bin,
     window_values,
@@ -132,6 +133,25 @@ class TestSfdrSndr:
             analyze(est, [])
         with pytest.raises(ValueError):
             analyze(est, [0])
+
+    @pytest.mark.parametrize("window, n_fft, bins, message", [
+        ("rect", 4, [0], "signal bin 0 out of range"),
+        ("rect", 8, [5], "signal bin 5 out of range"),
+        ("bh4", 8, [1], "no bins left to search for spurs"),
+        ("hann", 8, [1], ""),
+    ])
+    def test_analyze_applies_the_signal_region_rule(self, window, n_fft, bins, message):
+        # the configuration checks its evaluation bins by this rule, so a
+        # member's metrics never fail on them
+        est = spectrum(coherent_tone(n=n_fft, omega=2.0 * math.pi / n_fft), window, n_fft)
+        if not message:
+            signal, search = signal_regions(bins, window, n_fft)
+            assert signal.tolist() == [True] * 4 + [False] and search.tolist() == [False] * 4 + [True]
+            assert analyze(est, bins).spur_bin == 4
+            return
+        for check in (lambda: signal_regions(bins, window, n_fft), lambda: analyze(est, bins)):
+            with pytest.raises(ValueError, match=message):
+                check()
 
 
 class TestErrorNorm:
