@@ -122,12 +122,13 @@ class PairStatistics:
         M(c) = (A - cB)^T (A - cB) / n = S_AA - c (S_AB + S_BA) + c^2 S_BB,
 
     which holds R_hh(c) and r_hy(c), and with u = [1, theta_nl] the output
-    powers u^T S_BB u and u^T S_AB u (`output_powers`). `solve` is one kernel
-    call: M(c), a Cholesky solve of R_hh(c), and the homogeneity MSE from one
-    pass over the pairs through the key tables. Every sum has a fixed order,
-    so no result depends on the BLAS kernel. The dense regressors `h_ax` and
-    `h_x` are built only when read; no estimator reads them. The kernels work
-    in buffers the object owns, so one thread at a time may call its methods.
+    powers u^T S_BB u and u^T S_AB u. `solve` is one kernel call: M(c), a
+    Cholesky solve of R_hh(c), the homogeneity MSE from one pass over the pairs
+    through the key tables, and the output powers at the solved theta_nl. Every
+    sum has a fixed order, so no result depends on the BLAS kernel. The dense
+    regressors `h_ax` and `h_x` are built only when read; no estimator reads
+    them. The kernels work in buffers the object owns, so one thread at a time
+    may call its methods.
     """
 
     def __init__(self, sel_ax: SelectionBatch, sel_x: SelectionBatch, y_ax: np.ndarray,
@@ -142,12 +143,11 @@ class PairStatistics:
         # and one vector, and T theta per table row of each side; then the solve's outputs
         r = np.empty(d * d + d)
         self._r_hh = r[:d * d].reshape(d, d)
-        self._theta, self._moments, self._powers = np.empty(d), np.empty(2), np.empty(2)
+        self._theta, self._moments = np.empty(d), np.empty(4)
         self._pairs = _pairs(sel_ax, sel_x, self.y_ax, self.y_x, self.gram, r,
                              np.empty(d * d + d), np.empty(sum(rows)))
         self._ref = ctypes.addressof(self._pairs)
         self._outputs = (self._theta.ctypes.data, self._moments.ctypes.data)
-        self._powers_at = self._powers.ctypes.data
         hist, work = np.zeros(3 * sum(rows) + rows[1]), np.empty(sum(rows) + self.n, dtype=np.int64)
         kernels.library().pipecal_gram(self._ref, hist.ctypes.data, work.ctypes.data)
         self.gram.setflags(write=False)
@@ -163,57 +163,57 @@ class PairStatistics:
         """The (N, D) dense unscaled-side regressors, read-only, built on first read."""
         return _read_only(self.sel_x.dense())
 
-    def homogeneity_gram(self, theta_alpha: float = 0.0) -> np.ndarray:
-        """M(c) at c = alpha_d + theta_alpha: the Gram matrix of [dy, dh]."""
-        c = self.alpha_d + theta_alpha
-        return self.s_aa - c * (self.s_ab + self.s_ab.T) + (c * c) * self.s_bb
-
-    def r_hh(self, theta_alpha: float = 0.0) -> np.ndarray:
-        return self.homogeneity_gram(theta_alpha)[1:, 1:]
-
-    def output_powers(self, theta_nl: np.ndarray) -> tuple[float, float]:
-        """(r_yy, r_yya): the mean of the corrected y_x^2 and of y_x * y_ax."""
-        theta = np.ascontiguousarray(theta_nl, dtype=float)
-        if theta.shape != (self.dim,):
-            raise ValueError(f"parameter vector must have length {self.dim}")
-        kernels.library().pipecal_output_powers(self._ref, theta.ctypes.data, self._powers_at)
-        r_yy, r_yya = self._powers.tolist()
-        return r_yy, r_yya
-
-    def solve(self, theta_alpha: float) -> tuple[np.ndarray, float, float]:
-        """theta_nl = -R_hh(c)^-1 r_hy(c) at c = alpha_d + theta_alpha, the
-        homogeneity MSE at (theta_alpha, theta_nl) and its standard error.
+    def solve(self, theta_alpha: float) -> tuple[np.ndarray, float, float, tuple[float, float]]:
+        """theta_nl = -R_hh(c)^-1 r_hy(c) at c = alpha_d + theta_alpha, the homogeneity
+        MSE at (theta_alpha, theta_nl), its standard error, and the output powers
+        (r_yy, r_yya) at theta_nl: the mean of the corrected y_x^2 and of y_x * y_ax.
         Raises SingularStatisticsError as `_accept` decides."""
         status = kernels.library().pipecal_wiener_solve(
             self._ref, self.alpha_d + theta_alpha, COND_LIMIT, *self._outputs)
         _accept(status, self._r_hh)
-        mse, stderr = self._moments.tolist()
-        return self._theta.copy(), mse, stderr
+        mse, stderr, r_yy, r_yya = self._moments.tolist()
+        return self._theta.copy(), mse, stderr, (r_yy, r_yya)
 
 
 def accumulate_statistics(pairs: PairBatch, layout: CorrectionLayout,
                           alpha_d: float) -> PairStatistics:
     """Select both sides' regressors and form their Gram matrix.
 
-    Raises RankDeficiencyError when the input failed to exercise every
-    regressor direction (e.g. a constant input selecting one code forever).
+    Raises RankDeficiencyError, as `_check_coverage` decides, when neither
+    side of any pair selects a code that owns an indicator slot (e.g. a
+    constant input selecting one code forever).
     """
     n = len(pairs)
     if n < layout.dim:
         raise ValueError(f"need at least D={layout.dim} pairs, got {n}")
 
-    stats = PairStatistics(selection_vectors(pairs.scaled, layout),
-                           selection_vectors(pairs.unscaled, layout),
-                           pairs.scaled.y, pairs.unscaled.y, alpha_d)
+    sides = [selection_vectors(batch, layout) for batch in (pairs.scaled, pairs.unscaled)]
+    _check_coverage(_count_codes(sides, layout), layout)
+    return PairStatistics(*sides, pairs.scaled.y, pairs.unscaled.y, alpha_d)
 
-    # numerical rank with matrix_rank's default tolerance, from the eigenvalues
-    w = np.abs(np.linalg.eigvalsh(stats.r_hh(0.0)))
-    rank = int(np.sum(w > w.max() * layout.dim * np.finfo(float).eps))
-    if rank < layout.dim:
+
+def _count_codes(sides: Sequence[SelectionBatch], layout: CorrectionLayout) -> np.ndarray:
+    """The (q, width) int64 count of each stage code over the selections `sides`."""
+    counts = np.zeros(layout.code_slots.shape, dtype=np.int64)
+    for sel in sides:       # each table row's codes, as often as a key selects it
+        selected = np.bincount(sel.keys, minlength=len(sel.table_codes))
+        for stage, column in zip(counts, sel.table_codes.T):
+            stage += np.bincount(column, selected, stage.size).astype(np.int64)
+    return counts
+
+
+def _check_coverage(counts: np.ndarray, layout: CorrectionLayout) -> None:
+    """Raise RankDeficiencyError when `counts`, the code selections per stage
+    of a run's pairs (`_count_codes`, `CalibrationState.code_counts`), never
+    selected a code that owns an indicator slot: no estimator can set that
+    slot, and R_hh has a zero row and column there."""
+    slots = layout.code_slots
+    missing = np.argwhere((counts == 0) & (slots >= 0))     # stage-major order
+    if missing.size:
+        i, code = missing[0]
         raise RankDeficiencyError(
-            f"regressor covariance rank {rank} < {layout.dim}; input does not cover all codes"
-        )
-    return stats
+            f"the calibration input never selects stage {i + 1} code {code} "
+            f"(indicator slot {slots[i, code]}); input does not cover all codes")
 
 
 _FACTORIZATION_FAILED = 1   # the kernels' solve status for a pivot that is not positive
@@ -298,10 +298,11 @@ def blhec_wiener(stats: PairStatistics, max_iterations: int = 50) -> BlhecResult
     Each solve is one `PairStatistics.solve` kernel call (O(D^3) for the
     factorization, plus one pass over the N pairs for the MSE and its standard
     error, a fourth moment the Gram matrix does not hold); each plain update
-    of theta_alpha reads the output powers, O(D^2).
+    of theta_alpha reads the output powers of the last accepted solve.
     """
     theta_nl = np.zeros(stats.dim)
     theta_alpha = 0.0
+    powers = float(stats.s_bb[0, 0]), float(stats.s_ab[0, 0])     # (r_yy, r_yya) at theta_nl = 0
     mse: list[float] = []
     mse_se: list[float] = []
     alphas: list[float] = []
@@ -318,21 +319,21 @@ def blhec_wiener(stats: PairStatistics, max_iterations: int = 50) -> BlhecResult
             chain = chain[-1:]
         if step is not None:
             try:
-                nl, cost, stderr = stats.solve(step)
+                nl, cost, stderr, at = stats.solve(step)
             except SingularStatisticsError:
                 continue
             # negated comparison so that a NaN error rejects the candidate
             if not cost <= mse[-1]:
                 continue
-            theta_alpha, theta_nl = step, nl
+            theta_alpha, theta_nl, powers = step, nl, at
             chain = [step]
         else:
-            r_yy, r_yya = stats.output_powers(theta_nl)
+            r_yy, r_yya = powers
             if r_yy <= 0.0 or not math.isfinite(r_yy):
                 raise NumericalError(f"non-positive output power {r_yy!r}")
             theta_alpha = r_yya / r_yy - stats.alpha_d
             try:
-                theta_nl, cost, stderr = stats.solve(theta_alpha)
+                theta_nl, cost, stderr, powers = stats.solve(theta_alpha)
             except SingularStatisticsError as exc:
                 if m == 1:
                     raise
@@ -408,10 +409,7 @@ def _chunk_pairs(chunk: PairBatch, layout: CorrectionLayout, base: int,
     for batch in (chunk.unscaled, chunk.scaled):
         layout.check_codes(batch, base=base)
     sides = [_select(batch, layout) for batch in (chunk.scaled, chunk.unscaled)]
-    for sel in sides:       # each table row's codes, as often as a key selects it
-        selected = np.bincount(sel.keys, minlength=len(sel.table_codes))
-        for stage, column in zip(counts, sel.table_codes.T):
-            stage += np.bincount(column, selected, stage.size).astype(np.int64)
+    counts += _count_codes(sides, layout)
     return _pairs(*sides, chunk.scaled.y, chunk.unscaled.y)
 
 

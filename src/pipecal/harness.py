@@ -42,6 +42,7 @@ from .calibration import (
     RankDeficiencyError,
     SingularStatisticsError,
     StepSchedule,
+    _check_coverage,
     accumulate_statistics,
     blhec_wiener,
     hec_wiener,
@@ -415,19 +416,6 @@ def _wiener(config: ExperimentConfig, pairs, layout) -> tuple[np.ndarray, float,
     return res.theta_nl, res.theta_alpha, res.converged
 
 
-def _check_code_coverage(counts: np.ndarray, layout: CorrectionLayout) -> None:
-    """Raise RankDeficiencyError when `counts`, an adaptive run's code
-    selections per stage (`CalibrationState.code_counts`), never selected a
-    code that owns an indicator slot: the adaptive loop left that slot at 0."""
-    slots = layout.code_slots
-    missing = np.argwhere((counts == 0) & (slots >= 0))     # stage-major order
-    if missing.size:
-        i, code = missing[0]
-        raise RankDeficiencyError(
-            f"the calibration input never selects stage {i + 1} code {code} "
-            f"(indicator slot {slots[i, code]}); input does not cover all codes")
-
-
 def _run_member(task) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
     """`_member_rows` of a task (config, idx, kind, value): the one place a
     member failure is labeled. A constructed config's members all build, so
@@ -473,7 +461,7 @@ def _member_rows(config: ExperimentConfig, idx: int, kind: str, value):
         samples = checkpoints or [n_samples]
         state, snapshots = run_sgd(pairs, layout, config.alpha_d, schedule=config.schedule(),
                                    guard=config.sgd_guard, checkpoints=samples)
-        _check_code_coverage(state.code_counts, layout)
+        _check_coverage(state.code_counts, layout)
         points = [(k, *snapshots[k]) for k in samples]
     del pairs
 

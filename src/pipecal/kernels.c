@@ -372,11 +372,14 @@ static double homogeneity_error(const struct pipecal_pairs *s, double *const p[2
  * + (c c) S_BB entry by entry, the cross term summed in place, and takes R_hh(c)
  * (its lower right dim x dim block) into r and r_hy(c) (its first column below
  * the corner) after it; solves R_hh(c) x = r_hy(c) by cholesky_solve and
- * writes theta = -x. Returns cholesky_solve's
- * status. Unless that is 1 it writes the homogeneity MSE and its standard error
- * to moments: T theta once per table row of each side into p (row_dot), then per pair
+ * writes theta = -x. Returns cholesky_solve's status. Unless that is 1 it
+ * writes four moments at theta: the homogeneity MSE and its standard error,
+ * from T theta once per table row of each side into p (row_dot), then per pair
  * e = (y_ax + p_ax[key]) - c (y_x + p_x[key]), mse = (sum of e^2) / n and
- * stderr = sqrt(sum of (e^2 - mse)^2) / n, both sums from 0.0 pair by pair.
+ * stderr = sqrt(sum of (e^2 - mse)^2) / n, both sums from 0.0 pair by pair;
+ * then the output powers at u = [1, theta], r_yy = u^T S_BB u and
+ * r_yya = u^T S_AB u, each sum_i u_i (sum_j S[i, j] u_j) with both sums from
+ * 0.0 over ascending indices.
  */
 int64_t pipecal_wiener_solve(const struct pipecal_pairs *s, double c, double limit,
                              double *theta, double *moments)
@@ -414,27 +417,17 @@ int64_t pipecal_wiener_solve(const struct pipecal_pairs *s, double c, double lim
         dev += t * t;
     }
     moments[1] = sqrt(dev) / (double)s->n;
-    return status;
-}
-
-/* The output powers at u = [1, theta]: powers[0] = r_yy = u^T S_BB u and
- * powers[1] = r_yya = u^T S_AB u, each sum_i u_i (sum_j S[i, j] u_j) with both
- * sums from 0.0 over ascending indices. */
-void pipecal_output_powers(const struct pipecal_pairs *s, const double *theta, double *powers)
-{
-    const int64_t m = 2 * s->dim + 2, b = s->dim + 1;
 
     const double *blocks[2] = {s->g + b * m + b, s->g + b};     /* S_BB, S_AB */
-
     for (int block = 0; block < 2; block++) {
-        const double *g = blocks[block];
         double outer = 0.0;
         for (int64_t i = 0; i < b; i++) {
             double inner = 0.0;
             for (int64_t j = 0; j < b; j++)
-                inner += g[i * m + j] * (j ? theta[j - 1] : 1.0);
+                inner += blocks[block][i * m + j] * (j ? theta[j - 1] : 1.0);
             outer += (i ? theta[i - 1] : 1.0) * inner;
         }
-        powers[block] = outer;
+        moments[2 + block] = outer;
     }
+    return status;
 }

@@ -2,7 +2,7 @@
 
 It holds the pipeline conversion behind `adc.convert_many`, the BL-HEC SGD
 loop behind `calibration.run_sgd`, and the Wiener path behind
-`calibration.PairStatistics`: its Gram matrix, its solve and its output
+`calibration.PairStatistics`: its Gram matrix, and its solve with its output
 powers. This module owns everything between that source and its callers: the
 compiler lookup, the build into a cache keyed by the source and the flags,
 the error a failed build raises, the ctypes signatures of the functions, and
@@ -98,6 +98,4 @@ def library() -> ctypes.CDLL:
     lib.pipecal_gram.restype = None
     lib.pipecal_wiener_solve.argtypes = [ptr, f64, f64, ptr, ptr]
     lib.pipecal_wiener_solve.restype = i64
-    lib.pipecal_output_powers.argtypes = [ptr] * 3
-    lib.pipecal_output_powers.restype = None
     return lib

@@ -154,9 +154,10 @@ def analyze(est: SpectrumEstimate, signal_bins) -> MetricReport:
 
 
 def error_norm(theta: np.ndarray, theta_ref: np.ndarray) -> float:
-    """Euclidean distance between two parameter vectors of one layout."""
+    """Euclidean distance between two parameter vectors of one layout, its sum
+    of squares correctly rounded (`math.fsum`), so no BLAS kernel changes it."""
     a = np.asarray(theta, dtype=float)
     b = np.asarray(theta_ref, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"layout mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+    return math.sqrt(math.fsum(d * d for d in (a - b).tolist()))

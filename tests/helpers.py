@@ -296,17 +296,24 @@ def dense_mse(dense, theta_alpha, theta_nl):
     return float(np.mean((yax - (dense.alpha_d + theta_alpha) * yx) ** 2))
 
 
+def homogeneity_gram(stats, theta_alpha=0.0):
+    """M(c) at c = alpha_d + theta_alpha, the Gram matrix of [dy, dh], from the
+    statistics' blocks: S_AA - c (S_AB + S_BA) + c^2 S_BB. R_hh(c) is its lower
+    right D x D block and r_hy(c) the column left of it."""
+    c = stats.alpha_d + theta_alpha
+    return stats.s_aa - c * (stats.s_ab + stats.s_ab.T) + (c * c) * stats.s_bb
+
+
 def gram_mse(stats, theta_alpha, theta_nl):
     """The homogeneity MSE as the quadratic form u^T M(c) u, u = [1, theta_nl],
     of the Gram matrices alone: O(D^2) whatever N is."""
     u = np.concatenate(([1.0], theta_nl))
-    return float(u @ stats.homogeneity_gram(theta_alpha) @ u)
+    return float(u @ homogeneity_gram(stats, theta_alpha) @ u)
 
 
 def gram_lu_solve(stats, theta_alpha):
-    """theta_nl = -R_hh^-1 r_hy at theta_alpha by an LU solve of the Gram-matrix
-    statistics: R_hh and r_hy are M(c)'s lower right block and the column left of it."""
-    gram = stats.homogeneity_gram(theta_alpha)
+    """theta_nl = -R_hh^-1 r_hy at theta_alpha by an LU solve of M(c)'s blocks."""
+    gram = homogeneity_gram(stats, theta_alpha)
     return -np.linalg.solve(gram[1:, 1:], gram[1:, 0])
 
 
@@ -452,8 +459,9 @@ def wiener_solve_oracle(stats, theta_alpha):
 
 
 def output_powers_oracle(stats, theta_nl):
-    """Oracle for `PairStatistics.output_powers`: u^T S_BB u and u^T S_AB u at
-    u = [1, theta_nl], each sum_i u_i (sum_j S[i, j] u_j) from 0.0 in index order."""
+    """Oracle for the output powers (r_yy, r_yya) that `PairStatistics.solve`
+    returns: u^T S_BB u and u^T S_AB u at u = [1, theta_nl], each
+    sum_i u_i (sum_j S[i, j] u_j) from 0.0 in index order."""
     g, b = stats.gram.tolist(), stats.dim + 1
     u = [1.0] + np.asarray(theta_nl, dtype=float).tolist()
     powers = []
@@ -565,8 +573,8 @@ def plain_blhec(stats, tolerance=1e-12, max_iterations=100000):
     theta_alpha = 0.0
     for m in range(1, max_iterations + 1):
         prev_alpha = theta_alpha
-        r_yy, r_yya = stats.output_powers(theta_nl)
-        theta_alpha = r_yya / r_yy - stats.alpha_d
+        u = np.concatenate(([1.0], theta_nl))       # the output powers as quadratic forms
+        theta_alpha = float(u @ stats.s_ab @ u) / float(u @ stats.s_bb @ u) - stats.alpha_d
         theta_nl = gram_lu_solve(stats, theta_alpha)
         if m > 1 and abs(theta_alpha - prev_alpha) < tolerance:
             return theta_nl, theta_alpha, m

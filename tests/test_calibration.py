@@ -23,6 +23,7 @@ from helpers import (
     gram_lu_solve,
     gram_mse,
     gram_oracle,
+    homogeneity_gram,
     ls_fit,
     naive_selection_dense,
     output_powers_oracle,
@@ -74,7 +75,7 @@ class TestAccumulateStatistics:
         layout = CorrectionLayout.from_adc(adc, 2)
         x = np.full(200, 0.05)
         pairs = make_pairs(adc, x, PathConfig(ALPHA, ALPHA, None), 0)
-        with pytest.raises(RankDeficiencyError):
+        with pytest.raises(RankDeficiencyError, match="never selects stage 2 code 3"):
             accumulate_statistics(pairs, layout, ALPHA)
 
     def test_full_scale_sine_covers_default_adc(self, mismatched_adc):
@@ -83,7 +84,7 @@ class TestAccumulateStatistics:
         pairs = make_pairs(mismatched_adc, x, PathConfig(ALPHA, ALPHA, None), 0)
         stats = accumulate_statistics(pairs, layout, ALPHA)
         assert stats.n == 2000
-        assert np.linalg.matrix_rank(stats.r_hh(0.0)) == layout.dim
+        assert np.linalg.matrix_rank(homogeneity_gram(stats)[1:, 1:]) == layout.dim
 
     def test_matches_naive_enumeration(self):
         adc = toy_with_mismatch()
@@ -102,8 +103,9 @@ class TestAccumulateStatistics:
             dy = pair.scaled.y[0] - ALPHA * pair.unscaled.y[0]
             r_hh += np.outer(dh, dh)
             r_hy += dh * dy
-        assert np.max(np.abs(stats.r_hh(0.0) - r_hh / n)) < 1e-12
-        assert np.max(np.abs(stats.homogeneity_gram(0.0)[1:, 0] - r_hy / n)) < 1e-12
+        gram = homogeneity_gram(stats)
+        assert np.max(np.abs(gram[1:, 1:] - r_hh / n)) < 1e-12
+        assert np.max(np.abs(gram[1:, 0] - r_hy / n)) < 1e-12
 
     def test_statistics_check_the_arrays_the_kernels_read(self):
         adc = toy_with_mismatch()
@@ -124,6 +126,36 @@ class TestAccumulateStatistics:
         pairs, _ = toy_pairs(adc, n=21)
         with pytest.raises(ValueError):
             accumulate_statistics(pairs[:3], layout, ALPHA)
+
+    def test_wiener_and_adaptive_runs_share_one_coverage_rule(self):
+        # one three-code stage: codes 2 and 3 own indicator slots 1 and 2. Pairs
+        # whose two sides never select code 3 stop the Wiener statistics with the
+        # message the adaptive run's code counts give; once the unscaled side
+        # selects it in one pair, both admit the pairs
+        layout = CorrectionLayout(stages=(toy_stage(),))
+        assert layout.code_slots[0, 3] == 2
+
+        def pairs_of(unscaled, scaled):
+            def batch(codes):
+                codes = np.asarray(codes)
+                y = np.linspace(-0.4, 0.4, codes.size)
+                return ConversionBatch(y, np.asfortranarray(np.stack([codes, 0 * codes], 1)))
+            return PairBatch(batch(unscaled), batch(scaled))
+
+        for unscaled, admitted in (([1, 2] * 6, False), ([1, 2] * 5 + [1, 3], True)):
+            pairs = pairs_of(unscaled, [2, 1] * 6)
+            state, _ = run_sgd(pairs, layout, ALPHA)
+            if admitted:
+                calibration._check_coverage(state.code_counts, layout)
+                assert accumulate_statistics(pairs, layout, ALPHA).n == 12
+                continue
+            with pytest.raises(RankDeficiencyError) as adaptive:
+                calibration._check_coverage(state.code_counts, layout)
+            with pytest.raises(RankDeficiencyError) as wiener:
+                accumulate_statistics(pairs, layout, ALPHA)
+            assert str(wiener.value) == str(adaptive.value)
+            assert str(wiener.value).startswith(
+                "the calibration input never selects stage 1 code 3 (indicator slot 2)")
 
 
 class TestHecWiener:
@@ -160,7 +192,7 @@ class TestHecWiener:
         theta = hec_wiener(stats)
         _, theta0 = ls_fit(adc, layout, x)
         r_hx = delta_h(DenseStatistics(pairs, layout, ALPHA), 0.0).T @ (total_gain(adc) * x) / stats.n
-        predicted = theta0 - delta * np.linalg.solve(stats.r_hh(0.0), r_hx)
+        predicted = theta0 - delta * np.linalg.solve(homogeneity_gram(stats)[1:, 1:], r_hx)
         assert np.max(np.abs(theta - predicted)) < 1e-9
 
 
@@ -302,13 +334,16 @@ class TestGramStatistics:
         for stats, dense in member_stats:
             res = blhec_wiener(stats)
             for ta, theta in ((0.0, np.zeros(stats.dim)), (res.theta_alpha, res.theta_nl)):
-                assert np.max(np.abs(stats.r_hh(ta) - dense_r_hh(dense, ta))) < 1e-12
-                assert np.max(np.abs(stats.homogeneity_gram(ta)[1:, 0] - dense_r_hy(dense, ta))) < 1e-12
-                r_yy, r_yya = stats.output_powers(theta)
+                gram = homogeneity_gram(stats, ta)
+                assert np.max(np.abs(gram[1:, 1:] - dense_r_hh(dense, ta))) < 1e-12
+                assert np.max(np.abs(gram[1:, 0] - dense_r_hy(dense, ta))) < 1e-12
+                r_yy, r_yya = output_powers_oracle(stats, theta)
                 assert abs(r_yy - dense_r_yy(dense, theta)) < 1e-12
                 assert abs(r_yya - dense_r_yya(dense, theta)) < 1e-12
                 assert abs(gram_mse(stats, ta, theta) - dense_mse(dense, ta, theta)) < 1e-12
-            theta, mse, _ = stats.solve(res.theta_alpha)
+            theta, mse, _, (r_yy, r_yya) = stats.solve(res.theta_alpha)
+            assert abs(r_yy - dense_r_yy(dense, theta)) < 1e-12
+            assert abs(r_yya - dense_r_yya(dense, theta)) < 1e-12
             assert mse == pytest.approx(dense_mse(dense, res.theta_alpha, theta), rel=1e-9)
             assert mse == pytest.approx(gram_mse(stats, res.theta_alpha, theta), rel=1e-6)
 
@@ -379,11 +414,15 @@ class TestWienerKernels:
     def test_solve_and_output_powers_match_oracle(self, stats):
         res = blhec_wiener(stats)
         for ta in (0.0, res.theta_alpha, -3e-3):
-            theta, mse, stderr = stats.solve(ta)
+            theta, mse, stderr, powers = stats.solve(ta)
             want, want_mse, want_stderr = wiener_solve_oracle(stats, ta)
             assert np.array_equal(theta.view(np.uint64), want.view(np.uint64))
             assert (mse, stderr) == (want_mse, want_stderr)
-            assert stats.output_powers(theta) == output_powers_oracle(stats, theta)
+            assert powers == output_powers_oracle(stats, theta)
+        # blhec_wiener's first plain step reads the powers at theta_nl = 0 from the
+        # Gram matrix: the oracle's sums give the same bits
+        start, b = np.array(output_powers_oracle(stats, np.zeros(stats.dim))), stats.dim + 1
+        assert np.array_equal(start.view(np.uint64), stats.gram[[b, 0], b].view(np.uint64))
         assert np.array_equal(hec_wiener(stats), stats.solve(0.0)[0])
         assert res.mse[-1] == stats.solve(res.theta_alpha)[1]
 
@@ -397,17 +436,10 @@ class TestWienerKernels:
 _NO_SECOND_BLAS_KERNEL = second_blas_kernel_missing()
 
 
-@pytest.mark.skipif(bool(_NO_SECOND_BLAS_KERNEL), reason=_NO_SECOND_BLAS_KERNEL)
-def test_wiener_results_do_not_depend_on_the_blas_kernel():
-    # every number of the Wiener path is summed in the kernels' fixed order;
-    # LAPACK only decides pass or fail. OpenBLAS reads OPENBLAS_CORETYPE once,
-    # at load, so each kernel gets a process
-    script = ("import hashlib, struct, sys; from pipecal.harness import default_config, "
-              "run_experiment; h = hashlib.sha256(); "
-              "[h.update(struct.pack('<4d', r.theta_alpha, r.post_sfdr_db, r.post_sndr_db, "
-              "r.pre_sfdr_db)) for a in ('hec-wiener', 'blhec-wiener') "
-              "for r in run_experiment(default_config(11, population=20, algorithm=a))]; "
-              "sys.stdout.write(h.hexdigest())")
+def stdout_under_two_blas_kernels(script):
+    """What `script` writes to stdout under the default BLAS kernel and under
+    Sandybridge's. OpenBLAS reads OPENBLAS_CORETYPE once, at load, so each
+    kernel gets a process."""
     src = str(Path(kernels.__file__).parents[1])
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
@@ -416,7 +448,32 @@ def test_wiener_results_do_not_depend_on_the_blas_kernel():
              for extra in ({}, {"OPENBLAS_CORETYPE": "Sandybridge"})]
     outs = [proc.communicate(timeout=120) for proc in procs]
     assert [proc.returncode for proc in procs] == [0, 0], outs
-    assert outs[0][0] == outs[1][0]
+    return [out for out, _ in outs]
+
+
+@pytest.mark.skipif(bool(_NO_SECOND_BLAS_KERNEL), reason=_NO_SECOND_BLAS_KERNEL)
+def test_wiener_results_do_not_depend_on_the_blas_kernel():
+    # every number of the Wiener path is summed in the kernels' fixed order;
+    # LAPACK only decides pass or fail
+    script = ("import hashlib, struct, sys; from pipecal.harness import default_config, "
+              "run_experiment; h = hashlib.sha256(); "
+              "[h.update(struct.pack('<4d', r.theta_alpha, r.post_sfdr_db, r.post_sndr_db, "
+              "r.pre_sfdr_db)) for a in ('hec-wiener', 'blhec-wiener') "
+              "for r in run_experiment(default_config(11, population=20, algorithm=a))]; "
+              "sys.stdout.write(h.hexdigest())")
+    default, sandybridge = stdout_under_two_blas_kernels(script)
+    assert default == sandybridge
+
+
+@pytest.mark.skipif(bool(_NO_SECOND_BLAS_KERNEL), reason=_NO_SECOND_BLAS_KERNEL)
+def test_error_norms_do_not_depend_on_the_blas_kernel():
+    # a convergence sweep's distances to the Wiener reference are correctly
+    # rounded sums, not BLAS dot products
+    script = ("import sys; from pipecal.harness import default_config, run_sweep; "
+              "cfg = default_config(11, population=3, algorithm='blhec-sgd', n_sgd=8000); "
+              "sys.stdout.write(repr(run_sweep('convergence', cfg, [2000, 8000]).error_norms))")
+    default, sandybridge = stdout_under_two_blas_kernels(script)
+    assert default == sandybridge
 
 
 def one_hot_pairs(y_x, y_ax):
@@ -958,7 +1015,7 @@ class TestMeanConvergence:
         for seed in range(100):
             pairs = make_pairs(adc, x, PathConfig(ALPHA + 2e-3, ALPHA, 40.0, "independent"), seed)
             stats = accumulate_statistics(pairs, layout, ALPHA)
-            r_yy, r_yya = stats.output_powers(np.zeros(layout.dim))
+            r_yy, r_yya = output_powers_oracle(stats, np.zeros(layout.dim))
             targets.append(r_yya / r_yy - ALPHA)
             trace = np.empty(n)
             ta = 0.0

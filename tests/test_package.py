@@ -39,8 +39,8 @@ def test_package_exposes_no_removed_name():
 
 def test_calibration_data_holds_no_input_and_no_second_form():
     # the estimators see output pairs and codes, never the test signal; the
-    # per-sample selection gathers, the quadratic-form MSE, r_hy and the cross
-    # term S_AB + S_BA have one form each
+    # per-sample selection gathers, the quadratic-form MSE, r_hy, the cross term
+    # S_AB + S_BA, M(c) and R_hh(c) and the output powers have one form each
     from pipecal.calibration import accumulate_statistics
     from pipecal.correction import selection_vectors
     from pipecal.harness import _build_member, default_config
@@ -51,7 +51,8 @@ def test_calibration_data_holds_no_input_and_no_second_form():
     pairs = make_pairs(adc, gen_tones(cfg.run_tones(cfg.cal_amplitude), 400), path_config, 11)
     removed = [(pairs.unscaled, ["x_in"]),
                (selection_vectors(pairs.unscaled, layout), ["weighted", "indicator_pos"]),
-               (accumulate_statistics(pairs, layout, cfg.alpha_d), ["mse", "r_hy", "s_cross"])]
+               (accumulate_statistics(pairs, layout, cfg.alpha_d),
+                ["mse", "r_hy", "s_cross", "homogeneity_gram", "r_hh", "output_powers"])]
     assert [(type(obj).__name__, name) for obj, names in removed for name in names
             if hasattr(obj, name)] == []
 
@@ -78,8 +79,7 @@ def test_kernel_exports_are_declared_and_called():
                 for attr in ("argtypes", "restype")]
     callers = "".join(path.read_text() for path in Path(kernels.__file__).parent.glob("*.py")
                       if path.name != "kernels.py")
-    assert exported == {"pipecal_convert", "pipecal_sgd", "pipecal_gram", "pipecal_wiener_solve",
-                        "pipecal_output_powers"}
+    assert exported == {"pipecal_convert", "pipecal_sgd", "pipecal_gram", "pipecal_wiener_solve"}
     assert declared == [exported, exported]
     assert [name for name in sorted(exported) if f".{name}(" not in callers] == []
 
