@@ -17,7 +17,6 @@ from .calibration import (
     blhec_wiener,
     hec_wiener,
     run_sgd,
-    step_size_bounds,
 )
 from .correction import CorrectionLayout, model_dimension, selection_vectors
 from .harness import (
@@ -29,7 +28,7 @@ from .harness import (
     run_experiment,
     run_sweep,
 )
-from .signals import PathConfig, ToneSpec, gen_impure_two_tone, gen_tones, make_pairs
+from .signals import PathConfig, ToneSpec, gen_tones, make_pairs
 from .spectral import MetricReport, SpectrumEstimate, error_norm, spectrum
 
 __version__ = "0.1.0"

@@ -16,9 +16,6 @@ regressors; the test signal itself stays unknown. Three routes are provided:
                         use) over one converter's pairs. That loop is the
                         package's only SGD update; the tests audit its
                         multiplication budget with an instrumented oracle.
-
-`step_size_bounds` gives the per-sample stability bounds on the two step
-sizes.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ __all__ = [
     "hec_wiener",
     "blhec_wiener",
     "run_sgd",
-    "step_size_bounds",
 ]
 
 COND_LIMIT = 1e12
@@ -227,7 +223,8 @@ def _accept(status: int, r: np.ndarray) -> None:
     Otherwise the eigenvalues decide: r must be positive definite with a
     2-norm condition number (largest over smallest eigenvalue) of at most
     COND_LIMIT, and its factorization must have succeeded. LAPACK decides pass
-    or fail only; no number it computes enters a result.
+    or fail only; no number it computes enters a result or a message, since its
+    digits depend on the BLAS kernel.
     """
     if status == 0:
         return
@@ -237,10 +234,9 @@ def _accept(status: int, r: np.ndarray) -> None:
         raise SingularStatisticsError(f"covariance eigendecomposition failed: {exc}") from exc
     # negated comparisons so that NaN eigenvalues fail the checks too
     if not w[0] > 0.0:
-        raise SingularStatisticsError(f"covariance not positive definite: smallest eigenvalue {w[0]!r}")
-    cond = w[-1] / w[0]
-    if not cond <= COND_LIMIT:
-        raise SingularStatisticsError(f"covariance condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
+        raise SingularStatisticsError("covariance not positive definite")
+    if not w[-1] / w[0] <= COND_LIMIT:
+        raise SingularStatisticsError(f"covariance condition number exceeds {COND_LIMIT:.0e}")
     if status == _FACTORIZATION_FAILED:
         raise SingularStatisticsError("covariance Cholesky factorization failed")
 
@@ -379,13 +375,11 @@ class StepSchedule:
 
 @dataclass
 class CalibrationState:
-    """Adaptive estimator state: parameters, step sizes, sample counter, and
-    `run_sgd`'s (q, width) int64 count of each stage code's selections."""
+    """Adaptive estimator state: parameters, sample count k (the last step sizes are the
+    schedule's at k - 1), and `run_sgd`'s (q, width) int64 count of each stage code's selections."""
 
     theta_nl: np.ndarray
     theta_alpha: float = 0.0
-    mu_nl: float = 2.0 ** -6
-    mu_alpha: float = 2.0 ** -7
     k: int = 0
     code_counts: np.ndarray | None = None
 
@@ -466,38 +460,6 @@ def run_sgd(pairs, layout: CorrectionLayout, alpha_d: float,
         a = b
     if not np.all(np.isfinite(theta)) or not np.isfinite(ta[0]):
         raise NumericalError("non-finite adaptive parameters")
-    last = max(total - 1, 0)
-    return CalibrationState(theta_nl=theta, theta_alpha=float(ta[0]), mu_nl=schedule.mu_nl(last),
-                            mu_alpha=schedule.mu_alpha(last), k=total,
+    return CalibrationState(theta_nl=theta, theta_alpha=float(ta[0]), k=total,
                             code_counts=counts), snapshots
 
-
-def step_size_bounds(layout: CorrectionLayout, y_max: float,
-                     pairs: PairBatch | None = None, alpha_d: float = 1.0,
-                     code_bound: float = 1.0) -> tuple[float, float]:
-    """Step sizes below which one update step cannot grow its squared error.
-
-    The paper's stability bound on the SGD step sizes, kept in the package as
-    a design aid for choosing a schedule; no config check uses it, since the
-    layout-geometry cap is far below the stable default mu_nl_init.
-
-    The scalar bound is 2 / y_max^2 with y_max the largest corrected output.
-    The vector bound is 2 / max_k ||h_ax - alpha_d h_x||^2, measured over the
-    provided stream; without a stream, a conservative cap from the layout
-    geometry (largest weighted entries plus both indicators) is used.
-    """
-    if y_max <= 0.0:
-        raise ValueError("y_max must be positive")
-    mu_alpha_max = 2.0 / y_max ** 2
-
-    if pairs is not None:
-        sx = selection_vectors(pairs.unscaled, layout)
-        sax = selection_vectors(pairs.scaled, layout)
-        dh = sax.dense() - alpha_d * sx.dense()
-        worst = float(np.max(np.sum(dh ** 2, axis=1)))
-    else:
-        worst = 0.0
-        for i in range(layout.q):
-            w_max = code_bound * float(np.sum(layout.prefix[: i + 1]))
-            worst += ((1.0 + alpha_d) * w_max) ** 2 + 1.0 + alpha_d ** 2
-    return mu_alpha_max, 2.0 / worst

@@ -78,7 +78,7 @@ ALGORITHMS = ("hec-wiener", "blhec-wiener", "blhec-sgd")
 SWEEP_KINDS = ("alpha", "snr", "delta", "convergence")
 # the failures a member can stop with although its configuration was accepted (exit 3)
 NUMERICAL_FAILURES = (RankDeficiencyError, SingularStatisticsError, DivergenceError,
-                      NumericalError, MisdeclaredSignalError, np.linalg.LinAlgError)
+                      NumericalError, MisdeclaredSignalError)
 
 # default test tone: 10.77 MHz at 100 MHz sampling
 DEFAULT_TONE_OMEGA = 2.0 * math.pi * 10.77 / 100.0

@@ -24,7 +24,6 @@ __all__ = [
     "PairSource",
     "gen_tones",
     "cached_tones",
-    "gen_impure_two_tone",
     "noise_sigma",
     "make_pairs",
     "snap_to_odd_bin",
@@ -125,58 +124,6 @@ def snap_to_odd_bin(omega: float, n_fft: int) -> float:
     m_odd = 2 * round((m - 1.0) / 2.0) + 1
     m_odd = min(max(m_odd, 1), n_fft // 2 - 1)
     return 2.0 * math.pi * m_odd / n_fft
-
-
-def _fold(omega: float) -> float:
-    """Alias a frequency into [0, pi]."""
-    w = math.fmod(omega, 2.0 * math.pi)
-    if w < 0:
-        w += 2.0 * math.pi
-    return 2.0 * math.pi - w if w > math.pi else w
-
-
-def gen_impure_two_tone(tones: list[ToneSpec], harmonic_levels_dbc: dict[int, float] | None,
-                        quantizer_bits: int | None, n: int) -> np.ndarray:
-    """Two-tone signal with intermodulation products and generator quantization.
-
-    A qualitative stand-in for a low-resolution on-chip signal source:
-    harmonic_levels_dbc maps product order (2, 3, 5) to a level relative to
-    the strongest tone; quantizer_bits re-quantizes the waveform to a uniform
-    grid over [-1, 1]. With no levels and no quantizer this reduces exactly
-    to `gen_tones`. It stays in the package as the paper's impure on-chip
-    calibration source, which homogeneity calibration must tolerate.
-    """
-    if len(tones) != 2:
-        raise ValueError("expected exactly two tones")
-    f1, f2 = tones[0].omega, tones[1].omega
-    carrier = max(t.amplitude for t in tones)
-
-    product_freqs = {
-        2: [2 * f1, 2 * f2, f1 + f2, abs(f2 - f1)],
-        3: [2 * f1 - f2, 2 * f2 - f1, 3 * f1, 3 * f2],
-        5: [3 * f1 - 2 * f2, 3 * f2 - 2 * f1],
-    }
-
-    extra = []
-    for order, level_dbc in (harmonic_levels_dbc or {}).items():
-        if order not in product_freqs:
-            raise ValueError(f"unsupported product order {order}")
-        if level_dbc is None or math.isinf(level_dbc):
-            continue
-        amp = carrier * 10.0 ** (level_dbc / 20.0)
-        for f in product_freqs[order]:
-            w = _fold(f)
-            if 0.0 < w < math.pi:
-                extra.append(ToneSpec(omega=w, amplitude=min(amp, 1.0), phase=0.0))
-
-    x = gen_tones(list(tones), n)
-    if extra:
-        x = x + gen_tones(extra, n)
-
-    if quantizer_bits is not None:
-        step = 2.0 / (2 ** quantizer_bits)
-        x = np.clip(np.round(x / step) * step, -1.0, 1.0)
-    return x
 
 
 # noise_sigma is finite at these SNRs for every signal of mean power up to 1 (full scale):

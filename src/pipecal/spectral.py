@@ -104,9 +104,7 @@ def spectrum(samples: np.ndarray, window: str, n_fft: int) -> SpectrumEstimate:
 class MetricReport:
     sfdr_db: float
     sndr_db: float
-    signal_bins: tuple[int, ...]
     spur_bin: int
-    spur_db: float          # spur level relative to the signal peak [dBc]
 
 
 def signal_regions(signal_bins, window: str, n_fft: int) -> tuple[np.ndarray, np.ndarray]:
@@ -148,9 +146,7 @@ def analyze(est: SpectrumEstimate, signal_bins) -> MetricReport:
     rest_power = float(np.sum(search))
     sfdr_db = 10.0 * math.log10(peak_signal / peak_spur) if peak_spur > 0.0 else math.inf
     sndr_db = 10.0 * math.log10(signal_power / rest_power) if rest_power > 0.0 else math.inf
-    return MetricReport(sfdr_db=sfdr_db, sndr_db=sndr_db, signal_bins=signal_bins,
-                        spur_bin=spur_bin,
-                        spur_db=-sfdr_db if math.isfinite(sfdr_db) else -math.inf)
+    return MetricReport(sfdr_db=sfdr_db, sndr_db=sndr_db, spur_bin=spur_bin)
 
 
 def error_norm(theta: np.ndarray, theta_ref: np.ndarray) -> float:

@@ -6,11 +6,16 @@ an independent route.
 """
 
 import math
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+import pipecal
 from pipecal.adc import (
     AdcInstance,
     ConversionBatch,
@@ -20,6 +25,7 @@ from pipecal.adc import (
     flash_stage_spec,
 )
 from pipecal.correction import CorrectionLayout, selection_vectors
+from pipecal.signals import ToneSpec, gen_tones
 
 
 def toy_stage(levels=3, gain=2.0, span=0.5):
@@ -134,6 +140,36 @@ def reference_output(adc, x_in, batch, tolerance=1e-9):
 
 def dense_ramp(n=4001, lo=-0.999, hi=0.999):
     return np.linspace(lo, hi, n)
+
+
+def gen_impure_two_tone(tones, harmonic_levels_dbc, quantizer_bits, n):
+    """Fixture: an impure on-chip source, two tones plus their products of order 2, 3
+    and 5 at harmonic_levels_dbc (dBc of the stronger tone, aliased into [0, pi]),
+    re-quantized to quantizer_bits over [-1, 1]; `gen_tones` with neither."""
+    f1, f2 = tones[0].omega, tones[1].omega
+    carrier = max(t.amplitude for t in tones)
+    product_freqs = {2: [2 * f1, 2 * f2, f1 + f2, abs(f2 - f1)],
+                     3: [2 * f1 - f2, 2 * f2 - f1, 3 * f1, 3 * f2],
+                     5: [3 * f1 - 2 * f2, 3 * f2 - 2 * f1]}
+    extra = []
+    for order, level_dbc in (harmonic_levels_dbc or {}).items():
+        if order not in product_freqs:
+            raise ValueError(f"unsupported product order {order}")
+        if level_dbc is None or math.isinf(level_dbc):
+            continue
+        amp = carrier * 10.0 ** (level_dbc / 20.0)
+        for f in product_freqs[order]:
+            w = f % (2.0 * math.pi)
+            w = 2.0 * math.pi - w if w > math.pi else w
+            if 0.0 < w < math.pi:
+                extra.append(ToneSpec(omega=w, amplitude=min(amp, 1.0), phase=0.0))
+    x = gen_tones(list(tones), n)
+    if extra:
+        x = x + gen_tones(extra, n)
+    if quantizer_bits is not None:
+        step = 2.0 / (2 ** quantizer_bits)
+        x = np.clip(np.round(x / step) * step, -1.0, 1.0)
+    return x
 
 
 def ls_fit(adc, layout, x):
@@ -492,6 +528,19 @@ def second_blas_kernel_missing() -> str:
     return ""
 
 
+def under_two_blas_kernels(*args):
+    """(exit code, stdout, stderr) of `python *args` under the default BLAS kernel and
+    Sandybridge's; OpenBLAS reads OPENBLAS_CORETYPE once, at load, so one process each."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(pipecal.__file__).parents[1]),
+                                         env.get("PYTHONPATH", "")])
+    procs = [subprocess.Popen([sys.executable, *args], env={**env, **extra},
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for extra in ({}, {"OPENBLAS_CORETYPE": "Sandybridge"})]
+    outs = [proc.communicate(timeout=120) for proc in procs]
+    return [(proc.returncode, *out) for proc, out in zip(procs, outs)]
+
+
 def dense_solve_spd(r, b, cond_limit=1e12):
     """Condition check by SVD, definiteness by Cholesky, then an LU solve."""
     from pipecal.calibration import SingularStatisticsError
@@ -579,6 +628,22 @@ def plain_blhec(stats, tolerance=1e-12, max_iterations=100000):
         if m > 1 and abs(theta_alpha - prev_alpha) < tolerance:
             return theta_nl, theta_alpha, m
     raise AssertionError(f"plain alternation did not reach {tolerance} in {max_iterations} iterations")
+
+
+def step_size_bounds(layout, y_max, pairs=None, alpha_d=1.0, code_bound=1.0):
+    """Oracle: the paper's bounds (mu_alpha, mu_nl) below which one SGD update cannot grow
+    its squared error: 2 / y_max^2, y_max the largest corrected output, and 2 / max_k
+    ||h_ax - alpha_d h_x||^2 over `pairs`, or without them a cap from the layout geometry."""
+    if y_max <= 0.0:
+        raise ValueError("y_max must be positive")
+    if pairs is not None:
+        dh = (RowSelection(pairs.scaled, layout).dense()
+              - alpha_d * RowSelection(pairs.unscaled, layout).dense())
+        worst = float(np.max(np.sum(dh ** 2, axis=1)))
+    else:
+        worst = sum(((1.0 + alpha_d) * code_bound * float(np.sum(layout.prefix[:i + 1]))) ** 2
+                    + 1.0 + alpha_d ** 2 for i in range(layout.q))
+    return 2.0 / y_max ** 2, 2.0 / worst
 
 
 class Multiplications(NamedTuple):
@@ -716,9 +781,7 @@ def sgd_loop(pairs, layout, alpha_d, schedule=None, guard=1.0, checkpoints=None)
         if kk in checkset:
             snapshots[kk] = (np.array(theta), theta_alpha)
 
-    state = CalibrationState(theta_nl=np.array(theta), theta_alpha=theta_alpha,
-                             mu_nl=schedule.mu_nl(max(n - 1, 0)),
-                             mu_alpha=schedule.mu_alpha(max(n - 1, 0)), k=n)
+    state = CalibrationState(theta_nl=np.array(theta), theta_alpha=theta_alpha, k=n)
     if not np.all(np.isfinite(state.theta_nl)) or not math.isfinite(theta_alpha):
         raise NumericalError("non-finite adaptive parameters")
     return state, snapshots

@@ -1,9 +1,5 @@
 import dataclasses
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +14,9 @@ from helpers import (
     toy_adc,
     toy_stage,
     total_gain,
+    under_two_blas_kernels,
 )
 
-import pipecal
 from pipecal import kernels
 from pipecal.adc import (
     AdcInstance,
@@ -302,21 +298,13 @@ _NO_SECOND_BLAS_KERNEL = second_blas_kernel_missing()
 
 @pytest.mark.skipif(bool(_NO_SECOND_BLAS_KERNEL), reason=_NO_SECOND_BLAS_KERNEL)
 def test_y_does_not_depend_on_the_blas_kernel():
-    # at gain 3 a BLAS product of the code values rounds some rows by kernel;
-    # OpenBLAS reads OPENBLAS_CORETYPE once, at load, so each kernel gets a process
+    # at gain 3 a BLAS product of the code values rounds some rows by kernel
     script = ("import hashlib, sys; from pipecal.harness import default_config, evaluation_batch; "
               "cfg = default_config(11, stage_gain=3.0, stage_levels=5); "
               "h = hashlib.sha256(); [h.update(evaluation_batch(cfg, i).y) for i in range(4)]; "
               "sys.stdout.write(h.hexdigest())")
-    src = str(Path(pipecal.__file__).parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-    procs = [subprocess.Popen([sys.executable, "-c", script], env={**env, **extra},
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-             for extra in ({}, {"OPENBLAS_CORETYPE": "Sandybridge"})]
-    outs = [proc.communicate(timeout=120) for proc in procs]
-    assert [proc.returncode for proc in procs] == [0, 0], outs
-    assert outs[0][0] == outs[1][0]
+    default, sandybridge = under_two_blas_kernels("-c", script)
+    assert default == sandybridge and default[0] == 0, default
 
 
 class TestReferenceOutput:

@@ -30,9 +30,11 @@ from helpers import (
     plain_blhec,
     second_blas_kernel_missing,
     sgd_loop,
+    step_size_bounds,
     toy_adc,
     toy_stage,
     total_gain,
+    under_two_blas_kernels,
     wiener_solve_oracle,
 )
 
@@ -48,7 +50,6 @@ from pipecal.calibration import (
     blhec_wiener,
     hec_wiener,
     run_sgd,
-    step_size_bounds,
 )
 from pipecal.correction import CorrectionLayout, LayoutError, SelectionBatch, selection_vectors
 from pipecal.kernels import KernelBuildError, _build_kernel
@@ -436,21 +437,6 @@ class TestWienerKernels:
 _NO_SECOND_BLAS_KERNEL = second_blas_kernel_missing()
 
 
-def stdout_under_two_blas_kernels(script):
-    """What `script` writes to stdout under the default BLAS kernel and under
-    Sandybridge's. OpenBLAS reads OPENBLAS_CORETYPE once, at load, so each
-    kernel gets a process."""
-    src = str(Path(kernels.__file__).parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-    procs = [subprocess.Popen([sys.executable, "-c", script], env={**env, **extra},
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-             for extra in ({}, {"OPENBLAS_CORETYPE": "Sandybridge"})]
-    outs = [proc.communicate(timeout=120) for proc in procs]
-    assert [proc.returncode for proc in procs] == [0, 0], outs
-    return [out for out, _ in outs]
-
-
 @pytest.mark.skipif(bool(_NO_SECOND_BLAS_KERNEL), reason=_NO_SECOND_BLAS_KERNEL)
 def test_wiener_results_do_not_depend_on_the_blas_kernel():
     # every number of the Wiener path is summed in the kernels' fixed order;
@@ -461,8 +447,8 @@ def test_wiener_results_do_not_depend_on_the_blas_kernel():
               "r.pre_sfdr_db)) for a in ('hec-wiener', 'blhec-wiener') "
               "for r in run_experiment(default_config(11, population=20, algorithm=a))]; "
               "sys.stdout.write(h.hexdigest())")
-    default, sandybridge = stdout_under_two_blas_kernels(script)
-    assert default == sandybridge
+    default, sandybridge = under_two_blas_kernels("-c", script)
+    assert default == sandybridge and default[0] == 0, default
 
 
 @pytest.mark.skipif(bool(_NO_SECOND_BLAS_KERNEL), reason=_NO_SECOND_BLAS_KERNEL)
@@ -472,8 +458,18 @@ def test_error_norms_do_not_depend_on_the_blas_kernel():
     script = ("import sys; from pipecal.harness import default_config, run_sweep; "
               "cfg = default_config(11, population=3, algorithm='blhec-sgd', n_sgd=8000); "
               "sys.stdout.write(repr(run_sweep('convergence', cfg, [2000, 8000]).error_norms))")
-    default, sandybridge = stdout_under_two_blas_kernels(script)
-    assert default == sandybridge
+    default, sandybridge = under_two_blas_kernels("-c", script)
+    assert default == sandybridge and default[0] == 0, default
+
+
+@pytest.mark.skipif(bool(_NO_SECOND_BLAS_KERNEL), reason=_NO_SECOND_BLAS_KERNEL)
+def test_singular_solve_message_does_not_depend_on_the_blas_kernel(tmp_path):
+    # an exit-3 message names the decision, never LAPACK's digits
+    (tmp_path / "cfg.json").write_text('{"n_fft": 32, "population": 1}')
+    default, sandybridge = under_two_blas_kernels(
+        "-m", "pipecal.cli", "sweep", "--kind", "delta", "--grid", "0", "--seed", "1",
+        "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path))
+    assert default == sandybridge and default[0] == 3, default
 
 
 def one_hot_pairs(y_x, y_ax):
@@ -609,6 +605,11 @@ class TestStepSizeBounds:
         layout = CorrectionLayout(stages=(toy_stage(),))
         mu_alpha, _ = step_size_bounds(layout, y_max=1.0, alpha_d=ALPHA)
         assert mu_alpha == 2.0
+        # a full-scale y_x: the scalar path's error grows past the bound only
+        pair, e_prior = one_hot_pairs(1.0, 0.3), 0.3 - ALPHA
+        for factor in (0.75, 1.25):
+            out, _ = run_sgd(pair, layout, ALPHA, constant_steps(2.0 ** -10, factor * mu_alpha))
+            assert (abs(0.3 - (ALPHA + out.theta_alpha)) > abs(e_prior)) == (factor > 1.0)
 
     def test_identical_code_pair_norm(self):
         # both conversions select the same codes: every delta-regressor entry
@@ -623,6 +624,12 @@ class TestStepSizeBounds:
         h = selection_vectors(pairs.unscaled[0:1], layout).dense()[0]
         norm2 = float(np.sum(((1.0 - ALPHA) * h) ** 2))
         assert mu_nl == pytest.approx(2.0 / norm2, rel=1e-12)
+        # with mu_alpha = 0 the vector path's error grows past the bound only
+        e_prior = (1.0 - ALPHA) * pairs.unscaled.y[0]
+        for factor in (0.75, 1.25):
+            out, _ = run_sgd(pairs[0:1], layout, ALPHA, constant_steps(factor * mu_nl, 0.0))
+            e_post = e_prior + (1.0 - ALPHA) * float(h @ out.theta_nl)
+            assert (abs(e_post) > abs(e_prior)) == (factor > 1.0)
 
     def test_analytic_cap_is_conservative(self):
         adc = toy_with_mismatch(flash_bits=3)
@@ -764,7 +771,7 @@ class TestSgdPopulation:
                                             checkpoints=checkpoints)
             assert np.array_equal(state.theta_nl, want.theta_nl)
             assert state.theta_alpha == want.theta_alpha
-            assert (state.k, state.mu_nl, state.mu_alpha) == (want.k, want.mu_nl, want.mu_alpha)
+            assert state.k == want.k
             assert snapshots.keys() == want_snapshots.keys() == {k for k in checkpoints
                                                                  if k <= len(pairs)}
             for k, (theta_k, alpha_k) in want_snapshots.items():
@@ -784,7 +791,7 @@ class TestSgdPopulation:
                                             checkpoints=checkpoints)
             assert np.array_equal(state.theta_nl, want.theta_nl)
             assert state.theta_alpha == want.theta_alpha
-            assert (state.mu_nl, state.mu_alpha) == (want.mu_nl, want.mu_alpha) == (2.0 ** -5, 2.0 ** -6)
+            assert (schedule.mu_nl(state.k - 1), schedule.mu_alpha(state.k - 1)) == (2.0 ** -5, 2.0 ** -6)
             assert snapshots.keys() == want_snapshots.keys() == set(checkpoints)
             for k, (theta_k, alpha_k) in want_snapshots.items():
                 assert np.array_equal(snapshots[k][0], theta_k)
@@ -833,8 +840,7 @@ def assert_same_run(got, want):
     """Equal final states and snapshots of two adaptive runs, bit for bit."""
     (state, snapshots), (want_state, want_snapshots) = got, want
     assert np.array_equal(state.theta_nl, want_state.theta_nl)
-    assert (state.theta_alpha, state.k, state.mu_nl, state.mu_alpha) == (
-        want_state.theta_alpha, want_state.k, want_state.mu_nl, want_state.mu_alpha)
+    assert (state.theta_alpha, state.k) == (want_state.theta_alpha, want_state.k)
     assert snapshots.keys() == want_snapshots.keys()
     for k, (theta_k, alpha_k) in want_snapshots.items():
         assert np.array_equal(snapshots[k][0], theta_k)

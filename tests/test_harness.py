@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import toy_adc
+from helpers import gen_impure_two_tone, toy_adc
 
 from pipecal import kernels
 from pipecal.calibration import DivergenceError, RankDeficiencyError, accumulate_statistics, blhec_wiener
@@ -31,7 +31,7 @@ from pipecal.harness import (
     run_experiment,
     run_sweep,
 )
-from pipecal.signals import PathConfig, ToneSpec, gen_impure_two_tone, gen_tones, make_pairs, snap_to_odd_bin
+from pipecal.signals import PathConfig, ToneSpec, gen_tones, make_pairs, snap_to_odd_bin
 from pipecal.spectral import analyze, spectrum, tone_bin
 
 SMALL = dict(population=4, n_cal=1200, n_fft=4096, eval_samples=4096)
@@ -868,8 +868,7 @@ class TestCli:
         (["calibrate", "--algorithm", "blhec-sgd"], _MISSING_CODE),
         # at delta = 0 the scaled conversions select the code that the unscaled
         # ones miss, so the pairs cover every code and the solve finds R_hh singular
-        # (the condition number's digits are LAPACK's and vary with the BLAS kernel)
-        (["sweep", "--kind", "delta", "--grid", "0"], "covariance condition number "),
+        (["sweep", "--kind", "delta", "--grid", "0"], "covariance condition number exceeds 1e+12\n"),
         # the member's BL-HEC reference is solved before its adaptive run
         (["convergence", "--checkpoints", "2000"], _MISSING_CODE),
     ], ids=["hec-wiener", "blhec-wiener", "blhec-sgd", "sweep", "convergence"])

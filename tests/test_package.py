@@ -17,20 +17,21 @@ MODULES = ["adc", "calibration", "correction", "harness", "kernels", "signals", 
 # per-record scalar API, replaced by one-row slices of the batch types, the
 # adaptive kernel's trajectory log, replaced by its checkpoint snapshots, the
 # compact multi-converter SGD entry point, replaced by `run_sgd` per member,
-# test oracles, now in tests/helpers.py (the single SGD step as `counted_step`),
-# the one-line wrappers of `spectral.analyze`, and the numpy copy of the
-# conversion kernel's stage rule
+# test oracles and fixtures, now in tests/helpers.py (among them the single SGD
+# step as `counted_step`), the one-line wrappers of `spectral.analyze`, and the
+# numpy copy of the conversion kernel's stage rule
 REMOVED = ["ConversionRecord", "convert", "SamplePair", "SelectionVector", "selection_vector",
            "apply_correction", "sgd_step_counted", "SgdTrajectory", "SgdStream",
            "run_sgd_population", "sgd_step", "MultiplicationCount", "reference_output",
-           "RecordMismatchError", "sfdr", "sndr", "quantize_stage"]
+           "RecordMismatchError", "sfdr", "sndr", "quantize_stage", "step_size_bounds",
+           "gen_impure_two_tone"]
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_resolve_and_none_was_removed(name):
     module = importlib.import_module(f"pipecal.{name}")
     assert all(hasattr(module, attr) for attr in module.__all__)
-    assert not set(REMOVED) & set(module.__all__)
+    assert [attr for attr in REMOVED if hasattr(module, attr)] == []
 
 
 def test_package_exposes_no_removed_name():
@@ -40,10 +41,11 @@ def test_package_exposes_no_removed_name():
 def test_calibration_data_holds_no_input_and_no_second_form():
     # the estimators see output pairs and codes, never the test signal; the
     # per-sample selection gathers, the quadratic-form MSE, r_hy, the cross term
-    # S_AB + S_BA, M(c) and R_hh(c) and the output powers have one form each
-    from pipecal.calibration import accumulate_statistics
+    # S_AB + S_BA, M(c) and R_hh(c), the output powers, the spur level (-sfdr_db),
+    # the signal bins (analyze's argument) and the step sizes have one form each
+    from pipecal.calibration import accumulate_statistics, run_sgd
     from pipecal.correction import selection_vectors
-    from pipecal.harness import _build_member, default_config
+    from pipecal.harness import _build_member, _evaluate, default_config
     from pipecal.signals import gen_tones, make_pairs
 
     cfg = default_config(11)
@@ -52,9 +54,18 @@ def test_calibration_data_holds_no_input_and_no_second_form():
     removed = [(pairs.unscaled, ["x_in"]),
                (selection_vectors(pairs.unscaled, layout), ["weighted", "indicator_pos"]),
                (accumulate_statistics(pairs, layout, cfg.alpha_d),
-                ["mse", "r_hy", "s_cross", "homogeneity_gram", "r_hh", "output_powers"])]
+                ["mse", "r_hy", "s_cross", "homogeneity_gram", "r_hh", "output_powers"]),
+               (_evaluate(cfg, adc, layout, 0, [])[0], ["spur_db", "signal_bins"]),
+               (run_sgd(pairs, layout, cfg.alpha_d)[0], ["mu_nl", "mu_alpha"])]
     assert [(type(obj).__name__, name) for obj, names in removed for name in names
             if hasattr(obj, name)] == []
+
+
+def test_numerical_failures_are_the_packages_own():
+    # exit 3 names a failure the package raises itself, never a library's
+    from pipecal.harness import NUMERICAL_FAILURES
+
+    assert [exc for exc in NUMERICAL_FAILURES if not exc.__module__.startswith("pipecal.")] == []
 
 
 def test_kernel_source_ships_next_to_calibration():

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import toy_adc
+from helpers import gen_impure_two_tone, toy_adc
 
 from pipecal.adc import convert_many
 from pipecal.signals import (
     PairSource,
     PathConfig,
     ToneSpec,
-    gen_impure_two_tone,
     gen_tones,
     make_pairs,
     snap_to_odd_bin,
