@@ -136,7 +136,7 @@ class MismatchConfig:
     """
 
     gain_bound_lsb: float = 25.0
-    dac_bound_lsb: float = 15.0
+    dac_bound_lsb: float = 34.0
     gain_error_reference: float | None = 1.0
 
     def __post_init__(self) -> None:

@@ -49,8 +49,8 @@ from .calibration import (
     run_sgd,
 )
 from .correction import CorrectionLayout, apply_correction_batch, model_dimension, selection_vectors
-from .signals import (SNR_DB_RANGE, PairSource, PathConfig, ToneSpec, cached_tones, make_pairs,
-                      noise_sigma, snap_to_odd_bin)
+from .signals import (SNR_DB_RANGE, PairSource, PathConfig, ToneSpec, cached_tones, noise_sigma,
+                      snap_to_odd_bin)
 from .spectral import (WINDOWS, MisdeclaredSignalError, analyze, error_norm, signal_regions,
                        spectrum, tone_bin)
 
@@ -75,6 +75,7 @@ RESULTS_SCHEMA = "pipecal-results/1"
 AGGREGATE_SCHEMA = "pipecal-aggregate/1"
 
 ALGORITHMS = ("hec-wiener", "blhec-wiener", "blhec-sgd")
+ADAPTIVE = ("blhec-sgd",)    # adapted pair by pair (run_sgd); the rest solve from n_cal pairs
 SWEEP_KINDS = ("alpha", "snr", "delta", "convergence")
 # the failures a member can stop with although its configuration was accepted (exit 3)
 NUMERICAL_FAILURES = (RankDeficiencyError, SingularStatisticsError, DivergenceError,
@@ -187,7 +188,7 @@ class ExperimentConfig:
     delta_std: float = _field(0.01, 0, math.inf, "[)")      # "normal" draws N(0, delta_std^2)
     algorithm: str = _field("blhec-wiener", choices=ALGORITHMS)
     n_cal: int = _field(2000, 2, 10 ** 6, "[]")     # converted at once, 2(D+1) statistics a pair
-    n_sgd: int = _field(48000, 0, 10 ** 7, "[]")    # the noise is drawn whole, 8 bytes a sample
+    n_sgd: int = _field(48000, 1, 10 ** 7, "[]")    # the noise is drawn whole, 8 bytes a sample
     mu_nl_init: float = _field(2.0 ** -2, 0, math.inf, "()")
     mu_halve_every: int = _field(12000, 0, math.inf, "[)")     # 0 keeps the step constant
     mu_nl_min: float = _field(2.0 ** -6, 0, math.inf, "()")
@@ -261,8 +262,6 @@ class ExperimentConfig:
             raise ConfigError(f"n_cal={self.n_cal} pairs at D={dim} need a statistics buffer of "
                               f"{self.n_cal * 2 * (dim + 1) * 8} bytes, more than "
                               f"{MAX_STATISTICS_BYTES}")
-        if self.algorithm == "blhec-sgd" and self.n_sgd < 1:
-            raise ConfigError("n_sgd must be positive for blhec-sgd")
         if self.mu_nl_min > self.mu_nl_init:
             raise ConfigError(f"mu_nl_min={self.mu_nl_min:g} exceeds mu_nl_init="
                               f"{self.mu_nl_init:g}: the floor would replace the initial step")
@@ -405,17 +404,6 @@ def _evaluate(config: ExperimentConfig, adc, layout, idx: int, thetas):
     return pre, posts
 
 
-def _wiener(config: ExperimentConfig, pairs, layout) -> tuple[np.ndarray, float, bool | None]:
-    """theta_nl, theta_alpha and, for BL-HEC, whether the solve converged,
-    from the first n_cal pairs. An SGD config gets the BL-HEC solve, the
-    reference of its convergence sweep."""
-    stats = accumulate_statistics(pairs[:config.n_cal], layout, config.alpha_d)
-    if config.algorithm == "hec-wiener":
-        return hec_wiener(stats), 0.0, None
-    res = blhec_wiener(stats)
-    return res.theta_nl, res.theta_alpha, res.converged
-
-
 def _run_member(task) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
     """`_member_rows` of a task (config, idx, kind, value): the one place a
     member failure is labeled. A constructed config's members all build, so
@@ -434,31 +422,32 @@ def _run_member(task) -> tuple[list[ResultRow], list[tuple[int, int, float]]]:
 def _member_rows(config: ExperimentConfig, idx: int, kind: str, value):
     """Build, calibrate and evaluate population member idx.
 
-    kind and value label the rows ("" and None outside a sweep). In a
-    convergence sweep (SGD only), value is the checkpoint list: the member
-    gets one row per checkpoint, all evaluated on one conversion of its
-    evaluation signal, and one error norm per checkpoint against its BL-HEC
-    reference solved from the first n_cal pairs. A row's wall_clock_s is its
+    kind and value label the rows ("" and None outside a sweep). The member's
+    pairs are one PairSource over its budget: n_cal, n_sgd, or the checkpoint
+    list value of a convergence sweep (adaptive only), whose member gets one
+    row and one error norm per checkpoint, all evaluated on one conversion of
+    its evaluation signal. A Wiener solve, the member's own or a convergence
+    reference, reads the first n_cal pairs. A row's wall_clock_s is its
     member's build-to-evaluation time. Failures are raised unlabeled.
     """
     checkpoints = value if kind == "convergence" else None
     start = time.perf_counter()
     adc, path, layout = _build_member(config, idx)
-    sgd = config.algorithm == "blhec-sgd"
-    n_samples = max(checkpoints) if checkpoints else (config.n_sgd if sgd else config.n_cal)
-    x_cal = cached_tones(tuple(config.run_tones(config.cal_amplitude)), n_samples)
-    seed = _seed_for(config, idx, _ROLE_CAL_NOISE)
+    adaptive = config.algorithm in ADAPTIVE
+    samples = checkpoints or [config.n_sgd if adaptive else config.n_cal]
+    x_cal = cached_tones(tuple(config.run_tones(config.cal_amplitude)), samples[-1])
+    pairs = PairSource(adc, x_cal, path, _seed_for(config, idx, _ROLE_CAL_NOISE))
 
-    reference, converged = None, None
-    if not sgd:
-        pairs = make_pairs(adc, x_cal, path, seed)
-        theta_nl, theta_alpha, converged = _wiener(config, pairs, layout)
-        points = [(config.n_cal, theta_nl, theta_alpha)]
-    else:
-        pairs = PairSource(adc, x_cal, path, seed)
-        if checkpoints:
-            reference, _, converged = _wiener(config, pairs, layout)
-        samples = checkpoints or [n_samples]
+    reference, theta_alpha, converged = None, 0.0, None
+    if checkpoints or not adaptive:
+        stats = accumulate_statistics(pairs[:config.n_cal], layout, config.alpha_d)
+        if config.algorithm == "hec-wiener":
+            reference = hec_wiener(stats)
+        else:
+            res = blhec_wiener(stats)
+            reference, theta_alpha, converged = res.theta_nl, res.theta_alpha, res.converged
+    points = [(config.n_cal, reference, theta_alpha)]
+    if adaptive:
         state, snapshots = run_sgd(pairs, layout, config.alpha_d, schedule=config.schedule(),
                                    guard=config.sgd_guard, checkpoints=samples)
         _check_coverage(state.code_counts, layout)
@@ -548,11 +537,11 @@ def run_sweep(kind: str, config: ExperimentConfig, grid, workers: int = 1) -> Sw
         raise ConfigError(f"sweep grid repeats a value: {grid}")
 
     if kind == "convergence":
-        if config.algorithm != "blhec-sgd":
-            raise ConfigError("convergence sweeps require the blhec-sgd algorithm")
-        longest = ExperimentConfig.__dataclass_fields__["n_sgd"].metadata["range"].hi
-        if not all(k.is_integer() and 1 <= k <= longest for k in points):
-            raise ConfigError(f"checkpoints must be positive integers up to {longest}: {grid}")
+        if config.algorithm not in ADAPTIVE:
+            raise ConfigError(f"convergence sweeps require an adaptive algorithm, one of {ADAPTIVE}")
+        budget = ExperimentConfig.__dataclass_fields__["n_sgd"].metadata["range"]
+        if not all(k.is_integer() and budget.admits(k) for k in points):
+            raise ConfigError(f"checkpoints must be integers {budget}, as n_sgd: {grid}")
         points.sort()
         checkpoints = [int(k) for k in points]
         if checkpoints[-1] < config.n_cal:

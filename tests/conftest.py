@@ -17,4 +17,4 @@ def ideal_adc():
 @pytest.fixture(scope="session")
 def mismatched_adc():
     stages, flash = default_stage_specs()
-    return build_adc(stages, flash, MismatchConfig(dac_bound_lsb=34.0), seed=42)
+    return build_adc(stages, flash, MismatchConfig(), seed=42)

@@ -5,6 +5,9 @@ loops, closed-form least squares) so the production code is checked against
 an independent route.
 """
 
+import contextlib
+import hashlib
+import io
 import math
 import os
 import platform
@@ -785,3 +788,26 @@ def sgd_loop(pairs, layout, alpha_d, schedule=None, guard=1.0, checkpoints=None)
     if not np.all(np.isfinite(state.theta_nl)) or not math.isfinite(theta_alpha):
         raise NumericalError("non-finite adaptive parameters")
     return state, snapshots
+
+
+def entry_digests(entry, out_dir) -> dict:
+    """sha256 of each file that a `tests/digests.json` entry's command writes into
+    `out_dir`: an API call (`run_experiment` or `run_sweep`) of `default_config(seed,
+    **config)`, or a CLI argv run with `--out out_dir`, which must exit 0."""
+    from pipecal.cli import main
+    from pipecal.harness import (default_config, emit_outputs, emit_sweep_outputs,
+                                 run_experiment, run_sweep)
+
+    out_dir = Path(out_dir)
+    if entry["call"] == "cli":
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([*entry["argv"], "--out", str(out_dir)])
+        assert code == 0, (entry["name"], code)
+        paths = sorted(out_dir.iterdir())
+    elif entry["call"] == "run_experiment":
+        config = default_config(entry["seed"], **entry["config"])
+        paths = [emit_outputs(run_experiment(config), out_dir)]
+    else:
+        config = default_config(entry["seed"], **entry["config"])
+        paths = emit_sweep_outputs(run_sweep(entry["kind"], config, entry["grid"]), out_dir)
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}

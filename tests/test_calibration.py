@@ -1102,3 +1102,83 @@ class TestKernelBuild:
         with pytest.raises(KernelBuildError, match="could not build"):
             _build_kernel(blocker / "cache")
         assert blocker.read_text() == ""
+
+
+# runs every kernel export through its Python caller against the library named by
+# argv[1]; argv[2] "overflow" instead hands `pipecal_gram` a `work` buffer that ends
+# rows[0] + n - 1 int64 in, so its bucketing writes past the end
+_SANITIZED_RUN = """
+import sys
+from pathlib import Path
+import numpy as np
+from pipecal import kernels
+kernels._build_kernel = lambda out_dir: Path(sys.argv[1])
+from pipecal.calibration import SGD_CHUNK, SingularStatisticsError, accumulate_statistics
+from pipecal.harness import ALGORITHMS, _build_member, default_config, run_experiment, run_sweep
+from pipecal.signals import make_pairs
+
+assert kernels.library()._name == sys.argv[1]
+small = dict(population=1, n_cal=1200, n_fft=4096, eval_samples=4096)
+if sys.argv[2] == "overflow":
+    cfg = default_config(11, **small)
+    adc, path, layout = _build_member(cfg, 0)
+    x = np.sin(0.3 * np.arange(cfg.n_cal))
+    stats = accumulate_statistics(make_pairs(adc, x, path, 0), layout, cfg.alpha_d)
+    rows = [len(sel.table_weighted) for sel in (stats.sel_ax, stats.sel_x)]
+    hist, work = np.zeros(3 * sum(rows) + rows[1]), np.empty(rows[0] + stats.n - 1, dtype=np.int64)
+    kernels.library().pipecal_gram(stats._ref, hist.ctypes.data, work.ctypes.data)
+    sys.exit("the short work buffer was not reported")
+for algorithm in ALGORITHMS:
+    run_experiment(default_config(11, algorithm=algorithm, n_sgd=3000, **small))
+# a chunk boundary and two checkpoints, with the BL-HEC reference
+run_sweep("convergence", default_config(11, algorithm="blhec-sgd", **small), [1500, SGD_CHUNK + 500])
+run_experiment(default_config(11, q=4, **small))            # a table row per pair: K = N
+run_experiment(default_config(11, flash_bits=8, **small))   # 255 thresholds: bisection
+try:
+    run_sweep("delta", default_config(1, population=1, n_fft=32), [0.0])
+except SingularStatisticsError:
+    print("sanitized run done")
+"""
+
+
+class TestSanitizedKernels:
+    """The kernels under AddressSanitizer and UndefinedBehaviorSanitizer: a copy of
+    `kernels.c` built with both, loaded in a subprocess behind gcc's runtimes."""
+
+    FLAGS = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=undefined",
+             "-ffp-contract=off", "-fPIC", "-shared")
+
+    @pytest.fixture(scope="class")
+    def sanitized(self, tmp_path_factory):
+        """(library path, environment) for a run under the sanitizers."""
+        cc = kernels._compiler()
+        if shutil.which(cc[0]) is None:
+            pytest.skip(f"no C compiler {cc[0]!r} on this host")
+        runtimes = [subprocess.run([*cc, f"-print-file-name={name}"], capture_output=True,
+                                   text=True).stdout.strip() for name in ("libasan.so", "libubsan.so")]
+        missing = [r for r in runtimes if not os.path.isabs(r) or not os.path.isfile(r)]
+        if missing:
+            pytest.skip(f"{cc[0]} -print-file-name names no sanitizer runtime file: {missing}")
+        lib = tmp_path_factory.mktemp("sanitized") / "kernels-sanitized.so"
+        done = subprocess.run([*cc, *self.FLAGS, "-o", str(lib), str(kernels._KERNEL_SOURCE)],
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        src = str(Path(kernels.__file__).parents[1])
+        env = {**os.environ, "LD_PRELOAD": " ".join(runtimes), "ASAN_OPTIONS": "detect_leaks=0",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        return lib, env
+
+    def run(self, sanitized, mode):
+        lib, env = sanitized
+        return subprocess.run([sys.executable, "-c", _SANITIZED_RUN, str(lib), mode], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_every_export_runs_clean(self, sanitized):
+        done = self.run(sanitized, "all")
+        assert (done.returncode, done.stdout) == (0, "sanitized run done\n"), done.stderr[-4000:]
+
+    def test_a_short_scratch_buffer_is_reported(self, sanitized):
+        done = self.run(sanitized, "overflow")
+        assert done.returncode != 0
+        assert "heap-buffer-overflow" in done.stderr and "pipecal_gram" in done.stderr, \
+            done.stderr[-4000:]

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import functools
+import inspect
 import math
 import multiprocessing
 import os
@@ -15,10 +16,11 @@ import pytest
 from helpers import gen_impure_two_tone, toy_adc
 
 from pipecal import kernels
-from pipecal.calibration import DivergenceError, RankDeficiencyError, accumulate_statistics, blhec_wiener
+from pipecal.calibration import (DivergenceError, RankDeficiencyError, StepSchedule,
+                                 accumulate_statistics, blhec_wiener, run_sgd)
 from pipecal.cli import main
 from pipecal.correction import CorrectionLayout, apply_correction_batch, selection_vectors
-from pipecal.adc import convert_many
+from pipecal.adc import MismatchConfig, build_adc, convert_many, default_stage_specs
 from pipecal import harness, signals
 from pipecal.harness import (
     ConfigError,
@@ -105,6 +107,17 @@ class TestConfig:
         assert copy.digest() == default_config(7, q=2).digest() != first
         assert ExperimentConfig.from_dict(cfg.to_dict()).digest() == first
         assert dataclasses.replace(copy, q=3).digest() == first
+
+    def test_lower_level_defaults_are_the_default_configs(self):
+        # each default below the config that restates a config default has the config's
+        # value, so a caller of the lower level gets the study's converter and loop
+        cfg = default_config(0)
+        stages, flash, mismatch = harness._converter_model(cfg)
+        assert MismatchConfig() == mismatch
+        assert StepSchedule() == cfg.schedule()
+        assert default_stage_specs() == (stages, flash)
+        assert inspect.signature(build_adc).parameters["resolution_bits"].default == cfg.resolution_bits
+        assert inspect.signature(run_sgd).parameters["guard"].default == cfg.sgd_guard
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
@@ -548,9 +561,10 @@ class TestSweeps:
         assert member_calls == []
 
     def test_convergence_requires_sgd(self):
-        cfg = default_config(7, algorithm="blhec-wiener", **SMALL)
-        with pytest.raises(ConfigError):
-            run_sweep("convergence", cfg, [1000])
+        for algorithm in ("hec-wiener", "blhec-wiener"):
+            cfg = default_config(7, algorithm=algorithm, **SMALL)
+            with pytest.raises(ConfigError, match="require an adaptive algorithm"):
+                run_sweep("convergence", cfg, [1000])
 
     def test_rejects_bad_kind_and_empty_grid(self):
         cfg = default_config(7, **SMALL)
@@ -569,7 +583,7 @@ class TestSweeps:
         # a sample count is a whole number; truncating it would run other checkpoints
         # ... and at most n_sgd's upper end
         for grid in ([1500.7], [1500.2, 1500.9], [1500, 10 ** 30]):
-            with pytest.raises(ConfigError, match="positive integers"):
+            with pytest.raises(ConfigError, match=r"integers in \[1, 10000000\], as n_sgd"):
                 run_sweep("convergence", sgd, grid)
         with pytest.raises(ConfigError, match="grid value is an integer too large for a float"):
             run_sweep("convergence", sgd, [1500, 10 ** 400])
@@ -693,6 +707,18 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "aggregate.csv").exists()
 
+    @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
+    def test_zero_sgd_budget_exits_2_for_every_algorithm(self, tmp_path, capsys, member_calls,
+                                                         algorithm):
+        # n_sgd's declared range starts at 1 whether or not the algorithm reads it
+        with pytest.raises(ConfigError, match=r"^n_sgd must be in \[1, 10000000\], not 0$"):
+            default_config(7, algorithm=algorithm, n_sgd=0)
+        code = main(["calibrate", "--seed", "7", "--samples", "0", "--algorithm", algorithm,
+                     "--out", str(tmp_path), "--config", self._cfg(tmp_path)])
+        assert code == 2
+        assert "n_sgd must be in [1, 10000000], not 0" in capsys.readouterr().err
+        assert member_calls == []
+
     def test_convergence_cli(self, tmp_path, capsys):
         code = main(["convergence", "--seed", "7", "--checkpoints", "1500,3000",
                      "--out", str(tmp_path), "--population", "1",
@@ -717,7 +743,7 @@ class TestCli:
         (["sweep", "--kind", "alpha", "--grid", "0.6,1.5"], "alpha_d must be in"),
         (["convergence", "--checkpoints", "1500,2000.5"], "bad grid value"),
         (["convergence", "--checkpoints", "10"], "below n_cal=1200"),
-        (["convergence", "--checkpoints", "1500,1" + "0" * 30], "positive integers up to 10000000"),
+        (["convergence", "--checkpoints", "1500,1" + "0" * 30], "integers in [1, 10000000], as n_sgd"),
         (["sweep", "--kind", "snr", "--grid=70,4000"], "snr_db must be in [-3000.0, 3000.0] or"),
     ], ids=["sweep", "convergence", "convergence-below-n_cal", "checkpoint-1e30", "snr-4000"])
     def test_invalid_grid_value_exits_2_before_any_member(self, tmp_path, capsys, member_calls,
